@@ -1332,13 +1332,7 @@ pub(crate) fn eval(
                     }
                     Err(e) => return Err(e),
                 };
-                // Batch-at-a-time flattening: one columnar batch per
-                // response, iterated through row views. OWF output is always
-                // uniform-arity, so this never hits the row fallback.
-                let produced = owf.flatten_batch(&response)?;
-                for i in 0..produced.len() {
-                    out.push(row.concat(&produced.row(i)));
-                }
+                owf.flatten_onto(row.values(), &response, &mut out);
             }
             if let Some(obs) = ctx.planner_obs() {
                 obs.observe_op(&owf.name, rows_in, out.len() as u64);

@@ -308,7 +308,7 @@ impl SimTransport {
         }
         let mut rendered = Vec::with_capacity(args.len());
         for ((name, ty), value) in owf.inputs.iter().zip(args) {
-            rendered.push((name.clone(), ty.value_to_text(value)?));
+            rendered.push((name.as_str(), ty.value_to_text(value)?));
         }
         let response = self
             .registry

@@ -167,6 +167,13 @@ impl Provider {
         *self.model_clock.lock() += latency;
     }
 
+    /// The RNG stream labelled `"{provider}/{op}{suffix}"` at `key`: the
+    /// per-call stream (no suffix, keyed by call sequence) and the `/fault`
+    /// and `/hang` chaos streams.
+    fn call_stream(&self, config: &SimConfig, op: &str, suffix: &str, key: u64) -> DetRng {
+        DetRng::keyed_parts(config.seed, &[&self.spec.name, "/", op, suffix], key)
+    }
+
     /// Performs one call to operation `op`.
     ///
     /// `serve` produces the response and its payload size in bytes; it runs
@@ -204,7 +211,7 @@ impl Provider {
         serve: impl FnOnce() -> (R, usize),
     ) -> NetResult<(R, CallStats)> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut rng = DetRng::keyed(config.seed, &format!("{}/{op}", self.spec.name), seq);
+        let mut rng = self.call_stream(config, op, "", seq);
         let fault_roll = rng.next_f64();
         let model = self.latency_model(op);
         let spec = self.fault.read().clone();
@@ -215,12 +222,7 @@ impl Provider {
         };
 
         let fail_roll = if spec.keyed_by_args && spec.fail_probability > 0.0 {
-            DetRng::keyed(
-                config.seed,
-                &format!("{}/{op}/fault", self.spec.name),
-                chaos_key,
-            )
-            .next_f64()
+            self.call_stream(config, op, "/fault", chaos_key).next_f64()
         } else {
             fault_roll
         };
@@ -249,12 +251,7 @@ impl Provider {
             latency *= spec.latency_factor_at(self.model_time());
         }
         if spec.hang_every.is_some() || spec.hang_probability > 0.0 {
-            let hang_roll = DetRng::keyed(
-                config.seed,
-                &format!("{}/{op}/hang", self.spec.name),
-                chaos_key,
-            )
-            .next_f64();
+            let hang_roll = self.call_stream(config, op, "/hang", chaos_key).next_f64();
             if spec.should_hang(seq, hang_roll) {
                 latency += spec.hang_model_secs;
             }

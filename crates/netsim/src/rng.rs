@@ -20,8 +20,14 @@ impl DetRng {
     /// Creates a generator keyed by a seed plus an arbitrary label and
     /// sequence number — the "identity hash" used for per-call jitter.
     pub fn keyed(seed: u64, label: &str, seq: u64) -> Self {
+        Self::keyed_parts(seed, &[label], seq)
+    }
+
+    /// [`DetRng::keyed`] on the concatenation of `parts`, hashed piece by
+    /// piece so that a per-call label (`provider/op`) is never built.
+    pub fn keyed_parts(seed: u64, parts: &[&str], seq: u64) -> Self {
         let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
-        for b in label.bytes() {
+        for b in parts.iter().flat_map(|part| part.bytes()) {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
         }
         h ^= seq.wrapping_mul(0xA24B_AED4_963E_E407);
@@ -79,6 +85,21 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn keyed_parts_is_keyed_on_the_joined_label() {
+        for (provider, op) in [("codebump.com/zip", "GetPlacesInside"), ("", ""), ("p", "")] {
+            for suffix in ["", "/fault", "/hang"] {
+                let label = format!("{provider}/{op}{suffix}");
+                for (seed, seq) in [(0, 0), (0x5EED, 1), (u64::MAX, 5152)] {
+                    let mut joined = DetRng::keyed(seed, &label, seq);
+                    let mut pieces = DetRng::keyed_parts(seed, &[provider, "/", op, suffix], seq);
+                    assert_eq!(joined.state, pieces.state, "{label:?} {seed} {seq}");
+                    assert_eq!(joined.next_u64(), pieces.next_u64());
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,7 +97,11 @@ impl SoapService for AviationService {
                             .with_child(Element::text_leaf("City", city))
                     })
                     .collect();
-                Ok(nested_response("GetAirports", rows))
+                Ok(nested_response(
+                    "GetAirportsResponse",
+                    "GetAirportsResult",
+                    rows,
+                ))
             }
             "GetDepartures" => {
                 let code = scalar_arg(request, "airportCode")?;
@@ -111,7 +115,11 @@ impl SoapService for AviationService {
                             .with_child(Element::text_leaf("DestCode", dest))
                     })
                     .collect();
-                Ok(nested_response("GetDepartures", rows))
+                Ok(nested_response(
+                    "GetDeparturesResponse",
+                    "GetDeparturesResult",
+                    rows,
+                ))
             }
             "GetFlightStatus" => {
                 let flight = scalar_arg(request, "flightNo")?;
@@ -125,7 +133,11 @@ impl SoapService for AviationService {
                             .with_child(Element::text_leaf("DelayMinutes", delay.to_string()))
                     })
                     .collect();
-                Ok(nested_response("GetFlightStatus", rows))
+                Ok(nested_response(
+                    "GetFlightStatusResponse",
+                    "GetFlightStatusResult",
+                    rows,
+                ))
             }
             other => Err(format!("unknown operation {other:?}")),
         }
@@ -141,7 +153,7 @@ mod tests {
         AviationService::new(Arc::new(Dataset::generate(DatasetConfig::tiny())))
     }
 
-    fn arg(name: &str, value: &str) -> Element {
+    fn arg(name: &'static str, value: &str) -> Element {
         Element::new("req").with_child(Element::text_leaf(name, value))
     }
 

@@ -517,15 +517,16 @@ impl Dataset {
     }
 
     /// `GetPlacesWithin` semantics: places of the given kind within
-    /// `distance_km` of the anchor `place` in `state_abbr`. Unknown anchors
-    /// or states yield an empty result.
+    /// `distance_km` of the anchor `place` in `state_abbr`, as
+    /// `(ToPlace, ToState, Distance)` rows lent from the dataset. Unknown
+    /// anchors or states yield an empty result.
     pub fn places_within(
         &self,
         place: &str,
         state_abbr: &str,
         distance_km: f64,
         kind: &str,
-    ) -> Vec<(String, String, f64)> {
+    ) -> Vec<(&str, &str, f64)> {
         if place != "Atlanta" {
             return Vec::new();
         }
@@ -534,7 +535,13 @@ impl Dataset {
             .map(|list| {
                 list.iter()
                     .filter(|n| n.distance_km <= distance_km && n.kind == kind)
-                    .map(|n| (n.name.clone(), n.state_abbr.clone(), round2(n.distance_km)))
+                    .map(|n| {
+                        (
+                            n.name.as_str(),
+                            n.state_abbr.as_str(),
+                            round2(n.distance_km),
+                        )
+                    })
                     .collect()
             })
             .unwrap_or_default()
@@ -542,8 +549,13 @@ impl Dataset {
 
     /// `GetPlaceList` semantics: facts for a `"Name, ST"` place
     /// specification, truncated to `max_items`, optionally restricted to
-    /// places that have map imagery.
-    pub fn place_list(&self, place_spec: &str, max_items: i64, image_only: bool) -> Vec<PlaceFact> {
+    /// places that have map imagery. The facts are lent from the dataset.
+    pub fn place_list(
+        &self,
+        place_spec: &str,
+        max_items: i64,
+        image_only: bool,
+    ) -> Vec<&PlaceFact> {
         let normalized = normalize_place_spec(place_spec);
         self.place_facts
             .get(&normalized)
@@ -552,7 +564,6 @@ impl Dataset {
                     .iter()
                     .filter(|f| !image_only || f.has_image)
                     .take(max_items.max(0) as usize)
-                    .cloned()
                     .collect()
             })
             .unwrap_or_default()
@@ -571,15 +582,15 @@ impl Dataset {
     }
 
     /// `GetPlacesInside` semantics: the places inside a zip code area as
-    /// `(ToPlace, ToState, Distance)` rows.
-    pub fn places_inside(&self, zip: &str) -> Vec<(String, String, f64)> {
+    /// `(ToPlace, ToState, Distance)` rows lent from the dataset.
+    pub fn places_inside(&self, zip: &str) -> Vec<(&str, &str, f64)> {
         let Some((abbr, idx)) = self.zip_index.get(zip) else {
             return Vec::new();
         };
         let area = &self.zipareas[abbr][*idx];
         area.places
             .iter()
-            .map(|(name, dist)| (name.clone(), abbr.clone(), round2(*dist)))
+            .map(|(name, dist)| (name.as_str(), abbr.as_str(), round2(*dist)))
             .collect()
     }
 
@@ -745,7 +756,7 @@ mod tests {
     #[test]
     fn place_list_respects_max_items_and_image_filter() {
         let ds = Dataset::generate(DatasetConfig::paper());
-        let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0].clone();
+        let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0];
         let spec = format!("{name}, {st}");
         let all = ds.place_list(&spec, 100, false);
         assert!(!all.is_empty());
@@ -781,7 +792,7 @@ mod tests {
         let inside = ds.places_inside("80840");
         assert!(inside
             .iter()
-            .any(|(p, st, _)| p == "USAF Academy" && st == "CO"));
+            .any(|&(p, st, _)| p == "USAF Academy" && st == "CO"));
         // And nowhere else.
         let mut hits = 0;
         for state in ds.states() {
@@ -789,7 +800,7 @@ mod tests {
                 if ds
                     .places_inside(zip)
                     .iter()
-                    .any(|(p, _, _)| p == "USAF Academy")
+                    .any(|&(p, _, _)| p == "USAF Academy")
                 {
                     hits += 1;
                 }

@@ -33,9 +33,9 @@ impl GeoPlacesService {
             .iter()
             .map(|s| {
                 Element::new("GeoPlaceDetails")
-                    .with_child(Element::text_leaf("Name", s.name.clone()))
+                    .with_child(Element::text_leaf("Name", s.name.as_str()))
                     .with_child(Element::text_leaf("Type", "State"))
-                    .with_child(Element::text_leaf("State", s.abbr.clone()))
+                    .with_child(Element::text_leaf("State", s.abbr.as_str()))
                     .with_child(Element::text_leaf("LatDegrees", format!("{}", s.lat)))
                     .with_child(Element::text_leaf("LonDegrees", format!("{}", s.lon)))
                     .with_child(Element::text_leaf(
@@ -48,7 +48,7 @@ impl GeoPlacesService {
                     ))
             })
             .collect();
-        nested_response("GetAllStates", rows)
+        nested_response("GetAllStatesResponse", "GetAllStatesResult", rows)
     }
 
     fn get_places_within(&self, request: &Element) -> Result<Element, String> {
@@ -67,7 +67,11 @@ impl GeoPlacesService {
                     .with_child(Element::text_leaf("Distance", format!("{dist}")))
             })
             .collect();
-        Ok(nested_response("GetPlacesWithin", rows))
+        Ok(nested_response(
+            "GetPlacesWithinResponse",
+            "GetPlacesWithinResult",
+            rows,
+        ))
     }
 }
 

@@ -111,60 +111,33 @@ impl ServiceRegistry {
         operation: &str,
         args: &[(String, String)],
     ) -> NetResult<Element> {
-        self.call_with_deadline(wsdl_uri, service_name, operation, args, None)
-    }
-
-    /// [`Self::call`] with an optional per-call model-time deadline: a
-    /// call whose model latency (hangs and brownouts included) would
-    /// exceed the deadline charges exactly the deadline and returns
-    /// [`NetError::Timeout`]. The request's rendered content also keys the
-    /// provider's argument-keyed chaos rolls, making the set of failing
-    /// argument tuples independent of dispatch interleaving.
-    pub fn call_with_deadline(
-        &self,
-        wsdl_uri: &str,
-        service_name: &str,
-        operation: &str,
-        args: &[(String, String)],
-        deadline_model_secs: Option<f64>,
-    ) -> NetResult<Element> {
-        self.call_with_deadline_stats(wsdl_uri, service_name, operation, args, deadline_model_secs)
+        self.call_on_provider(wsdl_uri, service_name, operation, args, None, None)
             .map(|(response, _stats)| response)
     }
 
-    /// [`Self::call_with_deadline`] that also surfaces the per-call wire
-    /// accounting ([`CallStats`]: request/response bytes and model
-    /// latency), for callers that meter traffic per execution context.
-    pub fn call_with_deadline_stats(
+    /// [`Self::call`] for callers that meter and steer the call: it also
+    /// returns the per-call wire accounting ([`CallStats`]: request and
+    /// response bytes, model latency) and takes
+    ///
+    /// * an optional model-time deadline — a call whose model latency
+    ///   (hangs and brownouts included) would exceed it charges exactly the
+    ///   deadline and returns [`NetError::Timeout`];
+    /// * an optional provider override — the client-side router passes the
+    ///   replica it selected and the call pays *that* replica's
+    ///   latency/capacity/fault model while still running the endpoint's
+    ///   service implementation. `None` uses the endpoint's own provider
+    ///   (replica 0 of a replicated group).
+    ///
+    /// Argument names and texts are only read, so any pair of string-like
+    /// types will do. The request's rendered content keys the provider's
+    /// argument-keyed chaos rolls, making the set of failing argument
+    /// tuples independent of dispatch interleaving.
+    pub fn call_on_provider<N: AsRef<str>, V: AsRef<str>>(
         &self,
         wsdl_uri: &str,
         service_name: &str,
         operation: &str,
-        args: &[(String, String)],
-        deadline_model_secs: Option<f64>,
-    ) -> NetResult<(Element, CallStats)> {
-        self.call_on_provider(
-            wsdl_uri,
-            service_name,
-            operation,
-            args,
-            deadline_model_secs,
-            None,
-        )
-    }
-
-    /// [`Self::call_with_deadline_stats`] with an optional provider
-    /// override: the client-side router passes the replica it selected and
-    /// the call pays *that* replica's latency/capacity/fault model while
-    /// still running the endpoint's service implementation. `None` uses
-    /// the endpoint's own provider (replica 0 of a replicated group), the
-    /// exact historical path.
-    pub fn call_on_provider(
-        &self,
-        wsdl_uri: &str,
-        service_name: &str,
-        operation: &str,
-        args: &[(String, String)],
+        args: &[(N, V)],
         deadline_model_secs: Option<f64>,
         replica: Option<&Arc<Provider>>,
     ) -> NetResult<(Element, CallStats)> {
@@ -186,35 +159,30 @@ impl ServiceRegistry {
             });
         }
 
-        let mut request = Element::new(operation);
-        for (name, value) in args {
-            request
-                .children
-                .push(Element::text_leaf(name.clone(), value.clone()));
-        }
-        let request_xml = request.to_xml();
-        let request_bytes = request_xml.len();
+        let mut request = Element::new(operation.to_owned());
+        request.children = args
+            .iter()
+            .map(|(name, value)| Element::text_leaf(name.as_ref().to_owned(), value.as_ref()))
+            .collect();
+        // One streaming pass gives the request's wire size and content key;
+        // the XML text itself has no reader and is never built.
+        let mut wire = RequestWire::default();
+        wsmed_xml::write_compact_to(&request, &mut wire).expect("hashing cannot fail");
         let opts = CallOpts {
             deadline_model_secs,
-            args_key: content_key(&request_xml),
+            args_key: wire.content_key,
         };
 
-        let service = Arc::clone(&endpoint.service);
-        let op = operation.to_owned();
-        let config = self.network.config().clone();
-        let (response, stats) = provider.call_with_opts(
-            &config,
-            operation,
-            request_bytes,
-            opts,
-            move || match service.invoke(&op, &request) {
-                Ok(resp) => {
-                    let bytes = resp.to_xml().len();
-                    (Ok(resp), bytes)
+        let (response, stats) =
+            provider.call_with_opts(self.network.config(), operation, wire.bytes, opts, || {
+                match endpoint.service.invoke(operation, &request) {
+                    Ok(resp) => {
+                        let bytes = resp.encoded_len();
+                        (Ok(resp), bytes)
+                    }
+                    Err(msg) => (Err(msg), 128),
                 }
-                Err(msg) => (Err(msg), 128),
-            },
-        )?;
+            })?;
         let response = response.map_err(|message| NetError::BadRequest {
             provider: endpoint.service.provider_name().to_owned(),
             message,
@@ -223,15 +191,33 @@ impl ServiceRegistry {
     }
 }
 
-/// FNV-1a hash of the rendered request — the argument-content key for
+/// What the provider needs to know of a rendered request, accumulated
+/// while the request streams through: its size in bytes and the FNV-1a hash
+/// of those bytes — the argument-content key for
 /// [`wsmed_netsim::FaultSpec::keyed_by_args`] chaos rolls.
-fn content_key(request_xml: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in request_xml.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+struct RequestWire {
+    bytes: usize,
+    content_key: u64,
+}
+
+impl Default for RequestWire {
+    fn default() -> Self {
+        RequestWire {
+            bytes: 0,
+            content_key: 0xcbf2_9ce4_8422_2325,
+        }
     }
-    hash
+}
+
+impl std::fmt::Write for RequestWire {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes += s.len();
+        for &b in s.as_bytes() {
+            self.content_key ^= u64::from(b);
+            self.content_key = self.content_key.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 /// Installs the paper's four services plus the repository's AviationData
@@ -273,6 +259,56 @@ mod tests {
         let network = Network::new(SimConfig::default());
         let dataset = Arc::new(Dataset::generate(DatasetConfig::tiny()));
         install_paper_services(network, dataset)
+    }
+
+    /// FNV-1a of the rendered request text: how the content key was
+    /// computed while the request was still rendered to a `String`.
+    fn reference_content_key(request_xml: &str) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in request_xml.as_bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    // Requests as the registry builds them, with repeated names and texts
+    // that need escaping and run to multi-byte characters.
+    proptest::proptest! {
+        #[test]
+        fn prop_streamed_wire_matches_rendered_request(
+            operation in "[A-Za-z]{1,12}",
+            args in proptest::collection::vec(("[a-c]{1,2}", "[ -~\u{e9}]{0,12}"), 0..5),
+        ) {
+            let mut request = Element::new(operation);
+            for (name, value) in &args {
+                request.children.push(Element::text_leaf(name.clone(), value.as_str()));
+            }
+            let mut wire = RequestWire::default();
+            wsmed_xml::write_compact_to(&request, &mut wire).unwrap();
+            let rendered = request.to_xml();
+            proptest::prop_assert_eq!(wire.bytes, rendered.len());
+            proptest::prop_assert_eq!(wire.content_key, reference_content_key(&rendered));
+        }
+    }
+
+    #[test]
+    fn call_stats_carry_the_rendered_sizes() {
+        let reg = setup();
+        let args = [("zip", "80840")];
+        let (response, stats) = reg
+            .call_on_provider(
+                ZipCodesService::WSDL_URI,
+                "ZipCodes",
+                "GetPlacesInside",
+                &args,
+                None,
+                None,
+            )
+            .unwrap();
+        let request = "<GetPlacesInside><zip>80840</zip></GetPlacesInside>";
+        assert_eq!(stats.request_bytes, request.len());
+        assert_eq!(stats.response_bytes, response.to_xml().len());
     }
 
     #[test]

@@ -121,10 +121,18 @@ pub(crate) fn scalar_result_operation(
     }
 }
 
-/// Wraps row elements in the `<Op>Response > <Op>Result` envelope.
-pub(crate) fn nested_response(op: &str, rows: Vec<Element>) -> Element {
-    Element::new(format!("{op}Response"))
-        .with_child(Element::new(format!("{op}Result")).with_children(rows))
+/// Wraps row elements in the `<Op>Response > <Op>Result` envelope. The two
+/// names are spelled out by the caller so that they are literals the tree
+/// can borrow.
+pub(crate) fn nested_response(
+    response: &'static str,
+    result: &'static str,
+    rows: Vec<Element>,
+) -> Element {
+    Element::new(response).with_child(Element {
+        children: rows,
+        ..Element::new(result)
+    })
 }
 
 #[cfg(test)]

@@ -82,9 +82,9 @@ impl SoapService for TerraService {
             .into_iter()
             .map(|f| {
                 Element::new("PlaceFacts")
-                    .with_child(Element::text_leaf("placename", f.placename))
-                    .with_child(Element::text_leaf("state", f.state))
-                    .with_child(Element::text_leaf("country", f.country))
+                    .with_child(Element::text_leaf("placename", f.placename.as_str()))
+                    .with_child(Element::text_leaf("state", f.state.as_str()))
+                    .with_child(Element::text_leaf("country", f.country.as_str()))
                     .with_child(Element::text_leaf(
                         "placeLat",
                         format!("{:.4}", f.place_lat),
@@ -104,7 +104,11 @@ impl SoapService for TerraService {
                     .with_child(Element::text_leaf("population", f.population.to_string()))
             })
             .collect();
-        Ok(nested_response("GetPlaceList", rows))
+        Ok(nested_response(
+            "GetPlaceListResponse",
+            "GetPlaceListResult",
+            rows,
+        ))
     }
 }
 
@@ -130,7 +134,7 @@ mod tests {
     #[test]
     fn returns_facts_for_known_place() {
         let (ds, svc) = setup();
-        let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0].clone();
+        let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0];
         let spec = format!("{name}, {st}");
         let resp = svc
             .invoke("GetPlaceList", &request(&spec, 100, false))
@@ -160,7 +164,7 @@ mod tests {
     #[test]
     fn owf_flattens_typed_columns() {
         let (ds, svc) = setup();
-        let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0].clone();
+        let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0];
         let spec = format!("{name}, {st}");
         let owf = OwfDef::derive(
             svc.wsdl().operation("GetPlaceList").unwrap(),

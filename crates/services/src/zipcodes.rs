@@ -77,7 +77,11 @@ impl SoapService for ZipCodesService {
                     .with_child(Element::text_leaf("Distance", format!("{dist}")))
             })
             .collect();
-        Ok(nested_response("GetPlacesInside", rows))
+        Ok(nested_response(
+            "GetPlacesInsideResponse",
+            "GetPlacesInsideResult",
+            rows,
+        ))
     }
 }
 

@@ -1,5 +1,6 @@
 //! SQL-level types used in OWF signatures.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{StoreResult, Value};
@@ -70,14 +71,15 @@ impl SqlType {
     }
 
     /// Converts a typed value back to SOAP text. Inverse of
-    /// [`SqlType::value_from_text`] for admissible values.
-    pub fn value_to_text(self, value: &Value) -> StoreResult<String> {
-        match self {
-            SqlType::Charstring => Ok(value.as_str()?.to_owned()),
-            SqlType::Real => Ok(Value::Real(value.as_real()?).render()),
-            SqlType::Integer => Ok(value.as_int()?.to_string()),
-            SqlType::Boolean => Ok(value.as_bool()?.to_string()),
-        }
+    /// [`SqlType::value_from_text`] for admissible values. A string is its
+    /// own text and is lent, not copied.
+    pub fn value_to_text(self, value: &Value) -> StoreResult<Cow<'_, str>> {
+        Ok(match self {
+            SqlType::Charstring => Cow::Borrowed(value.as_str()?),
+            SqlType::Real => Cow::Owned(Value::Real(value.as_real()?).render()),
+            SqlType::Integer => Cow::Owned(value.as_int()?.to_string()),
+            SqlType::Boolean => Cow::Owned(value.as_bool()?.to_string()),
+        })
     }
 }
 

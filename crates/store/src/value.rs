@@ -11,13 +11,20 @@ use crate::{StoreError, StoreResult};
 /// [`Record::get`] is that operator.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
-    fields: Vec<(Arc<str>, Value)>,
+    pub(crate) fields: Vec<(Arc<str>, Value)>,
 }
 
 impl Record {
     /// Creates an empty record.
     pub fn new() -> Self {
         Record::default()
+    }
+
+    /// Creates an empty record with room for `capacity` attributes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Record {
+            fields: Vec::with_capacity(capacity),
+        }
     }
 
     /// Adds or replaces an attribute.

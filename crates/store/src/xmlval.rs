@@ -13,33 +13,46 @@
 //! child elements (SOAP payloads in the paper carry data in elements, so
 //! this is a compatibility nicety).
 
+use std::sync::Arc;
+
 use wsmed_xml::Element;
 
 use crate::{Record, Value};
 
 /// Converts an XML element tree into record/sequence values.
+///
+/// One pass over the children, straight into a record sized for the
+/// distinct names: a name's second occurrence promotes its field to a
+/// [`Value::Sequence`] in place. The conversion itself never yields a bare
+/// sequence, so a sequence found in a field is always such a promotion.
 pub fn xml_to_value(el: &Element) -> Value {
     if el.children.is_empty() {
         return Value::str(el.text());
     }
-    // Group converted children by name, preserving first-occurrence order.
-    let mut groups: Vec<(&str, Vec<Value>)> = Vec::new();
-    for child in &el.children {
+    let children = &el.children;
+    let first_of_its_name = |i: usize| {
+        let name = children[i].local_name();
+        children[..i].iter().all(|c| c.local_name() != name)
+    };
+    let distinct = (0..children.len())
+        .filter(|&i| first_of_its_name(i))
+        .count();
+    let mut record = Record::with_capacity(distinct + el.attributes.len());
+    for (i, child) in children.iter().enumerate() {
         let name = child.local_name();
         let converted = xml_to_value(child);
-        match groups.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, items)) => items.push(converted),
-            None => groups.push((name, vec![converted])),
+        match record.fields.iter_mut().find(|(n, _)| &**n == name) {
+            None => record.fields.push((Arc::from(name), converted)),
+            Some((_, Value::Sequence(items))) => items.push(converted),
+            Some((_, slot)) => {
+                // Room for every remaining sibling: rows of one name, the
+                // usual reason for a repeat, then never reallocate.
+                let mut items = Vec::with_capacity(children.len() - i + 1);
+                items.push(std::mem::take(slot));
+                items.push(converted);
+                *slot = Value::Sequence(items);
+            }
         }
-    }
-    let mut record = Record::new();
-    for (name, mut items) in groups {
-        let value = if items.len() == 1 {
-            items.pop().expect("one item")
-        } else {
-            Value::Sequence(items)
-        };
-        record.set(name.to_owned(), value);
     }
     for (k, v) in &el.attributes {
         record.set(format!("@{k}"), Value::str(v));
@@ -53,7 +66,7 @@ pub fn xml_to_value(el: &Element) -> Value {
 pub fn value_to_xml(name: &str, value: &Value) -> Element {
     match value {
         Value::Record(record) => {
-            let mut el = Element::new(name);
+            let mut el = Element::new(name.to_owned());
             for (field, v) in record.iter() {
                 if let Some(attr) = field.strip_prefix('@') {
                     el.attributes.push((attr.to_owned(), v.render()));
@@ -68,20 +81,109 @@ pub fn value_to_xml(name: &str, value: &Value) -> Element {
             el
         }
         Value::Sequence(items) | Value::Bag(items) => {
-            let mut el = Element::new(name);
+            let mut el = Element::new(name.to_owned());
             for item in items {
                 el.children.push(value_to_xml("item", item));
             }
             el
         }
-        scalar => Element::text_leaf(name, scalar.render()),
+        scalar => Element::text_leaf(name.to_owned(), scalar.render()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wsmed_xml::parse;
+
+    /// The conversion this module had before it became one pass: per-element
+    /// scratch groups, then a record built from them. The reference the
+    /// property test holds [`xml_to_value`] to.
+    fn reference_xml_to_value(el: &Element) -> Value {
+        if el.children.is_empty() {
+            return Value::str(el.text());
+        }
+        let mut groups: Vec<(&str, Vec<Value>)> = Vec::new();
+        for child in &el.children {
+            let name = child.local_name();
+            let converted = reference_xml_to_value(child);
+            match groups.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, items)) => items.push(converted),
+                None => groups.push((name, vec![converted])),
+            }
+        }
+        let mut record = Record::new();
+        for (name, mut items) in groups {
+            let value = if items.len() == 1 {
+                items.pop().expect("one item")
+            } else {
+                Value::Sequence(items)
+            };
+            record.set(name.to_owned(), value);
+        }
+        for (k, v) in &el.attributes {
+            record.set(format!("@{k}"), Value::str(v));
+        }
+        Value::Record(record)
+    }
+
+    fn name_strategy() -> impl Strategy<Value = String> {
+        (any::<bool>(), "[abc]").prop_map(
+            |(prefixed, name)| {
+                if prefixed {
+                    format!("p:{name}")
+                } else {
+                    name
+                }
+            },
+        )
+    }
+
+    fn attributes_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
+        proptest::collection::vec(("[kl]", "[ a-c<&>\"']{0,6}"), 0..3)
+    }
+
+    /// Trees over a three-letter name alphabet, so that names repeat, and
+    /// repeat interleaved with others; some names carry a prefix, text
+    /// needs escapes and trimming, attributes repeat too.
+    fn element_strategy() -> impl Strategy<Value = Element> {
+        let leaf = (name_strategy(), "[ a-c<&>\"']{0,6}", attributes_strategy()).prop_map(
+            |(name, text, attributes)| Element {
+                attributes,
+                ..Element::text_leaf(name, text)
+            },
+        );
+        leaf.prop_recursive(3, 40, 6, |inner| {
+            (
+                name_strategy(),
+                proptest::collection::vec(inner, 0..6),
+                attributes_strategy(),
+            )
+                .prop_map(|(name, children, attributes)| Element {
+                    attributes,
+                    ..Element::new(name).with_children(children)
+                })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_one_pass_conversion_is_the_reference_conversion(el in element_strategy()) {
+            prop_assert_eq!(xml_to_value(&el), reference_xml_to_value(&el));
+        }
+    }
+
+    #[test]
+    fn interleaved_repeats_keep_first_occurrence_order() {
+        let el = parse("<R><a>1</a><b>2</b><a>3</a><c>4</c><b>5</b><a>6</a></R>").unwrap();
+        let v = xml_to_value(&el);
+        assert_eq!(v, reference_xml_to_value(&el));
+        let r = v.as_record().unwrap();
+        assert_eq!(r.names().collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(r.get("a").unwrap().as_collection().unwrap().len(), 3);
+        assert_eq!(r.get("c").unwrap(), &Value::str("4"));
+    }
 
     #[test]
     fn leaf_becomes_string() {

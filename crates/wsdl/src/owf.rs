@@ -137,54 +137,80 @@ impl OwfDef {
 
     /// Flattens a converted response value (from
     /// [`wsmed_store::xml_to_value`] applied to the `<Op>Response` element)
-    /// into output tuples.
+    /// into output tuples, in document order.
     ///
     /// Missing fields or empty leaves yield zero rows rather than errors:
     /// a web service reporting "no matches" returns an empty result element,
     /// which the XML→value conversion renders as an empty string.
     pub fn flatten(&self, response: &Value) -> StoreResult<Vec<Tuple>> {
-        let mut frontier: Vec<&Value> = vec![response];
-        for step in &self.flatten.path {
-            let mut next = Vec::new();
-            for value in frontier {
-                for item in iterate(value) {
-                    if let Value::Record(record) = item {
-                        if let Some(v) = record.get_opt(step) {
-                            next.push(v);
-                        }
-                    }
-                    // Non-records (e.g. the empty string of an empty result
-                    // element) contribute no rows.
-                }
-            }
-            frontier = next;
-        }
-
         let mut rows = Vec::new();
-        for value in frontier {
-            for item in iterate(value) {
-                match &self.flatten.leaf {
-                    LeafKind::Scalar(_, ty) => {
-                        if let Some(tuple) = scalar_row(item, *ty) {
-                            rows.push(tuple);
-                        }
-                    }
-                    LeafKind::Row(cols) => {
-                        if let Value::Record(record) = item {
-                            let mut values = Vec::with_capacity(cols.len());
-                            for (name, ty) in cols {
-                                values.push(match record.get_opt(name) {
-                                    Some(v) => coerce(v, *ty),
-                                    None => Value::Null,
-                                });
-                            }
-                            rows.push(Tuple::new(values));
-                        }
-                    }
+        self.flatten_onto(&[], response, &mut rows);
+        Ok(rows)
+    }
+
+    /// [`OwfDef::flatten`] for the γ apply operator: appends to `out` one
+    /// tuple per flattened row, each `prefix` (the input row's columns)
+    /// followed by the row's output columns, built in one allocation.
+    pub fn flatten_onto(&self, prefix: &[Value], response: &Value, out: &mut Vec<Tuple>) {
+        self.descend(&self.flatten.path, response, prefix, out);
+    }
+
+    /// One level of the descent. A sequence or bag stands for its elements,
+    /// anything else for itself; an element is not unwrapped a second time.
+    fn descend(&self, path: &[String], value: &Value, prefix: &[Value], out: &mut Vec<Tuple>) {
+        match value {
+            Value::Sequence(items) | Value::Bag(items) => {
+                if path.is_empty() {
+                    out.reserve(items.len());
+                }
+                for item in items {
+                    self.descend_item(path, item, prefix, out);
                 }
             }
+            item => self.descend_item(path, item, prefix, out),
         }
-        Ok(rows)
+    }
+
+    fn descend_item(&self, path: &[String], item: &Value, prefix: &[Value], out: &mut Vec<Tuple>) {
+        let Some((step, rest)) = path.split_first() else {
+            out.extend(self.leaf_row(item, prefix));
+            return;
+        };
+        // Non-records (e.g. the empty string of an empty result element)
+        // contribute no rows.
+        if let Value::Record(record) = item {
+            if let Some(field) = record.get_opt(step) {
+                self.descend(rest, field, prefix, out);
+            }
+        }
+    }
+
+    /// The row a value at the end of the path stands for, if any: an empty
+    /// string (an empty result element) or a record where a scalar was
+    /// declared yields none, as does a non-record where a row was declared.
+    fn leaf_row(&self, item: &Value, prefix: &[Value]) -> Option<Tuple> {
+        let row_with = |columns: usize| {
+            let mut values = Vec::with_capacity(prefix.len() + columns);
+            values.extend_from_slice(prefix);
+            values
+        };
+        match (&self.flatten.leaf, item) {
+            (LeafKind::Scalar(..), Value::Record(_)) => None,
+            (LeafKind::Scalar(..), Value::Str(s)) if s.is_empty() => None,
+            (LeafKind::Scalar(_, ty), scalar) => {
+                let mut values = row_with(1);
+                values.push(coerce(scalar, *ty));
+                Some(Tuple::new(values))
+            }
+            (LeafKind::Row(cols), Value::Record(record)) => {
+                let mut values = row_with(cols.len());
+                values.extend(cols.iter().map(|(name, ty)| {
+                    record.get_opt(name).map_or(Value::Null, |v| coerce(v, *ty))
+                }));
+                Some(Tuple::new(values))
+            }
+            (LeafKind::Row(_), _) => None,
+        }
     }
 
     /// Flattens a converted response value into a columnar [`ValueBatch`].
@@ -202,25 +228,6 @@ impl OwfDef {
     }
 }
 
-/// Iterates a value: sequences/bags yield their elements, everything else
-/// yields itself once.
-fn iterate(value: &Value) -> Box<dyn Iterator<Item = &Value> + '_> {
-    match value {
-        Value::Sequence(items) | Value::Bag(items) => Box::new(items.iter()),
-        other => Box::new(std::iter::once(other)),
-    }
-}
-
-/// Converts a leaf scalar into a one-column row; empty strings (an empty
-/// result element) yield no row.
-fn scalar_row(value: &Value, ty: SqlType) -> Option<Tuple> {
-    match value {
-        Value::Str(s) if s.is_empty() => None,
-        Value::Record(_) => None,
-        other => Some(Tuple::new(vec![coerce(other, ty)])),
-    }
-}
-
 /// Coerces an XML-sourced value (usually a string) to its declared type.
 fn coerce(value: &Value, ty: SqlType) -> Value {
     match value {
@@ -235,8 +242,109 @@ fn coerce(value: &Value, ty: SqlType) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wsmed_store::xml_to_value;
-    use wsmed_xml::parse;
+    use wsmed_xml::{parse, Element};
+
+    /// The flattening this module had before it became a recursive descent:
+    /// a frontier vector per path step, boxed iterators over each value.
+    /// The reference the property test holds [`OwfDef::flatten`] to.
+    fn reference_flatten(spec: &FlattenSpec, response: &Value) -> Vec<Tuple> {
+        fn iterate(value: &Value) -> Box<dyn Iterator<Item = &Value> + '_> {
+            match value {
+                Value::Sequence(items) | Value::Bag(items) => Box::new(items.iter()),
+                other => Box::new(std::iter::once(other)),
+            }
+        }
+        let mut frontier: Vec<&Value> = vec![response];
+        for step in &spec.path {
+            let mut next = Vec::new();
+            for value in frontier {
+                for item in iterate(value) {
+                    if let Value::Record(record) = item {
+                        if let Some(v) = record.get_opt(step) {
+                            next.push(v);
+                        }
+                    }
+                }
+            }
+            frontier = next;
+        }
+        let mut rows = Vec::new();
+        for value in frontier {
+            for item in iterate(value) {
+                match (&spec.leaf, item) {
+                    (LeafKind::Scalar(..), Value::Record(_)) => {}
+                    (LeafKind::Scalar(..), Value::Str(s)) if s.is_empty() => {}
+                    (LeafKind::Scalar(_, ty), other) => {
+                        rows.push(Tuple::new(vec![coerce(other, *ty)]));
+                    }
+                    (LeafKind::Row(cols), Value::Record(record)) => {
+                        let mut values = Vec::with_capacity(cols.len());
+                        for (name, ty) in cols {
+                            values.push(match record.get_opt(name) {
+                                Some(v) => coerce(v, *ty),
+                                None => Value::Null,
+                            });
+                        }
+                        rows.push(Tuple::new(values));
+                    }
+                    (LeafKind::Row(_), _) => {}
+                }
+            }
+        }
+        rows
+    }
+
+    /// Responses over a two-letter name alphabet, so that path steps and
+    /// columns hit fields, sequences and leaves by chance, with numeric and
+    /// empty texts among the leaves.
+    fn response_strategy() -> impl Strategy<Value = Element> {
+        let leaf = ("[ab]", "[0-9x.]{0,3}").prop_map(|(name, text)| Element::text_leaf(name, text));
+        leaf.prop_recursive(4, 64, 6, |inner| {
+            ("[ab]", proptest::collection::vec(inner, 1..6))
+                .prop_map(|(name, children)| Element::new(name).with_children(children))
+        })
+    }
+
+    fn spec_strategy() -> impl Strategy<Value = FlattenSpec> {
+        let ty = prop_oneof![
+            Just(SqlType::Charstring),
+            Just(SqlType::Real),
+            Just(SqlType::Integer)
+        ];
+        let leaf = prop_oneof![
+            ty.clone()
+                .prop_map(|ty| LeafKind::Scalar("s".to_owned(), ty)),
+            proptest::collection::vec(("[ab]", ty), 1..4).prop_map(LeafKind::Row),
+        ];
+        (proptest::collection::vec("[ab]", 0..3), leaf)
+            .prop_map(|(path, leaf)| FlattenSpec { path, leaf })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_descent_is_the_reference_flatten(
+            response in response_strategy(),
+            spec in spec_strategy(),
+        ) {
+            let owf = OwfDef {
+                flatten: spec,
+                ..OwfDef::derive(&zip_op(), "USZip", "urn:zip").unwrap()
+            };
+            let value = xml_to_value(&response);
+            let expected = reference_flatten(&owf.flatten, &value);
+            prop_assert_eq!(&owf.flatten(&value).unwrap(), &expected);
+
+            let prefix = Tuple::new(vec![Value::Int(7), Value::str("in")]);
+            let mut appended = vec![prefix.clone()];
+            owf.flatten_onto(prefix.values(), &value, &mut appended);
+            let concatenated: Vec<Tuple> = std::iter::once(prefix.clone())
+                .chain(expected.iter().map(|row| prefix.concat(row)))
+                .collect();
+            prop_assert_eq!(appended, concatenated);
+        }
+    }
 
     fn states_op() -> OperationDef {
         OperationDef {

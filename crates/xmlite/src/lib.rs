@@ -40,7 +40,9 @@ mod writer;
 
 pub use error::{XmlError, XmlResult};
 pub use parser::parse;
-pub use writer::{write_compact, write_pretty};
+pub use writer::{write_compact, write_compact_to, write_pretty};
+
+use std::borrow::Cow;
 
 /// A single XML element: name, attributes, child elements and text content.
 ///
@@ -50,8 +52,10 @@ pub use writer::{write_compact, write_pretty};
 /// carry children.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Element {
-    /// Tag name as written, including any namespace prefix.
-    pub name: String,
+    /// Tag name as written, including any namespace prefix. Trees built
+    /// from string literals (every simulated service's response) borrow
+    /// their tag names; the parser produces owned ones.
+    pub name: Cow<'static, str>,
     /// Attributes in document order.
     pub attributes: Vec<(String, String)>,
     /// Child elements in document order.
@@ -62,7 +66,7 @@ pub struct Element {
 
 impl Element {
     /// Creates an empty element with the given tag name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         Element {
             name: name.into(),
             ..Default::default()
@@ -70,7 +74,7 @@ impl Element {
     }
 
     /// Creates a leaf element carrying only text.
-    pub fn text_leaf(name: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn text_leaf(name: impl Into<Cow<'static, str>>, text: impl Into<String>) -> Self {
         Element {
             name: name.into(),
             content: text.into(),
@@ -171,6 +175,13 @@ impl Element {
         write_compact(self)
     }
 
+    /// `self.to_xml().len()`, computed without building the text.
+    pub fn encoded_len(&self) -> usize {
+        let mut count = writer::ByteCount::default();
+        write_compact_to(self, &mut count).expect("counting cannot fail");
+        count.0
+    }
+
     /// Serializes with two-space indentation, for humans and docs.
     pub fn to_pretty_xml(&self) -> String {
         write_pretty(self)
@@ -179,37 +190,23 @@ impl Element {
 
 impl std::fmt::Display for Element {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_xml())
+        write_compact_to(self, f)
     }
 }
 
 /// Escapes character data for use inside element content.
 pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
-    out
+    escaped(s, false)
 }
 
 /// Escapes a string for use inside a double-quoted attribute value.
 pub fn escape_attr(s: &str) -> String {
+    escaped(s, true)
+}
+
+fn escaped(s: &str, attr: bool) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
+    writer::write_escaped(s, attr, &mut out).expect("writing to a String cannot fail");
     out
 }
 

@@ -308,7 +308,7 @@ fn unescape(s: &str, base: usize) -> XmlResult<String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -430,7 +430,7 @@ mod tests {
         "[ -~]{0,40}".prop_map(|s| s.trim().to_owned())
     }
 
-    fn element_strategy() -> impl Strategy<Value = crate::Element> {
+    pub(crate) fn element_strategy() -> impl Strategy<Value = crate::Element> {
         let leaf = (
             name_strategy(),
             text_strategy(),

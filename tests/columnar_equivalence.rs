@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use wsmed::core::{paper, AdaptiveConfig, BatchPolicy, CachePolicy, PoolPolicy};
+use wsmed::core::{paper, AdaptiveConfig, BatchPolicy, CachePolicy, ExecutionReport, PoolPolicy};
 use wsmed::services::DatasetConfig;
 use wsmed::store::canonicalize;
 
@@ -39,6 +39,18 @@ fn configured_setup(seed: u64, cache: bool, pool: bool, policy: BatchPolicy) -> 
     setup
 }
 
+/// The frame counter's schedule-independent invariant: the report's total
+/// is the sum of what the process tree saw per node, in both directions.
+///
+/// The totals of two runs are *not* comparable, row path or columnar: how
+/// many frames a run takes depends on how many children are idle when the
+/// parent wakes and on which duplicates the memo has answered by then. Over
+/// 3000 generated cases the two paths' counts differed by 1 to 4 frames in
+/// 16, with rows and `ws_calls` equal to the central plan's in all 3000.
+fn frames_add_up(report: &ExecutionReport) -> bool {
+    report.messages == report.tree.total_messages()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -61,7 +73,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(col.rows.len(), row.rows.len());
         prop_assert_eq!(col.ws_calls, row.ws_calls);
-        prop_assert_eq!(col.messages, row.messages);
+        prop_assert!(frames_add_up(&col) && frames_add_up(&row));
         prop_assert_eq!(
             canonicalize(col.rows),
             canonicalize(row.rows),
@@ -89,6 +101,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(col.rows.len(), row.rows.len());
         prop_assert_eq!(col.ws_calls, row.ws_calls);
+        prop_assert!(frames_add_up(&col) && frames_add_up(&row));
         prop_assert_eq!(
             canonicalize(col.rows),
             canonicalize(row.rows),

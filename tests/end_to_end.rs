@@ -81,6 +81,29 @@ fn query2_call_counts_match_paper_on_full_dataset() {
     // §I: "makes 5000 calls sequentially".
     assert!(central.ws_calls > 5000, "got {} calls", central.ws_calls);
     assert_eq!(central.row_count(), 1);
+
+    // What the simulated network charged is a function of every request's
+    // and response's encoded size and of every call's RNG stream. These
+    // figures were recorded while sizes were still `to_xml().len()` and
+    // stream labels still `format!`-ed; the call path may get cheaper, the
+    // model may not notice. (calls, charged model µs, request B, response B)
+    let charged: Vec<(String, u64, u64, u64, u64)> = setup
+        .network
+        .metrics_by_provider()
+        .into_iter()
+        .filter(|(_, m)| m.calls > 0)
+        .map(|(name, m)| {
+            let micros = (m.total_model_latency * 1e6).round() as u64;
+            (name, m.calls, micros, m.request_bytes, m.response_bytes)
+        })
+        .collect();
+    let expected = [
+        ("codebump.com/geo", 1, 864_815, 15, 11_184),
+        ("codebump.com/zip", 5100, 2_312_074_328, 260_100, 1_617_948),
+        ("webservicex.net", 51, 55_123_506, 2_754, 35_343),
+    ]
+    .map(|(name, calls, micros, req, resp)| (name.to_owned(), calls, micros, req, resp));
+    assert_eq!(charged, expected);
 }
 
 #[test]
