@@ -28,11 +28,11 @@
 //! cargo run --release -p wsmed-bench --bin multiquery_ablation -- --small
 //! ```
 
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use wsmed_bench::{csv_row, csv_writer, emit_bench_section, json_num, HarnessOpts};
-use wsmed_core::{paper, ExecutionReport, FanoutVector, Wsmed};
+use wsmed_core::{paper, CachePolicy, ExecutionReport, FanoutVector, Wsmed};
 use wsmed_store::{canonicalize, Tuple};
 
 /// Concurrent queries per arm.
@@ -63,7 +63,7 @@ fn discover_fanouts(w: &Wsmed, sql: &str, per_level: usize) -> Option<FanoutVect
 /// process pool.
 fn mediator(opts: &HarnessOpts) -> paper::PaperSetup {
     let mut setup = opts.setup();
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     setup.wsmed.enable_process_pool(true);
     setup
 }
@@ -120,7 +120,7 @@ fn run_concurrent(opts: &HarnessOpts, fanouts: &FanoutVector) -> ArmResult {
     // A loaded mediator's cache never goes idle; holding the busy period
     // open models that, so the K runs share entries even if the scheduler
     // happens to serialize them.
-    let cache = Arc::clone(setup.wsmed.call_cache().expect("cache enabled"));
+    let cache = setup.wsmed.call_cache().expect("cache enabled");
     cache.begin_run();
     let barrier = Barrier::new(K);
     let med = &setup.wsmed;

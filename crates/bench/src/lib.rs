@@ -33,31 +33,49 @@ pub struct HarnessOpts {
 
 impl HarnessOpts {
     /// Parses `--scale <f>`, `--full`, `--small` and `--verbose` from argv,
-    /// with defaults per binary.
+    /// with defaults per binary. On bad input prints the problem and the
+    /// usage line, then exits with status 2.
     pub fn parse(default_scale: f64, default_full: bool) -> Self {
+        Self::parse_from(std::env::args().skip(1), default_scale, default_full).unwrap_or_else(
+            |problem| {
+                eprintln!("{problem}");
+                eprintln!("usage: [--scale <wall-per-model-sec>] [--full|--small] [--verbose]");
+                std::process::exit(2);
+            },
+        )
+    }
+
+    /// [`HarnessOpts::parse`] over explicit arguments; `Err` says what is
+    /// wrong with them.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_scale: f64,
+        default_full: bool,
+    ) -> Result<Self, String> {
         let mut opts = HarnessOpts {
             scale: default_scale,
             full: default_full,
             verbose: false,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--scale" => {
-                    let v = args.next().expect("--scale needs a value");
-                    opts.scale = v.parse().expect("--scale must be a float");
+                    let v = args.next().ok_or("--scale needs a value")?;
+                    // 0 is valid: it runs unpaced.
+                    opts.scale = v
+                        .parse()
+                        .ok()
+                        .filter(|scale: &f64| scale.is_finite() && *scale >= 0.0)
+                        .ok_or_else(|| format!("--scale must be a finite number ≥ 0, got {v:?}"))?;
                 }
                 "--full" => opts.full = true,
                 "--small" => opts.full = false,
                 "--verbose" => opts.verbose = true,
-                other => {
-                    eprintln!("unknown argument {other:?}");
-                    eprintln!("usage: [--scale <wall-per-model-sec>] [--full|--small] [--verbose]");
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The dataset configuration this run uses.
@@ -478,6 +496,34 @@ pub fn best_cell(rows: &[(usize, usize, f64)]) -> (usize, usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<HarnessOpts, String> {
+        HarnessOpts::parse_from(args.iter().map(|a| (*a).to_owned()), 0.002, true)
+    }
+
+    #[test]
+    fn opts_parse_flags_and_keep_defaults() {
+        let opts = parse(&[]).unwrap();
+        assert_eq!((opts.scale, opts.full, opts.verbose), (0.002, true, false));
+        let opts = parse(&["--small", "--scale", "0", "--verbose"]).unwrap();
+        assert_eq!((opts.scale, opts.full, opts.verbose), (0.0, false, true));
+        assert_eq!(parse(&["--scale", "1e-3"]).unwrap().scale, 0.001);
+    }
+
+    #[test]
+    fn opts_reject_bad_input_without_panicking() {
+        for bad in [
+            &["--scale"][..],
+            &["--scale", "garbage"],
+            &["--scale", "-1"],
+            &["--scale", "NaN"],
+            &["--scale", "inf"],
+            &["--scale", "--full"],
+            &["--fast"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 
     #[test]
     fn grid_respects_process_budget() {

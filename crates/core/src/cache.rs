@@ -50,9 +50,8 @@ const WAIT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Configuration of the [`CallCache`].
 ///
-/// Installed on the mediator via [`crate::Wsmed::set_cache_policy`]; the
-/// legacy `enable_call_cache(true)` is a thin wrapper over
-/// `Some(CachePolicy::default())`.
+/// Installed on the mediator via [`crate::Wsmed::set_cache_policy`];
+/// `None` there disables caching.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachePolicy {
     /// Maximum cached entries (split evenly across shards, LRU beyond).
@@ -196,7 +195,7 @@ impl CacheStats {
 /// many queries share the cache concurrently.
 #[derive(Debug, Default)]
 pub(crate) struct CacheScope {
-    query: AtomicU64,
+    query: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     dedup_waits: AtomicU64,
@@ -206,20 +205,17 @@ pub(crate) struct CacheScope {
 }
 
 impl CacheScope {
-    /// Rearms the scope for a new run attributed to query `query`.
-    pub(crate) fn reset(&self, query: u64) {
-        self.query.store(query, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.dedup_waits.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.short_circuits.store(0, Ordering::Relaxed);
-        self.cross_query_hits.store(0, Ordering::Relaxed);
+    /// A zeroed scope for one run attributed to query `query`.
+    pub(crate) fn new(query: u64) -> Self {
+        CacheScope {
+            query,
+            ..Default::default()
+        }
     }
 
     /// The query id entries produced through this scope are tagged with.
     pub(crate) fn query(&self) -> u64 {
-        self.query.load(Ordering::Relaxed)
+        self.query
     }
 
     fn note_hit(&self, owner: u64) {
@@ -1127,10 +1123,8 @@ mod tests {
     #[test]
     fn scoped_lookups_attribute_cross_query_hits() {
         let cache = CallCache::new(CachePolicy::default(), 0.0);
-        let a = CacheScope::default();
-        a.reset(1);
-        let b = CacheScope::default();
-        b.reset(2);
+        let a = CacheScope::new(1);
+        let b = CacheScope::new(2);
         // Query 1 produces the entry.
         match cache.lookup_call_for(&key("F", 1), Some(&a)) {
             CallLookup::Miss(flight) => flight.complete(&Value::Int(10)),
@@ -1160,10 +1154,8 @@ mod tests {
     #[test]
     fn rows_memo_attributes_cross_query_reads() {
         let cache = CallCache::new(CachePolicy::default(), 0.0);
-        let a = CacheScope::default();
-        a.reset(7);
-        let b = CacheScope::default();
-        b.reset(8);
+        let a = CacheScope::new(7);
+        let b = CacheScope::new(8);
         let param = crate::wire::encode_tuple(&Tuple::new(vec![Value::Int(5)]));
         let k = CacheKey::for_rows("pf:PF1:10:abcd", &param);
         let rows = Arc::new(vec![Tuple::new(vec![Value::str("a")])]);

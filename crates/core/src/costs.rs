@@ -95,11 +95,6 @@ impl PlannerStats {
         Some(profile)
     }
 
-    /// Whether any profile has been seeded.
-    pub fn has_profiles(&self) -> bool {
-        !self.profiles.read().is_empty()
-    }
-
     /// Records that applying `op` to `rows_in` input tuples emitted
     /// `rows_out` result tuples.
     pub fn observe_op(&self, op: &str, rows_in: u64, rows_out: u64) {
@@ -167,13 +162,6 @@ impl PlannerStats {
             .values()
             .filter(|s| !s.is_empty())
             .count()
-    }
-
-    /// Drops all accumulated statistics (profiles stay seeded).
-    pub fn clear_observations(&self) {
-        self.obs.write().clear();
-        self.latency.write().clear();
-        self.empties.write().clear();
     }
 }
 

@@ -6,26 +6,25 @@ pub mod pool;
 mod process;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-use parking_lot::RwLock;
 
 use wsmed_netsim::SimConfig;
 use wsmed_store::{FunctionRegistry, Tuple, Value};
 use wsmed_wsdl::OwfDef;
 
-use crate::cache::{CacheKey, CachePolicy, CacheScope, CacheStats, CallCache, CallLookup};
+use crate::cache::{CacheKey, CacheScope, CacheStats, CallCache, CallLookup};
 use crate::catalog::OwfCatalog;
+use crate::config::RunConfig;
 use crate::exec::pool::{PoolScope, PoolStats, ProcessPool};
-use crate::obs::{self, TraceEventKind, TraceLog, TracePolicy};
+use crate::obs::{self, TraceEventKind, TraceLog};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
 use crate::resilience::{
-    self, Breakers, CallGate, FailureMode, ResilienceCollector, ResiliencePolicy, Transition,
+    self, BreakerPolicy, FailureMode, ResilienceCollector, ResiliencePolicy, Transition,
 };
 use crate::router::{GroupView, Router, RouterCollector};
 use crate::stats::{ExecutionReport, TreeRegistry};
-use crate::transport::{BatchPolicy, DispatchPolicy, RetryPolicy, WsTransport};
+use crate::transport::{BatchPolicy, DispatchPolicy, WsTransport};
 use crate::{CoreError, CoreResult};
 
 pub(crate) use parallel_op::ParallelApply;
@@ -39,225 +38,108 @@ pub struct ProcEnv {
     pub level: usize,
 }
 
-/// Shared execution state: transport, function registry, OWF catalog,
-/// simulation config and the live process tree.
+/// The built-in helping functions, built once and shared by every context
+/// and every compilation.
+pub(crate) fn builtin_functions() -> &'static FunctionRegistry {
+    static BUILTINS: OnceLock<FunctionRegistry> = OnceLock::new();
+    BUILTINS.get_or_init(FunctionRegistry::with_builtins)
+}
+
+/// One run's execution state: transport, OWF catalog, simulation config,
+/// the run's [`RunConfig`], its process tree, trace log and counters.
+///
+/// A context is built complete by [`ExecContext::new`] and executes one
+/// plan ([`ExecContext::run_plan`]); nothing about it can be reconfigured
+/// afterwards. What runs share (call cache, process pool, breaker table,
+/// router) they share by being given the same instances in their configs.
 pub struct ExecContext {
     transport: Arc<dyn WsTransport>,
-    functions: FunctionRegistry,
     owfs: Arc<OwfCatalog>,
     sim: SimConfig,
-    tree: RwLock<Arc<TreeRegistry>>,
+    cfg: RunConfig,
+    tree: Arc<TreeRegistry>,
+    /// This run's trace log, when its trace policy is enabled.
+    trace: Option<Arc<TraceLog>>,
+    /// Run epoch: the origin of the wall and first-result measurements.
+    started: Instant,
     next_id: AtomicU64,
     /// Parameter/result/plan bytes shipped between query processes.
     shipped_bytes: AtomicU64,
     /// Nanoseconds from run start until the coordinator saw its first
     /// result tuple (0 = not yet / not applicable).
     first_result_nanos: AtomicU64,
-    /// Resilient-call policy (retries, deadline, breaker, hedge, failure
-    /// mode) for web-service calls.
-    resilience: RwLock<ResiliencePolicy>,
-    /// Per-provider circuit-breaker states. Fresh per context by default;
-    /// [`crate::Wsmed`] installs its mediator-global table so concurrent
-    /// queries observe one shared view of each provider's health.
-    breakers: RwLock<Arc<Breakers>>,
-    /// Admission gate for per-tenant in-flight call budgets, when the
-    /// mediator runs under a [`crate::QuotaPolicy`].
-    admission: RwLock<Option<CallGate>>,
-    /// Run-scoped resilience counters behind
-    /// [`crate::ResilienceStats`].
+    /// Resilience counters behind [`crate::ResilienceStats`].
     res_stats: ResilienceCollector,
-    /// Client-side replica router, when [`crate::Wsmed`] installed one.
-    /// `None` (the default) keeps every call on the legacy direct path.
-    router: RwLock<Option<Arc<Router>>>,
-    /// Run-scoped routing counters behind [`crate::RouterStats`].
+    /// Routing counters behind [`crate::RouterStats`].
     router_stats: RouterCollector,
-    /// Parameter dispatch policy for fixed-fanout FF_APPLYP operators.
-    dispatch: RwLock<DispatchPolicy>,
-    /// Tuple batching policy for parent↔child message frames.
-    batch: RwLock<BatchPolicy>,
-    /// Memoization of web service calls and plan-function invocations
-    /// (`None` = disabled). [`crate::Wsmed`] installs a shared instance
-    /// here when the policy is cross-run.
-    call_cache: RwLock<Option<Arc<CallCache>>>,
-    /// Warm process pool, when [`crate::Wsmed`] installed one. Weak: the
-    /// pool owns parked threads whose closures hold this context's `Arc`,
-    /// so a strong reference here would form a leak cycle.
-    pool: RwLock<Weak<ProcessPool>>,
-    /// This context's query id — tags cache entries it creates so other
-    /// queries' reads count as cross-query hits.
-    query_id: AtomicU64,
     /// Per-query attribution of shared-cache traffic.
     cache_scope: CacheScope,
     /// Per-query attribution of warm-pool traffic.
     pool_scope: PoolScope,
-    /// Web service calls this context issued this run (cache hits
-    /// excluded; every attempt that reached the transport counts).
+    /// Web service calls this run issued (cache hits excluded; every
+    /// attempt that reached the transport counts).
     ws_calls: AtomicU64,
     /// Wire bytes (request + response) those calls moved.
     ws_bytes: AtomicU64,
-    /// Failure-injection knob for tests: after this many end-of-call
-    /// messages at the coordinator, one busy child is abruptly killed.
-    fail_child_after_eocs: AtomicU64,
-    /// Run start marker used for the first-result measurement.
-    run_started: parking_lot::Mutex<Option<Instant>>,
-    /// Structured-trace policy applied at the start of each run.
-    trace_policy: RwLock<TracePolicy>,
-    /// Fast path for the disabled case: every trace hook checks this one
-    /// relaxed atomic before touching the log handle below.
-    trace_on: AtomicBool,
-    /// The current (or last) run's trace log, when tracing was enabled.
-    trace: RwLock<Option<Arc<TraceLog>>>,
-    /// Planner-statistics sink: operator cardinalities, call latencies and
-    /// empty-parameter observations feed back into it during execution.
-    /// Installed by [`crate::Wsmed`] under a cost-based planner policy;
-    /// `None` (the default) keeps every hook to one atomic load.
-    planner_obs: RwLock<Option<Arc<crate::costs::PlannerStats>>>,
-    /// Mirrors `planner_obs.is_some()` (same pattern as `trace_on`).
-    obs_on: AtomicBool,
-    /// Parameter tuples dropped parent-side by semi-join pruning this run.
+    /// Countdown of [`RunConfig::kill_child_after_eocs`].
+    kill_child_countdown: AtomicU64,
+    /// Parameter tuples dropped parent-side by semi-join pruning.
     pruned_params: AtomicU64,
 }
 
 impl ExecContext {
-    /// Creates a context. The function registry is preloaded with the
-    /// built-in helping functions.
+    /// Creates the context of one run under `cfg`.
     pub fn new(
         transport: Arc<dyn WsTransport>,
         owfs: Arc<OwfCatalog>,
         sim: SimConfig,
+        cfg: RunConfig,
     ) -> Arc<Self> {
+        // The log's epoch doubles as the run epoch for model timestamps.
+        let trace = cfg
+            .trace
+            .enabled
+            .then(|| Arc::new(TraceLog::new(cfg.trace, sim.time_scale)));
         Arc::new(ExecContext {
             transport,
-            functions: FunctionRegistry::with_builtins(),
             owfs,
             sim,
-            tree: RwLock::new(TreeRegistry::new()),
+            tree: TreeRegistry::new(),
+            trace,
+            started: Instant::now(),
             next_id: AtomicU64::new(1),
             shipped_bytes: AtomicU64::new(0),
             first_result_nanos: AtomicU64::new(0),
-            resilience: RwLock::new(ResiliencePolicy::default()),
-            breakers: RwLock::new(Arc::new(Breakers::default())),
-            admission: RwLock::new(None),
             res_stats: ResilienceCollector::default(),
-            router: RwLock::new(None),
             router_stats: RouterCollector::default(),
-            dispatch: RwLock::new(DispatchPolicy::default()),
-            batch: RwLock::new(BatchPolicy::default()),
-            call_cache: RwLock::new(None),
-            pool: RwLock::new(Weak::new()),
-            query_id: AtomicU64::new(0),
-            cache_scope: CacheScope::default(),
+            cache_scope: CacheScope::new(cfg.query_id),
             pool_scope: PoolScope::default(),
             ws_calls: AtomicU64::new(0),
             ws_bytes: AtomicU64::new(0),
-            fail_child_after_eocs: AtomicU64::new(0),
-            run_started: parking_lot::Mutex::new(None),
-            trace_policy: RwLock::new(TracePolicy::default()),
-            trace_on: AtomicBool::new(false),
-            trace: RwLock::new(None),
-            planner_obs: RwLock::new(None),
-            obs_on: AtomicBool::new(false),
+            kill_child_countdown: AtomicU64::new(cfg.kill_child_after_eocs),
             pruned_params: AtomicU64::new(0),
+            cfg,
         })
     }
 
-    /// The web service transport.
-    pub fn transport(&self) -> &Arc<dyn WsTransport> {
-        &self.transport
-    }
-
-    /// The helping-function registry.
-    pub fn functions(&self) -> &FunctionRegistry {
-        &self.functions
-    }
-
     /// The OWF catalog.
-    pub fn owfs(&self) -> &OwfCatalog {
+    pub(crate) fn owfs(&self) -> &OwfCatalog {
         &self.owfs
     }
 
     /// The simulation config (client cost model + time scale).
-    pub fn sim(&self) -> &SimConfig {
+    pub(crate) fn sim(&self) -> &SimConfig {
         &self.sim
     }
 
-    /// The live process-tree registry of the current (or last) run.
-    pub fn tree(&self) -> Arc<TreeRegistry> {
-        self.tree.read().clone()
+    /// The live process-tree registry of this run.
+    pub(crate) fn tree(&self) -> &Arc<TreeRegistry> {
+        &self.tree
     }
 
-    /// Installs a retry policy for transient web-service faults (legacy
-    /// wrapper: lifts it into a [`ResiliencePolicy`] with the current
-    /// policy's non-retry knobs preserved).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        let mut res = self.resilience.write();
-        res.max_attempts = policy.max_attempts.max(1);
-        res.backoff_model_secs = policy.backoff_model_secs;
-        res.backoff_multiplier = 1.0;
-        res.backoff_jitter_frac = 0.0;
-    }
-
-    /// The retry-loop projection of the current resilience policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.resilience.read().as_retry()
-    }
-
-    /// Installs the full resilient-call policy (deadline, backoff,
-    /// breaker, hedging, failure mode).
-    pub fn set_resilience_policy(&self, policy: ResiliencePolicy) {
-        *self.resilience.write() = policy;
-    }
-
-    /// The current resilience policy.
-    pub fn resilience_policy(&self) -> ResiliencePolicy {
-        *self.resilience.read()
-    }
-
-    /// The current query-level failure mode.
+    /// The query-level failure mode.
     pub(crate) fn failure_mode(&self) -> FailureMode {
-        self.resilience.read().failure_mode
-    }
-
-    /// Installs a shared circuit-breaker table. [`crate::Wsmed`] points
-    /// every per-query context at its mediator-global table so one
-    /// provider's failures trip the breaker for all concurrent queries.
-    pub(crate) fn install_breakers(&self, breakers: Arc<Breakers>) {
-        *self.breakers.write() = breakers;
-    }
-
-    /// The circuit-breaker table this context consults (one cheap
-    /// refcounted handle).
-    pub(crate) fn breakers(&self) -> Arc<Breakers> {
-        self.breakers.read().clone()
-    }
-
-    /// Installs (or clears) the admission gate charging this context's
-    /// web-service calls against a tenant's in-flight budget.
-    pub(crate) fn install_admission(&self, gate: Option<CallGate>) {
-        *self.admission.write() = gate;
-    }
-
-    /// Installs (or clears, with `None`) the client-side replica router.
-    /// [`crate::Wsmed`] shares one mediator-global instance across its
-    /// per-query contexts so the round-robin rotation stays coherent.
-    pub(crate) fn install_router(&self, router: Option<Arc<Router>>) {
-        *self.router.write() = router;
-    }
-
-    /// The installed router, if any (one cheap refcounted handle).
-    pub(crate) fn router(&self) -> Option<Arc<Router>> {
-        self.router.read().clone()
-    }
-
-    /// Routing counters accumulated so far this run.
-    pub fn router_stats(&self) -> crate::router::RouterStats {
-        self.router_stats.snapshot()
-    }
-
-    /// Tags this context with the mediator-assigned query id used for
-    /// cross-query cache attribution. Standalone contexts keep id 0.
-    pub fn set_query_id(&self, id: u64) {
-        self.query_id.store(id, Ordering::Relaxed);
+        self.cfg.resilience.failure_mode
     }
 
     /// Per-query cache attribution scope.
@@ -273,20 +155,9 @@ impl ExecContext {
     /// The single chokepoint where this context touches the wire: meters
     /// calls and bytes onto per-context counters (correct under
     /// concurrent queries, unlike diffing global provider metrics) and
-    /// emits the per-call trace event.
-    pub(crate) fn transport_call(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-    ) -> CoreResult<Value> {
-        self.transport_call_on(owf, args, deadline_model_secs, None)
-    }
-
-    /// [`ExecContext::transport_call`] pinned to a specific replica of the
-    /// OWF's provider group when the router chose one (`None` keeps the
-    /// transport's own endpoint resolution).
-    pub(crate) fn transport_call_on(
+    /// emits the per-call trace event. `replica` pins the call to the
+    /// member of the OWF's provider group the router chose.
+    fn transport_call(
         &self,
         owf: &OwfDef,
         args: &[Value],
@@ -297,21 +168,13 @@ impl ExecContext {
         // delta across the (blocking, latency-sleeping) call is the call's
         // own latency. Meaningless at time scale 0, where calls are
         // instant — the calibrated seed profiles stand in there.
-        let observe = self.obs_on.load(Ordering::Relaxed) && self.sim.time_scale > 0.0;
-        let started = observe.then(|| self.transport.model_now());
-        let result = match replica {
-            Some(replica) => {
-                self.transport
-                    .call_operation_replica(owf, args, deadline_model_secs, replica)
-            }
-            None => self
-                .transport
-                .call_operation_metered(owf, args, deadline_model_secs),
-        };
-        if let (Some(started), Ok(_)) = (started, &result) {
-            if let Some(obs) = self.planner_obs() {
-                obs.observe_latency(&owf.name, self.transport.model_now() - started);
-            }
+        let observer = self
+            .planner_obs()
+            .filter(|_| self.sim.time_scale > 0.0)
+            .map(|obs| (obs, self.transport.model_now()));
+        let result = self.transport.call(owf, args, deadline_model_secs, replica);
+        if let (Some((obs, started)), Ok(_)) = (observer, &result) {
+            obs.observe_latency(&owf.name, self.transport.model_now() - started);
         }
         self.ws_calls.fetch_add(1, Ordering::Relaxed);
         if let Ok((_, bytes)) = &result {
@@ -328,11 +191,6 @@ impl ExecContext {
             });
         }
         result.map(|(value, _bytes)| value)
-    }
-
-    /// Resilience counters accumulated so far this run.
-    pub fn resilience_stats(&self) -> crate::ResilienceStats {
-        self.res_stats.snapshot()
     }
 
     /// Routes one skipped parameter tuple (partial failure mode): into
@@ -363,136 +221,55 @@ impl ExecContext {
         }
     }
 
-    /// Sets the parameter dispatch policy (ablation knob; the default is
-    /// the paper's first-finished dispatch).
-    pub fn set_dispatch_policy(&self, policy: DispatchPolicy) {
-        *self.dispatch.write() = policy;
+    /// The parameter dispatch policy for fixed-fanout operators.
+    pub(crate) fn dispatch_policy(&self) -> DispatchPolicy {
+        self.cfg.dispatch
     }
 
-    /// The current dispatch policy.
-    pub fn dispatch_policy(&self) -> DispatchPolicy {
-        *self.dispatch.read()
+    /// The tuple batching policy for parent↔child message frames.
+    pub(crate) fn batch_policy(&self) -> BatchPolicy {
+        self.cfg.batch
     }
 
-    /// Sets the tuple batching policy for parent↔child message frames.
-    /// The default ships one tuple per message, the paper's semantics.
-    pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        *self.batch.write() = policy;
+    /// The call cache this run memoizes through, if any.
+    pub(crate) fn call_cache(&self) -> Option<&Arc<CallCache>> {
+        self.cfg.cache.as_ref()
     }
 
-    /// The current batching policy.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        *self.batch.read()
-    }
-
-    /// Enables or disables memoization of web service calls with the
-    /// default [`CachePolicy`] (per-run, 16 shards, single-flight).
-    ///
-    /// Data-providing web services are side-effect-free (the paper's §I
-    /// premise), so within one query execution a repeated call with
-    /// identical arguments must return the same result — the mediator can
-    /// answer it from memory. This collapses the redundant calls a
-    /// cartesian dependent join would otherwise re-issue.
-    pub fn set_call_cache(&self, enabled: bool) {
-        self.install_call_cache(
-            enabled.then(|| Arc::new(CallCache::new(CachePolicy::default(), self.sim.time_scale))),
-        );
-    }
-
-    /// Installs a specific cache instance (or disables caching with
-    /// `None`). A shared instance installed into successive contexts is
-    /// what makes [`CachePolicy::cross_run`] reuse work.
-    pub fn install_call_cache(&self, cache: Option<Arc<CallCache>>) {
-        *self.call_cache.write() = cache;
-    }
-
-    /// The installed call cache, if any (a cheap refcounted handle; one
-    /// lock acquisition).
-    pub fn call_cache(&self) -> Option<Arc<CallCache>> {
-        self.call_cache.read().clone()
-    }
-
-    /// Web service calls answered from the memoization cache this run.
-    pub fn cache_hits(&self) -> u64 {
-        self.call_cache().map_or(0, |c| c.stats().hits)
-    }
-
-    /// Per-run cache counters (all zero when caching is disabled).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.call_cache()
-            .map_or_else(CacheStats::default, |c| c.stats())
-    }
-
-    /// Installs (or removes, with `None`) the warm process pool this
-    /// context's parallel operators park into and acquire from. The
-    /// context keeps only a weak reference; [`crate::Wsmed`] owns the pool.
-    pub fn install_process_pool(&self, pool: Option<&Arc<ProcessPool>>) {
-        *self.pool.write() = pool.map_or_else(Weak::new, Arc::downgrade);
-    }
-
-    /// The installed process pool, if it is still alive.
+    /// The warm process pool, if the run has one and it is still alive.
     pub(crate) fn process_pool(&self) -> Option<Arc<ProcessPool>> {
-        self.pool.read().upgrade()
+        self.cfg.pool.upgrade()
     }
 
-    /// Installs the structured-trace policy applied at the start of each
-    /// subsequent [`ExecContext::run_plan`]. The default policy is
-    /// disabled, which keeps every trace hook to a single atomic load.
-    pub fn set_trace_policy(&self, policy: TracePolicy) {
-        *self.trace_policy.write() = policy;
+    /// This run's trace log, when tracing is enabled. Also surfaced on
+    /// [`crate::ExecutionReport::trace`].
+    pub(crate) fn trace_handle(&self) -> Option<Arc<TraceLog>> {
+        self.trace.clone()
     }
 
-    /// The installed trace policy.
-    pub fn trace_policy(&self) -> TracePolicy {
-        *self.trace_policy.read()
-    }
-
-    /// The current (or last) run's trace log, when that run had tracing
-    /// enabled. Also surfaced on [`crate::ExecutionReport::trace`].
-    pub fn trace_handle(&self) -> Option<Arc<TraceLog>> {
-        self.trace.read().clone()
-    }
-
-    /// True when the current run records a trace. Hook sites that must
-    /// allocate to build an event payload check this first.
+    /// True when this run records a trace. Hook sites that must allocate
+    /// to build an event payload check this first.
     pub(crate) fn tracing(&self) -> bool {
-        self.trace_on.load(Ordering::Relaxed)
+        self.trace.is_some()
     }
 
-    /// The live trace log — `None` (after one atomic load) when disabled.
-    pub(crate) fn tracer(&self) -> Option<Arc<TraceLog>> {
-        if !self.trace_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.trace.read().clone()
+    /// The live trace log, `None` when disabled.
+    pub(crate) fn tracer(&self) -> Option<&TraceLog> {
+        self.trace.as_deref()
     }
 
     /// Records a trace event attributed to the process-tree node the
     /// calling thread is bound to (coordinator or child query process).
     pub(crate) fn trace_here(&self, kind: TraceEventKind) {
-        if let Some(log) = self.tracer() {
+        if let Some(log) = &self.trace {
             let (id, level, pf) = obs::current_proc();
             log.emit(id, level, &pf, kind);
         }
     }
 
-    /// Installs (or clears, with `None`) the planner-statistics sink that
-    /// execution feeds operator cardinalities, observed call latencies and
-    /// empty-parameter observations into. [`crate::Wsmed`] installs its
-    /// mediator-lifetime [`crate::costs::PlannerStats`] here when the
-    /// planner policy is cost-based.
-    pub fn install_planner_obs(&self, stats: Option<Arc<crate::costs::PlannerStats>>) {
-        self.obs_on.store(stats.is_some(), Ordering::Relaxed);
-        *self.planner_obs.write() = stats;
-    }
-
-    /// The installed planner-statistics sink — `None` (after one atomic
-    /// load) when planner observation is off.
-    pub(crate) fn planner_obs(&self) -> Option<Arc<crate::costs::PlannerStats>> {
-        if !self.obs_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.planner_obs.read().clone()
+    /// The planner-statistics sink, `None` when planner observation is off.
+    pub(crate) fn planner_obs(&self) -> Option<&crate::costs::PlannerStats> {
+        self.cfg.planner_obs.as_deref()
     }
 
     /// Counts parameter tuples dropped parent-side by semi-join pruning.
@@ -500,42 +277,22 @@ impl ExecContext {
         self.pruned_params.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Arms the failure-injection knob: after `n` end-of-call messages at
-    /// the coordinator's parallel operator, one busy child is abruptly
-    /// killed and its in-flight parameters requeued. Test-only plumbing
-    /// for the mid-stream child-drop regression tests.
-    pub fn arm_child_failure_after_eocs(&self, n: u64) {
-        self.fail_child_after_eocs.store(n, Ordering::Relaxed);
-    }
-
-    /// Decrements the armed failure counter; returns `true` exactly once,
-    /// when the countdown hits zero.
+    /// Decrements the child-kill countdown; returns `true` exactly once,
+    /// when it hits zero.
     pub(crate) fn take_child_failure_trigger(&self) -> bool {
-        loop {
-            let n = self.fail_child_after_eocs.load(Ordering::Relaxed);
-            if n == 0 {
-                return false;
-            }
-            if self
-                .fail_child_after_eocs
-                .compare_exchange(n, n - 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return n == 1;
-            }
-        }
+        self.kill_child_countdown
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            == Ok(1)
     }
 
     /// Calls a web service operation, retrying transient faults per the
-    /// configured [`RetryPolicy`] and consulting the call cache.
+    /// run's [`ResiliencePolicy`] and consulting the call cache.
     ///
     /// Concurrent identical calls deduplicate through the cache's
     /// single-flight latch: one query process issues the call, the others
     /// block until it completes and share its value. A failed call
     /// releases the waiters (each retries on its own) and caches nothing.
     pub(crate) fn call_with_retry(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
-        // One lock acquisition to fetch the handle; lookups then go
-        // through the cache's own shard locks.
         let Some(cache) = self.call_cache() else {
             return self.call_uncached(owf, args);
         };
@@ -578,6 +335,35 @@ impl ExecContext {
         }
     }
 
+    /// Breaker admission of one attempt against `target` (a replica of
+    /// `group`, or the lone provider itself): counts and traces a
+    /// half-open transition and a rejection. Returns whether the call may
+    /// be issued.
+    fn breaker_admits(&self, bp: &BreakerPolicy, group: &str, target: &str, op: &str) -> bool {
+        let admission = self
+            .cfg
+            .breakers
+            .admit(target, bp, self.transport.model_now());
+        if admission.went_half_open {
+            self.res_stats.note_breaker_half_open();
+            if self.tracing() {
+                self.trace_here(TraceEventKind::BreakerHalfOpen {
+                    provider: target.to_owned(),
+                });
+            }
+        }
+        if !admission.allowed {
+            self.res_stats.note_breaker_rejection(group, target);
+            if self.tracing() {
+                self.trace_here(TraceEventKind::BreakerReject {
+                    provider: target.to_owned(),
+                    op: op.to_owned(),
+                });
+            }
+        }
+        admission.allowed
+    }
+
     /// One uncached resilient call: breaker admission, bounded attempts
     /// with backoff, per-attempt deadline, optional hedging. With the
     /// default (plain, single-attempt) policy this is exactly one
@@ -586,8 +372,7 @@ impl ExecContext {
         // Admission first: a shed call must not consume breaker budget or
         // reach the wire. The token spans every attempt (and hedge) of
         // this one logical call.
-        let gate = self.admission.read().clone();
-        let _token = match &gate {
+        let _token = match &self.cfg.admission {
             Some(gate) => match gate.begin_call(&owf.operation) {
                 Ok(token) => Some(token),
                 Err(e) => {
@@ -603,15 +388,16 @@ impl ExecContext {
             },
             None => None,
         };
-        let policy = self.resilience_policy();
-        // Resolve the routable replica view when a router is installed.
+        let policy = &self.cfg.resilience;
+        // Resolve the routable replica view when the run has a router.
         // Resolution advances the topology scenario, so membership events
         // (joins, leaves, autoscale activations) surface here — once per
         // logical call, before any attempt.
-        let routing: Option<(Arc<Router>, GroupView)> = match self.router() {
-            Some(router) => self.transport.group_view(owf).map(|view| (router, view)),
-            None => None,
-        };
+        let routing: Option<(&Router, GroupView)> = self
+            .cfg
+            .router
+            .as_deref()
+            .and_then(|router| Some((router, self.transport.group_view(owf)?)));
         if let Some((_, view)) = &routing {
             for change in &view.changes {
                 self.router_stats.note_membership();
@@ -625,10 +411,10 @@ impl ExecContext {
             }
         }
         if routing.is_none() && policy.is_plain() && policy.max_attempts <= 1 {
-            return self.transport_call(owf, args, None);
+            return self.transport_call(owf, args, None, None);
         }
         let provider = self.transport.provider_name(owf);
-        let breakers = self.breakers();
+        let breakers = &self.cfg.breakers;
         let mut attempt: usize = 1;
         // Replicas that already failed an attempt of this logical call;
         // routing avoids them while fresh alternatives remain.
@@ -638,7 +424,7 @@ impl ExecContext {
             // until one passes breaker admission — a rejected replica is a
             // failover, not a terminal error, and only when *every* routable
             // replica rejects is the group circuit-open. Direct: the single
-            // provider's breaker decides alone, exactly as before.
+            // provider's breaker decides alone.
             let route: Option<String> = match &routing {
                 Some((router, view)) => {
                     let mut rejected: Vec<String> = Vec::new();
@@ -657,36 +443,24 @@ impl ExecContext {
                             router.select(view, &rejected_only)
                         });
                         let Some(replica) = pick else { break None };
-                        if let Some(bp) = &policy.breaker {
-                            let admission =
-                                breakers.admit(&replica, bp, self.transport.model_now());
-                            if admission.went_half_open {
-                                self.res_stats.note_breaker_half_open();
-                                if self.tracing() {
-                                    self.trace_here(TraceEventKind::BreakerHalfOpen {
-                                        provider: replica.clone(),
-                                    });
-                                }
+                        let admitted = match &policy.breaker {
+                            Some(bp) => {
+                                self.breaker_admits(bp, &provider, &replica, &owf.operation)
                             }
-                            if !admission.allowed {
-                                self.res_stats.note_breaker_rejection(&provider, &replica);
-                                self.router_stats.note_failover();
-                                if self.tracing() {
-                                    self.trace_here(TraceEventKind::BreakerReject {
-                                        provider: replica.clone(),
-                                        op: owf.operation.clone(),
-                                    });
-                                    self.trace_here(TraceEventKind::ReplicaSkipped {
-                                        group: provider.clone(),
-                                        replica: replica.clone(),
-                                        reason: "breaker_open".to_owned(),
-                                    });
-                                }
-                                rejected.push(replica);
-                                continue;
-                            }
+                            None => true,
+                        };
+                        if admitted {
+                            break Some(replica);
                         }
-                        break Some(replica);
+                        self.router_stats.note_failover();
+                        if self.tracing() {
+                            self.trace_here(TraceEventKind::ReplicaSkipped {
+                                group: provider.clone(),
+                                replica: replica.clone(),
+                                reason: "breaker_open".to_owned(),
+                            });
+                        }
+                        rejected.push(replica);
                     };
                     let Some(replica) = chosen else {
                         // Every routable replica is breaker-rejected (or
@@ -708,23 +482,7 @@ impl ExecContext {
                 }
                 None => {
                     if let Some(bp) = &policy.breaker {
-                        let admission = breakers.admit(&provider, bp, self.transport.model_now());
-                        if admission.went_half_open {
-                            self.res_stats.note_breaker_half_open();
-                            if self.tracing() {
-                                self.trace_here(TraceEventKind::BreakerHalfOpen {
-                                    provider: provider.clone(),
-                                });
-                            }
-                        }
-                        if !admission.allowed {
-                            self.res_stats.note_breaker_rejection(&provider, &provider);
-                            if self.tracing() {
-                                self.trace_here(TraceEventKind::BreakerReject {
-                                    provider: provider.clone(),
-                                    op: owf.operation.clone(),
-                                });
-                            }
+                        if !self.breaker_admits(bp, &provider, &provider, &owf.operation) {
                             // Terminal for this call: retrying against an open
                             // breaker would only burn the backoff budget.
                             return Err(CoreError::CircuitOpen {
@@ -749,7 +507,7 @@ impl ExecContext {
                 }
                 _ => None,
             };
-            match self.call_attempt(owf, args, &policy, route.as_deref(), hedge_alt.as_deref()) {
+            match self.call_attempt(owf, args, policy, route.as_deref(), hedge_alt.as_deref()) {
                 Ok(value) => {
                     if policy.breaker.is_some()
                         && breakers.on_success(&breaker_key) == Some(Transition::Closed)
@@ -836,7 +594,7 @@ impl ExecContext {
     ) -> CoreResult<Value> {
         let deadline = policy.deadline_model_secs;
         let Some(hedge) = policy.hedge else {
-            return self.transport_call_on(owf, args, deadline, replica);
+            return self.transport_call(owf, args, deadline, replica);
         };
         let settled = AtomicBool::new(false);
         let binding = obs::current_proc();
@@ -864,7 +622,7 @@ impl ExecContext {
                             op: owf.operation.clone(),
                         });
                     }
-                    let _ = tx.send(Some(self.transport_call_on(
+                    let _ = tx.send(Some(self.transport_call(
                         owf,
                         args,
                         deadline,
@@ -872,7 +630,7 @@ impl ExecContext {
                     )));
                 });
             }
-            let primary = self.transport_call_on(owf, args, deadline, replica);
+            let primary = self.transport_call(owf, args, deadline, replica);
             settled.store(true, Ordering::Release);
             if primary.is_ok() {
                 // The hedge either never launches (it sees `settled`) or
@@ -913,11 +671,8 @@ impl ExecContext {
     /// Called by the coordinator's parallel operator when the first result
     /// tuple of the run arrives (streaming latency, §III.A).
     pub(crate) fn record_first_result(&self) {
-        if self.first_result_nanos.load(Ordering::Relaxed) != 0 {
-            return;
-        }
-        if let Some(start) = *self.run_started.lock() {
-            let nanos = start.elapsed().as_nanos() as u64;
+        if self.first_result_nanos.load(Ordering::Relaxed) == 0 {
+            let nanos = self.started.elapsed().as_nanos() as u64;
             let _ = self.first_result_nanos.compare_exchange(
                 0,
                 nanos.max(1),
@@ -927,12 +682,11 @@ impl ExecContext {
         }
     }
 
-    /// Executes a query plan as the coordinator process `q0` and collects
-    /// the results plus an execution report.
+    /// Executes the run's query plan as the coordinator process `q0` and
+    /// collects the results plus an execution report. A context executes
+    /// one plan: its tree, trace and counters describe exactly that run.
     pub fn run_plan(self: &Arc<Self>, plan: &QueryPlan) -> CoreResult<ExecutionReport> {
-        // Fresh tree per run so reports describe exactly this execution.
-        let tree = TreeRegistry::new();
-        *self.tree.write() = Arc::clone(&tree);
+        let tree = &self.tree;
         tree.register(0, None, 0, "coordinator");
         // Shared infrastructure joins this run's busy period: counters
         // (and per-run entries / breaker states) reset only on the
@@ -940,42 +694,16 @@ impl ExecContext {
         // sequential caller still sees fresh counters every run. Each
         // `begin_run` is paired with an `end_run` below.
         let cache = self.call_cache();
-        if let Some(cache) = &cache {
+        if let Some(cache) = cache {
             cache.begin_run();
         }
         let pool = self.process_pool();
         if let Some(pool) = &pool {
             pool.begin_run();
         }
-        let breakers = self.breakers();
+        let breakers = &self.cfg.breakers;
         breakers.begin_run();
-        // Per-query state is unconditionally fresh.
-        self.res_stats.reset();
-        self.router_stats.reset();
-        self.cache_scope
-            .reset(self.query_id.load(Ordering::Relaxed));
-        self.pool_scope.reset();
-        self.ws_calls.store(0, Ordering::Relaxed);
-        self.ws_bytes.store(0, Ordering::Relaxed);
-        self.pruned_params.store(0, Ordering::Relaxed);
-
-        let shipped_before = self.shipped_bytes.load(Ordering::Relaxed);
-
-        // Install this run's trace log (or clear a stale one) before any
-        // process can emit; the log's epoch doubles as the run epoch for
-        // model timestamps. WS-call events are emitted by this context's
-        // own transport chokepoint, so the transport needs no handle.
-        let policy = *self.trace_policy.read();
-        let trace_log = policy
-            .enabled
-            .then(|| Arc::new(TraceLog::new(policy, self.sim.time_scale)));
-        *self.trace.write() = trace_log.clone();
-        self.trace_on.store(trace_log.is_some(), Ordering::Relaxed);
         obs::set_current_proc(0, 0, Arc::from(""));
-
-        let start = Instant::now();
-        self.first_result_nanos.store(0, Ordering::Relaxed);
-        *self.run_started.lock() = Some(start);
 
         let env = ProcEnv { id: 0, level: 0 };
         self.trace_here(TraceEventKind::RunStart);
@@ -1003,7 +731,7 @@ impl ExecContext {
         };
         // Leave the shared infrastructure's busy period (mirror of the
         // begin_run calls above), on success and failure alike.
-        if let Some(cache) = &cache {
+        if let Some(cache) = cache {
             cache.end_run();
         }
         if let Some(pool) = &pool {
@@ -1011,7 +739,7 @@ impl ExecContext {
         }
         breakers.end_run();
 
-        let wall = start.elapsed();
+        let wall = self.started.elapsed();
         let rows = result?;
 
         let model_seconds = if self.sim.time_scale > 0.0 {
@@ -1026,7 +754,7 @@ impl ExecContext {
             model_seconds,
             ws_calls: self.ws_calls.load(Ordering::Relaxed),
             ws_bytes: self.ws_bytes.load(Ordering::Relaxed),
-            shipped_bytes: self.shipped_bytes.load(Ordering::Relaxed) - shipped_before,
+            shipped_bytes: self.shipped_bytes.load(Ordering::Relaxed),
             messages: snapshot.total_messages(),
             cache: cache.map_or_else(CacheStats::default, |c| {
                 self.cache_scope.snapshot(c.stats().entries)
@@ -1040,7 +768,7 @@ impl ExecContext {
                 nanos => Some(std::time::Duration::from_nanos(nanos)),
             },
             tree: snapshot,
-            trace: trace_log,
+            trace: self.trace.clone(),
         })
     }
 }
@@ -1236,7 +964,7 @@ pub(crate) fn compile(ctx: &Arc<ExecContext>, env: &ProcEnv, op: &PlanOp) -> Cor
             output_arity,
             input,
         } => {
-            let sig = ctx.functions.signature(function)?;
+            let sig = builtin_functions().signature(function)?;
             if sig.outputs.len() != *output_arity {
                 return Err(CoreError::InvalidPlan(format!(
                     "function {function} output arity mismatch: plan says {output_arity}, \
@@ -1349,7 +1077,7 @@ pub(crate) fn eval(
             let mut out = Vec::new();
             for row in rows {
                 let values = resolve_args(args, &row);
-                for produced in ctx.functions.apply(function, &values)? {
+                for produced in builtin_functions().apply(function, &values)? {
                     out.push(row.concat(&produced));
                 }
             }

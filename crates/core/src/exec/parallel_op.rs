@@ -327,7 +327,7 @@ impl ParallelApply {
                     continue;
                 }
             }
-            if !self.screen_param(ctx, &cache, &encoded, &mut out) {
+            if !self.screen_param(ctx, cache, &encoded, &mut out) {
                 to_ship.push(ShipParam { encoded, row });
             }
         }
@@ -344,7 +344,7 @@ impl ParallelApply {
         let mut first_error: Option<CoreError> = None;
         let mut segment_start = Instant::now();
 
-        self.dispatch_pending(ctx, &cache, &mut pending, &mut out);
+        self.dispatch_pending(ctx, cache, &mut pending, &mut out);
 
         while self.busy_count() > 0 || !pending.is_empty() {
             if !pending.is_empty() && self.alive_count() == 0 {
@@ -493,7 +493,7 @@ impl ParallelApply {
                     self.monitoring_step(ctx, &mut segment_start);
                 }
             }
-            self.dispatch_pending(ctx, &cache, &mut pending, &mut out);
+            self.dispatch_pending(ctx, cache, &mut pending, &mut out);
         }
 
         // Account trailing active time to the current monitoring cycle.
@@ -513,7 +513,7 @@ impl ParallelApply {
     fn screen_param(
         &self,
         ctx: &Arc<ExecContext>,
-        cache: &Option<Arc<CallCache>>,
+        cache: Option<&Arc<CallCache>>,
         encoded: &Bytes,
         out: &mut Vec<Tuple>,
     ) -> bool {
@@ -537,7 +537,7 @@ impl ParallelApply {
     fn dispatch_pending(
         &mut self,
         ctx: &Arc<ExecContext>,
-        cache: &Option<Arc<CallCache>>,
+        cache: Option<&Arc<CallCache>>,
         pending: &mut PendingParams,
         out: &mut Vec<Tuple>,
     ) {

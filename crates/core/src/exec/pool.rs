@@ -6,7 +6,7 @@
 //! a wide fanout up front. This module removes those overheads from the
 //! steady state entirely: at the end of a successful run the coordinator
 //! *parks* its child query processes here instead of joining them, keyed
-//! by plan-function content digest ([`crate::cache::pf_digest`]) and tree
+//! by plan-function content digest (`cache::pf_digest`) and tree
 //! level, and the next run's `FF_APPLYP`/`AFF_APPLYP` *acquire* warm
 //! processes — skipping the modeled startup and plan-ship charges, the
 //! compile, and the real thread spawn. Because a parked child keeps its
@@ -100,14 +100,6 @@ pub(crate) struct PoolScope {
 }
 
 impl PoolScope {
-    /// Rearms the scope for a new run.
-    pub(crate) fn reset(&self) {
-        self.warm_acquires.store(0, Ordering::Relaxed);
-        self.cold_spawns.store(0, Ordering::Relaxed);
-        self.saved_micros.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
     /// Warm acquisitions so far this run (the fair-share budget meter).
     pub(crate) fn warm_acquires(&self) -> u64 {
         self.warm_acquires.load(Ordering::Relaxed)

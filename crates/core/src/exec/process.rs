@@ -191,7 +191,7 @@ impl ChildProc {
     ) -> CoreResult<ChildProc> {
         let id = ctx.next_process_id();
         let level = parent.level + 1;
-        let tree = ctx.tree();
+        let tree = Arc::clone(ctx.tree());
         tree.register(id, Some(parent.id), level, pf_name);
         if let Some(pool) = ctx.process_pool() {
             pool.note_cold_spawn(Some(ctx.pool_scope()));
@@ -223,7 +223,7 @@ impl ChildProc {
             deregistered: false,
             level,
             pf: Arc::clone(pf_digest),
-            trace: ctx.tracer(),
+            trace: ctx.trace_handle(),
             terminal_emitted: false,
         };
         if let Some(tr) = &proc.trace {
@@ -318,14 +318,14 @@ impl ChildProc {
         // query's run; take a fresh id from the acquiring context so the
         // process can never collide with ids that context already issued.
         self.id = ctx.next_process_id();
-        self.tree = ctx.tree();
+        self.tree = Arc::clone(ctx.tree());
         self.deregistered = false;
         self.tree
             .register(self.id, Some(parent.id), parent.level + 1, pf_name);
         ctx.sim().sleep_model(ctx.sim().client.message_dispatch);
         self.tree.note_msg_down(self.id);
         self.level = parent.level + 1;
-        let trace = ctx.tracer();
+        let trace = ctx.trace_handle();
         let ok = send_counted(
             &self.tx,
             ToChild::Attach {
@@ -535,9 +535,8 @@ fn child_main(
 fn send_up(ctx: &Arc<ExecContext>, env: &ProcEnv, results: &Sender<FromChild>, msg: FromChild) {
     let tree = ctx.tree();
     tree.note_msg_up(env.id);
-    let trace = ctx.tracer();
     let (_, level, pf) = obs::current_proc();
-    send_counted(results, msg, &tree, env.id, trace.as_deref(), level, &pf).ok();
+    send_counted(results, msg, tree, env.id, ctx.tracer(), level, &pf).ok();
 }
 
 /// Evaluates one parameter batch, streaming result frames through a
@@ -589,7 +588,7 @@ fn handle_call(
                     obs.observe_empty(key, wire::encode_tuple(param));
                 }
             }
-            if let Some(cache) = &cache {
+            if let Some(cache) = cache {
                 // A parameter whose evaluation skipped any call produced
                 // an incomplete row set; memoizing it would let a later
                 // duplicate short-circuit to partial rows without its
@@ -647,7 +646,6 @@ fn handle_call(
     }
     let tree = ctx.tree();
     tree.note_msg_up(env.id);
-    let trace = ctx.tracer();
     let (_, level, pf) = obs::current_proc();
     send_counted(
         results,
@@ -657,9 +655,9 @@ fn handle_call(
             error,
             skipped,
         },
-        &tree,
+        tree,
         env.id,
-        trace.as_deref(),
+        ctx.tracer(),
         level,
         &pf,
     )
@@ -779,7 +777,6 @@ impl<'a> FlushBuffer<'a> {
         self.ctx.record_shipped(frame.len());
         let tree = self.ctx.tree();
         tree.note_msg_up(self.env.id);
-        let trace = self.ctx.tracer();
         let (_, level, pf) = obs::current_proc();
         let ok = send_counted(
             self.results,
@@ -788,9 +785,9 @@ impl<'a> FlushBuffer<'a> {
                 call_id: self.call_id,
                 tuples: frame,
             },
-            &tree,
+            tree,
             self.env.id,
-            trace.as_deref(),
+            self.ctx.tracer(),
             level,
             &pf,
         )

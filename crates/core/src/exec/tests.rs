@@ -6,9 +6,12 @@ use std::time::Duration;
 use wsmed_store::{canonicalize, SqlType, Tuple, Value};
 use wsmed_wsdl::OwfDef;
 
+use crate::cache::{CachePolicy, CallCache};
 use crate::catalog::OwfCatalog;
+use crate::config::RunConfig;
 use crate::exec::ExecContext;
 use crate::plan::{AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, QueryPlan};
+use crate::stats::ExecutionReport;
 use crate::transport::{MockTransport, WsTransport};
 use crate::{CoreError, CoreResult};
 
@@ -63,11 +66,25 @@ fn echo_responder(_owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
 }
 
 fn mock_ctx(transport: Arc<MockTransport>) -> Arc<ExecContext> {
+    mock_ctx_with(transport, RunConfig::default())
+}
+
+fn mock_ctx_with(transport: Arc<MockTransport>, cfg: RunConfig) -> Arc<ExecContext> {
     ExecContext::new(
         transport as Arc<dyn WsTransport>,
         echo_catalog(),
         wsmed_netsim::SimConfig::default(),
+        cfg,
     )
+}
+
+/// A run config memoizing through `cache`. Contexts built from clones of
+/// it share the cache, as every run of one `Wsmed` does.
+fn cached(cache: &Arc<CallCache>) -> RunConfig {
+    RunConfig {
+        cache: Some(Arc::clone(cache)),
+        ..Default::default()
+    }
 }
 
 /// A two-stage Echo plan over the seed string:
@@ -419,8 +436,8 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
     // reach the transport while the rest block on the latch and share the
     // leader's value.
     let transport = MockTransport::with_delay(Duration::from_millis(50), echo_responder);
-    let ctx = mock_ctx(Arc::clone(&transport));
-    ctx.set_call_cache(true);
+    let cache = Arc::new(CallCache::new(CachePolicy::default(), 0.0));
+    let ctx = mock_ctx_with(Arc::clone(&transport), cached(&cache));
     let catalog = echo_catalog();
     let owf = catalog.get("Echo").unwrap();
     const K: usize = 8;
@@ -442,28 +459,24 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
         }
     });
     assert_eq!(transport.call_count(), 1, "one real call for {K} threads");
-    let stats = ctx.cache_stats();
+    let stats = cache.stats();
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.dedup_waits as usize, K - 1);
 }
 
 #[test]
 fn cross_run_memo_short_circuits_repeated_params() {
-    use crate::cache::{CachePolicy, CallCache};
     let transport = MockTransport::new(echo_responder);
-    let ctx = mock_ctx(Arc::clone(&transport));
-    ctx.install_call_cache(Some(Arc::new(CallCache::new(
-        CachePolicy::cross_run(),
-        0.0,
-    ))));
+    let cache = Arc::new(CallCache::new(CachePolicy::cross_run(), 0.0));
+    let run = |plan| mock_ctx_with(Arc::clone(&transport), cached(&cache)).run_plan(plan);
     let plan = echo_plan("a|a|b", Some((2, false)));
-    let first = ctx.run_plan(&plan).unwrap();
+    let first = run(&plan).unwrap();
     assert_eq!(rows_as_strings(&first.rows), vec!["a", "a", "b"]);
     // One split call plus one per *distinct* value — the duplicate "a"
     // parameter dedups through the call cache.
     assert_eq!(transport.call_count(), 3);
 
-    let second = ctx.run_plan(&plan).unwrap();
+    let second = run(&plan).unwrap();
     assert_eq!(
         canonicalize(second.rows.clone()),
         canonicalize(first.rows.clone())
@@ -479,15 +492,15 @@ fn cross_run_memo_short_circuits_repeated_params() {
 
 #[test]
 fn per_run_counters_reset_between_runs() {
-    // One ExecContext, two runs: the second report must not accumulate the
-    // first run's hits/misses.
+    // Two contexts over one shared per-run cache: the second report must
+    // not accumulate the first run's hits/misses (or reuse its entries).
     let transport = MockTransport::new(echo_responder);
-    let ctx = mock_ctx(Arc::clone(&transport));
-    ctx.set_call_cache(true);
+    let cache = Arc::new(CallCache::new(CachePolicy::default(), 0.0));
+    let run = |plan| mock_ctx_with(Arc::clone(&transport), cached(&cache)).run_plan(plan);
     let plan = echo_plan("a|a|b", None);
-    let first = ctx.run_plan(&plan).unwrap();
+    let first = run(&plan).unwrap();
     assert!(first.cache.misses > 0);
-    let second = ctx.run_plan(&plan).unwrap();
+    let second = run(&plan).unwrap();
     assert_eq!(second.cache.misses, first.cache.misses, "counters reset");
     assert_eq!(second.cache.hits, first.cache.hits);
 }
@@ -498,32 +511,47 @@ fn per_run_counters_reset_between_runs() {
 
 use crate::exec::pool::{PoolPolicy, ProcessPool};
 
-/// A context with a warm pool installed (the test owns the pool `Arc`, as
-/// `Wsmed` does in production).
-fn pooled_ctx(
+/// One warm pool and a context per run over it — the production shape
+/// (the test owns the pool `Arc`, as `Wsmed` does).
+struct Pooled {
     transport: Arc<MockTransport>,
-    policy: PoolPolicy,
-    time_scale: f64,
-) -> (Arc<ExecContext>, Arc<ProcessPool>) {
-    let ctx = mock_ctx(transport);
-    let pool = Arc::new(ProcessPool::new(policy, time_scale));
-    ctx.install_process_pool(Some(&pool));
-    (ctx, pool)
+    pool: Arc<ProcessPool>,
+}
+
+impl Pooled {
+    fn new(transport: Arc<MockTransport>, policy: PoolPolicy, time_scale: f64) -> Self {
+        Pooled {
+            transport,
+            pool: Arc::new(ProcessPool::new(policy, time_scale)),
+        }
+    }
+
+    fn run(&self, plan: &QueryPlan) -> CoreResult<ExecutionReport> {
+        self.run_with(plan, RunConfig::default())
+    }
+
+    fn run_with(&self, plan: &QueryPlan, cfg: RunConfig) -> CoreResult<ExecutionReport> {
+        let cfg = RunConfig {
+            pool: Arc::downgrade(&self.pool),
+            ..cfg
+        };
+        mock_ctx_with(Arc::clone(&self.transport), cfg).run_plan(plan)
+    }
 }
 
 #[test]
 fn second_run_acquires_warm_and_spawns_nothing() {
     let transport = MockTransport::new(echo_responder);
-    let (ctx, pool) = pooled_ctx(transport, PoolPolicy::default(), 0.0);
+    let runs = Pooled::new(transport, PoolPolicy::default(), 0.0);
     let plan = echo_plan("a|b|c|d", Some((3, false)));
 
-    let first = ctx.run_plan(&plan).unwrap();
+    let first = runs.run(&plan).unwrap();
     assert_eq!(rows_as_strings(&first.rows), vec!["a", "b", "c", "d"]);
     assert_eq!(first.pool.cold_spawns, 3);
     assert_eq!(first.pool.warm_acquires, 0);
-    assert_eq!(pool.idle_total(), 3, "all three children parked");
+    assert_eq!(runs.pool.idle_total(), 3, "all three children parked");
 
-    let second = ctx.run_plan(&plan).unwrap();
+    let second = runs.run(&plan).unwrap();
     assert_eq!(
         canonicalize(second.rows.clone()),
         canonicalize(first.rows.clone())
@@ -533,7 +561,7 @@ fn second_run_acquires_warm_and_spawns_nothing() {
     assert_eq!(second.pool.cold_spawns, 0, "second run must be all-warm");
     assert_eq!(second.pool.warm_acquires, 3);
     assert!(second.pool.startup_model_secs_saved > 0.0);
-    assert_eq!(pool.idle_total(), 3, "children parked again");
+    assert_eq!(runs.pool.idle_total(), 3, "children parked again");
 }
 
 #[test]
@@ -541,9 +569,9 @@ fn warm_acquire_skips_by_plan_function_digest() {
     // Two different seeds share the same plan function (the seed is bound
     // at the source, outside the PF), so the second query's tree is warm.
     let transport = MockTransport::new(echo_responder);
-    let (ctx, _pool) = pooled_ctx(transport, PoolPolicy::default(), 0.0);
-    ctx.run_plan(&echo_plan("a|b", Some((2, false)))).unwrap();
-    let second = ctx.run_plan(&echo_plan("x|y|z", Some((2, false)))).unwrap();
+    let runs = Pooled::new(transport, PoolPolicy::default(), 0.0);
+    runs.run(&echo_plan("a|b", Some((2, false)))).unwrap();
+    let second = runs.run(&echo_plan("x|y|z", Some((2, false)))).unwrap();
     assert_eq!(rows_as_strings(&second.rows), vec!["x", "y", "z"]);
     assert_eq!(second.pool.cold_spawns, 0);
     assert_eq!(second.pool.warm_acquires, 2);
@@ -557,17 +585,17 @@ fn nested_warm_tree_reattaches_whole_subtree() {
         Ok(split_response(arg, sep))
     };
     let transport = MockTransport::new(responder);
-    let (ctx, pool) = pooled_ctx(transport, PoolPolicy::default(), 0.0);
+    let runs = Pooled::new(transport, PoolPolicy::default(), 0.0);
     let plan = nested_plan(2, 3);
 
-    let first = ctx.run_plan(&plan).unwrap();
+    let first = runs.run(&plan).unwrap();
     assert_eq!(rows_as_strings(&first.rows), vec!["w", "x", "y", "z"]);
     assert_eq!(first.pool.cold_spawns, 8); // 2 level-1 + 6 level-2
                                            // Only the level-1 children park *into the pool*; their level-2
                                            // subtrees stay attached beneath them.
-    assert_eq!(pool.idle_total(), 2);
+    assert_eq!(runs.pool.idle_total(), 2);
 
-    let second = ctx.run_plan(&plan).unwrap();
+    let second = runs.run(&plan).unwrap();
     assert_eq!(
         canonicalize(second.rows.clone()),
         canonicalize(first.rows.clone())
@@ -586,12 +614,12 @@ fn disabled_pool_counts_cold_spawns_but_parks_nothing() {
         enabled: false,
         ..Default::default()
     };
-    let (ctx, pool) = pooled_ctx(transport, policy, 0.0);
+    let runs = Pooled::new(transport, policy, 0.0);
     let plan = echo_plan("a|b", Some((2, false)));
-    let first = ctx.run_plan(&plan).unwrap();
+    let first = runs.run(&plan).unwrap();
     assert_eq!(first.pool.cold_spawns, 2);
-    assert_eq!(pool.idle_total(), 0);
-    let second = ctx.run_plan(&plan).unwrap();
+    assert_eq!(runs.pool.idle_total(), 0);
+    let second = runs.run(&plan).unwrap();
     assert_eq!(second.pool.cold_spawns, 2, "every run cold when disabled");
     assert_eq!(second.pool.warm_acquires, 0);
 }
@@ -604,16 +632,12 @@ fn pool_respects_per_pf_and_total_bounds() {
         max_idle_total: 2,
         ..Default::default()
     };
-    let (ctx, pool) = pooled_ctx(transport, policy, 0.0);
-    let report = ctx
-        .run_plan(&echo_plan("a|b|c|d|e", Some((4, false))))
-        .unwrap();
+    let runs = Pooled::new(transport, policy, 0.0);
+    let report = runs.run(&echo_plan("a|b|c|d|e", Some((4, false)))).unwrap();
     // Four children tried to park; the bounds kept two.
-    assert_eq!(pool.idle_total(), 2);
+    assert_eq!(runs.pool.idle_total(), 2);
     assert_eq!(report.pool.evictions, 2);
-    let second = ctx
-        .run_plan(&echo_plan("a|b|c|d|e", Some((4, false))))
-        .unwrap();
+    let second = runs.run(&echo_plan("a|b|c|d|e", Some((4, false)))).unwrap();
     assert_eq!(second.pool.warm_acquires, 2);
     assert_eq!(second.pool.cold_spawns, 2);
 }
@@ -627,11 +651,11 @@ fn ttl_expires_parked_processes_in_model_time() {
         idle_ttl_model_secs: Some(0.0),
         ..Default::default()
     };
-    let (ctx, pool) = pooled_ctx(transport, policy, 1.0);
+    let runs = Pooled::new(transport, policy, 1.0);
     let plan = echo_plan("a|b", Some((2, false)));
-    ctx.run_plan(&plan).unwrap();
-    assert_eq!(pool.idle_total(), 2);
-    let second = ctx.run_plan(&plan).unwrap();
+    runs.run(&plan).unwrap();
+    assert_eq!(runs.pool.idle_total(), 2);
+    let second = runs.run(&plan).unwrap();
     assert_eq!(second.pool.warm_acquires, 0, "parked processes expired");
     assert_eq!(second.pool.cold_spawns, 2);
     assert!(second.pool.evictions >= 2);
@@ -645,10 +669,10 @@ fn ttl_is_inert_when_time_scale_is_zero() {
         ..Default::default()
     };
     // time_scale 0: model time is not measurable, TTL must not fire.
-    let (ctx, _pool) = pooled_ctx(transport, policy, 0.0);
+    let runs = Pooled::new(transport, policy, 0.0);
     let plan = echo_plan("a|b", Some((2, false)));
-    ctx.run_plan(&plan).unwrap();
-    let second = ctx.run_plan(&plan).unwrap();
+    runs.run(&plan).unwrap();
+    let second = runs.run(&plan).unwrap();
     assert_eq!(second.pool.warm_acquires, 2);
     assert_eq!(second.pool.cold_spawns, 0);
 }
@@ -662,10 +686,10 @@ fn failed_run_does_not_park_children() {
         }
         Ok(split_response(arg, '|'))
     });
-    let (ctx, pool) = pooled_ctx(transport, PoolPolicy::default(), 0.0);
+    let runs = Pooled::new(transport, PoolPolicy::default(), 0.0);
     let plan = echo_plan("a|boom|c", Some((2, false)));
-    assert!(ctx.run_plan(&plan).is_err());
-    assert_eq!(pool.idle_total(), 0, "no parking after a failed run");
+    assert!(runs.run(&plan).is_err());
+    assert_eq!(runs.pool.idle_total(), 0, "no parking after a failed run");
 }
 
 #[test]
@@ -687,12 +711,12 @@ fn adaptive_drop_stage_parks_dropped_children_warm() {
             Ok(split_response(arg, '|'))
         })
     };
-    let (ctx, pool) = pooled_ctx(make_transport(), PoolPolicy::default(), 0.0);
+    let runs = Pooled::new(make_transport(), PoolPolicy::default(), 0.0);
     let plan = echo_plan(&seed, Some((2, true)));
-    let first = ctx.run_plan(&plan).unwrap();
+    let first = runs.run(&plan).unwrap();
     assert_eq!(first.rows.len(), 30);
-    assert!(pool.idle_total() > 0, "adaptive tree parked nothing");
-    let second = ctx.run_plan(&plan).unwrap();
+    assert!(runs.pool.idle_total() > 0, "adaptive tree parked nothing");
+    let second = runs.run(&plan).unwrap();
     assert_eq!(
         canonicalize(second.rows.clone()),
         canonicalize(first.rows.clone())
@@ -716,9 +740,13 @@ fn mid_stream_child_drop_requeues_in_flight_params() {
     // Same plan, but after the 2nd end-of-call one busy child is abruptly
     // killed: its in-flight parameters must migrate to the survivors and
     // the result multiset must not change (no loss, no duplication).
-    let ctx = mock_ctx(MockTransport::new(echo_responder));
-    ctx.arm_child_failure_after_eocs(2);
-    let report = ctx.run_plan(&plan).unwrap();
+    let kill = RunConfig {
+        kill_child_after_eocs: 2,
+        ..Default::default()
+    };
+    let report = mock_ctx_with(MockTransport::new(echo_responder), kill)
+        .run_plan(&plan)
+        .unwrap();
     assert_eq!(
         canonicalize(report.rows.clone()),
         canonicalize(baseline.rows.clone()),
@@ -739,10 +767,14 @@ fn mid_stream_child_drop_requeues_under_round_robin() {
         .run_plan(&plan)
         .unwrap();
 
-    let ctx = mock_ctx(MockTransport::new(echo_responder));
-    ctx.set_dispatch_policy(crate::transport::DispatchPolicy::RoundRobin);
-    ctx.arm_child_failure_after_eocs(1);
-    let report = ctx.run_plan(&plan).unwrap();
+    let cfg = RunConfig {
+        dispatch: crate::transport::DispatchPolicy::RoundRobin,
+        kill_child_after_eocs: 1,
+        ..Default::default()
+    };
+    let report = mock_ctx_with(MockTransport::new(echo_responder), cfg)
+        .run_plan(&plan)
+        .unwrap();
     assert_eq!(
         canonicalize(report.rows.clone()),
         canonicalize(baseline.rows.clone()),
@@ -759,20 +791,34 @@ fn warm_pool_survives_mid_stream_child_drop() {
         .collect::<Vec<_>>()
         .join("|");
     let plan = echo_plan(&seed, Some((3, false)));
-    let (ctx, pool) = pooled_ctx(
+    let runs = Pooled::new(
         MockTransport::new(echo_responder),
         PoolPolicy::default(),
         0.0,
     );
-    let baseline = ctx.run_plan(&plan).unwrap();
-    assert_eq!(pool.idle_total(), 3);
-    ctx.arm_child_failure_after_eocs(2);
-    let report = ctx.run_plan(&plan).unwrap();
+    let baseline = runs.run(&plan).unwrap();
+    assert_eq!(runs.pool.idle_total(), 3);
+    let kill = RunConfig {
+        kill_child_after_eocs: 2,
+        ..Default::default()
+    };
+    let report = runs.run_with(&plan, kill).unwrap();
     assert_eq!(
         canonicalize(report.rows.clone()),
         canonicalize(baseline.rows.clone())
     );
-    assert_eq!(pool.idle_total(), 2, "dead child must not be parked");
+    assert_eq!(runs.pool.idle_total(), 2, "dead child must not be parked");
+}
+
+/// Mailboxes of capacity 2, the floor.
+fn tiny_mailbox() -> RunConfig {
+    RunConfig {
+        batch: crate::transport::BatchPolicy {
+            mailbox_frames: Some(2),
+            ..Default::default()
+        },
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -786,12 +832,9 @@ fn tiny_mailbox_capacity_is_correct_under_load() {
     let sequential = mock_ctx(MockTransport::new(echo_responder))
         .run_plan(&echo_plan(&seed, None))
         .unwrap();
-    let ctx = mock_ctx(MockTransport::new(echo_responder));
-    ctx.set_batch_policy(crate::transport::BatchPolicy {
-        mailbox_frames: Some(2),
-        ..Default::default()
-    });
-    let report = ctx.run_plan(&echo_plan(&seed, Some((4, false)))).unwrap();
+    let report = mock_ctx_with(MockTransport::new(echo_responder), tiny_mailbox())
+        .run_plan(&echo_plan(&seed, Some((4, false))))
+        .unwrap();
     assert_eq!(
         canonicalize(report.rows.clone()),
         canonicalize(sequential.rows.clone())
@@ -817,11 +860,8 @@ fn full_results_mailbox_records_blocked_send() {
         transport as Arc<dyn WsTransport>,
         echo_catalog(),
         wsmed_netsim::SimConfig::new(0.05, 7), // real sleeps: 0.1ms/frame
+        tiny_mailbox(),
     );
-    ctx.set_batch_policy(crate::transport::BatchPolicy {
-        mailbox_frames: Some(2),
-        ..Default::default()
-    });
     // Seed "big|pad" splits at the coordinator; the child's Echo("big")
     // call is the one that floods the results channel.
     let report = ctx
@@ -849,4 +889,77 @@ fn report_counts_ws_calls_via_sim_transport() {
     assert_eq!(report.rows.len(), 51);
     assert_eq!(report.ws_calls, 1);
     assert!(report.ws_bytes > 0);
+}
+
+/// Records what the transport's one entry point was handed.
+#[derive(Default)]
+struct RecordingTransport {
+    seen: parking_lot::Mutex<Vec<(Option<f64>, Option<String>)>>,
+}
+
+impl WsTransport for RecordingTransport {
+    fn call(
+        &self,
+        owf: &OwfDef,
+        args: &[Value],
+        deadline_model_secs: Option<f64>,
+        replica: Option<&str>,
+    ) -> CoreResult<(Value, u64)> {
+        self.seen
+            .lock()
+            .push((deadline_model_secs, replica.map(str::to_owned)));
+        Ok((echo_responder(owf, args)?, 0))
+    }
+
+    fn group_view(&self, _owf: &OwfDef) -> Option<crate::router::GroupView> {
+        let replica = |name: &str| crate::router::ReplicaView {
+            name: name.to_owned(),
+            in_flight: 0,
+            capacity: 1,
+            latency_secs: 0.1,
+        };
+        Some(crate::router::GroupView {
+            group: "Mock".into(),
+            replicas: vec![replica("Mock"), replica("Mock#1")],
+            changes: Vec::new(),
+        })
+    }
+}
+
+#[test]
+fn transport_receives_the_deadline_and_the_routed_replica() {
+    use crate::router::{Router, RouterPolicy};
+    let run = |cfg: RunConfig| {
+        let transport = Arc::new(RecordingTransport::default());
+        let ctx = ExecContext::new(
+            Arc::clone(&transport) as Arc<dyn WsTransport>,
+            echo_catalog(),
+            wsmed_netsim::SimConfig::default(),
+            cfg,
+        );
+        let report = ctx.run_plan(&echo_plan("a|b|c", None)).unwrap();
+        let seen = std::mem::take(&mut *transport.seen.lock());
+        (report, seen)
+    };
+
+    // Default config: no deadline, and a group view alone routes nothing.
+    let (report, seen) = run(RunConfig::default());
+    assert_eq!(seen, vec![(None, None); 4]);
+    assert_eq!(report.router.decisions, 0);
+
+    let (report, seen) = run(RunConfig {
+        resilience: crate::ResiliencePolicy {
+            deadline_model_secs: Some(7.5),
+            ..Default::default()
+        },
+        router: Some(Arc::new(Router::new(RouterPolicy::Weighted, 7))),
+        ..Default::default()
+    });
+    // Equal capacities: the weighted rotation alternates.
+    let expected: Vec<_> = ["Mock", "Mock#1", "Mock", "Mock#1"]
+        .iter()
+        .map(|r| (Some(7.5), Some((*r).to_owned())))
+        .collect();
+    assert_eq!(seen, expected);
+    assert_eq!(report.router.decisions, 4);
 }

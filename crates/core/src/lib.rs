@@ -33,6 +33,7 @@
 pub mod cache;
 pub mod catalog;
 pub mod central;
+mod config;
 pub mod costs;
 pub mod error;
 pub mod exec;
@@ -51,6 +52,7 @@ mod wsmed;
 pub use cache::{CacheKey, CachePolicy, CacheStats, CallCache, CallLookup, Flight};
 pub use catalog::OwfCatalog;
 pub use central::{create_central_plan, create_central_plan_for_order};
+pub use config::RunConfig;
 pub use costs::{CostModel, CostStage, LevelCost, OpObs, PlanCost, PlannerStats, ProviderProfile};
 pub use error::{CoreError, CoreResult};
 pub use exec::pool::{PoolPolicy, PoolStats, ProcessPool};
@@ -71,7 +73,5 @@ pub use resilience::{
 };
 pub use router::{GroupView, ReplicaView, RouterPolicy, RouterStats};
 pub use stats::{AdaptEvent, ExecutionReport, LevelStats, TreeNode, TreeRegistry, TreeSnapshot};
-pub use transport::{
-    BatchPolicy, DispatchPolicy, MockTransport, RetryPolicy, SimTransport, WsTransport,
-};
+pub use transport::{BatchPolicy, DispatchPolicy, MockTransport, SimTransport, WsTransport};
 pub use wsmed::{paper, ArrivalOutcome, QuerySession, Wsmed, DEFAULT_TENANT};

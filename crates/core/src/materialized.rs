@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use wsmed_store::Tuple;
 
-use crate::exec::ExecContext;
+use crate::exec::{builtin_functions, ExecContext};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
 use crate::{CoreError, CoreResult};
 
@@ -32,11 +32,11 @@ use crate::{CoreError, CoreResult};
 /// [`ExecContext::run_plan`] on the central plan.
 pub fn run_materialized(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResult<Vec<Tuple>> {
     let cache = ctx.call_cache();
-    if let Some(cache) = &cache {
+    if let Some(cache) = cache {
         cache.begin_run();
     }
     let result = run_materialized_inner(ctx, plan);
-    if let Some(cache) = &cache {
+    if let Some(cache) = cache {
         cache.end_run();
     }
     result
@@ -113,7 +113,7 @@ fn run_materialized_inner(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResul
                 let mut out = Vec::new();
                 for row in rows {
                     let values = resolve_args(args, &row);
-                    for produced in ctx.functions().apply(function, &values)? {
+                    for produced in builtin_functions().apply(function, &values)? {
                         out.push(row.concat(&produced));
                     }
                 }
@@ -224,6 +224,7 @@ mod tests {
             transport as Arc<dyn WsTransport>,
             echo_catalog(),
             wsmed_netsim::SimConfig::default(),
+            crate::RunConfig::default(),
         )
     }
 
@@ -293,6 +294,7 @@ mod tests {
             transport as Arc<dyn WsTransport>,
             echo_catalog(),
             wsmed_netsim::SimConfig::default(),
+            crate::RunConfig::default(),
         );
         assert!(run_materialized(&ctx, &central()).is_err());
     }

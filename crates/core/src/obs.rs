@@ -14,12 +14,12 @@
 //!
 //! * **Model time.** Event timestamps are wall seconds since the run epoch
 //!   divided by the simulation time scale, i.e. the same unit as
-//!   [`crate::ExecutionReport::model_elapsed_secs`]. At scale `0` (no
+//!   [`crate::ExecutionReport::model_seconds`]. At scale `0` (no
 //!   modeled delays) raw wall seconds are recorded instead; timestamps are
 //!   monotone either way because they are assigned under the log's mutex,
 //!   in sequence order.
 //! * **Lock-cheap.** With [`TracePolicy::enabled`]` == false` every hook
-//!   site reduces to a single relaxed atomic load (see
+//!   site reduces to one `Option::is_some` on the run's context (see
 //!   `ExecContext::tracer`). Enabled, each event takes one short mutex
 //!   section on the shared log.
 //! * **Bounded.** A log never grows past [`TracePolicy::capacity`] events;
@@ -82,10 +82,10 @@ impl KindMask {
 }
 
 /// Trace configuration installed on [`crate::Wsmed`] /
-/// `ExecContext::set_trace_policy`. Default: disabled.
+/// [`crate::RunConfig::trace`]. Default: disabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePolicy {
-    /// Master switch. Off keeps every hook to one atomic load.
+    /// Master switch. Off keeps every hook to one `Option` check.
     pub enabled: bool,
     /// Maximum events buffered per run; overflow is counted, not stored.
     pub capacity: usize,

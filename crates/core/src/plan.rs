@@ -122,7 +122,7 @@ impl AdaptiveConfig {
 
 /// Semi-join parameter pruning pushed into a plan function.
 ///
-/// Attached by the cost-based planner ([`crate::Wsmed::annotate_prune`]):
+/// Attached by the cost-based planner ([`crate::planner::annotate_prune`]):
 /// the parent drops any parameter tuple whose wire encoding is in
 /// `drop_params` *before* shipping it to children — those parameters were
 /// observed to evaluate to the empty stream in an earlier run, and the

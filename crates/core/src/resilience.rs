@@ -35,10 +35,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::error::{CoreError, CoreResult};
-use crate::transport::RetryPolicy;
 
 /// What the mediator does when one parameter tuple's web-service call
 /// fails terminally (retries exhausted, deadline exceeded, breaker open).
@@ -112,7 +111,7 @@ pub struct ResiliencePolicy {
     /// Base model-time backoff before the second attempt.
     pub backoff_model_secs: f64,
     /// Multiplier applied to the backoff after each failed attempt
-    /// (1.0 = fixed backoff, the legacy [`RetryPolicy`] semantics).
+    /// (1.0 = fixed backoff).
     pub backoff_multiplier: f64,
     /// Jitter fraction `j`: each backoff is scaled by a deterministic
     /// seeded factor drawn uniformly from `[1 - j, 1 + j]`.
@@ -143,24 +142,6 @@ impl Default for ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// Lifts a legacy [`RetryPolicy`] into a resilience policy: same
-    /// attempts and fixed backoff, everything else off.
-    pub fn from_retry(retry: RetryPolicy) -> Self {
-        ResiliencePolicy {
-            max_attempts: retry.max_attempts.max(1),
-            backoff_model_secs: retry.backoff_model_secs,
-            ..Default::default()
-        }
-    }
-
-    /// The retry-loop projection of this policy (legacy accessor).
-    pub fn as_retry(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: self.max_attempts,
-            backoff_model_secs: self.backoff_model_secs,
-        }
-    }
-
     /// The backoff before attempt `attempt + 1` (so `attempt` is the
     /// 1-based attempt that just failed), with deterministic jitter from
     /// the seeded roll `jitter_roll ∈ [0, 1)`.
@@ -254,21 +235,6 @@ pub(crate) struct ResilienceCollector {
 }
 
 impl ResilienceCollector {
-    pub(crate) fn reset(&self) {
-        self.retries.store(0, Ordering::Relaxed);
-        self.deadline_exceeded.store(0, Ordering::Relaxed);
-        self.hedges_launched.store(0, Ordering::Relaxed);
-        self.hedge_wins.store(0, Ordering::Relaxed);
-        self.breaker_opens.store(0, Ordering::Relaxed);
-        self.breaker_half_opens.store(0, Ordering::Relaxed);
-        self.breaker_closes.store(0, Ordering::Relaxed);
-        self.breaker_rejections.store(0, Ordering::Relaxed);
-        self.skipped_params.store(0, Ordering::Relaxed);
-        self.admission_rejections.store(0, Ordering::Relaxed);
-        self.per_replica.lock().clear();
-        self.skipped_by_owf.lock().clear();
-    }
-
     pub(crate) fn note_retry(&self, group: &str, replica: &str) {
         self.retries.fetch_add(1, Ordering::Relaxed);
         self.per_replica
@@ -616,14 +582,15 @@ pub struct AdmissionStats {
     pub shed_calls: u64,
 }
 
-/// Mediator-global admission control: enforces a [`QuotaPolicy`] over
-/// concurrent queries and in-flight web-service calls, shedding load
-/// with [`CoreError::Admission`] instead of queueing. All decisions are
-/// pure counter comparisons — deterministic given a deterministic
-/// schedule of acquisitions.
+/// Mediator-global admission control: the occupancy counters a
+/// [`QuotaPolicy`] is enforced against, over concurrent queries and
+/// in-flight web-service calls. Over-quota work is shed with
+/// [`CoreError::Admission`] instead of queueing. The policy itself is the
+/// caller's (each run carries the one it was admitted under); all
+/// decisions are pure counter comparisons — deterministic given a
+/// deterministic schedule of acquisitions.
 #[derive(Debug, Default)]
 pub struct AdmissionControl {
-    policy: RwLock<QuotaPolicy>,
     active_queries: AtomicUsize,
     inflight_calls: AtomicUsize,
     tenants: Mutex<HashMap<String, Arc<AtomicUsize>>>,
@@ -644,10 +611,11 @@ impl Drop for QueryGuard {
 }
 
 /// Per-query handle for charging web-service calls against the global
-/// and per-tenant in-flight budgets.
-#[derive(Debug, Clone)]
+/// and per-tenant in-flight budgets of the quota the query runs under.
+#[derive(Debug)]
 pub(crate) struct CallGate {
     control: Arc<AdmissionControl>,
+    quota: QuotaPolicy,
     tenant: Arc<str>,
     tenant_inflight: Arc<AtomicUsize>,
 }
@@ -682,21 +650,15 @@ fn try_acquire(counter: &AtomicUsize, limit: Option<usize>) -> bool {
 }
 
 impl AdmissionControl {
-    /// Replaces the active quota policy (applies to future admissions).
-    pub fn set_policy(&self, policy: QuotaPolicy) {
-        *self.policy.write() = policy;
-    }
-
-    /// The active quota policy.
-    pub fn policy(&self) -> QuotaPolicy {
-        *self.policy.read()
-    }
-
-    /// Admits one query for `tenant`, or sheds it when the concurrent
-    /// query budget is exhausted. The returned guard holds the slot
-    /// until dropped.
-    pub fn admit_query(self: &Arc<Self>, tenant: &str) -> CoreResult<QueryGuard> {
-        let limit = self.policy.read().max_concurrent_queries;
+    /// Admits one query for `tenant`, or sheds it when `quota`'s
+    /// concurrent-query budget is exhausted. The returned guard holds the
+    /// slot until dropped.
+    pub fn admit_query(
+        self: &Arc<Self>,
+        tenant: &str,
+        quota: QuotaPolicy,
+    ) -> CoreResult<QueryGuard> {
+        let limit = quota.max_concurrent_queries;
         if !try_acquire(&self.active_queries, limit) {
             self.shed_queries.fetch_add(1, Ordering::Relaxed);
             return Err(CoreError::Admission {
@@ -709,12 +671,13 @@ impl AdmissionControl {
         })
     }
 
-    /// The per-query call gate for `tenant` (shares one in-flight
-    /// counter across all of the tenant's queries).
-    pub(crate) fn gate(self: &Arc<Self>, tenant: &str) -> CallGate {
+    /// The per-query call gate for `tenant` under `quota` (shares one
+    /// in-flight counter across all of the tenant's queries).
+    pub(crate) fn gate(self: &Arc<Self>, tenant: &str, quota: QuotaPolicy) -> CallGate {
         let tenant_inflight = Arc::clone(self.tenants.lock().entry(tenant.to_owned()).or_default());
         CallGate {
             control: Arc::clone(self),
+            quota,
             tenant: Arc::from(tenant),
             tenant_inflight,
         }
@@ -735,25 +698,24 @@ impl CallGate {
     /// Charges one web-service call against the global and per-tenant
     /// in-flight budgets, or sheds it with [`CoreError::Admission`].
     pub(crate) fn begin_call(&self, operation: &str) -> CoreResult<CallToken> {
-        let policy = *self.control.policy.read();
-        if !try_acquire(&self.control.inflight_calls, policy.max_inflight_calls) {
+        if !try_acquire(&self.control.inflight_calls, self.quota.max_inflight_calls) {
             self.control.shed_calls.fetch_add(1, Ordering::Relaxed);
             return Err(CoreError::Admission {
                 tenant: self.tenant.as_ref().to_owned(),
                 reason: format!(
                     "max_inflight_calls ({}) exhausted calling {operation:?}",
-                    policy.max_inflight_calls.unwrap_or(0)
+                    self.quota.max_inflight_calls.unwrap_or(0)
                 ),
             });
         }
-        if !try_acquire(&self.tenant_inflight, policy.per_tenant_inflight_calls) {
+        if !try_acquire(&self.tenant_inflight, self.quota.per_tenant_inflight_calls) {
             self.control.inflight_calls.fetch_sub(1, Ordering::AcqRel);
             self.control.shed_calls.fetch_add(1, Ordering::Relaxed);
             return Err(CoreError::Admission {
                 tenant: self.tenant.as_ref().to_owned(),
                 reason: format!(
                     "per_tenant_inflight_calls ({}) exhausted calling {operation:?}",
-                    policy.per_tenant_inflight_calls.unwrap_or(0)
+                    self.quota.per_tenant_inflight_calls.unwrap_or(0)
                 ),
             });
         }
@@ -823,18 +785,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_plain_and_matches_legacy_retry() {
+    fn default_policy_is_plain_single_attempt_abort() {
         let p = ResiliencePolicy::default();
         assert!(p.is_plain());
         assert_eq!(p.failure_mode, FailureMode::Abort);
-        assert_eq!(p.as_retry(), RetryPolicy::default());
-        let lifted = ResiliencePolicy::from_retry(RetryPolicy {
-            max_attempts: 4,
-            backoff_model_secs: 0.25,
-        });
-        assert_eq!(lifted.max_attempts, 4);
-        assert_eq!(lifted.backoff_model_secs, 0.25);
-        assert!(lifted.is_plain());
+        assert_eq!((p.max_attempts, p.backoff_model_secs), (1, 0.5));
     }
 
     #[test]
@@ -948,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn collector_aggregates_and_resets() {
+    fn collector_aggregates() {
         let c = ResilienceCollector::default();
         c.note_retry("a", "a");
         c.note_retry("a", "a#1");
@@ -1020,16 +975,16 @@ mod tests {
             ]
         );
         assert!(!s.is_quiet());
-        c.reset();
-        assert!(c.snapshot().is_quiet());
+        assert!(ResilienceCollector::default().snapshot().is_quiet());
     }
 
     #[test]
     fn admission_defaults_admit_everything() {
         let ac = Arc::new(AdmissionControl::default());
-        let g1 = ac.admit_query("a").expect("admit");
-        let g2 = ac.admit_query("b").expect("admit");
-        let gate = ac.gate("a");
+        let quota = QuotaPolicy::default();
+        let g1 = ac.admit_query("a", quota).expect("admit");
+        let g2 = ac.admit_query("b", quota).expect("admit");
+        let gate = ac.gate("a", quota);
         let t1 = gate.begin_call("Op").expect("call");
         let t2 = gate.begin_call("Op").expect("call");
         assert_eq!(ac.stats().active_queries, 2);
@@ -1044,29 +999,29 @@ mod tests {
     #[test]
     fn query_quota_sheds_then_recovers() {
         let ac = Arc::new(AdmissionControl::default());
-        ac.set_policy(QuotaPolicy {
+        let quota = QuotaPolicy {
             max_concurrent_queries: Some(1),
             ..Default::default()
-        });
-        let guard = ac.admit_query("a").expect("first admitted");
-        let err = ac.admit_query("b").expect_err("second shed");
+        };
+        let guard = ac.admit_query("a", quota).expect("first admitted");
+        let err = ac.admit_query("b", quota).expect_err("second shed");
         assert!(matches!(err, CoreError::Admission { ref tenant, .. } if tenant == "b"));
         assert_eq!(ac.stats().shed_queries, 1);
         drop(guard);
-        ac.admit_query("b").expect("slot released");
+        ac.admit_query("b", quota).expect("slot released");
     }
 
     #[test]
     fn call_budgets_shed_per_tenant_and_globally() {
         let ac = Arc::new(AdmissionControl::default());
-        ac.set_policy(QuotaPolicy {
+        let quota = QuotaPolicy {
             per_tenant_inflight_calls: Some(1),
             max_inflight_calls: Some(2),
             ..Default::default()
-        });
-        let a = ac.gate("a");
-        let b = ac.gate("b");
-        let c = ac.gate("c");
+        };
+        let a = ac.gate("a", quota);
+        let b = ac.gate("b", quota);
+        let c = ac.gate("c", quota);
         let ta = a.begin_call("Op").expect("a admitted");
         // Tenant budget: a's second concurrent call sheds.
         assert!(a.begin_call("Op").is_err());
@@ -1083,7 +1038,7 @@ mod tests {
         drop(tc);
         assert_eq!(ac.stats().inflight_calls, 0);
         // Two gates for one tenant share the in-flight counter.
-        let a2 = ac.gate("a");
+        let a2 = ac.gate("a", quota);
         let t = a.begin_call("Op").expect("a idle again");
         assert!(a2.begin_call("Op").is_err());
         drop(t);

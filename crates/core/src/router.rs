@@ -141,14 +141,6 @@ impl RouterCollector {
         self.membership_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn reset(&self) {
-        self.decisions.store(0, Ordering::Relaxed);
-        self.failovers.store(0, Ordering::Relaxed);
-        self.hedge_reroutes.store(0, Ordering::Relaxed);
-        self.membership_events.store(0, Ordering::Relaxed);
-        self.per_replica.lock().clear();
-    }
-
     pub(crate) fn snapshot(&self) -> RouterStats {
         RouterStats {
             decisions: self.decisions.load(Ordering::Relaxed),
@@ -331,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn collector_counts_and_resets() {
+    fn collector_counts() {
         let c = RouterCollector::default();
         c.note_decision("g", "g");
         c.note_decision("g", "g#1");
@@ -352,8 +344,6 @@ mod tests {
             ]
         );
         assert!(!s.is_quiet());
-        c.reset();
-        assert!(c.snapshot().is_quiet());
-        assert!(RouterStats::default().is_quiet());
+        assert!(RouterCollector::default().snapshot().is_quiet());
     }
 }

@@ -434,7 +434,7 @@ pub struct ExecutionReport {
     pub tree: TreeSnapshot,
     /// The run's structured trace, when a [`crate::obs::TracePolicy`] with
     /// `enabled == true` was installed; `None` otherwise (tracing off is
-    /// the default and costs one atomic load per hook site).
+    /// the default and costs one `Option` check per hook site).
     pub trace: Option<std::sync::Arc<crate::obs::TraceLog>>,
 }
 

@@ -5,53 +5,15 @@
 //! [`SimTransport`] over the simulated providers; operator unit tests use
 //! [`MockTransport`] with scripted results and optional artificial delays.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
 use wsmed_services::ServiceRegistry;
 use wsmed_store::{xml_to_value, Value};
 use wsmed_wsdl::OwfDef;
 
-use crate::obs::{self, TraceEventKind, TraceLog};
 use crate::{CoreError, CoreResult};
-
-/// How the mediator handles transient web-service faults
-/// ([`wsmed_netsim::NetError::ServiceFault`]): each faulting call is
-/// retried up to `max_attempts` total tries with a fixed model-time
-/// backoff. Non-transient errors (bad requests, unknown operations) are
-/// never retried. The default policy performs no retries, matching the
-/// paper's behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per call (1 = no retries).
-    pub max_attempts: usize,
-    /// Model seconds to wait between attempts.
-    pub backoff_model_secs: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_model_secs: 0.5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy retrying up to `attempts` total tries with a 0.5 model-s
-    /// backoff. Zero attempts would mean "never call at all", which no
-    /// caller can mean; it is clamped to a single attempt instead of
-    /// panicking.
-    pub fn attempts(attempts: usize) -> Self {
-        RetryPolicy {
-            max_attempts: attempts.max(1),
-            ..Default::default()
-        }
-    }
-}
 
 /// How `FF_APPLYP` assigns parameter tuples to child processes.
 ///
@@ -151,54 +113,33 @@ impl BatchPolicy {
 
 /// Something that can invoke a data-providing web service operation.
 pub trait WsTransport: Send + Sync {
-    /// Invokes `owf`'s operation with typed argument values and returns the
+    /// Invokes `owf`'s operation with typed argument values. Returns the
     /// response converted into record/sequence values (the `cwo` built-in,
-    /// paper Fig. 2 line 14).
-    fn call_operation(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value>;
-
-    /// [`WsTransport::call_operation`] with an optional per-call model-time
-    /// deadline: a call whose model latency would exceed the deadline
-    /// charges exactly the deadline and fails with
-    /// [`CoreError::DeadlineExceeded`]. The default (for mocks) ignores the
-    /// deadline and delegates, so transports without a latency model keep
-    /// their plain semantics.
-    fn call_operation_ext(
+    /// paper Fig. 2 line 14) and the wire bytes (request + response) the
+    /// call moved, so each execution context can meter its own traffic
+    /// without diffing global provider metrics.
+    ///
+    /// With a `deadline_model_secs`, a call whose model latency would
+    /// exceed it charges exactly the deadline and fails with
+    /// [`CoreError::DeadlineExceeded`]. With a `replica`, the call is
+    /// pinned to that member of the OWF's provider group (client-side
+    /// routing); `None` keeps the transport's own endpoint resolution.
+    /// Transports without a latency model, a wire model or a replica
+    /// topology ignore the deadline, report zero bytes and ignore the
+    /// replica.
+    fn call(
         &self,
         owf: &OwfDef,
         args: &[Value],
         deadline_model_secs: Option<f64>,
-    ) -> CoreResult<Value> {
-        let _ = deadline_model_secs;
-        self.call_operation(owf, args)
-    }
+        replica: Option<&str>,
+    ) -> CoreResult<(Value, u64)>;
 
-    /// [`WsTransport::call_operation_ext`] that also reports the wire
-    /// bytes (request + response) the call moved, so each execution
-    /// context can meter its own traffic without diffing global provider
-    /// metrics (which double-counts under concurrent queries). The
-    /// default (for mocks without a wire model) reports zero bytes.
-    fn call_operation_metered(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-    ) -> CoreResult<(Value, u64)> {
-        Ok((self.call_operation_ext(owf, args, deadline_model_secs)?, 0))
-    }
-
-    /// [`WsTransport::call_operation_metered`] pinned to a specific
-    /// replica of the OWF's provider group (client-side routing). The
-    /// default (for transports without a replica topology) ignores the
-    /// replica name and delegates, so routing degrades to the plain call.
-    fn call_operation_replica(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-        replica: &str,
-    ) -> CoreResult<(Value, u64)> {
-        let _ = replica;
-        self.call_operation_metered(owf, args, deadline_model_secs)
+    /// [`WsTransport::call`] with no deadline and no pinned replica,
+    /// returning only the value.
+    fn call_operation(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
+        self.call(owf, args, None, None)
+            .map(|(value, _bytes)| value)
     }
 
     /// The routable replica-group view for an OWF's provider, when the
@@ -228,17 +169,6 @@ pub trait WsTransport: Send + Sync {
         0.0
     }
 
-    /// Aggregate call metrics across all providers, for execution reports.
-    /// The default (for mocks) reports nothing.
-    fn metrics(&self) -> wsmed_netsim::MetricsSnapshot {
-        wsmed_netsim::MetricsSnapshot::default()
-    }
-
-    /// Installs (or clears, with `None`) the trace log that provider-side
-    /// events should be emitted into for the current run. The default (for
-    /// mocks) ignores tracing entirely.
-    fn install_trace(&self, _trace: Option<Arc<TraceLog>>) {}
-
     /// The calibrated planner profile for an OWF's provider — capacity and
     /// expected per-call latency at nominal request/response sizes — used
     /// to warm-start [`crate::costs::PlannerStats`] before anything has
@@ -251,7 +181,7 @@ pub trait WsTransport: Send + Sync {
 }
 
 /// Stable one-word class of a call error, carried on
-/// [`TraceEventKind::WsCall`] and accepted by `trace_export --check`.
+/// [`crate::TraceEventKind::WsCall`] and accepted by `trace_export --check`.
 pub(crate) fn error_class(e: &CoreError) -> &'static str {
     use wsmed_netsim::NetError;
     match e {
@@ -266,38 +196,32 @@ pub(crate) fn error_class(e: &CoreError) -> &'static str {
 /// Transport over the simulated service registry.
 pub struct SimTransport {
     registry: ServiceRegistry,
-    /// Run-scoped trace sink; [`WsTransport::install_trace`] swaps it.
-    trace: RwLock<Option<Arc<TraceLog>>>,
-    /// Mirrors `trace.is_some()` so the untraced hot path is one load.
-    trace_on: AtomicBool,
 }
 
 impl SimTransport {
     /// Wraps a service registry.
     pub fn new(registry: ServiceRegistry) -> Self {
-        SimTransport {
-            registry,
-            trace: RwLock::new(None),
-            trace_on: AtomicBool::new(false),
-        }
+        SimTransport { registry }
     }
 
     /// The underlying registry (for WSDL import and metrics).
     pub fn registry(&self) -> &ServiceRegistry {
         &self.registry
     }
+}
 
-    /// The metered call body shared by the plain and replica-pinned entry
-    /// points: arity check, typed argument rendering, the registry call
-    /// (optionally pinned to a replica provider), deadline mapping and the
-    /// per-call trace event.
-    fn dispatch_metered(
+impl WsTransport for SimTransport {
+    fn call(
         &self,
         owf: &OwfDef,
         args: &[Value],
         deadline_model_secs: Option<f64>,
-        replica: Option<&std::sync::Arc<wsmed_netsim::Provider>>,
+        replica: Option<&str>,
     ) -> CoreResult<(Value, u64)> {
+        let replica = replica
+            .map(|name| self.registry.network().provider(name))
+            .transpose()
+            .map_err(CoreError::Net)?;
         if args.len() != owf.inputs.len() {
             return Err(CoreError::InvalidPlan(format!(
                 "OWF {} expects {} arguments, plan supplied {}",
@@ -310,7 +234,7 @@ impl SimTransport {
         for ((name, ty), value) in owf.inputs.iter().zip(args) {
             rendered.push((name.as_str(), ty.value_to_text(value)?));
         }
-        let response = self
+        let (element, stats) = self
             .registry
             .call_on_provider(
                 &owf.wsdl_uri,
@@ -318,7 +242,7 @@ impl SimTransport {
                 &owf.operation,
                 &rendered,
                 deadline_model_secs,
-                replica,
+                replica.as_ref(),
             )
             .map_err(|e| match e {
                 wsmed_netsim::NetError::Timeout {
@@ -331,65 +255,9 @@ impl SimTransport {
                     deadline_model_secs: deadline_model_secs.unwrap_or(f64::INFINITY),
                 },
                 other => CoreError::Net(other),
-            });
-        if self.trace_on.load(Ordering::Relaxed) {
-            if let Some(tr) = self.trace.read().clone() {
-                let (node, level, pf) = obs::current_proc();
-                tr.emit(
-                    node,
-                    level,
-                    &pf,
-                    TraceEventKind::WsCall {
-                        op: owf.operation.clone(),
-                        ok: response.is_ok(),
-                        err: response.as_ref().err().map(|e| error_class(e).to_owned()),
-                    },
-                );
-            }
-        }
-        let (element, stats) = response?;
+            })?;
         let bytes = (stats.request_bytes + stats.response_bytes) as u64;
         Ok((xml_to_value(&element), bytes))
-    }
-}
-
-impl WsTransport for SimTransport {
-    fn call_operation(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
-        self.call_operation_ext(owf, args, None)
-    }
-
-    fn call_operation_ext(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-    ) -> CoreResult<Value> {
-        self.call_operation_metered(owf, args, deadline_model_secs)
-            .map(|(value, _bytes)| value)
-    }
-
-    fn call_operation_metered(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-    ) -> CoreResult<(Value, u64)> {
-        self.dispatch_metered(owf, args, deadline_model_secs, None)
-    }
-
-    fn call_operation_replica(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-        replica: &str,
-    ) -> CoreResult<(Value, u64)> {
-        let provider = self
-            .registry
-            .network()
-            .provider(replica)
-            .map_err(CoreError::Net)?;
-        self.dispatch_metered(owf, args, deadline_model_secs, Some(&provider))
     }
 
     fn group_view(&self, owf: &OwfDef) -> Option<crate::router::GroupView> {
@@ -434,15 +302,6 @@ impl WsTransport for SimTransport {
 
     fn model_now(&self) -> f64 {
         self.registry.network().model_time()
-    }
-
-    fn metrics(&self) -> wsmed_netsim::MetricsSnapshot {
-        self.registry.network().total_metrics()
-    }
-
-    fn install_trace(&self, trace: Option<Arc<TraceLog>>) {
-        self.trace_on.store(trace.is_some(), Ordering::Relaxed);
-        *self.trace.write() = trace;
     }
 
     fn provider_profile(&self, owf: &OwfDef) -> Option<crate::costs::ProviderProfile> {
@@ -531,12 +390,18 @@ impl MockTransport {
 }
 
 impl WsTransport for MockTransport {
-    fn call_operation(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
+    fn call(
+        &self,
+        owf: &OwfDef,
+        args: &[Value],
+        _deadline_model_secs: Option<f64>,
+        _replica: Option<&str>,
+    ) -> CoreResult<(Value, u64)> {
         self.calls.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = self.delay {
             std::thread::sleep(d);
         }
-        (self.respond)(owf, args)
+        Ok(((self.respond)(owf, args)?, 0))
     }
 }
 
@@ -623,13 +488,6 @@ mod tests {
         // Mocks report nothing.
         let mock = MockTransport::new(|_, _| Ok(Value::Sequence(vec![])));
         assert!(mock.provider_profile(&owf).is_none());
-    }
-
-    #[test]
-    fn retry_attempts_zero_clamps_to_one() {
-        assert_eq!(RetryPolicy::attempts(0).max_attempts, 1);
-        assert_eq!(RetryPolicy::attempts(1).max_attempts, 1);
-        assert_eq!(RetryPolicy::attempts(5).max_attempts, 5);
     }
 
     #[test]

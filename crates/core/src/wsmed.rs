@@ -3,24 +3,26 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use wsmed_netsim::SimConfig;
 use wsmed_services::ServiceRegistry;
 use wsmed_sql::CalculusExpr;
-use wsmed_store::FunctionRegistry;
 
 use crate::cache::{CachePolicy, CallCache};
 use crate::catalog::OwfCatalog;
 use crate::central::create_central_plan;
+use crate::config::{MediatorConfig, RunConfig};
 use crate::costs::{CostModel, PlannerStats};
 use crate::exec::pool::{PoolPolicy, ProcessPool};
-use crate::exec::ExecContext;
+use crate::exec::{builtin_functions, ExecContext};
 use crate::obs::{TraceLog, TracePolicy};
 use crate::parallel::{parallel_level_count, parallelize, parallelize_adaptive, FanoutVector};
 use crate::plan::{AdaptiveConfig, QueryPlan};
 use crate::planner::{self, PlanExplanation, PlannerPolicy};
-use crate::resilience::{AdmissionControl, BreakerTotals, Breakers, QuotaPolicy};
+use crate::resilience::{AdmissionControl, BreakerTotals, QuotaPolicy, ResiliencePolicy};
+use crate::router::{Router, RouterPolicy};
 use crate::stats::ExecutionReport;
-use crate::transport::{SimTransport, WsTransport};
+use crate::transport::{BatchPolicy, DispatchPolicy, SimTransport, WsTransport};
 use crate::CoreResult;
 
 /// The default tenant name for executions posed without a session.
@@ -47,49 +49,23 @@ pub const DEFAULT_TENANT: &str = "default";
 /// ```
 pub struct Wsmed {
     transport: Arc<SimTransport>,
-    owfs: OwfCatalog,
+    /// Shared with every run's context; [`Wsmed::import_wsdl`] copies it on
+    /// write when a run still holds the old catalog.
+    owfs: Arc<OwfCatalog>,
     sim: SimConfig,
-    resilience: crate::resilience::ResiliencePolicy,
-    dispatch: crate::transport::DispatchPolicy,
-    batch: crate::transport::BatchPolicy,
-    cache_policy: Option<CachePolicy>,
-    /// The live cache instance for the current policy, shared by every
-    /// execution. Busy-period semantics inside the cache clear per-run
-    /// state on the idle→busy edge, so sequential runs under a
-    /// non-cross-run policy still see a fresh cache while overlapping
-    /// runs share entries and in-flight latches.
-    cache: Option<Arc<CallCache>>,
-    pool_policy: Option<PoolPolicy>,
-    /// The warm process pool for the current policy; parked query
-    /// processes live here between executions — and, since warm attach
-    /// re-homes a parked subtree into the acquiring run's context, across
-    /// concurrent queries too.
-    pool: Option<Arc<ProcessPool>>,
-    /// Mediator-global circuit-breaker table: every execution context
-    /// shares it, so one query tripping a provider's breaker sheds load
-    /// for all concurrent queries.
-    breakers: Arc<Breakers>,
-    /// Admission control: query-concurrency and per-tenant in-flight call
-    /// quotas ([`QuotaPolicy`]; the default admits everything).
-    admission: Arc<AdmissionControl>,
+    /// Everything the setters below can set. They are its only writers
+    /// and every execution clones it exactly once, so a run sees one
+    /// consistent configuration whatever is set while it is in flight.
+    config: RwLock<MediatorConfig>,
     /// Monotone query-id source for cross-query cache attribution
     /// (starts at 1; id 0 is the standalone-context sentinel).
     next_query_id: AtomicU64,
-    trace_policy: TracePolicy,
-    /// Planning policy for [`Wsmed::plan_query`] — interior-mutable so the
-    /// shell (and concurrent sessions) can toggle it on a shared mediator.
-    planner_policy: parking_lot::RwLock<PlannerPolicy>,
     /// Calibrated + learned provider statistics feeding the cost model:
     /// warm-started from the transport's provider profiles at WSDL import,
     /// refined from execution observations under a cost-based policy.
     planner_stats: Arc<PlannerStats>,
     /// Client-side cost model parameters (startup and default estimates).
     cost_model: CostModel,
-    /// Mediator-global client-side replica router (`None` = direct calls).
-    /// Shared across per-query contexts so the deterministic round-robin
-    /// rotation stays coherent; interior-mutable so the shell can switch
-    /// policies on a shared mediator.
-    router: parking_lot::RwLock<Option<Arc<crate::router::Router>>>,
 }
 
 impl Wsmed {
@@ -99,23 +75,12 @@ impl Wsmed {
         let sim = registry.network().config().clone();
         Wsmed {
             transport: Arc::new(SimTransport::new(registry)),
-            owfs: OwfCatalog::new(),
+            owfs: Arc::new(OwfCatalog::new()),
             sim,
-            resilience: crate::resilience::ResiliencePolicy::default(),
-            dispatch: crate::transport::DispatchPolicy::default(),
-            batch: crate::transport::BatchPolicy::default(),
-            cache_policy: None,
-            cache: None,
-            pool_policy: None,
-            pool: None,
-            breakers: Arc::new(Breakers::default()),
-            admission: Arc::new(AdmissionControl::default()),
+            config: RwLock::new(MediatorConfig::default()),
             next_query_id: AtomicU64::new(1),
-            trace_policy: TracePolicy::default(),
-            planner_policy: parking_lot::RwLock::new(PlannerPolicy::default()),
             planner_stats: PlannerStats::new(),
             cost_model: CostModel::default(),
-            router: parking_lot::RwLock::new(None),
         }
     }
 
@@ -123,15 +88,17 @@ impl Wsmed {
     /// policy for subsequent executions. Routing only engages for OWFs
     /// whose provider was scaled out into a
     /// [`wsmed_netsim::ReplicaGroup`]; single-provider calls keep the
-    /// direct path bit for bit.
-    pub fn set_router_policy(&self, policy: Option<crate::router::RouterPolicy>) {
-        *self.router.write() =
-            policy.map(|policy| Arc::new(crate::router::Router::new(policy, self.sim.seed)));
+    /// direct path bit for bit. The router instance is shared by the runs
+    /// that start under it, so its deterministic rotation stays coherent
+    /// across concurrent queries.
+    pub fn set_router_policy(&self, policy: Option<RouterPolicy>) {
+        self.config.write().router =
+            policy.map(|policy| Arc::new(Router::new(policy, self.sim.seed)));
     }
 
     /// The currently installed routing policy, if any.
-    pub fn router_policy(&self) -> Option<crate::router::RouterPolicy> {
-        self.router.read().as_ref().map(|r| r.policy())
+    pub fn router_policy(&self) -> Option<RouterPolicy> {
+        self.config.read().router.as_ref().map(|r| r.policy())
     }
 
     /// Re-warms the planner's provider statistics from the transport's
@@ -150,15 +117,14 @@ impl Wsmed {
     }
 
     /// Installs the structured-trace policy for subsequent executions.
-    /// Tracing is off by default; the disabled path costs one atomic load
-    /// per hook site.
+    /// Tracing is off by default.
     pub fn set_trace_policy(&mut self, policy: TracePolicy) {
-        self.trace_policy = policy;
+        self.config.get_mut().trace = policy;
     }
 
     /// The current structured-trace policy.
     pub fn trace_policy(&self) -> TracePolicy {
-        self.trace_policy
+        self.config.read().trace
     }
 
     /// Installs the planning policy used by [`Wsmed::plan_query`] and
@@ -166,12 +132,12 @@ impl Wsmed {
     /// reproduces the paper's plans exactly; takes `&self` so the shell and
     /// concurrent sessions can toggle it on a shared mediator.
     pub fn set_planner_policy(&self, policy: PlannerPolicy) {
-        *self.planner_policy.write() = policy;
+        self.config.write().planner = policy;
     }
 
     /// The current planning policy.
     pub fn planner_policy(&self) -> PlannerPolicy {
-        *self.planner_policy.read()
+        self.config.read().planner
     }
 
     /// The mediator's provider-statistics store: calibrated profiles seeded
@@ -187,22 +153,22 @@ impl Wsmed {
     }
 
     /// Installs the admission-control quota policy (max concurrent
-    /// queries, global and per-tenant in-flight call budgets). Takes
-    /// effect for subsequent admissions; work already admitted keeps its
-    /// reservations.
+    /// queries, global and per-tenant in-flight call budgets) for
+    /// subsequent executions; a run already admitted keeps the quota it
+    /// started under, and its reservations.
     pub fn set_quota_policy(&self, policy: QuotaPolicy) {
-        self.admission.set_policy(policy);
+        self.config.write().quota = policy;
     }
 
     /// The mediator's admission controller, for quota inspection
     /// ([`AdmissionControl::stats`]).
-    pub fn admission(&self) -> &Arc<AdmissionControl> {
-        &self.admission
+    pub fn admission(&self) -> Arc<AdmissionControl> {
+        Arc::clone(&self.config.read().admission)
     }
 
     /// Lifetime transition totals of the mediator-global breaker table.
     pub fn breaker_totals(&self) -> BreakerTotals {
-        self.breakers.totals()
+        self.config.read().breakers.totals()
     }
 
     /// Enables the warm process pool with the default [`PoolPolicy`]:
@@ -214,119 +180,80 @@ impl Wsmed {
         self.set_pool_policy(enabled.then(PoolPolicy::default));
     }
 
-    /// Installs a process-pool policy (`None` removes the pool and joins
-    /// any parked processes). Note that a policy with `enabled: false`
-    /// still installs a pool — nothing parks and every spawn is cold, but
-    /// cold spawns are counted in [`crate::ExecutionReport::pool`], which
-    /// is what the warm-vs-cold ablation baseline measures.
+    /// Installs a process-pool policy (`None` removes the pool). A policy
+    /// change rebuilds the pool: parked processes of the old pool are
+    /// joined once the last run using it has finished. Note that a policy
+    /// with `enabled: false` still installs a pool — nothing parks and
+    /// every spawn is cold, but cold spawns are counted in
+    /// [`crate::ExecutionReport::pool`], which is what the warm-vs-cold
+    /// ablation baseline measures.
     pub fn set_pool_policy(&mut self, policy: Option<PoolPolicy>) {
-        self.pool_policy = policy;
-        // A policy change rebuilds the pool: parked processes of the old
-        // pool are joined.
-        self.pool = policy.map(|p| Arc::new(ProcessPool::new(p, self.sim.time_scale)));
+        self.config.get_mut().pool =
+            policy.map(|p| Arc::new(ProcessPool::new(p, self.sim.time_scale)));
     }
 
     /// The installed pool policy, if any.
     pub fn pool_policy(&self) -> Option<PoolPolicy> {
-        self.pool_policy
+        self.config.read().pool.as_ref().map(|p| p.policy())
     }
 
     /// The live process pool, if one is installed — for inspecting
     /// [`ProcessPool::stats`] and the parked-process census across runs.
-    pub fn process_pool(&self) -> Option<&Arc<ProcessPool>> {
-        self.pool.as_ref()
+    /// Parked query processes live here between executions — and, since
+    /// warm attach re-homes a parked subtree into the acquiring run's
+    /// context, across concurrent queries too.
+    pub fn process_pool(&self) -> Option<Arc<ProcessPool>> {
+        self.config.read().pool.clone()
     }
 
-    /// Joins every parked process and drops the warm execution context.
-    /// Called when the OWF catalog changes: warm children compiled their
-    /// plan functions against the old catalog.
-    fn invalidate_warm_state(&mut self) {
-        if let Some(pool) = &self.pool {
-            pool.clear();
-        }
-    }
-
-    /// Enables memoization of web service calls with the default
-    /// [`CachePolicy`] (per-run scope, 16 shards, single-flight dedup):
-    /// repeated calls with identical arguments are answered from memory
-    /// (sound for side-effect-free data providing services). A thin
-    /// wrapper over [`Wsmed::set_cache_policy`].
-    pub fn enable_call_cache(&mut self, enabled: bool) {
-        self.set_cache_policy(enabled.then(CachePolicy::default));
-    }
-
-    /// Installs a call-cache policy (`None` disables caching). With
-    /// [`CachePolicy::cross_run`] the cache instance lives on the
-    /// mediator and later queries reuse earlier answers; otherwise a
-    /// fresh instance is built per execution.
+    /// Installs a call-cache policy (`None` disables caching): repeated
+    /// calls with identical arguments are answered from memory, which is
+    /// sound for side-effect-free data providing services. The cache
+    /// instance built here is shared by every execution. Busy-period
+    /// semantics inside the cache clear per-run state on the idle→busy
+    /// edge, so sequential runs under a non-cross-run policy still see a
+    /// fresh cache while overlapping runs share entries and in-flight
+    /// latches; with [`CachePolicy::cross_run`] later queries reuse
+    /// earlier answers.
     pub fn set_cache_policy(&mut self, policy: Option<CachePolicy>) {
-        self.cache_policy = policy;
-        self.cache = policy.map(|p| Arc::new(CallCache::new(p, self.sim.time_scale)));
+        self.config.get_mut().cache =
+            policy.map(|p| Arc::new(CallCache::new(p, self.sim.time_scale)));
     }
 
     /// The installed cache policy, if any.
     pub fn cache_policy(&self) -> Option<CachePolicy> {
-        self.cache_policy
+        self.config.read().cache.as_ref().map(|c| *c.policy())
     }
 
     /// The live cache instance, if caching is enabled — for inspecting
     /// [`CallCache::stats`] and resident entries across runs.
-    pub fn call_cache(&self) -> Option<&Arc<CallCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The cache instance an execution should use. Always the mediator's
-    /// shared instance: the cache's busy-period accounting clears per-run
-    /// state (and, under a non-cross-run policy, resident entries) when a
-    /// run begins with no other run active, so sequential runs keep the
-    /// old per-run semantics while concurrent runs share entries and
-    /// single-flight latches.
-    fn cache_for_run(&self) -> Option<Arc<CallCache>> {
-        self.cache.clone()
+    pub fn call_cache(&self) -> Option<Arc<CallCache>> {
+        self.config.read().cache.clone()
     }
 
     /// Sets the `FF_APPLYP` parameter dispatch policy for subsequent
     /// executions (the ablation knob; defaults to first-finished).
-    pub fn set_dispatch_policy(&mut self, policy: crate::transport::DispatchPolicy) {
-        self.dispatch = policy;
+    pub fn set_dispatch_policy(&mut self, policy: DispatchPolicy) {
+        self.config.get_mut().dispatch = policy;
     }
 
     /// Sets the tuple-shipping batch policy for subsequent executions
     /// (vectorized `Call`/`ResultBatch` frames; the default of one tuple
     /// per frame reproduces the paper's streaming semantics exactly).
-    pub fn set_batch_policy(&mut self, policy: crate::transport::BatchPolicy) {
-        self.batch = policy;
-    }
-
-    /// Sets the retry policy used for transient web-service faults on all
-    /// subsequent executions. Compatibility shim over
-    /// [`set_resilience_policy`](Self::set_resilience_policy): overwrites
-    /// the attempt count and backoff base while leaving any richer
-    /// resilience knobs (deadline, breaker, hedging, failure mode) as
-    /// previously configured.
-    pub fn set_retry_policy(&mut self, policy: crate::transport::RetryPolicy) {
-        self.resilience.max_attempts = policy.max_attempts.max(1);
-        self.resilience.backoff_model_secs = policy.backoff_model_secs;
-        self.resilience.backoff_multiplier = 1.0;
-        self.resilience.backoff_jitter_frac = 0.0;
+    pub fn set_batch_policy(&mut self, policy: BatchPolicy) {
+        self.config.get_mut().batch = policy;
     }
 
     /// Sets the full resilience policy (retries with backoff and jitter,
     /// per-call deadline, circuit breaker, hedging, failure mode) for all
     /// subsequent executions.
-    pub fn set_resilience_policy(&mut self, policy: crate::resilience::ResiliencePolicy) {
-        self.resilience = policy;
+    pub fn set_resilience_policy(&mut self, policy: ResiliencePolicy) {
+        self.config.get_mut().resilience = policy;
     }
 
     /// The currently configured resilience policy.
-    pub fn resilience_policy(&self) -> crate::resilience::ResiliencePolicy {
-        self.resilience
-    }
-
-    /// Sets only the failure mode (abort vs partial degradation), leaving
-    /// the rest of the resilience policy untouched.
-    pub fn set_failure_mode(&mut self, mode: crate::resilience::FailureMode) {
-        self.resilience.failure_mode = mode;
+    pub fn resilience_policy(&self) -> ResiliencePolicy {
+        self.config.read().resilience
     }
 
     /// Imports one WSDL document by URI, generating OWFs for its
@@ -334,7 +261,7 @@ impl Wsmed {
     pub fn import_wsdl(&mut self, wsdl_uri: &str) -> CoreResult<Vec<String>> {
         let xml = self.transport.registry().wsdl_xml(wsdl_uri)?;
         let doc = wsmed_wsdl::parse_wsdl(&xml)?;
-        let names = self.owfs.import(&doc, wsdl_uri)?;
+        let names = Arc::make_mut(&mut self.owfs).import(&doc, wsdl_uri)?;
         // Warm-start the planner's provider statistics from the transport's
         // calibrated profiles (latency model + capacity) for the new OWFs.
         for name in &names {
@@ -345,7 +272,9 @@ impl Wsmed {
             }
         }
         // Warm processes hold plans compiled against the old catalog.
-        self.invalidate_warm_state();
+        if let Some(pool) = &self.config.get_mut().pool {
+            pool.clear();
+        }
         Ok(names)
     }
 
@@ -390,7 +319,7 @@ impl Wsmed {
     /// Compiles the naïve central plan (Fig. 6 / Fig. 10).
     pub fn compile_central(&self, sql: &str) -> CoreResult<QueryPlan> {
         let calc = self.calculus(sql)?;
-        create_central_plan(&calc, &self.owfs, &FunctionRegistry::with_builtins())
+        create_central_plan(&calc, &self.owfs, builtin_functions())
     }
 
     /// Number of parallelizable levels in a query — the length the fanout
@@ -437,7 +366,7 @@ impl Wsmed {
             policy,
             &calc,
             &self.owfs,
-            &FunctionRegistry::with_builtins(),
+            builtin_functions(),
             &self.planner_stats,
             &self.cost_model,
         )?;
@@ -503,28 +432,16 @@ impl Wsmed {
         tenant: &str,
         plan: &QueryPlan,
     ) -> (CoreResult<ExecutionReport>, Option<Arc<TraceLog>>) {
-        let _guard = match self.admission.admit_query(tenant) {
+        // The run's one consistent view of the mediator's configuration.
+        let config = self.config.read().clone();
+        let _guard = match config.admission.admit_query(tenant, config.quota) {
             Ok(guard) => guard,
             Err(e) => return (Err(e), None),
         };
-        let ctx = self.context_for_run();
-        ctx.set_query_id(self.next_query_id.fetch_add(1, Ordering::Relaxed));
-        ctx.set_resilience_policy(self.resilience);
-        ctx.set_dispatch_policy(self.dispatch);
-        ctx.set_batch_policy(self.batch);
-        ctx.install_call_cache(self.cache_for_run());
-        ctx.install_breakers(Arc::clone(&self.breakers));
-        ctx.install_admission(Some(self.admission.gate(tenant)));
-        ctx.install_router(self.router.read().clone());
-        ctx.set_trace_policy(self.trace_policy);
-        // Under a cost-based policy, harvest per-operator latencies,
-        // cardinalities, and empty-parameter sets into the planner's stats
-        // so later plans of the same shapes improve.
-        let observing = matches!(self.planner_policy(), PlannerPolicy::CostBased { .. });
-        ctx.install_planner_obs(observing.then(|| Arc::clone(&self.planner_stats)));
+        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+        let ctx = self.context(config.for_run(tenant, query_id, &self.planner_stats));
         let result = ctx.run_plan(plan);
-        let trace = ctx.trace_handle();
-        (result, trace)
+        (result, ctx.trace_handle())
     }
 
     /// Executes a plan on behalf of `tenant`, attributing every terminal
@@ -568,22 +485,15 @@ impl Wsmed {
         }
     }
 
-    /// The execution context for one run: always fresh. Warm pool
-    /// processes re-home into the acquiring run's context on attach, so
-    /// no persistent context is needed for pooling.
-    fn context_for_run(&self) -> Arc<ExecContext> {
-        let ctx = self.fresh_context();
-        if let Some(pool) = &self.pool {
-            ctx.install_process_pool(Some(pool));
-        }
-        ctx
-    }
-
-    fn fresh_context(&self) -> Arc<ExecContext> {
+    /// A context over this mediator's transport and catalog. Always one
+    /// per run: warm pool processes re-home into the acquiring run's
+    /// context on attach, so no persistent context is needed for pooling.
+    fn context(&self, cfg: RunConfig) -> Arc<ExecContext> {
         ExecContext::new(
-            Arc::clone(&self.transport) as Arc<dyn crate::transport::WsTransport>,
-            Arc::new(self.owfs.clone()),
+            Arc::clone(&self.transport) as Arc<dyn WsTransport>,
+            Arc::clone(&self.owfs),
             self.sim.clone(),
+            cfg,
         )
     }
 
@@ -598,9 +508,13 @@ impl Wsmed {
     /// Returns only the rows (the baseline has no process tree to report).
     pub fn run_materialized(&self, sql: &str) -> CoreResult<Vec<wsmed_store::Tuple>> {
         let plan = self.compile_central(sql)?;
-        let ctx = self.fresh_context(); // no process tree: nothing to pool
-        ctx.set_resilience_policy(self.resilience);
-        ctx.install_call_cache(self.cache_for_run());
+        let config = self.config.read().clone();
+        // No process tree: nothing to pool, dispatch or batch.
+        let ctx = self.context(RunConfig {
+            resilience: config.resilience,
+            cache: config.cache,
+            ..Default::default()
+        });
         crate::materialized::run_materialized(&ctx, &plan)
     }
 

@@ -30,8 +30,8 @@
 //! replayable.
 
 /// Convention: count-style knobs clamp rather than panic. `every(0)` and
-/// `hang_every(0)` mean "every call" (clamped to 1), mirroring
-/// `RetryPolicy::attempts(0)` clamping to a single attempt.
+/// `hang_every(0)` mean "every call" (clamped to 1), as the mediator's
+/// `ResiliencePolicy { max_attempts: 0, .. }` makes a single attempt.
 fn clamp_every(n: u64) -> u64 {
     n.max(1)
 }
@@ -106,8 +106,7 @@ impl FaultSpec {
     }
 
     /// Fail every `n`-th call. `0` clamps to `1` (fail every call) —
-    /// count-style knobs clamp rather than panic, matching
-    /// `RetryPolicy::attempts`.
+    /// count-style knobs clamp rather than panic.
     pub fn every(n: u64) -> Self {
         FaultSpec {
             fail_every: Some(clamp_every(n)),
@@ -220,8 +219,8 @@ mod tests {
 
     #[test]
     fn every_zero_clamps_to_every_call() {
-        // Count-style knobs clamp, never panic (the RetryPolicy
-        // convention): every(0) means "fail every call".
+        // Count-style knobs clamp, never panic: every(0) means "fail
+        // every call".
         let f = FaultSpec::every(0);
         assert_eq!(f.fail_every, Some(1));
         assert!((1..=5).all(|s| f.should_fail(s, 0.99)));

@@ -6,7 +6,7 @@
 //! cargo run --release --example robust_mediator
 //! ```
 
-use wsmed::core::{paper, DispatchPolicy, RetryPolicy};
+use wsmed::core::{paper, CachePolicy, DispatchPolicy, ResiliencePolicy};
 use wsmed::netsim::FaultSpec;
 use wsmed::services::{DatasetConfig, UsZipService, ZipCodesService};
 
@@ -37,7 +37,7 @@ fn main() {
         .unwrap()
         .metrics()
         .calls;
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     setup.wsmed.run_central(cartesian).expect("cartesian query");
     let after = setup
         .network
@@ -49,7 +49,7 @@ fn main() {
         "\ncartesian join with call cache: {} real USZip call(s) for 51 rows",
         after - before
     );
-    setup.wsmed.enable_call_cache(false);
+    setup.wsmed.set_cache_policy(None);
 
     // --- retry policy ---------------------------------------------------------
     let zip = setup.network.provider(ZipCodesService::PROVIDER).unwrap();
@@ -59,7 +59,10 @@ fn main() {
         Err(e) => println!("  without retries: {e}"),
         Ok(_) => println!("  without retries: survived (lucky fault alignment)"),
     }
-    setup.wsmed.set_retry_policy(RetryPolicy::attempts(4));
+    setup.wsmed.set_resilience_policy(ResiliencePolicy {
+        max_attempts: 4,
+        ..Default::default()
+    });
     let ok = setup
         .wsmed
         .run_parallel(paper::QUERY2_SQL, &vec![3, 2])

@@ -392,7 +392,9 @@ impl Shell {
     fn cmd_cache(&mut self, line: &str) {
         match line["cache".len()..].trim() {
             "on" => {
-                self.setup.wsmed.enable_call_cache(true);
+                self.setup
+                    .wsmed
+                    .set_cache_policy(Some(wsmed::core::CachePolicy::default()));
                 println!("per-run call cache enabled (sharded, single-flight)");
             }
             "cross" => {
@@ -402,7 +404,7 @@ impl Shell {
                 println!("cross-run call cache enabled: entries survive between queries");
             }
             "off" => {
-                self.setup.wsmed.enable_call_cache(false);
+                self.setup.wsmed.set_cache_policy(None);
                 println!("call cache disabled");
             }
             _ => println!("usage: cache on|off|cross"),
@@ -480,9 +482,16 @@ impl Shell {
     fn cmd_retry(&mut self, line: &str) {
         match line["retry".len()..].trim().parse::<usize>() {
             Ok(attempts) if attempts >= 1 => {
-                self.setup
-                    .wsmed
-                    .set_retry_policy(wsmed::core::RetryPolicy::attempts(attempts));
+                // A fixed 0.5 model-s backoff; deadline, breaker, hedge and
+                // failure mode stay as `resilience` left them.
+                let wsmed = &mut self.setup.wsmed;
+                wsmed.set_resilience_policy(wsmed::core::ResiliencePolicy {
+                    max_attempts: attempts,
+                    backoff_model_secs: 0.5,
+                    backoff_multiplier: 1.0,
+                    backoff_jitter_frac: 0.0,
+                    ..wsmed.resilience_policy()
+                });
                 println!("transient faults now retried: {attempts} attempt(s) per call");
             }
             _ => println!("usage: retry <attempts ≥ 1>"),

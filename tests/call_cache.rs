@@ -28,7 +28,7 @@ fn cache_collapses_identical_calls() {
     assert_eq!(uszip_calls(&setup), 51, "uncached: one call per state row");
 
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     let cached = setup.wsmed.run_central(CARTESIAN_SQL).unwrap();
     assert_eq!(canonicalize(cached.rows), canonicalize(uncached.rows));
     assert_eq!(uszip_calls(&setup), 1, "cached: one real call total");
@@ -38,7 +38,7 @@ fn cache_collapses_identical_calls() {
 fn cache_does_not_change_paper_queries() {
     let mut setup = paper::setup(0.0, DatasetConfig::small());
     let plain = setup.wsmed.run_central(paper::QUERY2_SQL).unwrap();
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     let cached = setup.wsmed.run_central(paper::QUERY2_SQL).unwrap();
     assert_eq!(canonicalize(cached.rows), canonicalize(plain.rows));
     // Query2's arguments are all distinct (each zip called once), so the
@@ -51,7 +51,7 @@ fn cache_is_per_run() {
     // The same query twice with the cache on still calls the services in
     // the second run (the cache does not leak across executions).
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     setup.wsmed.run_central(CARTESIAN_SQL).unwrap();
     setup.wsmed.run_central(CARTESIAN_SQL).unwrap();
     let calls = setup
@@ -66,7 +66,7 @@ fn cache_is_per_run() {
 #[test]
 fn cache_works_in_parallel_plans() {
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     let r = setup
         .wsmed
         .run_parallel(paper::QUERY1_SQL, &vec![2, 2])
@@ -99,7 +99,7 @@ fn cross_run_policy_reuses_entries_across_runs() {
 #[test]
 fn report_surfaces_cache_stats() {
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     let report = setup.wsmed.run_central(CARTESIAN_SQL).unwrap();
     // 51 cartesian rows share one GetInfoByState('CO') call: 1 miss (plus
     // the GetAllStates call), 50 hits.
@@ -107,7 +107,7 @@ fn report_surfaces_cache_stats() {
     assert!(report.cache.misses >= 1);
     assert!(report.cache.hit_rate().unwrap() > 0.9);
     // Cache off: the report carries all-zero stats, not stale ones.
-    setup.wsmed.enable_call_cache(false);
+    setup.wsmed.set_cache_policy(None);
     let plain = setup.wsmed.run_central(CARTESIAN_SQL).unwrap();
     assert_eq!(plain.cache.hits, 0);
     assert_eq!(plain.cache.misses, 0);

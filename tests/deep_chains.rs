@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use wsmed::core::{
     create_central_plan, parallelize, parallelize_adaptive, AdaptiveConfig, CoreError, ExecContext,
-    MockTransport, OwfCatalog, PlanOp, QueryPlan, WsTransport,
+    MockTransport, OwfCatalog, PlanOp, QueryPlan, RunConfig, WsTransport,
 };
 use wsmed::netsim::SimConfig;
 use wsmed::sql::{generate_calculus, parse_select};
@@ -112,6 +112,7 @@ fn run(plan: &QueryPlan, owfs: &Arc<OwfCatalog>) -> wsmed::core::ExecutionReport
         chain_transport() as Arc<dyn WsTransport>,
         Arc::clone(owfs),
         SimConfig::default(),
+        RunConfig::default(),
     );
     ctx.run_plan(plan).unwrap()
 }

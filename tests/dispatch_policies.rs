@@ -53,7 +53,7 @@ fn first_finished_beats_round_robin_under_skew() {
     // child (indexes 1, 3, 5 with fanout 2), serializing ~300 ms, while
     // first-finished overlaps them across both children (~200 ms).
     use std::sync::Arc;
-    use wsmed::core::{ExecContext, MockTransport, PlanOp, QueryPlan, WsTransport};
+    use wsmed::core::{ExecContext, MockTransport, PlanOp, QueryPlan, RunConfig, WsTransport};
     use wsmed::netsim::SimConfig;
     use wsmed::store::{Record, Value};
     use wsmed::wsdl::{OperationDef, TypeNode, WsdlDocument};
@@ -137,12 +137,14 @@ fn first_finished_beats_round_robin_under_skew() {
     };
 
     let run = |policy: DispatchPolicy| {
+        let mut cfg = RunConfig::default();
+        cfg.dispatch = policy;
         let ctx = ExecContext::new(
             transport() as Arc<dyn WsTransport>,
             Arc::clone(&catalog),
             SimConfig::default(),
+            cfg,
         );
-        ctx.set_dispatch_policy(policy);
         let t0 = std::time::Instant::now();
         let r = ctx.run_plan(&plan).unwrap();
         assert_eq!(r.row_count(), 8);

@@ -149,9 +149,17 @@ fn partial_results_are_not_returned_on_failure() {
     assert!(result.is_err());
 }
 
+/// Up to `max_attempts` tries per call at the default fixed backoff;
+/// everything else off.
+fn attempts(max_attempts: usize) -> ResiliencePolicy {
+    ResiliencePolicy {
+        max_attempts,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn retry_policy_recovers_from_transient_faults() {
-    use wsmed::core::RetryPolicy;
     // Every 3rd call faults; with 3 attempts per call every parameter
     // eventually succeeds (retries draw fresh call sequence numbers).
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
@@ -164,7 +172,7 @@ fn retry_policy_recovers_from_transient_faults() {
         .run_parallel(paper::QUERY2_SQL, &vec![2, 2])
         .is_err());
 
-    setup.wsmed.set_retry_policy(RetryPolicy::attempts(3));
+    setup.wsmed.set_resilience_policy(attempts(3));
     let ok = setup
         .wsmed
         .run_parallel(paper::QUERY2_SQL, &vec![2, 2])
@@ -176,7 +184,6 @@ fn retry_policy_recovers_from_transient_faults() {
 
 #[test]
 fn retry_policy_does_not_mask_permanent_faults() {
-    use wsmed::core::RetryPolicy;
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
     let zip = setup.network.provider(ZipCodesService::PROVIDER).unwrap();
     // Everything fails, forever.
@@ -184,11 +191,21 @@ fn retry_policy_does_not_mask_permanent_faults() {
         fail_probability: 1.0,
         ..Default::default()
     });
-    setup.wsmed.set_retry_policy(RetryPolicy::attempts(3));
+    setup.wsmed.set_resilience_policy(attempts(3));
     assert!(setup
         .wsmed
         .run_parallel(paper::QUERY2_SQL, &vec![2, 2])
         .is_err());
+
+    // The central plan dies on its first ZipCodes call, so the faults it
+    // adds are that one call's attempts. Zero attempts would mean "never
+    // call at all", which no caller can mean: it makes exactly one.
+    for (max_attempts, made) in [(0, 1), (1, 1), (3, 3)] {
+        let before = zip.metrics().faults;
+        setup.wsmed.set_resilience_policy(attempts(max_attempts));
+        assert!(setup.wsmed.run_central(paper::QUERY2_SQL).is_err());
+        assert_eq!(zip.metrics().faults - before, made, "{max_attempts}");
+    }
 }
 
 #[test]
@@ -226,7 +243,6 @@ fn fault_inside_adaptation_window_surfaces_with_trace() {
 
 #[test]
 fn retry_exhaustion_during_adaptation_errors_not_hangs() {
-    use wsmed::core::RetryPolicy;
     // 30% per-call fault probability: two attempts per call exhaust on
     // the first call whose retry also rolls a fault. The adaptive run
     // must surface the exhaustion as a query error — completion of this
@@ -234,7 +250,7 @@ fn retry_exhaustion_during_adaptation_errors_not_hangs() {
     // attempts it burned.
     let mut setup = paper::setup(0.0, DatasetConfig::small());
     setup.wsmed.set_trace_policy(TracePolicy::enabled());
-    setup.wsmed.set_retry_policy(RetryPolicy::attempts(2));
+    setup.wsmed.set_resilience_policy(attempts(2));
     let zip = setup.network.provider(ZipCodesService::PROVIDER).unwrap();
     zip.set_fault(FaultSpec {
         fail_probability: 0.3,
@@ -318,7 +334,7 @@ fn fault_during_warm_pool_reattach_errors_cleanly() {
 #[test]
 fn requeued_params_appear_exactly_once_in_trace() {
     use std::sync::Arc;
-    use wsmed::core::{ExecContext, SimTransport, Wsmed};
+    use wsmed::core::{ExecContext, RunConfig, SimTransport, Wsmed};
     use wsmed::netsim::{Network, SimConfig};
     use wsmed::services::{install_paper_services, Dataset};
     use wsmed::store::canonicalize;
@@ -338,15 +354,17 @@ fn requeued_params_appear_exactly_once_in_trace() {
         .run_parallel(paper::QUERY2_SQL, &vec![3, 2])
         .expect("reference run");
 
+    let mut cfg = RunConfig::default();
+    cfg.trace = TracePolicy::enabled();
+    // After 2 end-of-call messages the coordinator abruptly kills one
+    // busy child and requeues its in-flight parameters.
+    cfg.kill_child_after_eocs = 2;
     let ctx = ExecContext::new(
         Arc::new(SimTransport::new(registry)) as Arc<dyn wsmed::core::WsTransport>,
         Arc::new(wsmed.owfs().clone()),
         sim,
+        cfg,
     );
-    ctx.set_trace_policy(TracePolicy::enabled());
-    // After 2 end-of-call messages the coordinator abruptly kills one
-    // busy child and requeues its in-flight parameters.
-    ctx.arm_child_failure_after_eocs(2);
     let report = ctx.run_plan(&plan).expect("run survives the child kill");
 
     // The kill did not lose or duplicate rows…
@@ -395,10 +413,9 @@ fn requeued_params_appear_exactly_once_in_trace() {
 
 #[test]
 fn retry_policy_ignores_non_transient_errors() {
-    use wsmed::core::RetryPolicy;
     // A bad query fails identically with or without retries.
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.set_retry_policy(RetryPolicy::attempts(5));
+    setup.wsmed.set_resilience_policy(attempts(5));
     assert!(setup
         .wsmed
         .run_central("select gs.Bogus from GetAllStates gs")

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use wsmed::core::{paper, CachePolicy, CoreError, FailureMode, QuotaPolicy, TracePolicy};
+use wsmed::core::{
+    paper, CachePolicy, CoreError, FailureMode, QuotaPolicy, ResiliencePolicy, TracePolicy,
+};
 use wsmed::services::DatasetConfig;
 use wsmed::store::{canonicalize, Tuple};
 
@@ -77,10 +79,10 @@ fn concurrent_queries_match_sequential_across_cache_pool_matrix() {
 #[test]
 fn per_query_attribution_sums_to_shared_totals() {
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     setup.wsmed.enable_process_pool(true);
-    let cache = Arc::clone(setup.wsmed.call_cache().unwrap());
-    let pool = Arc::clone(setup.wsmed.process_pool().unwrap());
+    let cache = setup.wsmed.call_cache().unwrap();
+    let pool = setup.wsmed.process_pool().unwrap();
 
     // Hold the busy period open across all K queries so the shared
     // counters accumulate the whole experiment instead of resetting on
@@ -153,7 +155,11 @@ fn query_quota_sheds_then_recovers() {
     });
     // A held admission slot makes the outcome deterministic: the quota is
     // exhausted for the entire execution attempt.
-    let guard = setup.wsmed.admission().admit_query("hog").unwrap();
+    let guard = setup
+        .wsmed
+        .admission()
+        .admit_query("hog", QuotaPolicy::default())
+        .unwrap();
     let err = setup.wsmed.run_central(CARTESIAN_SQL).unwrap_err();
     assert!(
         matches!(err, CoreError::Admission { ref tenant, .. } if tenant == "default"),
@@ -168,7 +174,10 @@ fn query_quota_sheds_then_recovers() {
 fn call_budget_sheds_deterministically_under_partial_mode() {
     let run = || {
         let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-        setup.wsmed.set_failure_mode(FailureMode::Partial);
+        setup.wsmed.set_resilience_policy(ResiliencePolicy {
+            failure_mode: FailureMode::Partial,
+            ..Default::default()
+        });
         setup.wsmed.set_quota_policy(QuotaPolicy {
             per_tenant_inflight_calls: Some(0),
             ..Default::default()
@@ -195,10 +204,50 @@ fn call_budget_sheds_deterministically_under_partial_mode() {
 }
 
 #[test]
+fn in_flight_run_keeps_the_config_it_started_under() {
+    use wsmed::core::RouterPolicy;
+    use wsmed::services::{calibration, ZipCodesService};
+
+    // Paced, so the run is still going when the policy flips under it.
+    let setup = paper::setup(0.004, DatasetConfig::tiny());
+    let mut replica = calibration::zipcodes_spec();
+    replica.name = format!("{}#1", ZipCodesService::PROVIDER);
+    setup
+        .network
+        .replicate(ZipCodesService::PROVIDER, vec![replica])
+        .unwrap();
+    setup.wsmed.set_router_policy(Some(RouterPolicy::Weighted));
+    let plan = setup.wsmed.compile_central(paper::QUERY2_SQL).unwrap();
+
+    let undisturbed = setup.wsmed.execute(&plan).unwrap();
+    assert!(undisturbed.router.decisions > 0);
+
+    let served = || setup.network.total_metrics().calls;
+    let before = served();
+    let in_flight = std::thread::scope(|s| {
+        let run = s.spawn(|| setup.wsmed.execute(&plan).unwrap());
+        // A run takes its snapshot before its first call, and its first
+        // call (GetAllStates) comes long before its first routed one.
+        while served() == before {
+            std::thread::yield_now();
+        }
+        setup.wsmed.set_router_policy(None);
+        assert!(!run.is_finished(), "the flip must land mid-run");
+        run.join().unwrap()
+    });
+    assert_eq!(sorted(in_flight.rows), sorted(undisturbed.rows.clone()));
+    assert_eq!(in_flight.router.decisions, undisturbed.router.decisions);
+
+    let next = setup.wsmed.execute(&plan).unwrap();
+    assert_eq!(next.router.decisions, 0, "the next run sees the new policy");
+    assert_eq!(sorted(next.rows), sorted(undisturbed.rows));
+}
+
+#[test]
 fn sessions_trace_per_query_without_racing() {
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
     setup.wsmed.set_trace_policy(TracePolicy::enabled());
-    setup.wsmed.enable_call_cache(true);
+    setup.wsmed.set_cache_policy(Some(CachePolicy::default()));
     let med = Arc::new(setup.wsmed);
     let handles: Vec<_> = ["alpha", "beta"]
         .into_iter()

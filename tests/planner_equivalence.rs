@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use wsmed::core::{paper, planner, AdaptiveConfig, BatchPolicy, PlannerPolicy};
+use wsmed::core::{paper, planner, AdaptiveConfig, BatchPolicy, CachePolicy, PlannerPolicy};
 use wsmed::services::DatasetConfig;
 use wsmed::store::canonicalize;
 
@@ -54,7 +54,7 @@ proptest! {
         let baseline = baseline_setup.wsmed.run_planned(sql).unwrap();
 
         let mut setup = paper::setup(0.0, dataset(seed));
-        setup.wsmed.enable_call_cache(cache);
+        setup.wsmed.set_cache_policy(cache.then(CachePolicy::default));
         setup.wsmed.enable_process_pool(pool);
         if columnar {
             setup.wsmed.set_batch_policy(BatchPolicy::columnar(16));
@@ -98,7 +98,7 @@ proptest! {
             .unwrap();
 
         let mut setup = paper::setup(0.0, dataset(seed));
-        setup.wsmed.enable_call_cache(cache);
+        setup.wsmed.set_cache_policy(cache.then(CachePolicy::default));
         if columnar {
             setup.wsmed.set_batch_policy(BatchPolicy::columnar(8));
         }

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use wsmed::core::{paper, BatchPolicy, FailureMode, ResiliencePolicy};
+use wsmed::core::{paper, BatchPolicy, CachePolicy, FailureMode, ResiliencePolicy};
 use wsmed::netsim::FaultSpec;
 use wsmed::services::{DatasetConfig, ZipCodesService};
 use wsmed::store::{canonicalize, Tuple};
@@ -74,7 +74,7 @@ proptest! {
 
         let mut setup = paper::setup(0.0, dataset(seed));
         setup.wsmed.set_batch_policy(BatchPolicy::uniform(batch));
-        setup.wsmed.enable_call_cache(cache);
+        setup.wsmed.set_cache_policy(cache.then(CachePolicy::default));
         setup.wsmed.enable_process_pool(pool);
         setup.wsmed.set_resilience_policy(ResiliencePolicy {
             max_attempts: attempts,
@@ -122,7 +122,7 @@ proptest! {
         fault_pct in 5u32..25,
     ) {
         use std::sync::Arc;
-        use wsmed::core::{ExecContext, SimTransport, Wsmed, WsTransport};
+        use wsmed::core::{ExecContext, RunConfig, SimTransport, Wsmed, WsTransport};
         use wsmed::netsim::{Network, SimConfig};
         use wsmed::services::{install_paper_services, Dataset};
 
@@ -138,15 +138,18 @@ proptest! {
         let clean_zips = distinct_zips(&clean.rows);
 
         let plan = wsmed.compile_parallel(UNFILTERED_Q2, &vec![3, 2]).unwrap();
+        let mut cfg = RunConfig::default();
+        cfg.resilience.failure_mode = FailureMode::Partial;
+        // Abruptly kill a busy child mid-run: its uncommitted skips are
+        // discarded with its rows and re-counted by the survivor that
+        // re-evaluates the requeued parameters.
+        cfg.kill_child_after_eocs = 2;
         let ctx = ExecContext::new(
             Arc::new(SimTransport::new(registry)) as Arc<dyn WsTransport>,
             Arc::new(wsmed.owfs().clone()),
             sim,
+            cfg,
         );
-        ctx.set_resilience_policy(ResiliencePolicy {
-            failure_mode: FailureMode::Partial,
-            ..ResiliencePolicy::default()
-        });
         network
             .provider(ZipCodesService::PROVIDER)
             .unwrap()
@@ -155,10 +158,6 @@ proptest! {
                 keyed_by_args: true,
                 ..FaultSpec::default()
             });
-        // Abruptly kill a busy child mid-run: its uncommitted skips are
-        // discarded with its rows and re-counted by the survivor that
-        // re-evaluates the requeued parameters.
-        ctx.arm_child_failure_after_eocs(2);
         let report = ctx.run_plan(&plan).unwrap();
 
         let kept = distinct_zips(&report.rows);

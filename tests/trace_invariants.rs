@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 
 use wsmed::core::{
-    obs, paper, AdaptiveConfig, BatchPolicy, ExecutionReport, TraceEventKind, TracePolicy,
+    obs, paper, AdaptiveConfig, BatchPolicy, CachePolicy, ExecutionReport, TraceEventKind,
+    TracePolicy,
 };
 use wsmed::services::DatasetConfig;
 
@@ -89,7 +90,7 @@ proptest! {
         let mut setup = paper::setup(0.0, dataset(seed));
         let sql = if query2 { paper::QUERY2_SQL } else { paper::QUERY1_SQL };
         setup.wsmed.set_trace_policy(TracePolicy::enabled());
-        setup.wsmed.enable_call_cache(cache);
+        setup.wsmed.set_cache_policy(cache.then(CachePolicy::default));
         setup.wsmed.enable_process_pool(pool);
         setup.wsmed.set_batch_policy(BatchPolicy::uniform(batch));
 
