@@ -11,13 +11,14 @@
 //! * batching is semantically invisible: every cell returns the batch = 1
 //!   result multiset;
 //! * at the paper's best Query2 tree `{4,3}`, batch = 64 sends ≥ 10×
-//!   fewer messages than batch = 1, at no cost in total model time;
+//!   fewer messages than batch = 1, within 5% of its total model time
+//!   (both cells re-measured best of 3; batching buys frames, not time);
 //! * the `flush_model_secs` staleness flush keeps Query1's first-row
 //!   latency within 2× of the streaming (batch = 1) behaviour;
 //! * the structured-trace hooks (`wsmed_core::obs`) cost nothing when
-//!   `TracePolicy` is disabled (the default): re-measuring the Query2
-//!   `{4,3}` batch = 1 cell with tracing explicitly disabled lands
-//!   within 1% of the sweep's own measurement of the same cell.
+//!   `TracePolicy` is disabled (the default): the best-of-3 re-measure
+//!   of the Query2 `{4,3}` batch = 1 cell, tracing explicitly disabled,
+//!   lands within 1% of the sweep's own measurement of the same cell.
 //!
 //! ```text
 //! cargo run --release -p wsmed-bench --bin batch_ablation -- --full
@@ -186,10 +187,52 @@ fn main() {
     // Timing claims need a real clock: at scale 0 nothing sleeps and model
     // time is not meaningful, so only the message/result claims apply.
     if opts.scale > 0.0 {
+        // One run of a cell wanders by a few percent, so the two Query2
+        // {4,3} cells the timing claims compare are re-measured best of 3,
+        // tracing force-disabled.
+        setup
+            .wsmed
+            .set_trace_policy(wsmed_core::TracePolicy::default());
+        let mut best_of_3 = |batch: usize| {
+            (0..3)
+                .map(|_| {
+                    run_cell(
+                        &mut setup,
+                        paper::QUERY2_SQL,
+                        &[q2_best.0, q2_best.1],
+                        batch,
+                        opts.scale,
+                    )
+                    .model_secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let best = best_of_3(1);
+        let best64 = best_of_3(64);
+        println!(
+            "Query2 {{{},{}}} best of 3: batch 1 {best:.1} model-s, batch 64 {best64:.1} model-s ({:+.2}%)",
+            q2_best.0,
+            q2_best.1,
+            (best64 / best - 1.0) * 100.0,
+        );
         assert!(
-            b64.model_secs <= base.model_secs * 1.05,
-            "batching must not slow Query2 {{4,3}} down: {:.1}s vs baseline {:.1}s",
-            b64.model_secs,
+            best64 <= best * 1.05,
+            "batching must not slow Query2 {{4,3}} down: {best64:.1}s vs baseline {best:.1}s"
+        );
+
+        // Trace hooks must be invisible while disabled: the disabled path
+        // is one atomic load per hook site, so the re-measure must land
+        // within 1% of the sweep's own measurement of the batch = 1 cell.
+        println!(
+            "Query2 {{{},{}}} batch 1 with tracing disabled: {best:.1} model-s              vs {:.1} model-s in-sweep ({:+.2}%)",
+            q2_best.0,
+            q2_best.1,
+            base.model_secs,
+            (best / base.model_secs - 1.0) * 100.0,
+        );
+        assert!(
+            best <= base.model_secs * 1.01,
+            "disabled trace hooks must cost <1% model time              ({best:.2}s vs {:.2}s baseline)",
             base.model_secs
         );
 
@@ -208,40 +251,6 @@ fn main() {
                 cell.batch
             );
         }
-    }
-
-    // Trace hooks must be invisible while disabled: the disabled path is
-    // one atomic load per hook site, so an explicit re-measure of the
-    // Query2 {4,3} batch = 1 cell (best of 3, tracing force-disabled)
-    // must land within 1% of the sweep's own measurement above.
-    if opts.scale > 0.0 {
-        setup
-            .wsmed
-            .set_trace_policy(wsmed_core::TracePolicy::default());
-        let best = (0..3)
-            .map(|_| {
-                run_cell(
-                    &mut setup,
-                    paper::QUERY2_SQL,
-                    &[q2_best.0, q2_best.1],
-                    1,
-                    opts.scale,
-                )
-                .model_secs
-            })
-            .fold(f64::INFINITY, f64::min);
-        println!(
-            "Query2 {{{},{}}} batch 1 with tracing disabled: {best:.1} model-s              vs {:.1} model-s in-sweep ({:+.2}%)",
-            q2_best.0,
-            q2_best.1,
-            base.model_secs,
-            (best / base.model_secs - 1.0) * 100.0,
-        );
-        assert!(
-            best <= base.model_secs * 1.01,
-            "disabled trace hooks must cost <1% model time              ({best:.2}s vs {:.2}s baseline)",
-            base.model_secs
-        );
     }
 
     // Machine-readable model-time section of BENCH_wire.json: one object

@@ -371,7 +371,8 @@ impl ParallelApply {
             };
             // Receiving a message costs the parent dispatch time, which is
             // what makes an over-wide tree hurt on a single-core client.
-            ctx.sim().sleep_model(ctx.sim().client.message_dispatch);
+            let client = &ctx.sim().client;
+            ctx.sim().sleep_model(client.frame_cost(0));
 
             match msg {
                 FromChild::Installed { slot, error: None } => {
@@ -413,10 +414,10 @@ impl ParallelApply {
                         )));
                     }
                     let batch = wire::decode_message(tuples)?.into_tuples()?;
-                    // The marginal per-tuple cost of unpacking the frame
-                    // (the per-frame share was paid above on receipt).
+                    // The rest of the frame's price, now that its tuples are
+                    // counted (the per-frame share was paid above on receipt).
                     ctx.sim()
-                        .sleep_model(ctx.sim().client.tuple_dispatch * batch.len() as f64);
+                        .sleep_model(client.frame_cost(batch.len()) - client.frame_cost(0));
                     if !batch.is_empty() && self.env.level == 0 {
                         ctx.record_first_result();
                     }

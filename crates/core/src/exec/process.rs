@@ -257,9 +257,7 @@ impl ChildProc {
         params: Bytes,
         n_params: usize,
     ) -> CoreResult<()> {
-        let client = &ctx.sim().client;
-        ctx.sim()
-            .sleep_model(client.message_dispatch + client.tuple_dispatch * n_params as f64);
+        ctx.sim().sleep_model(ctx.sim().client.frame_cost(n_params));
         ctx.record_shipped(params.len());
         self.tree.note_msg_down(self.id);
         send_counted(
@@ -322,7 +320,7 @@ impl ChildProc {
         self.deregistered = false;
         self.tree
             .register(self.id, Some(parent.id), parent.level + 1, pf_name);
-        ctx.sim().sleep_model(ctx.sim().client.message_dispatch);
+        ctx.sim().sleep_model(ctx.sim().client.frame_cost(0));
         self.tree.note_msg_down(self.id);
         self.level = parent.level + 1;
         let trace = ctx.trace_handle();
@@ -770,10 +768,8 @@ impl<'a> FlushBuffer<'a> {
         self.rows.clear();
         self.buffered_since = None;
         // The child pays its own send cost: one frame plus its tuples.
-        let client = &self.ctx.sim().client;
-        self.ctx
-            .sim()
-            .sleep_model(client.message_dispatch + client.tuple_dispatch * n as f64);
+        let sim = self.ctx.sim();
+        sim.sleep_model(sim.client.frame_cost(n));
         self.ctx.record_shipped(frame.len());
         let tree = self.ctx.tree();
         tree.note_msg_up(self.env.id);

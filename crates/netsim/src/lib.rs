@@ -20,8 +20,9 @@
 //!    Fig. 16/17 landscape where a near-balanced bushy tree wins.
 //!
 //! All latencies are expressed in **model seconds**. A global
-//! [`SimConfig::time_scale`] maps model seconds to wall-clock sleeps, so the
-//! paper's ~2400-second experiments replay in seconds (or, with scale 0, in
+//! [`SimConfig::time_scale`] maps model seconds to wall-clock time owed by
+//! the charged thread ([`SimConfig::sleep_model`]), so the paper's
+//! ~2400-second experiments replay in seconds (or, with scale 0, in
 //! pure-functional time for unit tests — latencies are still *computed* and
 //! recorded in metrics, just not slept).
 //!
@@ -33,6 +34,7 @@ mod fault;
 mod latency;
 mod metrics;
 mod network;
+mod pacing;
 mod provider;
 mod rng;
 mod topology;
@@ -42,6 +44,7 @@ pub use fault::FaultSpec;
 pub use latency::LatencyModel;
 pub use metrics::{CallStats, MetricsSnapshot, ProviderMetrics};
 pub use network::{NetError, NetResult, Network};
+pub use pacing::{pacing_stats, PacingStats};
 pub use provider::{CallOpts, Provider, ProviderSpec};
 pub use rng::DetRng;
 pub use topology::{
@@ -51,13 +54,13 @@ pub use topology::{
 pub use trace::{CallTrace, TraceRecord};
 
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Global simulation parameters shared by every provider on a [`Network`].
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Wall-clock seconds slept per model second. `0.0` disables sleeping
-    /// entirely (latencies are still computed and recorded).
+    /// Wall-clock seconds a thread is paced per model second charged to it
+    /// (see [`SimConfig::sleep_model`]). `0.0` disables pacing entirely
+    /// (latencies are still computed and recorded).
     pub time_scale: f64,
     /// Seed for deterministic per-call jitter.
     pub seed: u64,
@@ -85,11 +88,21 @@ impl SimConfig {
         }
     }
 
-    /// Sleeps for `model_seconds` of simulated time (scaled to wall time).
+    /// Charges `model_seconds` of simulated time to the calling thread: the
+    /// only place model time becomes wall time.
+    ///
+    /// At `time_scale == 0.0` this returns at once. Otherwise the thread
+    /// owes `model_seconds * time_scale` of wall time, and sleeps, once and
+    /// for everything it owes, when that reaches 100 µs; what the OS slept
+    /// beyond the request (at most 100 µs of it) is credited to the next
+    /// charges. So a 4 µs message dispatch costs 4 µs, not one OS sleep
+    /// floor (~80 µs), and any thread is at most 100 µs of wall time — 0.05
+    /// model seconds at scale 0.002 — away from where the model puts it, in
+    /// either direction. A charge that is NaN, zero or negative is ignored;
+    /// one too long for a `Duration` sleeps the longest sleep there is.
     pub fn sleep_model(&self, model_seconds: f64) {
-        debug_assert!(model_seconds >= 0.0, "negative model time {model_seconds}");
         if self.time_scale > 0.0 && model_seconds > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(model_seconds * self.time_scale));
+            pacing::pace(model_seconds * self.time_scale);
         }
     }
 }
@@ -114,6 +127,15 @@ pub struct ClientCostModel {
     pub plan_ship_per_kib: f64,
 }
 
+impl ClientCostModel {
+    /// What sending or receiving one frame of `n_tuples` tuples costs:
+    /// `message_dispatch + n_tuples * tuple_dispatch`; a control message
+    /// is a frame of none.
+    pub fn frame_cost(&self, n_tuples: usize) -> f64 {
+        self.message_dispatch + self.tuple_dispatch * n_tuples as f64
+    }
+}
+
 impl Default for ClientCostModel {
     fn default() -> Self {
         // Calibrated against the paper's §V numbers; see DESIGN.md.
@@ -134,6 +156,7 @@ pub fn network(config: SimConfig) -> Arc<Network> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn sleep_model_zero_scale_is_instant() {
@@ -158,5 +181,15 @@ mod tests {
         assert!(c.process_startup > 0.0);
         assert!(c.message_dispatch > 0.0);
         assert!(c.plan_ship_per_kib > 0.0);
+    }
+
+    #[test]
+    fn frame_cost_is_one_dispatch_plus_its_tuples() {
+        let c = ClientCostModel::default();
+        assert_eq!(c.frame_cost(0), c.message_dispatch);
+        assert_eq!(
+            c.frame_cost(64),
+            c.message_dispatch + c.tuple_dispatch * 64.0
+        );
     }
 }
