@@ -4,7 +4,7 @@
 //! query-process machinery — thread spawning, plan shipping, message
 //! passing — relative to central execution. This is the cost side of the
 //! trade the paper's operators make; the latency side is covered by the
-//! figure binaries.
+//! `wsmed-bench` figure experiments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

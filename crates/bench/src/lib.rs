@@ -1,8 +1,10 @@
-//! Shared harness utilities for the figure-regeneration binaries.
+//! Shared harness utilities for the `wsmed-bench` experiment driver
+//! (`src/main.rs`, one experiment per module under `src/experiments/`) and
+//! the Criterion benches.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's §V, prints the measured numbers next to the paper's reported
-//! values, and writes a CSV under `target/experiments/` for plotting.
+//! Every experiment regenerates one table or figure from the paper's §V
+//! (or one of our ablations), prints the measured numbers next to the
+//! paper's reported values, and writes a CSV under `target/experiments/`.
 //!
 //! Absolute numbers are **model seconds**: the simulated latency model
 //! replays the paper's 2008 web services, scaled down by `--scale` so a
@@ -16,10 +18,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use wsmed_core::{paper, wire, AdaptiveConfig, ExecutionReport, FanoutVector, Wsmed};
+use wsmed_netsim::parse_time_scale;
 use wsmed_services::DatasetConfig;
 use wsmed_store::{ColumnData, Tuple, Value};
 
-/// Command-line options shared by all harness binaries.
+/// Command-line options shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// Wall seconds per model second.
@@ -32,21 +35,8 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--scale <f>`, `--full`, `--small` and `--verbose` from argv,
-    /// with defaults per binary. On bad input prints the problem and the
-    /// usage line, then exits with status 2.
-    pub fn parse(default_scale: f64, default_full: bool) -> Self {
-        Self::parse_from(std::env::args().skip(1), default_scale, default_full).unwrap_or_else(
-            |problem| {
-                eprintln!("{problem}");
-                eprintln!("usage: [--scale <wall-per-model-sec>] [--full|--small] [--verbose]");
-                std::process::exit(2);
-            },
-        )
-    }
-
-    /// [`HarnessOpts::parse`] over explicit arguments; `Err` says what is
-    /// wrong with them.
+    /// Parses `--scale <f>`, `--full`, `--small` and `--verbose` over the
+    /// given defaults; `Err` says what is wrong with the arguments.
     pub fn parse_from(
         args: impl IntoIterator<Item = String>,
         default_scale: f64,
@@ -63,11 +53,7 @@ impl HarnessOpts {
                 "--scale" => {
                     let v = args.next().ok_or("--scale needs a value")?;
                     // 0 is valid: it runs unpaced.
-                    opts.scale = v
-                        .parse()
-                        .ok()
-                        .filter(|scale: &f64| scale.is_finite() && *scale >= 0.0)
-                        .ok_or_else(|| format!("--scale must be a finite number ≥ 0, got {v:?}"))?;
+                    opts.scale = parse_time_scale(&v).map_err(|e| format!("--scale: {e}"))?;
                 }
                 "--full" => opts.full = true,
                 "--small" => opts.full = false,
@@ -76,6 +62,16 @@ impl HarnessOpts {
             }
         }
         Ok(opts)
+    }
+
+    /// Exits with status 2 at `--scale 0`, for an experiment whose claims
+    /// are about model seconds: unpaced, wall ÷ scale measures nothing, so
+    /// the claim could only be skipped, never checked.
+    pub fn require_model_time(&self) {
+        if self.scale == 0.0 {
+            eprintln!("--scale 0 is unpaced: this experiment's claims are about model time");
+            std::process::exit(2);
+        }
     }
 
     /// The dataset configuration this run uses.
@@ -95,15 +91,16 @@ impl HarnessOpts {
 
 /// Outcome of one timed execution, in model seconds.
 #[derive(Debug, Clone)]
-pub struct Timed {
+pub struct Timed<R = ExecutionReport> {
     /// Model seconds ( = wall / scale ).
     pub model_secs: f64,
-    /// The execution report.
-    pub report: ExecutionReport,
+    /// What the execution returned: its report, or e.g. the rows of a
+    /// materialized run.
+    pub report: R,
 }
 
 /// Runs a closure and converts its wall time to model seconds.
-pub fn timed(scale: f64, run: impl FnOnce() -> wsmed_core::CoreResult<ExecutionReport>) -> Timed {
+pub fn timed<R>(scale: f64, run: impl FnOnce() -> wsmed_core::CoreResult<R>) -> Timed<R> {
     let t0 = Instant::now();
     let report = run().expect("query execution failed");
     let model_secs = t0.elapsed().as_secs_f64() / scale;
@@ -140,6 +137,16 @@ pub fn csv_row(file: &mut fs::File, row: &str) {
     writeln!(file, "{row}").expect("write CSV row");
 }
 
+/// Writes `contents` to `target/experiments/<name>` (creating directories)
+/// and returns its path.
+pub fn write_experiment_file(name: &str, contents: &str) -> PathBuf {
+    let path = PathBuf::from("target/experiments").join(name);
+    fs::create_dir_all(path.parent().expect("under target/experiments"))
+        .expect("create experiments dir");
+    fs::write(&path, contents).expect("write experiment output");
+    path
+}
+
 // ---- machine-readable benchmark summary -------------------------------
 
 /// Formats a float as a JSON number, mapping non-finite values (e.g. model
@@ -152,25 +159,20 @@ pub fn json_num(v: f64) -> String {
     }
 }
 
-/// Writes one named section of `target/experiments/BENCH_wire.json` and
-/// returns the merged summary's path.
-///
-/// `body` must be a complete JSON value. Each writer drops a fragment under
-/// `target/experiments/bench_json/` and the merged summary is regenerated
-/// from every fragment present, so independent binaries (the wire benches,
-/// the ablation harnesses) contribute sections without clobbering each
-/// other across runs.
-pub fn bench_json_section(section: &str, body: &str) -> PathBuf {
-    bench_json_file("BENCH_wire.json", section, body)
-}
-
 /// The one shared emission path for `BENCH_*.json` summaries: wraps `body`
 /// in the common section schema — section name, the model-time `scale` the
 /// measurement ran at (`None` → `null` for wall-clock-only benches), and
 /// the payload under `"data"` — then merges it into `out_name`, whose
 /// `_meta` header carries the schema version, a run id, and the section
-/// list. Every harness binary and bench writes through here so downstream
+/// list. Every experiment and bench writes through here so downstream
 /// tooling can parse any `BENCH_*.json` the same way.
+///
+/// `body` must be a complete JSON value. The section is dropped as a
+/// fragment under `target/experiments/bench_json_<stem>/` and the summary
+/// is regenerated from every fragment present, so independent runs (the
+/// wire benches, the experiments) contribute sections without clobbering
+/// each other, and different output files never absorb each other's
+/// fragments. Returns the merged summary's path.
 pub fn emit_bench_section(
     out_name: &str,
     section: &str,
@@ -182,25 +184,9 @@ pub fn emit_bench_section(
         "{{\"section\": \"{section}\", \"scale\": {scale_json}, \"data\": {}}}",
         body.trim()
     );
-    bench_json_file(out_name, section, &wrapped)
-}
-
-/// Writes one named section of `target/experiments/<out_name>` and returns
-/// the merged summary's path. Sections of different output files keep
-/// separate fragment directories, so e.g. `BENCH_multiquery.json` never
-/// absorbs wire-bench fragments (or vice versa).
-pub fn bench_json_file(out_name: &str, section: &str, body: &str) -> PathBuf {
-    // The wire summary predates multi-file output and keeps its original
-    // flat fragment directory.
-    let dir = if out_name == "BENCH_wire.json" {
-        PathBuf::from("target/experiments/bench_json")
-    } else {
-        let stem = out_name.strip_suffix(".json").unwrap_or(out_name);
-        PathBuf::from(format!("target/experiments/bench_json_{stem}"))
-    };
-    fs::create_dir_all(&dir).expect("create bench_json dir");
-    fs::write(dir.join(format!("{section}.json")), body).expect("write bench_json fragment");
-    merge_bench_json(&dir, out_name)
+    let stem = out_name.strip_suffix(".json").unwrap_or(out_name);
+    let fragment = write_experiment_file(&format!("bench_json_{stem}/{section}.json"), &wrapped);
+    merge_bench_json(fragment.parent().expect("fragment dir"), out_name)
 }
 
 /// Rebuilds `<out_name>` from every fragment in `dir`, sections sorted
@@ -246,9 +232,7 @@ fn merge_bench_json(dir: &std::path::Path, out_name: &str) -> PathBuf {
         doc.push_str(&format!("  \"{name}\": {}", body.trim()));
     }
     doc.push_str("\n}\n");
-    let out = PathBuf::from("target/experiments").join(out_name);
-    fs::write(&out, &doc).expect("write merged bench JSON");
-    out
+    write_experiment_file(out_name, &doc)
 }
 
 // ---- row-vs-columnar wire micro-measurements ---------------------------
@@ -512,15 +496,8 @@ mod tests {
 
     #[test]
     fn opts_reject_bad_input_without_panicking() {
-        for bad in [
-            &["--scale"][..],
-            &["--scale", "garbage"],
-            &["--scale", "-1"],
-            &["--scale", "NaN"],
-            &["--scale", "inf"],
-            &["--scale", "--full"],
-            &["--fast"],
-        ] {
+        // Bad scale values are `wsmed_netsim::parse_time_scale`'s tests.
+        for bad in [&["--scale"][..], &["--scale", "--full"], &["--fast"]] {
             assert!(parse(bad).is_err(), "{bad:?} was accepted");
         }
     }
@@ -545,18 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_merges_sections_sorted() {
-        let out = bench_json_section("zz_selftest", "{\"a\": 1}");
-        bench_json_section("aa_selftest", "[1, 2]");
-        let doc = std::fs::read_to_string(&out).unwrap();
-        let aa = doc.find("\"aa_selftest\": [1, 2]").expect("aa section");
-        let zz = doc.find("\"zz_selftest\": {\"a\": 1}").expect("zz section");
-        assert!(aa < zz, "sections must be sorted by name");
-        assert!(doc.starts_with("{\n") && doc.ends_with("\n}\n"));
-    }
-
-    #[test]
     fn emit_bench_section_wraps_shared_schema() {
+        // Fragments of earlier runs would show up in the section list.
+        let _ = std::fs::remove_dir_all("target/experiments/bench_json_BENCH_selftest");
         let out = emit_bench_section("BENCH_selftest.json", "unit", Some(0.5), "{\"x\": 1}");
         let doc = std::fs::read_to_string(&out).unwrap();
         assert!(doc.contains("\"_meta\": {\"schema\": \"wsmed-bench/v1\", \"run_id\": \""));
@@ -566,6 +534,14 @@ mod tests {
         let doc2 = std::fs::read_to_string(&out2).unwrap();
         assert!(doc2.contains("\"scale\": null"));
         assert!(doc2.contains("\"sections\": [\"unit\", \"wall\"]"));
+        // Written last, merged first: sections are sorted by name.
+        let out3 = emit_bench_section("BENCH_selftest.json", "aa", None, "[1, 2]");
+        let doc3 = std::fs::read_to_string(&out3).unwrap();
+        assert!(doc3.contains("\"sections\": [\"aa\", \"unit\", \"wall\"]"));
+        let aa = doc3.find("\"aa\": {").expect("aa section");
+        let unit = doc3.find("\"unit\": {").expect("unit section");
+        assert!(aa < unit, "sections must be sorted by name");
+        assert!(doc3.starts_with("{\n") && doc3.ends_with("\n}\n"));
     }
 
     #[test]

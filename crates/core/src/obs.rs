@@ -981,7 +981,7 @@ fn parse_kind(name: &str, map: &HashMap<String, Scalar>) -> Result<TraceEventKin
 }
 
 /// Parses and validates a JSONL export in one step; returns parse errors
-/// as a single violation. Used by `trace_export --check` and the CI smoke.
+/// as a single violation. Used by `wsmed-bench check-trace` and the CI smoke.
 pub fn validate_jsonl(text: &str) -> Vec<String> {
     match parse_jsonl(text) {
         Ok(events) => validate(&events),

@@ -107,6 +107,21 @@ impl SimConfig {
     }
 }
 
+/// Parses a [`SimConfig::time_scale`]: a finite number ≥ 0 (0 runs
+/// unpaced). Every command line that sets the scale goes through here, so
+/// none of them accepts a value that `sleep_model` or a load injector
+/// cannot pace.
+pub fn parse_time_scale(text: &str) -> Result<f64, String> {
+    text.parse()
+        .ok()
+        .filter(|scale: &f64| scale.is_finite() && *scale >= 0.0)
+        // `abs` only turns -0 into 0.
+        .map(f64::abs)
+        .ok_or_else(|| {
+            format!("time scale must be a finite number ≥ 0 (wall s per model s), got {text:?}")
+        })
+}
+
 /// Client-side overheads of the WSMED query-process runtime, in model
 /// seconds. The paper ran on a single-core 3 GHz Pentium 4, where starting
 /// query processes and dispatching messages had real costs; these constants
@@ -173,6 +188,16 @@ mod tests {
         cfg.sleep_model(20.0); // 20 model seconds at 1/1000 = 20ms
         let dt = t0.elapsed();
         assert!(dt >= Duration::from_millis(18), "slept only {dt:?}");
+    }
+
+    #[test]
+    fn time_scale_is_finite_and_non_negative() {
+        for bad in ["", "abc", "-1", "NaN", "inf"] {
+            assert!(parse_time_scale(bad).is_err(), "{bad:?} was accepted");
+        }
+        assert_eq!(parse_time_scale("0"), Ok(0.0));
+        assert!(parse_time_scale("-0").unwrap().is_sign_positive());
+        assert_eq!(parse_time_scale("1e-3"), Ok(0.001));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::io::{BufRead, Write};
 
 use wsmed::core::{paper, AdaptiveConfig, ExecutionReport, FanoutVector, RouterPolicy};
-use wsmed::netsim::{FaultSpec, ProviderSpec, TopologyAction, TopologyScenario};
+use wsmed::netsim::{parse_time_scale, FaultSpec, ProviderSpec, TopologyAction, TopologyScenario};
 use wsmed::services::{calibration, DatasetConfig};
 
 /// How queries are executed.
@@ -41,25 +41,28 @@ struct Shell {
     last_trace: Option<std::sync::Arc<wsmed::core::TraceLog>>,
 }
 
-fn main() {
-    let mut scale = 0.002;
-    let mut dataset_name = "small".to_owned();
-    let mut args = std::env::args().skip(1);
+/// Parses `[--scale <f>] [--dataset <name>]` into `(scale, dataset name)`.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(f64, String), String> {
+    let (mut scale, mut dataset_name) = (0.002, "small".to_owned());
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a float")
+                let v = args.next().ok_or("--scale needs a value")?;
+                scale = parse_time_scale(&v).map_err(|problem| format!("--scale: {problem}"))?;
             }
-            "--dataset" => dataset_name = args.next().expect("--dataset needs a name"),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            "--dataset" => dataset_name = args.next().ok_or("--dataset needs a name")?,
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    Ok((scale, dataset_name))
+}
+
+fn main() {
+    let (scale, dataset_name) = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| {
+        eprintln!("{problem}");
+        std::process::exit(2);
+    });
 
     let mut shell = Shell::new(scale, dataset_name);
     println!("WSMED interactive shell — type `help` for commands, `quit` to exit.");
@@ -294,13 +297,15 @@ impl Shell {
     }
 
     fn cmd_scale(&mut self, line: &str) {
-        match line["scale".len()..].trim().parse::<f64>() {
-            Ok(scale) if scale >= 0.0 => {
+        match parse_time_scale(line["scale".len()..].trim()) {
+            Ok(scale) => {
                 self.scale = scale;
                 self.setup = paper::setup(scale, dataset_by_name(&self.dataset_name));
                 println!("rebuilt world at scale {scale}");
             }
-            _ => println!("usage: scale <wall-seconds-per-model-second>"),
+            Err(problem) => {
+                println!("{problem}\nusage: scale <wall-seconds-per-model-second>")
+            }
         }
     }
 
@@ -1252,6 +1257,28 @@ mod tests {
         assert!(parse_mode("mode parallel x,y").is_err());
         assert!(parse_mode("mode warp").is_err());
         assert!(parse_mode("mode adaptive q=1").is_err());
+    }
+
+    #[test]
+    fn shell_refuses_time_scales_it_cannot_pace() {
+        let args = |a: &[&str]| parse_args(a.iter().map(|s| (*s).to_owned()));
+        assert_eq!(args(&[]), Ok((0.002, "small".to_owned())));
+        assert_eq!(
+            args(&["--scale", "0", "--dataset", "tiny"]),
+            Ok((0.0, "tiny".to_owned()))
+        );
+        for bad in [
+            &["--scale"][..],
+            &["--scale", "-1"],
+            &["--dataset"],
+            &["-x"],
+        ] {
+            assert!(args(bad).is_err(), "{bad:?} was accepted");
+        }
+        let mut shell = Shell::new(0.0, "tiny".into());
+        assert!(shell.dispatch("scale inf"));
+        assert!(shell.dispatch("scale -1"));
+        assert_eq!(shell.scale, 0.0);
     }
 
     #[test]
