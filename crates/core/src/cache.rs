@@ -295,25 +295,29 @@ impl<V: Clone> Latch<V> {
 
     /// Blocks until the leader settles; `None` means aborted (or the
     /// leader vanished past the timeout) — the waiter retries itself.
+    /// Inside a query process the wait is a blocking section, so the
+    /// leader, wherever it runs, is never queued behind its waiters.
     fn wait(&self) -> Option<V> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let deadline = Instant::now() + WAIT_TIMEOUT;
-        loop {
-            match &*state {
-                FlightState::Done(v) => return Some(v.clone()),
-                FlightState::Aborted => return None,
-                FlightState::Pending => {}
+        crate::exec::blocking(|| {
+            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let deadline = Instant::now() + WAIT_TIMEOUT;
+            loop {
+                match &*state {
+                    FlightState::Done(v) => return Some(v.clone()),
+                    FlightState::Aborted => return None,
+                    FlightState::Pending => {}
+                }
+                let timeout = deadline.saturating_duration_since(Instant::now());
+                if timeout.is_zero() {
+                    return None;
+                }
+                let (guard, _) = self
+                    .cv
+                    .wait_timeout(state, timeout)
+                    .unwrap_or_else(|e| e.into_inner());
+                state = guard;
             }
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            if timeout.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
+        })
     }
 }
 

@@ -1,13 +1,15 @@
 //! Plan execution: the coordinator-side interpreter plus the query-process
 //! runtime for `FF_APPLYP` / `AFF_APPLYP`.
 
+mod mailbox;
 mod parallel_op;
 pub mod pool;
 mod process;
+mod runtime;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use wsmed_netsim::SimConfig;
 use wsmed_store::{FunctionRegistry, Tuple, Value};
@@ -23,11 +25,18 @@ use crate::resilience::{
     self, BreakerPolicy, FailureMode, ResilienceCollector, ResiliencePolicy, Transition,
 };
 use crate::router::{GroupView, Router, RouterCollector};
-use crate::stats::{ExecutionReport, TreeRegistry};
+use crate::stats::{ExecutionReport, TreeRegistry, TreeSnapshot};
 use crate::transport::{BatchPolicy, DispatchPolicy, WsTransport};
 use crate::{CoreError, CoreResult};
 
-pub(crate) use parallel_op::ParallelApply;
+use parallel_op::ParallelApply;
+use process::SpawnCounts;
+pub use runtime::blocking;
+
+/// How long the coordinator waits without any wake-up before declaring the
+/// process tree wedged. Generously above any modeled latency at the time
+/// scales used in tests and benches.
+const WEDGE_PATIENCE: Duration = Duration::from_secs(120);
 
 /// Identity of the query process executing a plan fragment.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +94,8 @@ pub struct ExecContext {
     kill_child_countdown: AtomicU64,
     /// Parameter tuples dropped parent-side by semi-join pruning.
     pruned_params: AtomicU64,
+    /// The processes this run spawned cold, installing and running.
+    spawn_counts: Arc<SpawnCounts>,
 }
 
 impl ExecContext {
@@ -118,6 +129,7 @@ impl ExecContext {
             ws_bytes: AtomicU64::new(0),
             kill_child_countdown: AtomicU64::new(cfg.kill_child_after_eocs),
             pruned_params: AtomicU64::new(0),
+            spawn_counts: Arc::default(),
             cfg,
         })
     }
@@ -135,6 +147,11 @@ impl ExecContext {
     /// The live process-tree registry of this run.
     pub(crate) fn tree(&self) -> &Arc<TreeRegistry> {
         &self.tree
+    }
+
+    /// The processes this run spawned cold.
+    pub(crate) fn spawn_counts(&self) -> &Arc<SpawnCounts> {
+        &self.spawn_counts
     }
 
     /// The query-level failure mode.
@@ -598,62 +615,66 @@ impl ExecContext {
         };
         let settled = AtomicBool::new(false);
         let binding = obs::current_proc();
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            {
-                let settled = &settled;
-                let binding = &binding;
-                scope.spawn(move || {
-                    self.sim.sleep_model(hedge.delay_model_secs);
-                    if settled.load(Ordering::Acquire) {
-                        // Primary already finished; no backup call.
-                        let _ = tx.send(None);
-                        return;
-                    }
-                    // Attribute the hedge's trace events (and its WsCall)
-                    // to the same process-tree node as the primary.
-                    obs::set_current_proc(binding.0, binding.1, Arc::clone(&binding.2));
-                    self.res_stats.note_hedge_launched();
-                    if hedge_replica.is_some() {
-                        self.router_stats.note_hedge_reroute();
-                    }
-                    if self.tracing() {
-                        self.trace_here(TraceEventKind::HedgeLaunch {
-                            op: owf.operation.clone(),
-                        });
-                    }
-                    let _ = tx.send(Some(self.transport_call(
-                        owf,
-                        args,
-                        deadline,
-                        hedge_replica.or(replica),
-                    )));
-                });
-            }
-            let primary = self.transport_call(owf, args, deadline, replica);
-            settled.store(true, Ordering::Release);
-            if primary.is_ok() {
-                // The hedge either never launches (it sees `settled`) or
-                // loses; either way its value is discarded un-cached.
-                return primary;
-            }
-            // Primary failed: wait for the hedge's verdict. The hedge
-            // call is bounded by the same deadline, so this cannot wait
-            // longer than one call.
-            match rx.recv() {
-                Ok(Some(Ok(value))) => {
-                    self.res_stats.note_hedge_win();
-                    if self.tracing() {
-                        self.trace_here(TraceEventKind::HedgeWin {
-                            op: owf.operation.clone(),
-                        });
-                    }
-                    Ok(value)
+        // The hedge waits out its delay on a thread of its own while this
+        // one makes the primary call: one blocking section for both.
+        runtime::blocking(|| {
+            std::thread::scope(|scope| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                {
+                    let settled = &settled;
+                    let binding = &binding;
+                    scope.spawn(move || {
+                        self.sim.sleep_model(hedge.delay_model_secs);
+                        if settled.load(Ordering::Acquire) {
+                            // Primary already finished; no backup call.
+                            let _ = tx.send(None);
+                            return;
+                        }
+                        // Attribute the hedge's trace events (and its WsCall)
+                        // to the same process-tree node as the primary.
+                        obs::set_current_proc(binding.0, binding.1, Arc::clone(&binding.2));
+                        self.res_stats.note_hedge_launched();
+                        if hedge_replica.is_some() {
+                            self.router_stats.note_hedge_reroute();
+                        }
+                        if self.tracing() {
+                            self.trace_here(TraceEventKind::HedgeLaunch {
+                                op: owf.operation.clone(),
+                            });
+                        }
+                        let _ = tx.send(Some(self.transport_call(
+                            owf,
+                            args,
+                            deadline,
+                            hedge_replica.or(replica),
+                        )));
+                    });
                 }
-                // Hedge skipped, failed too, or died: report the
-                // primary's error.
-                _ => primary,
-            }
+                let primary = self.transport_call(owf, args, deadline, replica);
+                settled.store(true, Ordering::Release);
+                if primary.is_ok() {
+                    // The hedge either never launches (it sees `settled`) or
+                    // loses; either way its value is discarded un-cached.
+                    return primary;
+                }
+                // Primary failed: wait for the hedge's verdict. The hedge
+                // call is bounded by the same deadline, so this cannot wait
+                // longer than one call.
+                match rx.recv() {
+                    Ok(Some(Ok(value))) => {
+                        self.res_stats.note_hedge_win();
+                        if self.tracing() {
+                            self.trace_here(TraceEventKind::HedgeWin {
+                                op: owf.operation.clone(),
+                            });
+                        }
+                        Ok(value)
+                    }
+                    // Hedge skipped, failed too, or died: report the
+                    // primary's error.
+                    _ => primary,
+                }
+            })
         })
     }
 
@@ -705,30 +726,14 @@ impl ExecContext {
         breakers.begin_run();
         obs::set_current_proc(0, 0, Arc::from(""));
 
-        let env = ProcEnv { id: 0, level: 0 };
-        self.trace_here(TraceEventKind::RunStart);
-        let (result, snapshot) = match compile(self, &env, &plan.root) {
-            Ok(mut root) => {
-                let result = eval(&mut root, self, &Tuple::empty());
-                let snapshot = tree.snapshot(); // before teardown: the final shape
-                self.trace_here(TraceEventKind::RunEnd {
-                    ok: result.is_ok(),
-                    rows: result.as_ref().map_or(0, |r| r.len() as u64),
-                });
-                if result.is_ok() && pool.is_some() {
-                    // Park idle children warm instead of joining them;
-                    // whatever cannot be parked (busy, failed, over
-                    // bounds) is torn down by the drop below.
-                    park_tree(&mut root, self);
-                }
-                drop(root); // tears down whatever was not parked
-                (result, snapshot)
-            }
-            Err(e) => {
-                self.trace_here(TraceEventKind::RunEnd { ok: false, rows: 0 });
-                (Err(e), tree.snapshot())
-            }
-        };
+        let coordinator = self.coordinate(plan, pool.is_some());
+        let (result, snapshot) = runtime::block_on_watched(coordinator, WEDGE_PATIENCE)
+            .unwrap_or_else(|| {
+                let wedged = CoreError::ProcessFailure(format!(
+                    "the process tree made no progress for {WEDGE_PATIENCE:?}"
+                ));
+                (Err(wedged), tree.snapshot())
+            });
         // Leave the shared infrastructure's busy period (mirror of the
         // begin_run calls above), on success and failure alike.
         if let Some(cache) = cache {
@@ -770,6 +775,40 @@ impl ExecContext {
             tree: snapshot,
             trace: self.trace.clone(),
         })
+    }
+
+    /// The coordinator q0: compiles the plan (spawning the first tree
+    /// level), evaluates it, takes the tree's final snapshot and tears the
+    /// tree down again, parking into the pool what it keeps. When this
+    /// returns, every process the run spawned has ended or is parked.
+    async fn coordinate(
+        self: &Arc<Self>,
+        plan: &QueryPlan,
+        pooled: bool,
+    ) -> (CoreResult<Vec<Tuple>>, TreeSnapshot) {
+        let env = ProcEnv { id: 0, level: 0 };
+        self.trace_here(TraceEventKind::RunStart);
+        let (result, root) = match compile(self, &env, &plan.root).await {
+            Ok(mut root) => (eval(&mut root, self, &Tuple::empty()).await, Some(root)),
+            Err(e) => (Err(e), None),
+        };
+        // The final shape: a process still installing has not spawned its
+        // own children yet, so the snapshot waits for every install.
+        self.spawn_counts.installs_settled().await;
+        let snapshot = self.tree.snapshot();
+        self.trace_here(TraceEventKind::RunEnd {
+            ok: result.is_ok(),
+            rows: result.as_ref().map_or(0, |r| r.len() as u64),
+        });
+        if let Some(mut root) = root {
+            if result.is_ok() && pooled {
+                // Park idle children warm instead of ending them; whatever
+                // cannot be parked (busy, failed, over bounds) ends below.
+                root.park(self).await;
+            }
+            root.shutdown().await;
+        }
+        (result, snapshot)
     }
 }
 
@@ -815,332 +854,307 @@ impl std::fmt::Debug for ExecContext {
     }
 }
 
-/// Walks a compiled tree parking every parallel operator's idle children
-/// into the warm process pool (end of a successful run).
-fn park_tree(node: &mut ExecNode, ctx: &Arc<ExecContext>) {
-    match node {
-        ExecNode::Unit | ExecNode::Param => {}
-        ExecNode::ApplyOwf { input, .. }
-        | ExecNode::ApplyFunction { input, .. }
-        | ExecNode::Extend { input, .. }
-        | ExecNode::Project { input, .. }
-        | ExecNode::Sort { input, .. }
-        | ExecNode::Distinct { input }
-        | ExecNode::Limit { input, .. }
-        | ExecNode::Count { input }
-        | ExecNode::GroupBy { input, .. } => park_tree(input, ctx),
-        ExecNode::Parallel { op, input } => {
-            op.park_children(ctx);
-            park_tree(input, ctx);
-        }
-    }
+/// A compiled plan fragment. Every plan operator but a leaf has exactly
+/// one input, so a fragment is a pipeline: a leaf row (the unit tuple, or
+/// the parameter tuple of a plan function) and the stages applied to it in
+/// turn, each to the whole row bag of the one below. `FF_APPLYP`/`AFF_APPLYP`
+/// stages own live child processes that persist across calls of the
+/// enclosing plan function — the process tree is built once, then parameter
+/// tuples stream through it.
+pub(crate) struct Pipeline {
+    /// The leaf is the parameter tuple rather than the unit tuple.
+    from_param: bool,
+    /// Root first, as the plan nests them; evaluation runs them backwards.
+    stages: Vec<Stage>,
 }
 
-/// Walks a compiled subtree clearing per-run state (park-time `Reset`
-/// inside a warm child: adaptation counters here, forwarded `Reset`
-/// messages to the subtree's own children).
-pub(crate) fn reset_subtree(node: &mut ExecNode) {
-    match node {
-        ExecNode::Unit | ExecNode::Param => {}
-        ExecNode::ApplyOwf { input, .. }
-        | ExecNode::ApplyFunction { input, .. }
-        | ExecNode::Extend { input, .. }
-        | ExecNode::Project { input, .. }
-        | ExecNode::Sort { input, .. }
-        | ExecNode::Distinct { input }
-        | ExecNode::Limit { input, .. }
-        | ExecNode::Count { input }
-        | ExecNode::GroupBy { input, .. } => reset_subtree(input),
-        ExecNode::Parallel { op, input } => {
-            op.reset_children();
-            reset_subtree(input);
-        }
-    }
-}
-
-/// Walks a compiled subtree re-registering every live process of a warm
-/// tree into the new run's tree registry (attach-time walk inside a warm
-/// child, forwarded recursively). `env` is the hosting process's identity
-/// in the *new* run — a warm tree may be re-homed into a different
-/// execution context with freshly allocated process ids.
-pub(crate) fn reattach_subtree(node: &mut ExecNode, ctx: &Arc<ExecContext>, env: &ProcEnv) {
-    match node {
-        ExecNode::Unit | ExecNode::Param => {}
-        ExecNode::ApplyOwf { input, .. }
-        | ExecNode::ApplyFunction { input, .. }
-        | ExecNode::Extend { input, .. }
-        | ExecNode::Project { input, .. }
-        | ExecNode::Sort { input, .. }
-        | ExecNode::Distinct { input }
-        | ExecNode::Limit { input, .. }
-        | ExecNode::Count { input }
-        | ExecNode::GroupBy { input, .. } => reattach_subtree(input, ctx, env),
-        ExecNode::Parallel { op, input } => {
-            op.reattach_children(ctx, env);
-            reattach_subtree(input, ctx, env);
-        }
-    }
-}
-
-/// A compiled, stateful operator tree. `FF_APPLYP`/`AFF_APPLYP` nodes own
-/// live child processes that persist across calls of the enclosing plan
-/// function — the process tree is built once, then parameter tuples stream
-/// through it.
-pub(crate) enum ExecNode {
-    Unit,
-    Param,
+enum Stage {
     ApplyOwf {
         owf: OwfDef,
         args: Vec<ArgExpr>,
-        input: Box<ExecNode>,
     },
     ApplyFunction {
         function: String,
         args: Vec<ArgExpr>,
-        input: Box<ExecNode>,
     },
     Extend {
         exprs: Vec<ArgExpr>,
-        input: Box<ExecNode>,
     },
     Project {
         columns: Vec<usize>,
-        input: Box<ExecNode>,
     },
     Sort {
         keys: Vec<(usize, bool)>,
-        input: Box<ExecNode>,
     },
-    Distinct {
-        input: Box<ExecNode>,
-    },
+    Distinct,
     Limit {
         count: usize,
-        input: Box<ExecNode>,
     },
-    Count {
-        input: Box<ExecNode>,
-    },
+    Count,
     GroupBy {
         key_count: usize,
         aggs: Vec<(wsmed_sql::AggFunc, Option<usize>)>,
-        input: Box<ExecNode>,
     },
-    Parallel {
-        op: ParallelApply,
-        input: Box<ExecNode>,
-    },
+    Parallel(ParallelApply),
 }
 
-/// Compiles a plan into an executable node tree, spawning the child
-/// processes of any parallel operators (plan functions are shipped at
-/// compile time, before execution — §III).
-pub(crate) fn compile(ctx: &Arc<ExecContext>, env: &ProcEnv, op: &PlanOp) -> CoreResult<ExecNode> {
-    Ok(match op {
-        PlanOp::Unit => ExecNode::Unit,
-        PlanOp::Param { .. } => ExecNode::Param,
-        PlanOp::ApplyOwf {
-            owf,
-            args,
-            output_arity,
-            input,
-        } => {
-            let def = ctx.owfs.get(owf)?.clone();
-            if def.columns.len() != *output_arity {
-                return Err(CoreError::InvalidPlan(format!(
-                    "OWF {owf} output arity mismatch: plan says {output_arity}, OWF has {}",
-                    def.columns.len()
-                )));
-            }
-            ExecNode::ApplyOwf {
-                owf: def,
-                args: args.clone(),
-                input: Box::new(compile(ctx, env, input)?),
-            }
+impl Pipeline {
+    fn parallel_ops(&mut self) -> impl Iterator<Item = &mut ParallelApply> {
+        self.stages.iter_mut().filter_map(|stage| match stage {
+            Stage::Parallel(op) => Some(op),
+            _ => None,
+        })
+    }
+
+    /// Parks every parallel operator's idle children into the warm process
+    /// pool (end of a successful run).
+    async fn park(&mut self, ctx: &Arc<ExecContext>) {
+        for op in self.parallel_ops() {
+            op.park_children(ctx).await;
         }
-        PlanOp::ApplyFunction {
-            function,
-            args,
-            output_arity,
-            input,
-        } => {
-            let sig = builtin_functions().signature(function)?;
-            if sig.outputs.len() != *output_arity {
-                return Err(CoreError::InvalidPlan(format!(
-                    "function {function} output arity mismatch: plan says {output_arity}, \
-                     signature has {}",
-                    sig.outputs.len()
-                )));
-            }
-            ExecNode::ApplyFunction {
-                function: function.clone(),
-                args: args.clone(),
-                input: Box::new(compile(ctx, env, input)?),
-            }
+    }
+
+    /// Clears per-run state (park-time `Reset` inside a warm child:
+    /// adaptation counters here, forwarded `Reset` messages to the
+    /// subtree's own children).
+    pub(crate) async fn reset(&mut self) {
+        for op in self.parallel_ops() {
+            op.reset_children().await;
         }
-        PlanOp::Extend { exprs, input } => ExecNode::Extend {
-            exprs: exprs.clone(),
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::Project { columns, input } => ExecNode::Project {
-            columns: columns.clone(),
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::Sort { keys, input } => ExecNode::Sort {
-            keys: keys.clone(),
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::Distinct { input } => ExecNode::Distinct {
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::Limit { count, input } => ExecNode::Limit {
-            count: *count,
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::Count { input } => ExecNode::Count {
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::GroupBy {
-            key_count,
-            aggs,
-            input,
-        } => ExecNode::GroupBy {
-            key_count: *key_count,
-            aggs: aggs.clone(),
-            input: Box::new(compile(ctx, env, input)?),
-        },
-        PlanOp::FfApply { pf, fanout, input } => {
-            if *fanout == 0 {
-                return Err(CoreError::InvalidPlan(format!(
-                    "FF_APPLYP of {} has fanout 0 (merge the section instead)",
-                    pf.name
-                )));
-            }
-            let op = ParallelApply::fixed(ctx, env, pf, *fanout)?;
-            ExecNode::Parallel {
-                op,
-                input: Box::new(compile(ctx, env, input)?),
-            }
+    }
+
+    /// Re-registers every live process of a warm subtree into the new
+    /// run's tree registry (attach-time walk inside a warm child, forwarded
+    /// recursively). `env` is the hosting process's identity in the *new*
+    /// run — a warm tree may be re-homed into a different execution context
+    /// with freshly allocated process ids.
+    pub(crate) async fn reattach(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
+        for op in self.parallel_ops() {
+            op.reattach_children(ctx, env).await;
         }
-        PlanOp::AffApply { pf, config, input } => {
-            let op = ParallelApply::adaptive(ctx, env, pf, config.clone())?;
-            ExecNode::Parallel {
-                op,
-                input: Box::new(compile(ctx, env, input)?),
-            }
+    }
+
+    /// Ends every child process of the fragment and waits for their
+    /// subtrees to finish.
+    pub(crate) async fn shutdown(&mut self) {
+        for op in self.parallel_ops() {
+            op.shutdown().await;
         }
-    })
+    }
+
+    /// Appends the stages of `op`'s chain down to its leaf, spawning the
+    /// child processes of any parallel operators (plan functions are
+    /// shipped at compile time, before execution — §III).
+    async fn build(
+        &mut self,
+        ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
+        mut op: &PlanOp,
+    ) -> CoreResult<()> {
+        loop {
+            let (stage, input) = match op {
+                PlanOp::Unit => return Ok(()),
+                PlanOp::Param { .. } => {
+                    self.from_param = true;
+                    return Ok(());
+                }
+                PlanOp::ApplyOwf {
+                    owf,
+                    args,
+                    output_arity,
+                    input,
+                } => {
+                    let def = ctx.owfs.get(owf)?.clone();
+                    if def.columns.len() != *output_arity {
+                        return Err(CoreError::InvalidPlan(format!(
+                            "OWF {owf} output arity mismatch: plan says {output_arity}, OWF has {}",
+                            def.columns.len()
+                        )));
+                    }
+                    let stage = Stage::ApplyOwf {
+                        owf: def,
+                        args: args.clone(),
+                    };
+                    (stage, input)
+                }
+                PlanOp::ApplyFunction {
+                    function,
+                    args,
+                    output_arity,
+                    input,
+                } => {
+                    let sig = builtin_functions().signature(function)?;
+                    if sig.outputs.len() != *output_arity {
+                        return Err(CoreError::InvalidPlan(format!(
+                            "function {function} output arity mismatch: plan says \
+                             {output_arity}, signature has {}",
+                            sig.outputs.len()
+                        )));
+                    }
+                    let stage = Stage::ApplyFunction {
+                        function: function.clone(),
+                        args: args.clone(),
+                    };
+                    (stage, input)
+                }
+                PlanOp::Extend { exprs, input } => (
+                    Stage::Extend {
+                        exprs: exprs.clone(),
+                    },
+                    input,
+                ),
+                PlanOp::Project { columns, input } => (
+                    Stage::Project {
+                        columns: columns.clone(),
+                    },
+                    input,
+                ),
+                PlanOp::Sort { keys, input } => (Stage::Sort { keys: keys.clone() }, input),
+                PlanOp::Distinct { input } => (Stage::Distinct, input),
+                PlanOp::Limit { count, input } => (Stage::Limit { count: *count }, input),
+                PlanOp::Count { input } => (Stage::Count, input),
+                PlanOp::GroupBy {
+                    key_count,
+                    aggs,
+                    input,
+                } => (
+                    Stage::GroupBy {
+                        key_count: *key_count,
+                        aggs: aggs.clone(),
+                    },
+                    input,
+                ),
+                PlanOp::FfApply { pf, fanout, input } => {
+                    if *fanout == 0 {
+                        return Err(CoreError::InvalidPlan(format!(
+                            "FF_APPLYP of {} has fanout 0 (merge the section instead)",
+                            pf.name
+                        )));
+                    }
+                    let op = ParallelApply::fixed(ctx, env, pf, *fanout).await;
+                    (Stage::Parallel(op), input)
+                }
+                PlanOp::AffApply { pf, config, input } => {
+                    let op = ParallelApply::adaptive(ctx, env, pf, config.clone()).await;
+                    (Stage::Parallel(op), input)
+                }
+            };
+            self.stages.push(stage);
+            op = input;
+        }
+    }
 }
 
-/// Evaluates a compiled node for one parameter tuple, producing the full
-/// (materialized) result bag. Within a query process evaluation is
+/// Compiles a plan fragment, spawning the child processes of its parallel
+/// operators. On failure, the processes already spawned are ended first.
+pub(crate) async fn compile(
+    ctx: &Arc<ExecContext>,
+    env: &ProcEnv,
+    op: &PlanOp,
+) -> CoreResult<Pipeline> {
+    let mut pipeline = Pipeline {
+        from_param: false,
+        stages: Vec::new(),
+    };
+    match pipeline.build(ctx, env, op).await {
+        Ok(()) => Ok(pipeline),
+        Err(e) => {
+            pipeline.shutdown().await;
+            Err(e)
+        }
+    }
+}
+
+/// Evaluates a compiled fragment for one parameter tuple, producing the
+/// full (materialized) result bag. Within a query process evaluation is
 /// sequential; parallelism happens across processes.
-pub(crate) fn eval(
-    node: &mut ExecNode,
+pub(crate) async fn eval(
+    pipeline: &mut Pipeline,
     ctx: &Arc<ExecContext>,
     param: &Tuple,
 ) -> CoreResult<Vec<Tuple>> {
-    match node {
-        ExecNode::Unit => Ok(vec![Tuple::empty()]),
-        ExecNode::Param => Ok(vec![param.clone()]),
-        ExecNode::ApplyOwf { owf, args, input } => {
-            let rows = eval(input, ctx, param)?;
-            let rows_in = rows.len() as u64;
-            let partial = ctx.failure_mode() == FailureMode::Partial;
-            let mut out = Vec::new();
-            for row in rows {
-                let values = resolve_args(args, &row);
-                let response = match ctx.call_with_retry(owf, &values) {
-                    Ok(value) => value,
-                    Err(e) if partial && is_skippable(&e) => {
-                        // Degrade instead of aborting: this input row is
-                        // dropped from the result and counted.
-                        ctx.note_param_skip(&owf.name);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                owf.flatten_onto(row.values(), &response, &mut out);
-            }
-            if let Some(obs) = ctx.planner_obs() {
-                obs.observe_op(&owf.name, rows_in, out.len() as u64);
-            }
-            Ok(out)
-        }
-        ExecNode::ApplyFunction {
-            function,
-            args,
-            input,
-        } => {
-            let rows = eval(input, ctx, param)?;
-            let rows_in = rows.len() as u64;
-            let mut out = Vec::new();
-            for row in rows {
-                let values = resolve_args(args, &row);
-                for produced in builtin_functions().apply(function, &values)? {
-                    out.push(row.concat(&produced));
+    let leaf = if pipeline.from_param {
+        param.clone()
+    } else {
+        Tuple::empty()
+    };
+    let mut rows = vec![leaf];
+    for stage in pipeline.stages.iter_mut().rev() {
+        rows = match stage {
+            Stage::ApplyOwf { owf, args } => {
+                let rows_in = rows.len() as u64;
+                let partial = ctx.failure_mode() == FailureMode::Partial;
+                let mut out = Vec::new();
+                for row in rows {
+                    let values = resolve_args(args, &row);
+                    let response = match ctx.call_with_retry(owf, &values) {
+                        Ok(value) => value,
+                        Err(e) if partial && is_skippable(&e) => {
+                            // Degrade instead of aborting: this input row
+                            // is dropped from the result and counted.
+                            ctx.note_param_skip(&owf.name);
+                            continue;
+                        }
+                        Err(e) => return Err(e),
+                    };
+                    owf.flatten_onto(row.values(), &response, &mut out);
                 }
+                if let Some(obs) = ctx.planner_obs() {
+                    obs.observe_op(&owf.name, rows_in, out.len() as u64);
+                }
+                out
             }
-            if let Some(obs) = ctx.planner_obs() {
-                obs.observe_op(function, rows_in, out.len() as u64);
+            Stage::ApplyFunction { function, args } => {
+                let rows_in = rows.len() as u64;
+                let mut out = Vec::new();
+                for row in rows {
+                    let values = resolve_args(args, &row);
+                    for produced in builtin_functions().apply(function, &values)? {
+                        out.push(row.concat(&produced));
+                    }
+                }
+                if let Some(obs) = ctx.planner_obs() {
+                    obs.observe_op(function, rows_in, out.len() as u64);
+                }
+                out
             }
-            Ok(out)
-        }
-        ExecNode::Extend { exprs, input } => {
-            let rows = eval(input, ctx, param)?;
-            Ok(rows
+            Stage::Extend { exprs } => rows
                 .into_iter()
                 .map(|row| {
                     let extra = Tuple::new(resolve_args(exprs, &row));
                     row.concat(&extra)
                 })
-                .collect())
-        }
-        ExecNode::Project { columns, input } => {
-            let rows = eval(input, ctx, param)?;
-            Ok(rows.into_iter().map(|row| row.project(columns)).collect())
-        }
-        ExecNode::Sort { keys, input } => {
-            let mut rows = eval(input, ctx, param)?;
-            rows.sort_by(|a, b| {
-                for &(col, desc) in keys.iter() {
-                    let ord = a.get(col).total_cmp(b.get(col));
-                    if ord != std::cmp::Ordering::Equal {
-                        return if desc { ord.reverse() } else { ord };
+                .collect(),
+            Stage::Project { columns } => {
+                rows.into_iter().map(|row| row.project(columns)).collect()
+            }
+            Stage::Sort { keys } => {
+                rows.sort_by(|a, b| {
+                    for &(col, desc) in keys.iter() {
+                        let ord = a.get(col).total_cmp(b.get(col));
+                        if ord != std::cmp::Ordering::Equal {
+                            return if desc { ord.reverse() } else { ord };
+                        }
                     }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(rows)
-        }
-        ExecNode::Distinct { input } => {
-            let mut rows = eval(input, ctx, param)?;
-            rows.sort_by(|a, b| a.total_cmp(b));
-            rows.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-            Ok(rows)
-        }
-        ExecNode::Limit { count, input } => {
-            let mut rows = eval(input, ctx, param)?;
-            rows.truncate(*count);
-            Ok(rows)
-        }
-        ExecNode::Count { input } => {
-            let rows = eval(input, ctx, param)?;
-            Ok(vec![Tuple::new(vec![Value::Int(rows.len() as i64)])])
-        }
-        ExecNode::GroupBy {
-            key_count,
-            aggs,
-            input,
-        } => {
-            let rows = eval(input, ctx, param)?;
-            group_rows(*key_count, aggs, rows)
-        }
-        ExecNode::Parallel { op, input } => {
-            let params = eval(input, ctx, param)?;
-            op.run(ctx, params)
-        }
+                    std::cmp::Ordering::Equal
+                });
+                rows
+            }
+            Stage::Distinct => {
+                rows.sort_by(|a, b| a.total_cmp(b));
+                rows.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
+                rows
+            }
+            Stage::Limit { count } => {
+                rows.truncate(*count);
+                rows
+            }
+            Stage::Count => vec![Tuple::new(vec![Value::Int(rows.len() as i64)])],
+            Stage::GroupBy { key_count, aggs } => group_rows(*key_count, aggs, rows)?,
+            Stage::Parallel(op) => op.run(ctx, rows).await?,
+        };
     }
+    Ok(rows)
 }
 
 /// Grouped aggregation: sorts by the leading `key_count` columns, then

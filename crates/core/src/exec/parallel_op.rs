@@ -23,11 +23,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
 use wsmed_store::Tuple;
 
 use crate::cache::{self, CacheKey, CallCache};
+use crate::exec::mailbox::{bounded, Receiver, Sender};
+use crate::exec::pool::{Acquired, ProcessPool};
 use crate::exec::process::{ChildProc, FromChild};
 use crate::exec::{ExecContext, ProcEnv};
 use crate::obs::TraceEventKind;
@@ -35,11 +36,6 @@ use crate::plan::{AdaptDecision, AdaptiveConfig, PlanFunction};
 use crate::transport::DispatchPolicy;
 use crate::wire;
 use crate::{CoreError, CoreResult};
-
-/// How long the dispatch loop waits for any child message before declaring
-/// the subtree wedged. Generously above any modeled latency at the time
-/// scales used in tests and benches.
-const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotStatus {
@@ -51,7 +47,8 @@ enum SlotStatus {
     Busy,
     /// Processing a call, marked for removal once it finishes.
     Draining,
-    /// Shut down (dropped by adaptation, parked, or failed).
+    /// Shut down (dropped by adaptation, parked, or failed). A killed
+    /// child keeps its handle here until the operator shuts down.
     Dead,
 }
 
@@ -145,29 +142,26 @@ pub(crate) struct ParallelApply {
     results_rx: Receiver<FromChild>,
     next_call_id: u64,
     adapt: Option<AdaptState>,
-    /// Children shut down without joining (they may be blocked sending
-    /// into `results_rx`); joined at drop, after the receiver is gone.
-    reaping: Vec<ChildProc>,
 }
 
 impl ParallelApply {
     /// `FF_APPLYP`: a fixed fanout, set manually in the plan.
-    pub fn fixed(
+    pub async fn fixed(
         ctx: &Arc<ExecContext>,
         env: &ProcEnv,
         pf: &PlanFunction,
         fanout: usize,
-    ) -> CoreResult<Self> {
-        Self::new(ctx, env, pf, fanout, None)
+    ) -> Self {
+        Self::new(ctx, env, pf, fanout, None).await
     }
 
     /// `AFF_APPLYP`: starts from a binary tree and adapts.
-    pub fn adaptive(
+    pub async fn adaptive(
         ctx: &Arc<ExecContext>,
         env: &ProcEnv,
         pf: &PlanFunction,
         config: AdaptiveConfig,
-    ) -> CoreResult<Self> {
+    ) -> Self {
         let init = config.init_fanout.max(1);
         let adapt = AdaptState {
             config,
@@ -180,16 +174,16 @@ impl ParallelApply {
             converged_t: None,
             cycles: 0,
         };
-        Self::new(ctx, env, pf, init, Some(adapt))
+        Self::new(ctx, env, pf, init, Some(adapt)).await
     }
 
-    fn new(
+    async fn new(
         ctx: &Arc<ExecContext>,
         env: &ProcEnv,
         pf: &PlanFunction,
         fanout: usize,
         adapt: Option<AdaptState>,
-    ) -> CoreResult<Self> {
+    ) -> Self {
         // Bounded results channel: capacity scales with the initial fanout
         // so each child gets a mailbox's worth of frames in flight. An
         // adaptive add stage does not grow the channel — extra children
@@ -217,12 +211,11 @@ impl ParallelApply {
             results_rx,
             next_call_id: 0,
             adapt,
-            reaping: Vec::new(),
         };
         for _ in 0..fanout {
-            this.spawn_child(ctx)?;
+            this.spawn_child(ctx).await;
         }
-        Ok(this)
+        this
     }
 
     /// Children currently alive.
@@ -235,28 +228,35 @@ impl ParallelApply {
 
     /// Adds one child: warm from the process pool when a parked process
     /// with this plan function and level exists, else a cold spawn.
-    fn spawn_child(&mut self, ctx: &Arc<ExecContext>) -> CoreResult<()> {
+    async fn spawn_child(&mut self, ctx: &Arc<ExecContext>) {
         let slot_index = self.slots.len();
         if let Some(pool) = ctx.process_pool() {
             let scope = Some(ctx.pool_scope());
-            while let Some(warm) = pool.acquire(&self.pf_digest, self.env.level + 1, scope) {
-                let mut proc = warm.proc;
-                if proc.attach(
-                    ctx,
-                    &self.env,
-                    slot_index,
-                    &self.pf_name,
-                    self.results_tx.clone(),
-                ) {
-                    pool.note_warm_acquire(warm.saved_model_secs, scope);
+            while let Some(acquired) = pool.acquire(&self.pf_digest, self.env.level + 1, scope) {
+                let (mut proc, saved_model_secs) = match acquired {
+                    Acquired::Warm {
+                        proc,
+                        saved_model_secs,
+                    } => (proc, saved_model_secs),
+                    Acquired::Expired(proc) => {
+                        ChildProc::join_all(vec![proc]).await;
+                        continue;
+                    }
+                };
+                let results = self.results_tx.clone();
+                if proc
+                    .attach(ctx, &self.env, slot_index, &self.pf_name, results)
+                    .await
+                {
+                    pool.note_warm_acquire(saved_model_secs, scope);
                     // A warm process is installed and idle immediately —
                     // Attach is processed before any later Call (FIFO), so
                     // no installation round-trip is needed.
                     self.slots.push(Slot::new(proc, SlotStatus::Idle));
                     self.idle.push_back(slot_index);
-                    return Ok(());
+                    return;
                 }
-                // The parked thread died while idle; reap it and retry.
+                // The parked process died while idle; drop it and retry.
                 pool.note_dead_on_acquire(scope);
             }
         }
@@ -268,9 +268,8 @@ impl ParallelApply {
             &self.pf_digest,
             self.pf_bytes.clone(),
             self.results_tx.clone(),
-        )?;
+        );
         self.slots.push(Slot::new(proc, SlotStatus::Installing));
-        Ok(())
     }
 
     fn busy_count(&self) -> usize {
@@ -289,11 +288,15 @@ impl ParallelApply {
 
     /// Streams `params` through the pool and returns the merged results,
     /// recording an operator span around the dispatch loop.
-    pub fn run(&mut self, ctx: &Arc<ExecContext>, params: Vec<Tuple>) -> CoreResult<Vec<Tuple>> {
+    pub async fn run(
+        &mut self,
+        ctx: &Arc<ExecContext>,
+        params: Vec<Tuple>,
+    ) -> CoreResult<Vec<Tuple>> {
         ctx.trace_here(TraceEventKind::OpRunStart {
             params: params.len() as u64,
         });
-        let result = self.run_inner(ctx, params);
+        let result = self.run_inner(ctx, params).await;
         ctx.trace_here(TraceEventKind::OpRunEnd {
             ok: result.is_ok(),
             results: result.as_ref().map_or(0, |r| r.len() as u64),
@@ -301,7 +304,11 @@ impl ParallelApply {
         result
     }
 
-    fn run_inner(&mut self, ctx: &Arc<ExecContext>, params: Vec<Tuple>) -> CoreResult<Vec<Tuple>> {
+    async fn run_inner(
+        &mut self,
+        ctx: &Arc<ExecContext>,
+        params: Vec<Tuple>,
+    ) -> CoreResult<Vec<Tuple>> {
         // Adaptive pools always use the paper's first-finished dispatch;
         // the round-robin ablation only applies to fixed fanouts.
         let policy = if self.adapt.is_some() {
@@ -344,7 +351,8 @@ impl ParallelApply {
         let mut first_error: Option<CoreError> = None;
         let mut segment_start = Instant::now();
 
-        self.dispatch_pending(ctx, cache, &mut pending, &mut out);
+        self.dispatch_pending(ctx, cache, &mut pending, &mut out)
+            .await;
 
         while self.busy_count() > 0 || !pending.is_empty() {
             if !pending.is_empty() && self.alive_count() == 0 {
@@ -354,20 +362,14 @@ impl ParallelApply {
                     pending.len()
                 )));
             }
-            let msg = match self.results_rx.recv_timeout(RECV_TIMEOUT) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CoreError::ProcessFailure(format!(
-                        "no message from children of {} within {RECV_TIMEOUT:?}",
-                        self.pf_name
-                    )))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CoreError::ProcessFailure(format!(
-                        "result channel of {} disconnected",
-                        self.pf_name
-                    )))
-                }
+            // This operator holds a sender itself, so the mailbox never
+            // ends while it waits; a wedged subtree shows as the
+            // coordinator's run making no progress.
+            let Some(msg) = self.results_rx.recv().await else {
+                return Err(CoreError::ProcessFailure(format!(
+                    "result channel of {} disconnected",
+                    self.pf_name
+                )));
             };
             // Receiving a message costs the parent dispatch time, which is
             // what makes an over-wide tree hurt on a single-core client.
@@ -386,7 +388,7 @@ impl ParallelApply {
                     error: Some(e),
                 } => {
                     if self.slots[slot].status != SlotStatus::Dead {
-                        self.kill_slot(slot, false);
+                        self.kill_slot(slot, false).await;
                         if first_error.is_none() {
                             first_error = Some(CoreError::ProcessFailure(format!(
                                 "child of {} failed to install: {e}",
@@ -468,7 +470,7 @@ impl ParallelApply {
                         }
                     }
                     match self.slots[slot].status {
-                        SlotStatus::Draining => self.kill_slot(slot, true),
+                        SlotStatus::Draining => self.kill_slot(slot, true).await,
                         SlotStatus::Busy => {
                             self.slots[slot].status = SlotStatus::Idle;
                             self.idle.push_back(slot);
@@ -491,10 +493,11 @@ impl ParallelApply {
                             self.fail_slot(ctx, victim, &mut pending);
                         }
                     }
-                    self.monitoring_step(ctx, &mut segment_start);
+                    self.monitoring_step(ctx, &mut segment_start).await;
                 }
             }
-            self.dispatch_pending(ctx, cache, &mut pending, &mut out);
+            self.dispatch_pending(ctx, cache, &mut pending, &mut out)
+                .await;
         }
 
         // Account trailing active time to the current monitoring cycle.
@@ -535,7 +538,7 @@ impl ParallelApply {
         true
     }
 
-    fn dispatch_pending(
+    async fn dispatch_pending(
         &mut self,
         ctx: &Arc<ExecContext>,
         cache: Option<&Arc<CallCache>>,
@@ -607,7 +610,7 @@ impl ParallelApply {
             } else {
                 wire::encode_rows_message(batch.iter().map(|p| &p.encoded))
             };
-            let sent = proc.send_call(ctx, call_id, frame, batch.len());
+            let sent = proc.send_call(ctx, call_id, frame, batch.len()).await;
             match sent {
                 Ok(()) => {
                     self.slots[slot].status = SlotStatus::Busy;
@@ -624,25 +627,25 @@ impl ParallelApply {
         }
     }
 
-    /// Tears one slot down synchronously (join included). Only safe when
+    /// Tears one slot down and waits for its subtree to end. Only safe when
     /// the child cannot be blocked sending results — i.e. after its
     /// `EndOfCall` was processed, or before it ever got a call.
-    fn kill_slot(&mut self, slot: usize, dropped_by_adaptation: bool) {
+    async fn kill_slot(&mut self, slot: usize, dropped_by_adaptation: bool) {
         let s = &mut self.slots[slot];
         s.in_flight.clear();
         s.call_buf.clear();
         s.current_call = None;
-        if let Some(proc) = s.proc.take() {
-            proc.shutdown(dropped_by_adaptation);
-        }
         s.status = SlotStatus::Dead;
+        if let Some(proc) = s.proc.take() {
+            proc.shutdown(dropped_by_adaptation).await;
+        }
     }
 
     /// Handles an abrupt child death mid-stream: discards the call's
     /// partial results, requeues its undelivered parameters to surviving
-    /// siblings (including any per-slot round-robin backlog), and defers
-    /// the join to drop time (the child may be blocked sending into the
-    /// results channel this loop is reading).
+    /// siblings (including any per-slot round-robin backlog), and leaves
+    /// the join to [`ParallelApply::shutdown`] (the child may be blocked
+    /// sending into the results mailbox this loop is reading).
     fn fail_slot(&mut self, ctx: &Arc<ExecContext>, slot: usize, pending: &mut PendingParams) {
         let s = &mut self.slots[slot];
         let requeued = std::mem::take(&mut s.in_flight);
@@ -650,9 +653,9 @@ impl ParallelApply {
         s.current_call = None;
         s.status = SlotStatus::Dead;
         let mut dead_id = 0;
-        if let Some(proc) = s.proc.take() {
+        if let Some(proc) = &mut s.proc {
             dead_id = proc.id;
-            self.reaping.push(proc.begin_shutdown());
+            proc.kill();
         }
         ctx.trace_here(TraceEventKind::Requeue {
             from_child: dead_id,
@@ -673,7 +676,7 @@ impl ParallelApply {
     /// as many end-of-call messages arrived as there are children; the
     /// operator then compares the average time per incoming tuple with the
     /// previous cycle and adds or drops children.
-    fn monitoring_step(&mut self, ctx: &Arc<ExecContext>, segment_start: &mut Instant) {
+    async fn monitoring_step(&mut self, ctx: &Arc<ExecContext>, segment_start: &mut Instant) {
         /// What the cycle boundary asks the pool to do structurally.
         enum Action {
             Add(usize),
@@ -772,27 +775,21 @@ impl ParallelApply {
         match action {
             Some(Action::Add(n)) => {
                 for _ in 0..n {
-                    // An add-stage spawn failure is not fatal: the pool
-                    // keeps running at its current width.
-                    if self.spawn_child(ctx).is_err() {
-                        break;
-                    }
+                    self.spawn_child(ctx).await;
                 }
             }
-            Some(Action::DropOne) => self.drop_one_child(ctx),
+            Some(Action::DropOne) => self.drop_one_child(ctx).await,
             Some(Action::Rearm(target)) => {
                 // Reset the tree to the initial width; the next cycles'
                 // add (or drop) stages walk toward the new optimum.
                 let alive = self.alive_count();
                 if alive > target {
                     for _ in 0..(alive - target) {
-                        self.drop_one_child(ctx);
+                        self.drop_one_child(ctx).await;
                     }
                 } else {
                     for _ in 0..(target - alive) {
-                        if self.spawn_child(ctx).is_err() {
-                            break;
-                        }
+                        self.spawn_child(ctx).await;
                     }
                 }
             }
@@ -803,13 +800,13 @@ impl ParallelApply {
     /// Drops one child and its subtree (paper Fig. 20). Prefers an idle
     /// child (parked warm or killed immediately); otherwise marks the
     /// newest busy child to drain away after its current call.
-    fn drop_one_child(&mut self, ctx: &Arc<ExecContext>) {
+    async fn drop_one_child(&mut self, ctx: &Arc<ExecContext>) {
         if let Some(slot) = self
             .slots
             .iter()
             .rposition(|s| s.status == SlotStatus::Idle)
         {
-            self.retire_slot(ctx, slot);
+            self.retire_slot(ctx, slot).await;
             return;
         }
         if let Some(slot) = self
@@ -821,68 +818,70 @@ impl ParallelApply {
         }
     }
 
-    /// Removes one idle child: parked warm (with its whole subtree) when
-    /// the process pool is on, joined cold otherwise.
-    fn retire_slot(&mut self, ctx: &Arc<ExecContext>, slot: usize) {
-        let pool = ctx.process_pool().filter(|p| p.policy().enabled);
-        let Some(pool) = pool else {
-            self.kill_slot(slot, true);
+    /// The process pool idle children park in, when the run has one and it
+    /// is on.
+    fn parking_pool(ctx: &ExecContext) -> Option<Arc<ProcessPool>> {
+        ctx.process_pool().filter(|p| p.policy().enabled)
+    }
+
+    /// Parks one idle child (with its whole subtree) and ends whatever the
+    /// pool evicts to make room.
+    async fn park_slot(
+        &mut self,
+        ctx: &Arc<ExecContext>,
+        pool: &ProcessPool,
+        slot: usize,
+        dropped_by_adaptation: bool,
+    ) {
+        let saved = self.saved_model_secs(ctx);
+        self.slots[slot].status = SlotStatus::Dead;
+        let Some(proc) = self.slots[slot].proc.take() else {
             return;
         };
-        let saved = self.saved_model_secs(ctx);
-        if let Some(proc) = self.slots[slot].proc.take() {
-            if let Some(parked) = proc.park(true) {
-                pool.release(
-                    &self.pf_digest,
-                    self.env.level + 1,
-                    parked,
-                    saved,
-                    Some(ctx.pool_scope()),
-                );
-            }
+        if let Some(parked) = proc.park(dropped_by_adaptation).await {
+            let level = self.env.level + 1;
+            let scope = Some(ctx.pool_scope());
+            let evicted = pool.release(&self.pf_digest, level, parked, saved, scope);
+            ChildProc::join_all(evicted).await;
         }
-        self.slots[slot].status = SlotStatus::Dead;
+    }
+
+    /// Removes one idle child: parked warm (with its whole subtree) when
+    /// the process pool is on, shut down cold otherwise.
+    async fn retire_slot(&mut self, ctx: &Arc<ExecContext>, slot: usize) {
+        match Self::parking_pool(ctx) {
+            Some(pool) => self.park_slot(ctx, &pool, slot, true).await,
+            None => self.kill_slot(slot, true).await,
+        }
     }
 
     /// Parks every idle child into the process pool at end of a successful
     /// run, keyed by plan-function digest and level. Called by the run
     /// driver after the final tree snapshot, before teardown.
-    pub fn park_children(&mut self, ctx: &Arc<ExecContext>) {
-        let pool = ctx.process_pool().filter(|p| p.policy().enabled);
-        let Some(pool) = pool else { return };
+    pub async fn park_children(&mut self, ctx: &Arc<ExecContext>) {
+        let Some(pool) = Self::parking_pool(ctx) else {
+            return;
+        };
         // Absorb late installation acks: a child that never got work may
-        // still be `Installing` here even though it is warm and parkable.
-        while let Ok(msg) = self.results_rx.try_recv() {
+        // have installed after the last message this operator read.
+        while let Some(msg) = self.results_rx.try_recv() {
             if let FromChild::Installed { slot, error: None } = msg {
                 if self.slots[slot].status == SlotStatus::Installing {
                     self.slots[slot].status = SlotStatus::Idle;
                 }
             }
         }
-        let saved = self.saved_model_secs(ctx);
-        for slot in &mut self.slots {
-            if slot.status != SlotStatus::Idle {
-                continue;
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].status == SlotStatus::Idle {
+                self.park_slot(ctx, &pool, slot, false).await;
             }
-            if let Some(proc) = slot.proc.take() {
-                if let Some(parked) = proc.park(false) {
-                    pool.release(
-                        &self.pf_digest,
-                        self.env.level + 1,
-                        parked,
-                        saved,
-                        Some(ctx.pool_scope()),
-                    );
-                }
-            }
-            slot.status = SlotStatus::Dead;
         }
     }
 
     /// Park-time `Reset`, applied recursively down a warm subtree: clears
     /// this operator's per-run adaptation state and forwards the reset to
     /// every live child so the whole tree parks clean.
-    pub fn reset_children(&mut self) {
+    pub async fn reset_children(&mut self) {
         if let Some(adapt) = &mut self.adapt {
             adapt.reset();
         }
@@ -891,7 +890,7 @@ impl ParallelApply {
                 continue;
             }
             if let Some(proc) = slot.proc.as_mut() {
-                proc.forward_reset();
+                proc.forward_reset().await;
             }
         }
     }
@@ -902,7 +901,7 @@ impl ParallelApply {
     /// context), so this operator re-homes to its hosting process's new
     /// identity and every child re-registers under a freshly allocated id,
     /// with the walk forwarded down the tree.
-    pub fn reattach_children(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
+    pub async fn reattach_children(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
         // The hosting process got a new id in the acquiring run's tree;
         // children below must register against it, not the parked one.
         self.env = *env;
@@ -914,13 +913,11 @@ impl ParallelApply {
             let Some(proc) = slot.proc.as_mut() else {
                 continue;
             };
-            if proc.attach(
-                ctx,
-                &self.env,
-                index,
-                &self.pf_name,
-                self.results_tx.clone(),
-            ) {
+            let results = self.results_tx.clone();
+            if proc
+                .attach(ctx, &self.env, index, &self.pf_name, results)
+                .await
+            {
                 // This subtree process rode along with a warm acquire
                 // above it — its skipped spawn cost counts as saved.
                 if let Some(pool) = ctx.process_pool() {
@@ -932,6 +929,19 @@ impl ParallelApply {
                 slot.status = SlotStatus::Dead;
             }
         }
+    }
+
+    /// Ends every child and waits for its subtree to finish. The results
+    /// mailbox closes first: a child blocked sending into it gives up
+    /// instead of waiting for a reader that is no longer coming.
+    pub async fn shutdown(&mut self) {
+        self.results_rx.close();
+        let procs = self
+            .slots
+            .iter_mut()
+            .filter_map(|s| s.proc.take())
+            .collect();
+        ChildProc::join_all(procs).await;
     }
 }
 
@@ -1040,22 +1050,6 @@ impl PendingParams {
         match self {
             PendingParams::Shared(q) => q.clear(),
             PendingParams::PerSlot(queues) => queues.iter_mut().for_each(VecDeque::clear),
-        }
-    }
-}
-
-impl Drop for ParallelApply {
-    fn drop(&mut self) {
-        // Drop the results receiver FIRST: with bounded channels a child
-        // can be blocked mid-`send`, and joining it while the receiver is
-        // alive but unread would deadlock. Disconnecting the channel makes
-        // every blocked send fail fast, so the joins below terminate.
-        let (_tx, dummy_rx) = unbounded();
-        drop(std::mem::replace(&mut self.results_rx, dummy_rx));
-        // Tear the subtree down; ChildProc::drop joins each thread.
-        self.reaping.clear();
-        for slot in &mut self.slots {
-            slot.proc.take();
         }
     }
 }

@@ -9,15 +9,17 @@
 //! by plan-function content digest (`cache::pf_digest`) and tree
 //! level, and the next run's `FF_APPLYP`/`AFF_APPLYP` *acquire* warm
 //! processes — skipping the modeled startup and plan-ship charges, the
-//! compile, and the real thread spawn. Because a parked child keeps its
-//! own (already installed) subtree alive, acquiring one warm level-1
-//! process reclaims the whole warm tree below it.
+//! compile, and the task spawn. Because a parked child keeps its own
+//! (already installed) subtree alive, acquiring one warm level-1 process
+//! reclaims the whole warm tree below it.
 //!
 //! The pool is owned by the mediator ([`crate::Wsmed`]) and outlives
 //! individual executions; the per-run [`crate::exec::ExecContext`] holds
-//! only a `Weak` reference so parked threads (which hold the context
-//! `Arc`) never form a strong cycle with the pool that owns their join
-//! handles.
+//! only a `Weak` reference so parked processes (which hold the context
+//! `Arc`) never form a strong cycle with the pool that owns their
+//! handles. A process the pool lets go is ended by whoever holds it next:
+//! `release` returns what it evicts, `acquire` hands out expired processes
+//! one at a time, and [`ProcessPool::clear`] waits for what it drops.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -27,6 +29,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::exec::process::ChildProc;
+use crate::exec::runtime;
 
 /// Configuration of the warm process pool, installed via
 /// [`crate::Wsmed::set_pool_policy`] and mirroring
@@ -125,12 +128,18 @@ struct ParkedProc {
     saved_model_secs: f64,
 }
 
-/// A warm process popped from the pool, ready to be re-attached.
-pub(crate) struct WarmProc {
-    /// The parked child process handle.
-    pub proc: ChildProc,
-    /// Modeled seconds the acquire skipped (startup + plan ship).
-    pub saved_model_secs: f64,
+/// What [`ProcessPool::acquire`] popped.
+pub(crate) enum Acquired {
+    /// A warm process, ready to be re-attached.
+    Warm {
+        /// The parked child process handle.
+        proc: ChildProc,
+        /// Modeled seconds the acquire skipped (startup + plan ship).
+        saved_model_secs: f64,
+    },
+    /// A parked process past its TTL, evicted: the caller ends it and asks
+    /// again.
+    Expired(ChildProc),
 }
 
 #[derive(Default)]
@@ -247,17 +256,17 @@ impl ProcessPool {
         }
     }
 
-    /// Pops the most recently parked (warmest) live process for a key,
-    /// discarding TTL-expired entries on the way. Returns `None` when the
-    /// pool is disabled, has nothing warm for this key, or the acquiring
-    /// query's fair-share budget
+    /// Pops the most recently parked (warmest) process for a key: warm, or
+    /// expired past its TTL (counted as an eviction). Returns `None` when
+    /// the pool is disabled, has nothing parked for this key, or the
+    /// acquiring query's fair-share budget
     /// ([`PoolPolicy::warm_acquire_budget_per_query`]) is spent.
     pub(crate) fn acquire(
         &self,
         digest: &str,
         level: usize,
         scope: Option<&PoolScope>,
-    ) -> Option<WarmProc> {
+    ) -> Option<Acquired> {
         if !self.policy.enabled {
             return None;
         }
@@ -266,31 +275,24 @@ impl ProcessPool {
                 return None; // budget spent: fall back to a cold spawn
             }
         }
-        let mut expired: Vec<ParkedProc> = Vec::new();
-        let warm = {
+        let parked = {
             let mut inner = self.inner.lock();
-            let queue = inner.idle.get_mut(&(digest.to_owned(), level))?;
-            let mut found = None;
-            while let Some(parked) = queue.pop_back() {
-                if self.is_expired(&parked) {
-                    expired.push(parked);
-                    continue;
-                }
-                found = Some(parked);
-                break;
-            }
+            let key = (digest.to_owned(), level);
+            let queue = inner.idle.get_mut(&key)?;
+            let parked = queue.pop_back();
             if queue.is_empty() {
-                inner.idle.remove(&(digest.to_owned(), level));
+                inner.idle.remove(&key);
             }
-            inner.total -= expired.len() + usize::from(found.is_some());
-            found
+            inner.total -= usize::from(parked.is_some());
+            parked?
         };
-        // Joining evicted threads must happen outside the pool lock.
-        self.note_evictions(expired.len() as u64, scope);
-        drop(expired);
-        warm.map(|p| WarmProc {
-            proc: p.proc,
-            saved_model_secs: p.saved_model_secs,
+        if self.is_expired(&parked) {
+            self.note_evictions(1, scope);
+            return Some(Acquired::Expired(parked.proc));
+        }
+        Some(Acquired::Warm {
+            proc: parked.proc,
+            saved_model_secs: parked.saved_model_secs,
         })
     }
 
@@ -324,7 +326,10 @@ impl ProcessPool {
     /// Parks an idle process for later reuse, evicting the oldest parked
     /// processes beyond the per-key and total bounds. `saved_model_secs`
     /// is the modeled cost a future warm acquire will skip (startup plus
-    /// plan shipping for this process's plan-function bytes).
+    /// plan shipping for this process's plan-function bytes). Returns the
+    /// processes the caller must end: the evicted ones, or `proc` itself
+    /// when the pool keeps nothing.
+    #[must_use]
     pub(crate) fn release(
         &self,
         digest: &str,
@@ -332,14 +337,14 @@ impl ProcessPool {
         proc: ChildProc,
         saved_model_secs: f64,
         scope: Option<&PoolScope>,
-    ) {
+    ) -> Vec<ChildProc> {
         if !self.policy.enabled
             || self.policy.max_idle_total == 0
             || self.policy.max_idle_per_pf == 0
         {
-            return; // drop: cold teardown
+            return vec![proc]; // cold teardown
         }
-        let mut evicted: Vec<ParkedProc> = Vec::new();
+        let mut evicted: Vec<ChildProc> = Vec::new();
         {
             let mut inner = self.inner.lock();
             let queue = inner.idle.entry((digest.to_owned(), level)).or_default();
@@ -350,13 +355,13 @@ impl ProcessPool {
             });
             while queue.len() > self.policy.max_idle_per_pf {
                 if let Some(old) = queue.pop_front() {
-                    evicted.push(old);
+                    evicted.push(old.proc);
                 }
             }
             inner.total = inner.total + 1 - evicted.len();
             while inner.total > self.policy.max_idle_total {
                 if let Some(old) = Self::pop_globally_oldest(&mut inner) {
-                    evicted.push(old);
+                    evicted.push(old.proc);
                     inner.total -= 1;
                 } else {
                     break;
@@ -364,19 +369,22 @@ impl ProcessPool {
             }
         }
         self.note_evictions(evicted.len() as u64, scope);
-        // ChildProc::drop joins the thread — never do that under the lock.
-        drop(evicted);
+        evicted
     }
 
-    /// Drops every parked process (joining their threads). Used when the
-    /// catalog or policy changes invalidate warm state.
+    /// Ends every parked process and waits for their subtrees to finish.
+    /// Used when the catalog or policy changes invalidate warm state.
     pub fn clear(&self) {
-        let drained: Vec<VecDeque<ParkedProc>> = {
+        let drained: Vec<ChildProc> = {
             let mut inner = self.inner.lock();
             inner.total = 0;
-            inner.idle.drain().map(|(_, q)| q).collect()
+            inner
+                .idle
+                .drain()
+                .flat_map(|(_, q)| q.into_iter().map(|p| p.proc))
+                .collect()
         };
-        drop(drained);
+        runtime::block_on(ChildProc::join_all(drained));
     }
 
     fn pop_globally_oldest(inner: &mut PoolInner) -> Option<ParkedProc> {

@@ -1,4 +1,4 @@
-//! Query processes: threads with message inboxes.
+//! Query processes: tasks with message inboxes.
 //!
 //! A query process receives its plan function **once**, installed before
 //! execution (paper §III), then a stream of `Call` messages carrying
@@ -11,9 +11,13 @@
 //! honest; the default policy is one tuple per frame, the paper's exact
 //! semantics.
 //!
+//! A process is a task on the [`crate::exec::runtime`]'s worker set, not a
+//! thread of its own; a parent waiting for a message, or for room in a
+//! child's mailbox, suspends its task and its worker runs another process.
+//!
 //! Mailboxes are **bounded** ([`BatchPolicy::mailbox_capacity`]): a fast
-//! producer blocks instead of buffering an entire parameter or result
-//! stream in memory, and the time spent blocked is counted per node
+//! producer waits instead of buffering an entire parameter or result
+//! stream in memory, and the time spent waiting is counted per node
 //! ([`TreeRegistry::note_blocked_send`]) next to `msgs_down`/`msgs_up`.
 //!
 //! Plan functions and tuples cross the boundary as serialized bytes
@@ -24,20 +28,23 @@
 //! startup and plan-ship charges entirely: it is re-wired to its new
 //! parent with an `Attach` message instead of being spawned.
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::task::{Poll, Waker};
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 
 use wsmed_store::Tuple;
 
-use crate::exec::{compile, eval, ExecContext, ProcEnv};
+use crate::cache::CacheKey;
+use crate::exec::mailbox::{bounded, Receiver, Sender, TrySendError};
+use crate::exec::runtime::{self, TaskHandle};
+use crate::exec::{compile, eval, ExecContext, Pipeline, ProcEnv};
 use crate::obs::{self, TraceEventKind, TraceLog};
 use crate::stats::TreeRegistry;
 use crate::transport::BatchPolicy;
-use crate::wire;
+use crate::{resilience, wire};
 use crate::{CoreError, CoreResult};
 
 /// Messages a parent sends to a child query process.
@@ -73,7 +80,8 @@ pub(crate) enum ToChild {
         /// The new parent's result channel.
         results: Sender<FromChild>,
     },
-    /// Terminate: tear down the subtree and exit.
+    /// Terminate: tear down the subtree and exit. The end of the mailbox
+    /// (every sender gone) means the same.
     Shutdown,
 }
 
@@ -115,10 +123,89 @@ pub(crate) enum FromChild {
     },
 }
 
-/// Sends on a (possibly bounded) mailbox, charging time blocked on a full
-/// channel to node `id`'s `blocked_send` counter (and recording a
-/// `blocked_send` trace event when a log is live).
-fn send_counted<T>(
+/// The processes one run spawned cold: how many have not yet installed
+/// (sent `Installed` or ended), and how many are still running.
+#[derive(Debug, Default)]
+pub(crate) struct SpawnCounts {
+    installing: AtomicUsize,
+    running: AtomicUsize,
+    /// The coordinator, waiting for `installing` to reach zero.
+    waiter: Mutex<Option<Waker>>,
+}
+
+impl SpawnCounts {
+    /// Completes once every process spawned so far has installed or ended.
+    /// A process spawns its own children before it installs, so once this
+    /// completes the whole tree is registered.
+    pub(crate) async fn installs_settled(&self) {
+        std::future::poll_fn(|cx| {
+            if self.installing.load(Ordering::Acquire) == 0 {
+                return Poll::Ready(());
+            }
+            *self.waiter.lock().unwrap_or_else(|e| e.into_inner()) = Some(cx.waker().clone());
+            // Ordered after the registration by the waiter lock: the last
+            // install either is seen here or finds the waker.
+            if self.installing.load(Ordering::Acquire) == 0 {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
+    }
+
+    /// Processes of this run whose task has not finished.
+    #[cfg(test)]
+    pub(crate) fn running(&self) -> usize {
+        self.running.load(Ordering::Acquire)
+    }
+
+    fn ticket(self: &Arc<Self>) -> SpawnTicket {
+        self.installing.fetch_add(1, Ordering::AcqRel);
+        self.running.fetch_add(1, Ordering::AcqRel);
+        SpawnTicket {
+            counts: Arc::clone(self),
+            installing: true,
+        }
+    }
+}
+
+/// One process's place in its run's [`SpawnCounts`], given up as it
+/// installs and as its task ends.
+struct SpawnTicket {
+    counts: Arc<SpawnCounts>,
+    installing: bool,
+}
+
+impl SpawnTicket {
+    fn installed(&mut self) {
+        if std::mem::take(&mut self.installing)
+            && self.counts.installing.fetch_sub(1, Ordering::AcqRel) == 1
+        {
+            let waiter = self
+                .counts
+                .waiter
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take();
+            if let Some(waker) = waiter {
+                waker.wake();
+            }
+        }
+    }
+}
+
+impl Drop for SpawnTicket {
+    fn drop(&mut self) {
+        self.installed();
+        self.counts.running.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Sends on a bounded mailbox, charging time blocked on a full one to node
+/// `id`'s `blocked_send` counter (and recording a `blocked_send` trace
+/// event when a log is live). Returns `false` when the receiver is gone.
+async fn send_counted<T>(
     tx: &Sender<T>,
     msg: T,
     tree: &TreeRegistry,
@@ -126,28 +213,27 @@ fn send_counted<T>(
     trace: Option<&TraceLog>,
     level: usize,
     pf: &Arc<str>,
-) -> Result<(), SendError<T>> {
-    match tx.try_send(msg) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Disconnected(v)) => Err(SendError(v)),
-        Err(TrySendError::Full(v)) => {
-            let waited = Instant::now();
-            let result = tx.send(v);
-            let elapsed = waited.elapsed();
-            tree.note_blocked_send(id, elapsed);
-            if let Some(tr) = trace {
-                tr.emit(
-                    id,
-                    level,
-                    pf,
-                    TraceEventKind::BlockedSend {
-                        waited_secs: tr.model_secs(elapsed),
-                    },
-                );
-            }
-            result
-        }
+) -> bool {
+    let msg = match tx.try_send(msg) {
+        Ok(()) => return true,
+        Err(TrySendError::Disconnected(_)) => return false,
+        Err(TrySendError::Full(msg)) => msg,
+    };
+    let waited = Instant::now();
+    let sent = tx.send(msg).await.is_ok();
+    let elapsed = waited.elapsed();
+    tree.note_blocked_send(id, elapsed);
+    if let Some(tr) = trace {
+        tr.emit(
+            id,
+            level,
+            pf,
+            TraceEventKind::BlockedSend {
+                waited_secs: tr.model_secs(elapsed),
+            },
+        );
     }
+    sent
 }
 
 /// A handle the parent keeps per child process.
@@ -156,7 +242,7 @@ pub(crate) struct ChildProc {
     /// Process id in the tree registry.
     pub id: u64,
     tx: Sender<ToChild>,
-    join: Option<JoinHandle<()>>,
+    task: TaskHandle,
     tree: Arc<TreeRegistry>,
     deregistered: bool,
     /// Tree level this process is attached at (refreshed on warm attach).
@@ -173,9 +259,10 @@ pub(crate) struct ChildProc {
 }
 
 impl ChildProc {
-    /// Spawns a child query process and ships it the plan function.
+    /// Spawns a child query process with the plan function queued in its
+    /// mailbox.
     ///
-    /// The calling (parent) thread pays the modeled process-startup and
+    /// The calling (parent) process pays the modeled process-startup and
     /// plan-shipping costs before this returns, serializing process
     /// management on the parent as on the paper's single-core client.
     /// This is the single site charging `process_startup`, so the pool's
@@ -188,7 +275,7 @@ impl ChildProc {
         pf_digest: &Arc<str>,
         pf_bytes: Bytes,
         results: Sender<FromChild>,
-    ) -> CoreResult<ChildProc> {
+    ) -> ChildProc {
         let id = ctx.next_process_id();
         let level = parent.level + 1;
         let tree = Arc::clone(ctx.tree());
@@ -205,52 +292,38 @@ impl ChildProc {
         ctx.record_shipped(pf_bytes.len());
         tree.note_msg_down(id);
 
+        let trace = ctx.trace_handle();
+        if let Some(tr) = &trace {
+            tr.emit(
+                id,
+                level,
+                pf_digest,
+                TraceEventKind::ChildSpawn { warm: false },
+            );
+        }
         let (tx, rx) = bounded::<ToChild>(ctx.batch_policy().mailbox_capacity());
-        let ctx_child = Arc::clone(ctx);
-        let join = std::thread::Builder::new()
-            .name(format!("wsmed-qp-{id}"))
-            .spawn(move || child_main(ctx_child, ProcEnv { id, level }, slot, rx, results))
-            .map_err(|e| {
-                tree.deregister(id, false);
-                CoreError::ProcessFailure(format!("failed to spawn query process q{id}: {e}"))
-            })?;
-
-        let mut proc = ChildProc {
+        tx.try_send(ToChild::Install(pf_bytes))
+            .expect("a new mailbox has room for the plan function");
+        let ticket = ctx.spawn_counts().ticket();
+        let env = ProcEnv { id, level };
+        let task = runtime::spawn(child_main(Arc::clone(ctx), env, slot, rx, results, ticket));
+        ChildProc {
             id,
             tx,
-            join: Some(join),
+            task,
             tree,
             deregistered: false,
             level,
             pf: Arc::clone(pf_digest),
-            trace: ctx.trace_handle(),
+            trace,
             terminal_emitted: false,
-        };
-        if let Some(tr) = &proc.trace {
-            tr.emit(
-                id,
-                level,
-                &proc.pf,
-                TraceEventKind::ChildSpawn { warm: false },
-            );
         }
-        if proc.tx.send(ToChild::Install(pf_bytes)).is_err() {
-            // The thread died before reading its mailbox; reap it and
-            // surface the failure instead of silently dropping the plan.
-            drop(proc.join.take().map(JoinHandle::join));
-            proc.tree.deregister(id, false);
-            proc.deregistered = true;
-            return Err(CoreError::ProcessFailure(format!(
-                "query process q{id} died before plan installation"
-            )));
-        }
-        Ok(proc)
     }
 
     /// Sends a batch of `n_params` parameter tuples as one frame; the
     /// parent pays the per-frame plus per-tuple dispatch cost. Fails when
     /// the child hung up (died), so the caller can requeue the work.
-    pub fn send_call(
+    pub async fn send_call(
         &self,
         ctx: &ExecContext,
         call_id: u64,
@@ -260,7 +333,7 @@ impl ChildProc {
         ctx.sim().sleep_model(ctx.sim().client.frame_cost(n_params));
         ctx.record_shipped(params.len());
         self.tree.note_msg_down(self.id);
-        send_counted(
+        let sent = send_counted(
             &self.tx,
             ToChild::Call { call_id, params },
             &self.tree,
@@ -269,7 +342,15 @@ impl ChildProc {
             self.level,
             &self.pf,
         )
-        .map_err(|_| CoreError::ProcessFailure(format!("query process q{} hung up", self.id)))
+        .await;
+        if sent {
+            Ok(())
+        } else {
+            Err(CoreError::ProcessFailure(format!(
+                "query process q{} hung up",
+                self.id
+            )))
+        }
     }
 
     /// Records this process's terminal lifecycle event (at most once per
@@ -289,9 +370,9 @@ impl ChildProc {
     /// state down the subtree) and deregisters it from the current run's
     /// tree. Returns `None` when the process is already dead — the caller
     /// must drop it instead of pooling it.
-    pub fn park(mut self, dropped_by_adaptation: bool) -> Option<ChildProc> {
-        if self.tx.send(ToChild::Reset).is_err() {
-            return None; // dropping `self` reaps the dead thread
+    pub async fn park(mut self, dropped_by_adaptation: bool) -> Option<ChildProc> {
+        if self.tx.send(ToChild::Reset).await.is_err() {
+            return None;
         }
         self.tree.deregister(self.id, dropped_by_adaptation);
         self.deregistered = true;
@@ -302,9 +383,9 @@ impl ChildProc {
     /// Re-wires a warm (parked) process to a new parent: registers it in
     /// the current run's tree, charges one message-dispatch for the attach
     /// frame, and triggers the subtree's re-registration walk. Returns
-    /// `false` when the parked thread turned out to be dead (the caller
+    /// `false` when the parked process turned out to be dead (the caller
     /// drops the handle and tries the next parked process).
-    pub fn attach(
+    pub async fn attach(
         &mut self,
         ctx: &Arc<ExecContext>,
         parent: &ProcEnv,
@@ -341,10 +422,10 @@ impl ChildProc {
             self.level,
             &self.pf,
         )
-        .is_ok();
+        .await;
         if ok {
             // A warm acquire starts a fresh spawn→terminal lifecycle in
-            // the new run's log; a dead parked thread keeps its old (and
+            // the new run's log; a dead parked process keeps its old (and
             // already terminated) record instead.
             self.trace = trace;
             self.terminal_emitted = false;
@@ -361,47 +442,66 @@ impl ChildProc {
     }
 
     /// Forwards a `Reset` down one edge of a warm subtree being parked.
-    pub fn forward_reset(&mut self) {
-        if self.tx.send(ToChild::Reset).is_ok() {
+    pub async fn forward_reset(&mut self) {
+        if self.tx.send(ToChild::Reset).await.is_ok() {
             self.emit_terminal(TraceEventKind::ChildPark);
         }
     }
 
-    /// Requests shutdown without joining — for a child that may be blocked
-    /// sending into a full results channel the caller is not draining.
-    /// The handle must be kept and dropped after the results receiver
-    /// (dropping joins the thread, which by then exits promptly).
-    pub fn begin_shutdown(mut self) -> ChildProc {
-        self.tx.try_send(ToChild::Shutdown).ok();
+    /// Kills the process mid-stream without waiting: it may be blocked
+    /// sending into a results mailbox the caller is not reading. The caller
+    /// keeps the handle and joins it after closing that mailbox.
+    pub fn kill(&mut self) {
+        let _ = self.tx.try_send(ToChild::Shutdown);
         self.tree.deregister(self.id, false);
         self.deregistered = true;
         self.emit_terminal(TraceEventKind::ChildKill { adapt: false });
-        self
     }
 
-    /// Shuts the child down and waits for its subtree to terminate.
-    pub fn shutdown(mut self, dropped_by_adaptation: bool) {
-        self.emit_terminal(TraceEventKind::ChildKill {
+    /// Shuts the child down and waits for its subtree to terminate. Only
+    /// for a child that cannot be blocked sending results to the caller.
+    pub async fn shutdown(mut self, dropped_by_adaptation: bool) {
+        self.request_end(TraceEventKind::ChildKill {
             adapt: dropped_by_adaptation,
-        });
-        self.tx.send(ToChild::Shutdown).ok();
-        if let Some(join) = self.join.take() {
-            join.join().ok();
+        })
+        .await;
+        self.finished(dropped_by_adaptation).await;
+    }
+
+    /// Ends every process of `procs` and waits for their subtrees to
+    /// terminate — all asked first, so they end side by side.
+    pub async fn join_all(mut procs: Vec<ChildProc>) {
+        for proc in &mut procs {
+            proc.request_end(TraceEventKind::ChildJoin).await;
         }
-        self.tree.deregister(self.id, dropped_by_adaptation);
-        self.deregistered = true;
+        for proc in procs {
+            proc.finished(false).await;
+        }
+    }
+
+    /// Records the terminal event and queues `Shutdown` behind whatever
+    /// the process still has to read.
+    async fn request_end(&mut self, terminal: TraceEventKind) {
+        self.emit_terminal(terminal);
+        let _ = self.tx.send(ToChild::Shutdown).await;
+    }
+
+    /// Waits for the task (and with it the subtree) to finish, then
+    /// deregisters the process.
+    async fn finished(mut self, dropped_by_adaptation: bool) {
+        (&mut self.task).await;
+        if !self.deregistered {
+            self.tree.deregister(self.id, dropped_by_adaptation);
+            self.deregistered = true;
+        }
     }
 }
 
 impl Drop for ChildProc {
     fn drop(&mut self) {
-        // Teardown on the normal path (operator dropped) and on unwinding.
-        // Threads must never leak.
+        // Not joined (an abandoned run, an evicted or dead pooled process):
+        // the mailbox ends as `tx` drops, and the task ends on its own.
         self.emit_terminal(TraceEventKind::ChildJoin);
-        self.tx.send(ToChild::Shutdown).ok();
-        if let Some(join) = self.join.take() {
-            join.join().ok();
-        }
         if !self.deregistered {
             self.tree.deregister(self.id, false);
             self.deregistered = true;
@@ -410,20 +510,21 @@ impl Drop for ChildProc {
 }
 
 /// The child process main loop.
-fn child_main(
+async fn child_main(
     mut ctx: Arc<ExecContext>,
     mut env: ProcEnv,
     mut slot: usize,
     rx: Receiver<ToChild>,
     mut results: Sender<FromChild>,
+    mut ticket: SpawnTicket,
 ) {
-    // Bind this thread to its tree node so events recorded deep inside
+    // Bind this process to its tree node so events recorded deep inside
     // `eval` (cache lookups, retries, WS calls) carry the right identity;
     // the pf digest is filled in once the plan function arrives.
     obs::set_current_proc(env.id, env.level, Arc::from(""));
     // ---- install phase ----------------------------------------------------
-    let (pf, pf_digest) = match rx.recv() {
-        Ok(ToChild::Install(bytes)) => match wire::decode_plan_function(bytes.clone()) {
+    let (pf, pf_digest) = match rx.recv().await {
+        Some(ToChild::Install(bytes)) => match wire::decode_plan_function(bytes.clone()) {
             // Digest the shipped bytes (the same bytes the parent hashed)
             // so parent-side memo lookups hit what this child inserts.
             Ok(pf) => {
@@ -432,20 +533,17 @@ fn child_main(
                 (pf, digest)
             }
             Err(e) => {
-                send_up(
-                    &ctx,
-                    &env,
-                    &results,
-                    FromChild::Installed {
-                        slot,
-                        error: Some(e.to_string()),
-                    },
-                );
+                let failed = FromChild::Installed {
+                    slot,
+                    error: Some(e.to_string()),
+                };
+                report_install(&ctx, &env, &results, failed, &mut ticket).await;
                 return;
             }
         },
-        Ok(ToChild::Shutdown) | Ok(ToChild::Reset) | Ok(ToChild::Attach { .. }) | Err(_) => return,
-        Ok(ToChild::Call { call_id, .. }) => {
+        Some(ToChild::Call { call_id, .. }) => {
+            ticket.installed();
+            let error = Some("call before plan function installation".into());
             send_up(
                 &ctx,
                 &env,
@@ -453,54 +551,47 @@ fn child_main(
                 FromChild::EndOfCall {
                     slot,
                     call_id,
-                    error: Some("call before plan function installation".into()),
+                    error,
                     skipped: Vec::new(),
                 },
-            );
+            )
+            .await;
             return;
         }
+        _ => return,
     };
 
     // Compiling the body spawns this process's own children (the next tree
     // level) — "each query process initially receives its own plan function
     // definition once before execution" (§III).
-    let mut body = match compile(&ctx, &env, &pf.body) {
-        Ok(node) => node,
+    let mut body = match compile(&ctx, &env, &pf.body).await {
+        Ok(body) => body,
         Err(e) => {
-            send_up(
-                &ctx,
-                &env,
-                &results,
-                FromChild::Installed {
-                    slot,
-                    error: Some(e.to_string()),
-                },
-            );
+            let failed = FromChild::Installed {
+                slot,
+                error: Some(e.to_string()),
+            };
+            report_install(&ctx, &env, &results, failed, &mut ticket).await;
             return;
         }
     };
-    ctx.tree().note_msg_up(env.id);
-    if results
-        .send(FromChild::Installed { slot, error: None })
-        .is_err()
-    {
-        return;
-    }
+    let installed = FromChild::Installed { slot, error: None };
+    let mut running = report_install(&ctx, &env, &results, installed, &mut ticket).await;
 
     // ---- call loop ---------------------------------------------------------
-    while let Ok(msg) = rx.recv() {
+    while running {
+        let Some(msg) = rx.recv().await else { break };
         match msg {
             ToChild::Call { call_id, params } => {
                 let prune_key = pf.prune.as_ref().map(|s| s.section_key.as_str());
-                if !handle_call(
+                running = handle_call(
                     &ctx, &env, slot, &mut body, &pf_digest, prune_key, call_id, params, &results,
-                ) {
-                    return; // parent hung up
-                }
+                )
+                .await;
             }
             ToChild::Reset => {
                 // Parked: clear per-run state down the whole warm subtree.
-                crate::exec::reset_subtree(&mut body);
+                body.reset().await;
             }
             ToChild::Attach {
                 ctx: new_ctx,
@@ -517,7 +608,7 @@ fn child_main(
                 slot = new_slot;
                 results = new_results;
                 obs::set_current_proc(env.id, env.level, Arc::from(pf_digest.as_str()));
-                crate::exec::reattach_subtree(&mut body, &ctx, &env);
+                body.reattach(&ctx, &env).await;
             }
             ToChild::Shutdown => break,
             ToChild::Install(_) => {
@@ -525,16 +616,49 @@ fn child_main(
             }
         }
     }
-    // `body` drops here, recursively shutting down this process's children.
+    body.shutdown().await;
+}
+
+/// Reports the install outcome (counted as one message up). The process
+/// counts as installed once the message is queued — or at once if the
+/// parent's mailbox is full: a parent that is between calls reads it only
+/// in its next one, and the run's wait for installs must not hang on that.
+/// Returns `false` if the parent hung up.
+async fn report_install(
+    ctx: &ExecContext,
+    env: &ProcEnv,
+    results: &Sender<FromChild>,
+    msg: FromChild,
+    ticket: &mut SpawnTicket,
+) -> bool {
+    ctx.tree().note_msg_up(env.id);
+    let msg = match results.try_send(msg) {
+        Ok(()) => {
+            ticket.installed();
+            return true;
+        }
+        Err(TrySendError::Disconnected(_)) => {
+            ticket.installed();
+            return false;
+        }
+        Err(TrySendError::Full(msg)) => msg,
+    };
+    ticket.installed();
+    results.send(msg).await.is_ok()
 }
 
 /// Sends one frame up to the parent, counting the message (and any time
 /// blocked on a full channel) against this process's node.
-fn send_up(ctx: &Arc<ExecContext>, env: &ProcEnv, results: &Sender<FromChild>, msg: FromChild) {
+async fn send_up(
+    ctx: &Arc<ExecContext>,
+    env: &ProcEnv,
+    results: &Sender<FromChild>,
+    msg: FromChild,
+) -> bool {
     let tree = ctx.tree();
     tree.note_msg_up(env.id);
     let (_, level, pf) = obs::current_proc();
-    send_counted(results, msg, tree, env.id, ctx.tracer(), level, &pf).ok();
+    send_counted(results, msg, tree, env.id, ctx.tracer(), level, &pf).await
 }
 
 /// Evaluates one parameter batch, streaming result frames through a
@@ -545,94 +669,27 @@ fn send_up(ctx: &Arc<ExecContext>, env: &ProcEnv, results: &Sender<FromChild>, m
 /// parameter's wire encoding) so the parent can short-circuit later
 /// duplicates without shipping them to any child.
 #[allow(clippy::too_many_arguments)]
-fn handle_call(
+async fn handle_call(
     ctx: &Arc<ExecContext>,
     env: &ProcEnv,
     slot: usize,
-    body: &mut crate::exec::ExecNode,
+    body: &mut Pipeline,
     pf_digest: &str,
     prune_key: Option<&str>,
     call_id: u64,
     params: Bytes,
     results: &Sender<FromChild>,
 ) -> bool {
-    let cache = ctx.call_cache();
     let mut flush = FlushBuffer::new(ctx, env, slot, call_id, results);
     // Fresh per call: skips recorded by `eval` under partial failure mode
     // accumulate here and ship with this call's end-of-call message.
-    crate::resilience::install_skip_sink();
-    let outcome = (|| -> crate::CoreResult<()> {
-        // One parameter's evaluation: stream its rows through the flush
-        // buffer and memoize its complete result set under its row-format
-        // wire encoding (`key` is computed lazily — columnar frames only
-        // re-encode a row when the memo will actually be written).
-        let mut eval_param = |param: &Tuple,
-                              key: &mut dyn FnMut() -> crate::cache::CacheKey,
-                              flush: &mut FlushBuffer|
-         -> crate::CoreResult<()> {
-            let skips_before = crate::resilience::skip_sink_len();
-            let rows = eval(body, ctx, param)?;
-            for tuple in &rows {
-                if !flush.push(tuple) {
-                    return Err(crate::CoreError::ProcessFailure("parent gone".into()));
-                }
-            }
-            // A parameter that deterministically produced no rows (no call
-            // was skipped) is a semi-join pruning candidate: report it under
-            // this section's stable key so a later planning pass can drop it
-            // parent-side before any dependent call is issued.
-            if rows.is_empty() && crate::resilience::skip_sink_len() == skips_before {
-                if let (Some(key), Some(obs)) = (prune_key, ctx.planner_obs()) {
-                    obs.observe_empty(key, wire::encode_tuple(param));
-                }
-            }
-            if let Some(cache) = cache {
-                // A parameter whose evaluation skipped any call produced
-                // an incomplete row set; memoizing it would let a later
-                // duplicate short-circuit to partial rows without its
-                // skip being counted.
-                if crate::resilience::skip_sink_len() == skips_before {
-                    cache.insert_rows(&key(), std::sync::Arc::new(rows), Some(ctx.cache_scope()));
-                }
-            }
-            // A cheap parameter between expensive ones must not strand
-            // buffered results past the latency bound.
-            if !flush.flush_if_stale() {
-                return Err(crate::CoreError::ProcessFailure("parent gone".into()));
-            }
-            Ok(())
-        };
-        match wire::decode_message(params)? {
-            wire::MessageBatch::Rows(parts) => {
-                for encoded in parts {
-                    let param = wire::decode_tuple(encoded.clone())?;
-                    eval_param(
-                        &param,
-                        &mut || crate::cache::CacheKey::for_rows(pf_digest, &encoded),
-                        &mut flush,
-                    )?;
-                }
-            }
-            wire::MessageBatch::Columnar(batch) => {
-                for i in 0..batch.len() {
-                    let param = batch.row(i);
-                    // Memo-key parity: the key bytes come straight from the
-                    // column slices and equal the parent's `encode_tuple`
-                    // output exactly.
-                    eval_param(
-                        &param,
-                        &mut || crate::cache::CacheKey::for_batch_row(pf_digest, &batch, i),
-                        &mut flush,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    })();
-    let skipped = crate::resilience::take_skip_sink();
+    resilience::install_skip_sink();
+    let outcome = eval_call(ctx, body, pf_digest, prune_key, params, &mut flush).await;
+    let skipped = resilience::take_skip_sink();
     let error = match outcome {
         Ok(()) => {
-            if !flush.finish() {
+            // Whatever is still buffered goes out before the end-of-call.
+            if !flush.flush().await {
                 return false;
             }
             None
@@ -642,24 +699,89 @@ fn handle_call(
     if error.is_some() && flush.parent_gone {
         return false;
     }
-    let tree = ctx.tree();
-    tree.note_msg_up(env.id);
-    let (_, level, pf) = obs::current_proc();
-    send_counted(
-        results,
-        FromChild::EndOfCall {
-            slot,
-            call_id,
-            error,
-            skipped,
-        },
-        tree,
-        env.id,
-        ctx.tracer(),
-        level,
-        &pf,
-    )
-    .is_ok()
+    let end = FromChild::EndOfCall {
+        slot,
+        call_id,
+        error,
+        skipped,
+    };
+    send_up(ctx, env, results, end).await
+}
+
+/// Evaluates every parameter of one call frame.
+async fn eval_call(
+    ctx: &Arc<ExecContext>,
+    body: &mut Pipeline,
+    pf_digest: &str,
+    prune_key: Option<&str>,
+    params: Bytes,
+    flush: &mut FlushBuffer<'_>,
+) -> CoreResult<()> {
+    match wire::decode_message(params)? {
+        wire::MessageBatch::Rows(parts) => {
+            for encoded in parts {
+                let param = wire::decode_tuple(encoded.clone())?;
+                let key = || CacheKey::for_rows(pf_digest, &encoded);
+                eval_param(ctx, body, &param, key, prune_key, flush).await?;
+            }
+        }
+        wire::MessageBatch::Columnar(batch) => {
+            for i in 0..batch.len() {
+                let param = batch.row(i);
+                // Memo-key parity: the key bytes come straight from the
+                // column slices and equal the parent's `encode_tuple`
+                // output exactly.
+                let key = || CacheKey::for_batch_row(pf_digest, &batch, i);
+                eval_param(ctx, body, &param, key, prune_key, flush).await?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One parameter's evaluation: streams its rows through the flush buffer
+/// and memoizes its complete result set under its row-format wire encoding
+/// (`key` is computed lazily — columnar frames only re-encode a row when
+/// the memo will actually be written).
+async fn eval_param(
+    ctx: &Arc<ExecContext>,
+    body: &mut Pipeline,
+    param: &Tuple,
+    key: impl FnOnce() -> CacheKey,
+    prune_key: Option<&str>,
+    flush: &mut FlushBuffer<'_>,
+) -> CoreResult<()> {
+    let parent_gone = || CoreError::ProcessFailure("parent gone".into());
+    let skips_before = resilience::skip_sink_len();
+    let rows = eval(body, ctx, param).await?;
+    for tuple in &rows {
+        if !flush.push(tuple).await {
+            return Err(parent_gone());
+        }
+    }
+    // A parameter that deterministically produced no rows (no call was
+    // skipped) is a semi-join pruning candidate: report it under this
+    // section's stable key so a later planning pass can drop it
+    // parent-side before any dependent call is issued.
+    if rows.is_empty() && resilience::skip_sink_len() == skips_before {
+        if let (Some(section), Some(obs)) = (prune_key, ctx.planner_obs()) {
+            obs.observe_empty(section, wire::encode_tuple(param));
+        }
+    }
+    if let Some(cache) = ctx.call_cache() {
+        // A parameter whose evaluation skipped any call produced an
+        // incomplete row set; memoizing it would let a later duplicate
+        // short-circuit to partial rows without its skip being counted.
+        if resilience::skip_sink_len() == skips_before {
+            cache.insert_rows(&key(), Arc::new(rows), Some(ctx.cache_scope()));
+        }
+    }
+    // A cheap parameter between expensive ones must not strand buffered
+    // results past the latency bound.
+    if !flush.flush_if_stale().await {
+        return Err(parent_gone());
+    }
+    Ok(())
 }
 
 /// Child-side result buffer: accumulates encoded tuples and flushes a
@@ -719,7 +841,7 @@ impl<'a> FlushBuffer<'a> {
 
     /// Buffers one result tuple, flushing if the buffer filled or went
     /// stale. Returns `false` if the parent hung up.
-    fn push(&mut self, tuple: &Tuple) -> bool {
+    async fn push(&mut self, tuple: &Tuple) -> bool {
         if self.columnar {
             self.rows.push(tuple.clone());
         } else {
@@ -727,34 +849,25 @@ impl<'a> FlushBuffer<'a> {
         }
         self.buffered_since.get_or_insert_with(Instant::now);
         if self.buffered() >= self.max_tuples {
-            return self.flush();
+            return self.flush().await;
         }
-        self.flush_if_stale()
+        self.flush_if_stale().await
     }
 
     /// Flushes when the oldest buffered tuple has waited longer than the
     /// model-time bound (only measurable when the sim is time-scaled).
-    fn flush_if_stale(&mut self) -> bool {
+    async fn flush_if_stale(&mut self) -> bool {
         let Some(since) = self.buffered_since else {
             return true;
         };
         let scale = self.ctx.sim().time_scale;
         if scale > 0.0 && since.elapsed().as_secs_f64() / scale >= self.flush_model_secs {
-            return self.flush();
+            return self.flush().await;
         }
         true
     }
 
-    /// Flushes any remaining tuples at end of call.
-    fn finish(&mut self) -> bool {
-        if self.buffered() == 0 {
-            true
-        } else {
-            self.flush()
-        }
-    }
-
-    fn flush(&mut self) -> bool {
+    async fn flush(&mut self) -> bool {
         let n = self.buffered();
         if n == 0 {
             return true;
@@ -771,23 +884,12 @@ impl<'a> FlushBuffer<'a> {
         let sim = self.ctx.sim();
         sim.sleep_model(sim.client.frame_cost(n));
         self.ctx.record_shipped(frame.len());
-        let tree = self.ctx.tree();
-        tree.note_msg_up(self.env.id);
-        let (_, level, pf) = obs::current_proc();
-        let ok = send_counted(
-            self.results,
-            FromChild::ResultBatch {
-                slot: self.slot,
-                call_id: self.call_id,
-                tuples: frame,
-            },
-            tree,
-            self.env.id,
-            self.ctx.tracer(),
-            level,
-            &pf,
-        )
-        .is_ok();
+        let batch = FromChild::ResultBatch {
+            slot: self.slot,
+            call_id: self.call_id,
+            tuples: frame,
+        };
+        let ok = send_up(self.ctx, self.env, self.results, batch).await;
         self.parent_gone = !ok;
         ok
     }

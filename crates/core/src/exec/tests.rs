@@ -289,9 +289,9 @@ fn ff_apply_first_finished_dispatch_beats_stragglers() {
     let transport = MockTransport::new(|_, args| {
         let arg = args[0].as_str().map_err(CoreError::Store)?;
         if arg.starts_with("slow") {
-            std::thread::sleep(Duration::from_millis(150));
+            crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(150)));
         } else if !arg.contains('|') {
-            std::thread::sleep(Duration::from_millis(5));
+            crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(5)));
         }
         Ok(split_response(arg, '|'))
     });
@@ -322,7 +322,7 @@ fn aff_apply_produces_correct_results_and_adapts() {
     let ctx = mock_ctx(MockTransport::new(move |_, args| {
         let arg = args[0].as_str().map_err(CoreError::Store)?;
         if !arg.contains('|') {
-            std::thread::sleep(Duration::from_millis(3));
+            crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(3)));
         }
         Ok(split_response(arg, '|'))
     }));
@@ -428,6 +428,45 @@ fn processes_are_torn_down_after_run() {
         0,
         "children leaked: {now:?}"
     );
+}
+
+#[test]
+fn a_finished_run_leaves_only_its_parked_processes_running() {
+    let nested = |_: &OwfDef, args: &[Value]| {
+        let arg = args[0].as_str().map_err(CoreError::Store)?;
+        let sep = if arg.contains('|') { '|' } else { ',' };
+        Ok(split_response(arg, sep))
+    };
+    // No pool: every process the run spawned has ended by the time
+    // `run_plan` returns, on success and on failure.
+    let ctx = mock_ctx(MockTransport::new(nested));
+    ctx.run_plan(&nested_plan(2, 3)).unwrap();
+    assert_eq!(ctx.spawn_counts().running(), 0);
+    let failing = mock_ctx(MockTransport::new(|_, args| {
+        let arg = args[0].as_str().map_err(CoreError::Store)?;
+        if arg == "boom" {
+            return Err(CoreError::ProcessFailure("injected failure".into()));
+        }
+        Ok(split_response(arg, '|'))
+    }));
+    assert!(failing
+        .run_plan(&echo_plan("a|boom|c", Some((2, false))))
+        .is_err());
+    assert_eq!(failing.spawn_counts().running(), 0);
+
+    // Pooled: the two parked level-1 processes and their six children live
+    // on, nothing else; clearing the pool ends them.
+    let runs = Pooled::new(MockTransport::new(nested), PoolPolicy::default(), 0.0);
+    let cfg = RunConfig {
+        pool: Arc::downgrade(&runs.pool),
+        ..Default::default()
+    };
+    let ctx = mock_ctx_with(Arc::clone(&runs.transport), cfg);
+    ctx.run_plan(&nested_plan(2, 3)).unwrap();
+    assert_eq!(runs.pool.idle_total(), 2);
+    assert_eq!(ctx.spawn_counts().running(), 8);
+    runs.pool.clear();
+    assert_eq!(ctx.spawn_counts().running(), 0);
 }
 
 #[test]
@@ -706,7 +745,7 @@ fn adaptive_drop_stage_parks_dropped_children_warm() {
         MockTransport::new(move |_, args: &[Value]| {
             let arg = args[0].as_str().map_err(CoreError::Store)?;
             if !arg.contains('|') {
-                std::thread::sleep(Duration::from_millis(2));
+                crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(2)));
             }
             Ok(split_response(arg, '|'))
         })

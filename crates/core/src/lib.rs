@@ -22,11 +22,11 @@
 //!   with [`plan::PlanOp::FfApply`] / [`plan::PlanOp::AffApply`] operators
 //!   (Fig. 9/13). Plan functions are *shipped* to child query processes as
 //!   serialized bytes ([`wire`]), mirroring the paper's code shipping.
-//! * [`exec`] interprets plans. Query processes are threads with message
-//!   inboxes; `FF_APPLYP` streams parameter tuples to whichever child
-//!   finished first; `AFF_APPLYP` starts from a binary process tree and
-//!   adapts each subtree locally by monitoring the average time per
-//!   incoming result tuple (§V.A).
+//! * [`exec`] interprets plans. Query processes are tasks with message
+//!   inboxes on a fixed set of worker threads; `FF_APPLYP` streams
+//!   parameter tuples to whichever child finished first; `AFF_APPLYP`
+//!   starts from a binary process tree and adapts each subtree locally by
+//!   monitoring the average time per incoming result tuple (§V.A).
 //! * [`Wsmed`] is the mediator facade: import WSDL → SQL → execute
 //!   (central, manually parallel, or adaptive).
 
@@ -56,7 +56,7 @@ pub use config::RunConfig;
 pub use costs::{CostModel, CostStage, LevelCost, OpObs, PlanCost, PlannerStats, ProviderProfile};
 pub use error::{CoreError, CoreResult};
 pub use exec::pool::{PoolPolicy, PoolStats, ProcessPool};
-pub use exec::ExecContext;
+pub use exec::{blocking, ExecContext};
 pub use materialized::run_materialized;
 pub use obs::{KindMask, TraceEvent, TraceEventKind, TraceLog, TracePolicy};
 pub use parallel::{

@@ -740,6 +740,12 @@ thread_local! {
     static SKIP_SINK: RefCell<Option<Vec<(String, u64)>>> = const { RefCell::new(None) };
 }
 
+/// Exchanges the calling thread's skip sink with `sink`: the runtime swaps
+/// a query process's sink in and out around each of its polls.
+pub(crate) fn swap_skip_sink(sink: &mut Option<Vec<(String, u64)>>) {
+    SKIP_SINK.with(|s| std::mem::swap(&mut *s.borrow_mut(), sink));
+}
+
 /// Installs a fresh, empty skip sink on the calling thread.
 pub(crate) fn install_skip_sink() {
     SKIP_SINK.with(|s| *s.borrow_mut() = Some(Vec::new()));

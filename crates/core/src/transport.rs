@@ -399,7 +399,7 @@ impl WsTransport for MockTransport {
     ) -> CoreResult<(Value, u64)> {
         self.calls.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = self.delay {
-            std::thread::sleep(d);
+            crate::exec::blocking(|| std::thread::sleep(d));
         }
         Ok(((self.respond)(owf, args)?, 0))
     }

@@ -44,7 +44,7 @@ pub use fault::FaultSpec;
 pub use latency::LatencyModel;
 pub use metrics::{CallStats, MetricsSnapshot, ProviderMetrics};
 pub use network::{NetError, NetResult, Network};
-pub use pacing::{pacing_stats, PacingStats};
+pub use pacing::{pacing_stats, set_blocking_hook, swap_pacing_debt, BlockingHook, PacingStats};
 pub use provider::{CallOpts, Provider, ProviderSpec};
 pub use rng::DetRng;
 pub use topology::{

@@ -7,6 +7,10 @@
 //! twenty times its modelled price. So a thread accumulates what it owes and
 //! sleeps once per [`QUANTUM`] for the whole debt; the measured oversleep is
 //! carried forward as credit against the next charges.
+//!
+//! A thread that runs many simulated parties in turn (a task runtime) keeps
+//! each party's debt apart with [`swap_pacing_debt`], and has its sleeps run
+//! by a [`BlockingHook`] so that they do not hold up the other parties.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -50,6 +54,24 @@ impl PacingDebt {
 
 thread_local! {
     static DEBT: Cell<f64> = const { Cell::new(0.0) };
+    static HOOK: Cell<Option<BlockingHook>> = const { Cell::new(None) };
+}
+
+/// Runs a pacing sleep, handed to it as a closure, on behalf of the calling
+/// thread; see [`set_blocking_hook`].
+pub type BlockingHook = fn(&mut dyn FnMut());
+
+/// Routes the calling thread's pacing sleeps through `hook` from now on: a
+/// task runtime passes the function that lets its other tasks run elsewhere
+/// while this thread sleeps.
+pub fn set_blocking_hook(hook: BlockingHook) {
+    HOOK.with(|cell| cell.set(Some(hook)));
+}
+
+/// Exchanges the calling thread's pacing debt with `debt` (wall seconds,
+/// negative is credit). Swapping twice restores both.
+pub fn swap_pacing_debt(debt: &mut f64) {
+    DEBT.with(|cell| *debt = cell.replace(*debt));
 }
 
 static CHARGES: AtomicU64 = AtomicU64::new(0);
@@ -82,7 +104,11 @@ pub(crate) fn pace(wall_secs: f64) {
         let mut debt = PacingDebt(cell.get());
         if let Some(asked) = debt.charge(wall_secs) {
             let start = Instant::now();
-            std::thread::sleep(asked);
+            let mut sleep = || std::thread::sleep(asked);
+            match HOOK.with(Cell::get) {
+                Some(hook) => hook(&mut sleep),
+                None => sleep(),
+            }
             debt.settle(asked, start.elapsed());
             OS_SLEEPS.fetch_add(1, Relaxed);
         }

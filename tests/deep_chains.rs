@@ -140,6 +140,20 @@ fn three_level_chain_parallelizes_to_depth_three() {
 }
 
 #[test]
+fn three_level_chain_reports_the_whole_tree_on_every_run() {
+    // A process still installing when its siblings have done all the work
+    // has not spawned its own children yet; the report's snapshot waits for
+    // every install, so the full tree shows on every run.
+    let owfs = chain_catalog(3);
+    let parallel = parallelize(&compile_chain(3, &owfs), &vec![2, 2, 2]).unwrap();
+    for run_no in 0..200 {
+        let report = run(&parallel, &owfs);
+        let alive: Vec<usize> = (1..=3).map(|l| report.tree.levels[l].alive).collect();
+        assert_eq!(alive, vec![2, 4, 8], "run {run_no}");
+    }
+}
+
+#[test]
 fn four_level_chain_with_mixed_fanouts() {
     let owfs = chain_catalog(4);
     let central = compile_chain(4, &owfs);

@@ -85,9 +85,9 @@ fn first_finished_beats_round_robin_under_skew() {
         MockTransport::new(|_, args| {
             let arg = args[0].as_str().map_err(wsmed::core::CoreError::Store)?;
             if arg.starts_with("slow") {
-                std::thread::sleep(Duration::from_millis(100));
+                wsmed::core::blocking(|| std::thread::sleep(Duration::from_millis(100)));
             } else if !arg.contains('|') {
-                std::thread::sleep(Duration::from_millis(3));
+                wsmed::core::blocking(|| std::thread::sleep(Duration::from_millis(3)));
             }
             Ok(Value::Record(
                 Record::new().with(
