@@ -190,6 +190,12 @@ impl<T> Receiver<T> {
         Some(msg)
     }
 
+    /// Whether a sender is waiting for room.
+    #[cfg(test)]
+    pub(crate) fn has_blocked_sender(&self) -> bool {
+        !self.0.lock().blocked.is_empty()
+    }
+
     /// Disconnects every sender: what is queued is dropped, blocked
     /// senders get their message back, and later sends fail.
     pub(crate) fn close(&self) {

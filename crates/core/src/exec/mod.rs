@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use wsmed_netsim::SimConfig;
 use wsmed_store::{FunctionRegistry, Tuple, Value};
-use wsmed_wsdl::OwfDef;
+use wsmed_wsdl::{OwfDef, Response};
 
 use crate::cache::{CacheKey, CacheScope, CacheStats, CallCache, CallLookup};
 use crate::catalog::OwfCatalog;
@@ -180,7 +180,7 @@ impl ExecContext {
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
-    ) -> CoreResult<Value> {
+    ) -> CoreResult<Response> {
         // Latency observation for the cost-based planner: the model-time
         // delta across the (blocking, latency-sleeping) call is the call's
         // own latency. Meaningless at time scale 0, where calls are
@@ -207,7 +207,7 @@ impl ExecContext {
                     .map(|e| crate::transport::error_class(e).to_owned()),
             });
         }
-        result.map(|(value, _bytes)| value)
+        result.map(|(response, _bytes)| response)
     }
 
     /// Routes one skipped parameter tuple (partial failure mode): into
@@ -309,7 +309,10 @@ impl ExecContext {
     /// single-flight latch: one query process issues the call, the others
     /// block until it completes and share its value. A failed call
     /// releases the waiters (each retries on its own) and caches nothing.
-    pub(crate) fn call_with_retry(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
+    ///
+    /// The response keeps the form the transport returned it in; only a
+    /// cache miss converts it, because the cache stores values.
+    pub(crate) fn call_with_retry(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Response> {
         let Some(cache) = self.call_cache() else {
             return self.call_uncached(owf, args);
         };
@@ -325,7 +328,7 @@ impl ExecContext {
                             waited,
                         });
                     }
-                    return Ok(value);
+                    return Ok(Response::Value(value));
                 }
                 CallLookup::Miss(flight) => {
                     if self.tracing() {
@@ -333,11 +336,10 @@ impl ExecContext {
                             op: owf.name.clone(),
                         });
                     }
-                    let result = self.call_uncached(owf, args);
-                    if let Ok(value) = &result {
-                        flight.complete(value);
-                    } // dropping the flight on Err releases any waiters
-                    return result;
+                    // `?` drops the flight on Err, which releases any waiters.
+                    let value = self.call_uncached(owf, args)?.into_value();
+                    flight.complete(&value);
+                    return Ok(Response::Value(value));
                 }
                 // The in-flight leader failed; take the lead ourselves.
                 CallLookup::Retry => {
@@ -385,7 +387,7 @@ impl ExecContext {
     /// with backoff, per-attempt deadline, optional hedging. With the
     /// default (plain, single-attempt) policy this is exactly one
     /// un-decorated transport call — the paper-reproduction fast path.
-    fn call_uncached(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
+    fn call_uncached(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Response> {
         // Admission first: a shed call must not consume breaker budget or
         // reach the wire. The token spans every attempt (and hedge) of
         // this one logical call.
@@ -608,7 +610,7 @@ impl ExecContext {
         policy: &ResiliencePolicy,
         replica: Option<&str>,
         hedge_replica: Option<&str>,
-    ) -> CoreResult<Value> {
+    ) -> CoreResult<Response> {
         let deadline = policy.deadline_model_secs;
         let Some(hedge) = policy.hedge else {
             return self.transport_call(owf, args, deadline, replica);
@@ -661,14 +663,14 @@ impl ExecContext {
                 // call is bounded by the same deadline, so this cannot wait
                 // longer than one call.
                 match rx.recv() {
-                    Ok(Some(Ok(value))) => {
+                    Ok(Some(Ok(response))) => {
                         self.res_stats.note_hedge_win();
                         if self.tracing() {
                             self.trace_here(TraceEventKind::HedgeWin {
                                 op: owf.operation.clone(),
                             });
                         }
-                        Ok(value)
+                        Ok(response)
                     }
                     // Hedge skipped, failed too, or died: report the
                     // primary's error.
@@ -1088,7 +1090,7 @@ pub(crate) async fn eval(
                 for row in rows {
                     let values = resolve_args(args, &row);
                     let response = match ctx.call_with_retry(owf, &values) {
-                        Ok(value) => value,
+                        Ok(response) => response,
                         Err(e) if partial && is_skippable(&e) => {
                             // Degrade instead of aborting: this input row
                             // is dropped from the result and counted.

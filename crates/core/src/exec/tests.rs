@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wsmed_store::{canonicalize, SqlType, Tuple, Value};
-use wsmed_wsdl::OwfDef;
+use wsmed_wsdl::{OwfDef, Response};
 
 use crate::cache::{CachePolicy, CallCache};
 use crate::catalog::OwfCatalog;
@@ -488,7 +488,9 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
                 let barrier = &barrier;
                 s.spawn(move || {
                     barrier.wait();
-                    ctx.call_with_retry(owf, &[Value::str("p|q")]).unwrap()
+                    ctx.call_with_retry(owf, &[Value::str("p|q")])
+                        .unwrap()
+                        .into_value()
                 })
             })
             .collect();
@@ -882,35 +884,95 @@ fn tiny_mailbox_capacity_is_correct_under_load() {
 
 #[test]
 fn full_results_mailbox_records_blocked_send() {
-    // One child answers a single call with 300 result tuples at one tuple
-    // per frame, into a results channel holding only 2 frames, while the
-    // parent pays modeled dispatch time per frame — the child must spend
-    // measurable wall time blocked in `send`.
-    let transport = MockTransport::new(move |_, args: &[Value]| {
-        let arg = args[0].as_str().map_err(CoreError::Store)?;
-        if arg == "big" {
-            return Ok(echo_response(
-                (0..300).map(|i| Value::str(format!("t{i}"))).collect(),
-            ));
-        }
-        Ok(split_response(arg, '|'))
-    });
-    let ctx = ExecContext::new(
-        transport as Arc<dyn WsTransport>,
-        echo_catalog(),
-        wsmed_netsim::SimConfig::new(0.05, 7), // real sleeps: 0.1ms/frame
-        tiny_mailbox(),
+    use crate::exec::mailbox::bounded;
+    use crate::exec::process::{ChildProc, FromChild};
+    use crate::exec::runtime::block_on;
+    use crate::exec::ProcEnv;
+    use crate::obs::{TraceEventKind, TracePolicy};
+    use crate::wire;
+
+    // This test is the parent of one child process. The child answers a
+    // call with five rows, one frame each, into a results mailbox of two
+    // frames, and the parent reads nothing until the child is waiting to
+    // send its third: the mailbox is full by construction.
+    let ctx = mock_ctx_with(
+        MockTransport::new(echo_responder),
+        RunConfig {
+            trace: TracePolicy::enabled(),
+            ..tiny_mailbox()
+        },
     );
-    // Seed "big|pad" splits at the coordinator; the child's Echo("big")
-    // call is the one that floods the results channel.
-    let report = ctx
-        .run_plan(&echo_plan("big|pad", Some((1, false))))
-        .unwrap();
-    assert_eq!(report.rows.len(), 301);
+    let pf = PlanFunction {
+        name: "PF1".into(),
+        param_arity: 1,
+        body: Box::new(PlanOp::ApplyOwf {
+            owf: "Echo".into(),
+            args: vec![ArgExpr::Col(0)],
+            output_arity: 1,
+            input: Box::new(PlanOp::Param { arity: 1 }),
+        }),
+        output_arity: 2,
+        prune: None,
+    };
+    let (results_tx, results) = bounded::<FromChild>(ctx.batch_policy().mailbox_capacity());
+    let child = ChildProc::spawn(
+        &ctx,
+        &ProcEnv { id: 0, level: 0 },
+        0,
+        "PF1",
+        &Arc::from("pf1"),
+        wire::encode_plan_function(&pf),
+        results_tx,
+    );
+    let child_id = child.id;
+    block_on(async {
+        assert!(matches!(
+            results.recv().await,
+            Some(FromChild::Installed { error: None, .. })
+        ));
+        let param = wire::encode_tuple(&Tuple::new(vec![Value::str("a|b|c|d|e")]));
+        child
+            .send_call(&ctx, 1, wire::encode_rows_message([&param]), 1)
+            .await
+            .unwrap();
+        let patience = std::time::Instant::now();
+        while !results.has_blocked_sender() {
+            assert!(
+                patience.elapsed() < Duration::from_secs(60),
+                "the child never filled its results mailbox"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Some wall time for the blocked send to have waited.
+        std::thread::sleep(Duration::from_millis(1));
+        let mut rows = 0;
+        loop {
+            match results.recv().await.expect("the child ends its call") {
+                FromChild::ResultBatch { tuples, .. } => {
+                    rows += wire::decode_message(tuples).unwrap().len();
+                }
+                FromChild::EndOfCall { error, .. } => {
+                    assert_eq!(error, None);
+                    break;
+                }
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+        assert_eq!(rows, 5);
+        child.shutdown(false).await;
+    });
+    let tree = ctx.tree().snapshot();
     assert!(
-        report.tree.total_blocked_send() > Duration::ZERO,
-        "no backpressure recorded: {:?}",
-        report.tree
+        tree.total_blocked_send() >= Duration::from_millis(1),
+        "no backpressure recorded: {tree:?}"
+    );
+    let trace = ctx.trace_handle().expect("tracing is on");
+    assert!(
+        trace
+            .events()
+            .iter()
+            .any(|e| e.node == child_id && matches!(e.kind, TraceEventKind::BlockedSend { .. })),
+        "no blocked_send trace event"
     );
 }
 
@@ -943,11 +1005,11 @@ impl WsTransport for RecordingTransport {
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
-    ) -> CoreResult<(Value, u64)> {
+    ) -> CoreResult<(Response, u64)> {
         self.seen
             .lock()
             .push((deadline_model_secs, replica.map(str::to_owned)));
-        Ok((echo_responder(owf, args)?, 0))
+        Ok((Response::Value(echo_responder(owf, args)?), 0))
     }
 
     fn group_view(&self, _owf: &OwfDef) -> Option<crate::router::GroupView> {

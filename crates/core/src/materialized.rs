@@ -81,11 +81,9 @@ fn run_materialized_inner(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResul
                         let values = resolve_args(args, &row);
                         std::thread::spawn(move || -> CoreResult<Vec<Tuple>> {
                             let response = ctx.call_with_retry(&owf, &values)?;
-                            Ok(owf
-                                .flatten(&response)?
-                                .into_iter()
-                                .map(|produced| row.concat(&produced))
-                                .collect())
+                            let mut produced = Vec::new();
+                            owf.flatten_onto(row.values(), &response, &mut produced);
+                            Ok(produced)
                         })
                     })
                     .collect();

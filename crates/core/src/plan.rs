@@ -375,24 +375,18 @@ impl PlanOp {
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
         let pad = "  ".repeat(indent);
         match self {
-            PlanOp::Unit => writeln!(f, "{pad}unit"),
-            PlanOp::Param { arity } => writeln!(f, "{pad}param/{arity}"),
+            PlanOp::Unit => writeln!(f, "{pad}unit")?,
+            PlanOp::Param { arity } => writeln!(f, "{pad}param/{arity}")?,
             PlanOp::ApplyOwf { owf, args, .. } => {
                 writeln!(f, "{pad}γ {owf}({})", join_args(args))?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
             PlanOp::ApplyFunction { function, args, .. } => {
                 writeln!(f, "{pad}γ {function}({})", join_args(args))?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
-            PlanOp::Extend { exprs, .. } => {
-                writeln!(f, "{pad}extend({})", join_args(exprs))?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
-            }
+            PlanOp::Extend { exprs, .. } => writeln!(f, "{pad}extend({})", join_args(exprs))?,
             PlanOp::Project { columns, .. } => {
                 let cols: Vec<String> = columns.iter().map(|c| format!("#{c}")).collect();
                 writeln!(f, "{pad}π [{}]", cols.join(", "))?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
             PlanOp::Sort { keys, .. } => {
                 let cols: Vec<String> = keys
@@ -400,20 +394,10 @@ impl PlanOp {
                     .map(|(c, desc)| format!("#{c}{}", if *desc { " desc" } else { "" }))
                     .collect();
                 writeln!(f, "{pad}sort [{}]", cols.join(", "))?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
-            PlanOp::Distinct { .. } => {
-                writeln!(f, "{pad}distinct")?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
-            }
-            PlanOp::Limit { count, .. } => {
-                writeln!(f, "{pad}limit {count}")?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
-            }
-            PlanOp::Count { .. } => {
-                writeln!(f, "{pad}count")?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
-            }
+            PlanOp::Distinct { .. } => writeln!(f, "{pad}distinct")?,
+            PlanOp::Limit { count, .. } => writeln!(f, "{pad}limit {count}")?,
+            PlanOp::Count { .. } => writeln!(f, "{pad}count")?,
             PlanOp::GroupBy {
                 key_count, aggs, ..
             } => {
@@ -425,13 +409,11 @@ impl PlanOp {
                     })
                     .collect();
                 writeln!(f, "{pad}group by #0..#{key_count} [{}]", parts.join(", "))?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
             PlanOp::FfApply { pf, fanout, .. } => {
                 writeln!(f, "{pad}FF_γ {} fanout={fanout}", pf.name)?;
                 writeln!(f, "{pad}  [{}(param/{}) ->]", pf.name, pf.param_arity)?;
                 pf.body.fmt_indented(f, indent + 2)?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
             PlanOp::AffApply { pf, config, .. } => {
                 writeln!(
@@ -441,9 +423,12 @@ impl PlanOp {
                 )?;
                 writeln!(f, "{pad}  [{}(param/{}) ->]", pf.name, pf.param_arity)?;
                 pf.body.fmt_indented(f, indent + 2)?;
-                self.input().unwrap().fmt_indented(f, indent + 1)
             }
         }
+        if let Some(input) = self.input() {
+            input.fmt_indented(f, indent + 1)?;
+        }
+        Ok(())
     }
 }
 

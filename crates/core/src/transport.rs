@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wsmed_services::ServiceRegistry;
-use wsmed_store::{xml_to_value, Value};
-use wsmed_wsdl::OwfDef;
+use wsmed_store::Value;
+use wsmed_wsdl::{OwfDef, Response};
 
 use crate::{CoreError, CoreResult};
 
@@ -113,11 +113,12 @@ impl BatchPolicy {
 
 /// Something that can invoke a data-providing web service operation.
 pub trait WsTransport: Send + Sync {
-    /// Invokes `owf`'s operation with typed argument values. Returns the
-    /// response converted into record/sequence values (the `cwo` built-in,
-    /// paper Fig. 2 line 14) and the wire bytes (request + response) the
-    /// call moved, so each execution context can meter its own traffic
-    /// without diffing global provider metrics.
+    /// Invokes `owf`'s operation with typed argument values (the `cwo`
+    /// built-in, paper Fig. 2 line 14). Returns the response in the form
+    /// the transport has it — a service's XML body, or a value — and the
+    /// wire bytes (request + response) the call moved, so each execution
+    /// context can meter its own traffic without diffing global provider
+    /// metrics.
     ///
     /// With a `deadline_model_secs`, a call whose model latency would
     /// exceed it charges exactly the deadline and fails with
@@ -133,13 +134,13 @@ pub trait WsTransport: Send + Sync {
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
-    ) -> CoreResult<(Value, u64)>;
+    ) -> CoreResult<(Response, u64)>;
 
     /// [`WsTransport::call`] with no deadline and no pinned replica,
-    /// returning only the value.
+    /// returning only the response, converted into record/sequence values.
     fn call_operation(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
         self.call(owf, args, None, None)
-            .map(|(value, _bytes)| value)
+            .map(|(response, _bytes)| response.into_value())
     }
 
     /// The routable replica-group view for an OWF's provider, when the
@@ -217,7 +218,7 @@ impl WsTransport for SimTransport {
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
-    ) -> CoreResult<(Value, u64)> {
+    ) -> CoreResult<(Response, u64)> {
         let replica = replica
             .map(|name| self.registry.network().provider(name))
             .transpose()
@@ -234,7 +235,7 @@ impl WsTransport for SimTransport {
         for ((name, ty), value) in owf.inputs.iter().zip(args) {
             rendered.push((name.as_str(), ty.value_to_text(value)?));
         }
-        let (element, stats) = self
+        let (body, stats) = self
             .registry
             .call_on_provider(
                 &owf.wsdl_uri,
@@ -257,7 +258,7 @@ impl WsTransport for SimTransport {
                 other => CoreError::Net(other),
             })?;
         let bytes = (stats.request_bytes + stats.response_bytes) as u64;
-        Ok((xml_to_value(&element), bytes))
+        Ok((Response::Xml(body), bytes))
     }
 
     fn group_view(&self, owf: &OwfDef) -> Option<crate::router::GroupView> {
@@ -396,12 +397,12 @@ impl WsTransport for MockTransport {
         args: &[Value],
         _deadline_model_secs: Option<f64>,
         _replica: Option<&str>,
-    ) -> CoreResult<(Value, u64)> {
+    ) -> CoreResult<(Response, u64)> {
         self.calls.fetch_add(1, Ordering::Relaxed);
         if let Some(d) = self.delay {
             crate::exec::blocking(|| std::thread::sleep(d));
         }
-        Ok(((self.respond)(owf, args)?, 0))
+        Ok((Response::Value((self.respond)(owf, args)?), 0))
     }
 }
 

@@ -14,7 +14,7 @@ use wsmed_wsdl::WsdlDocument;
 use wsmed_xml::Element;
 
 use crate::dataset::Dataset;
-use crate::soap::{nested_response, nested_result_operation, scalar_arg, SoapService};
+use crate::soap::{nested_response, nested_result_operation, scalar_arg, Request, SoapService};
 
 /// Simulated `http://aviationdata.example/AviationData.asmx`.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl SoapService for AviationService {
         }
     }
 
-    fn invoke(&self, operation: &str, request: &Element) -> Result<Element, String> {
+    fn invoke(&self, operation: &str, request: &Request<'_>) -> Result<Element, String> {
         match operation {
             "GetAirports" => {
                 let state = scalar_arg(request, "stateAbbr")?;
@@ -153,14 +153,16 @@ mod tests {
         AviationService::new(Arc::new(Dataset::generate(DatasetConfig::tiny())))
     }
 
-    fn arg(name: &'static str, value: &str) -> Element {
-        Element::new("req").with_child(Element::text_leaf(name, value))
+    fn arg<'a>(name: &'static str, value: &'a str) -> [(&'a str, &'a str); 1] {
+        [(name, value)]
     }
 
     #[test]
     fn airports_per_state() {
         let svc = service();
-        let resp = svc.invoke("GetAirports", &arg("stateAbbr", "CO")).unwrap();
+        let resp = svc
+            .invoke("GetAirports", &Request::new(&arg("stateAbbr", "CO")))
+            .unwrap();
         let result = resp.child("GetAirportsResult").unwrap();
         assert!(!result.children.is_empty());
         for airport in &result.children {
@@ -173,20 +175,22 @@ mod tests {
     fn chain_is_consistent() {
         // A departure of some airport resolves to a status.
         let svc = service();
-        let airports = svc.invoke("GetAirports", &arg("stateAbbr", "GA")).unwrap();
+        let airports = svc
+            .invoke("GetAirports", &Request::new(&arg("stateAbbr", "GA")))
+            .unwrap();
         let code = airports.child("GetAirportsResult").unwrap().children[0]
             .child("Code")
             .unwrap()
             .text()
             .to_owned();
         let departures = svc
-            .invoke("GetDepartures", &arg("airportCode", &code))
+            .invoke("GetDepartures", &Request::new(&arg("airportCode", &code)))
             .unwrap();
         let flights = &departures.child("GetDeparturesResult").unwrap().children;
         assert!(!flights.is_empty());
         let flight = flights[0].child("FlightNo").unwrap().text().to_owned();
         let status = svc
-            .invoke("GetFlightStatus", &arg("flightNo", &flight))
+            .invoke("GetFlightStatus", &Request::new(&arg("flightNo", &flight)))
             .unwrap();
         let rows = &status.child("GetFlightStatusResult").unwrap().children;
         assert_eq!(rows.len(), 1);
@@ -205,7 +209,9 @@ mod tests {
             ("GetDepartures", "airportCode"),
             ("GetFlightStatus", "flightNo"),
         ] {
-            let resp = svc.invoke(op, &arg(arg_name, "NOPE")).unwrap();
+            let resp = svc
+                .invoke(op, &Request::new(&arg(arg_name, "NOPE")))
+                .unwrap();
             assert!(resp
                 .child(&format!("{op}Result"))
                 .unwrap()

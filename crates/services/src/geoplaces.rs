@@ -7,7 +7,9 @@ use wsmed_wsdl::WsdlDocument;
 use wsmed_xml::Element;
 
 use crate::dataset::Dataset;
-use crate::soap::{nested_response, nested_result_operation, real_arg, scalar_arg, SoapService};
+use crate::soap::{
+    nested_response, nested_result_operation, real_arg, scalar_arg, Request, SoapService,
+};
 
 /// Simulated `http://codebump.com/services/PlaceLookup.asmx`.
 #[derive(Debug, Clone)]
@@ -51,7 +53,7 @@ impl GeoPlacesService {
         nested_response("GetAllStatesResponse", "GetAllStatesResult", rows)
     }
 
-    fn get_places_within(&self, request: &Element) -> Result<Element, String> {
+    fn get_places_within(&self, request: &Request<'_>) -> Result<Element, String> {
         let place = scalar_arg(request, "place")?;
         let state = scalar_arg(request, "state")?;
         let distance = real_arg(request, "distance")?;
@@ -128,7 +130,7 @@ impl SoapService for GeoPlacesService {
         }
     }
 
-    fn invoke(&self, operation: &str, request: &Element) -> Result<Element, String> {
+    fn invoke(&self, operation: &str, request: &Request<'_>) -> Result<Element, String> {
         match operation {
             "GetAllStates" => Ok(self.get_all_states()),
             "GetPlacesWithin" => self.get_places_within(request),
@@ -151,9 +153,7 @@ mod tests {
     #[test]
     fn get_all_states_returns_51_rows() {
         let svc = service();
-        let resp = svc
-            .invoke("GetAllStates", &Element::new("GetAllStates"))
-            .unwrap();
+        let resp = svc.invoke("GetAllStates", &Request::default()).unwrap();
         let result = resp.child("GetAllStatesResult").unwrap();
         assert_eq!(result.children.len(), 51);
         let first = &result.children[0];
@@ -171,9 +171,7 @@ mod tests {
             svc.wsdl_uri(),
         )
         .unwrap();
-        let resp = svc
-            .invoke("GetAllStates", &Element::new("GetAllStates"))
-            .unwrap();
+        let resp = svc.invoke("GetAllStates", &Request::default()).unwrap();
         let rows = owf.flatten(&xml_to_value(&resp)).unwrap();
         assert_eq!(rows.len(), 51);
         // Column 2 is State, column 3 is LatDegrees (a Real).
@@ -184,12 +182,13 @@ mod tests {
     #[test]
     fn get_places_within_round_trip() {
         let svc = service();
-        let req = Element::new("GetPlacesWithin")
-            .with_child(Element::text_leaf("place", "Atlanta"))
-            .with_child(Element::text_leaf("state", "GA"))
-            .with_child(Element::text_leaf("distance", "15.0"))
-            .with_child(Element::text_leaf("placeTypeToFind", "City"));
-        let resp = svc.invoke("GetPlacesWithin", &req).unwrap();
+        let args = [
+            ("place", "Atlanta"),
+            ("state", "GA"),
+            ("distance", "15.0"),
+            ("placeTypeToFind", "City"),
+        ];
+        let resp = svc.invoke("GetPlacesWithin", &Request::new(&args)).unwrap();
         let result = resp.child("GetPlacesWithinResult").unwrap();
         for row in &result.children {
             assert_eq!(row.child("ToState").unwrap().text(), "GA");
@@ -201,14 +200,13 @@ mod tests {
     #[test]
     fn get_places_within_missing_arg_is_error() {
         let svc = service();
-        let req = Element::new("GetPlacesWithin");
-        assert!(svc.invoke("GetPlacesWithin", &req).is_err());
+        assert!(svc.invoke("GetPlacesWithin", &Request::default()).is_err());
     }
 
     #[test]
     fn unknown_operation_is_error() {
         let svc = service();
-        assert!(svc.invoke("Nope", &Element::new("Nope")).is_err());
+        assert!(svc.invoke("Nope", &Request::default()).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use aviation::AviationService;
 pub use dataset::{Dataset, DatasetConfig, PlaceFact, StateInfo};
 pub use geoplaces::GeoPlacesService;
 pub use registry::{install_paper_services, ServiceEndpoint, ServiceRegistry};
-pub use soap::{scalar_arg, SoapService};
+pub use soap::{scalar_arg, ArgPairs, Request, SoapService};
 pub use terraservice::TerraService;
 pub use uszip::UsZipService;
 pub use zipcodes::ZipCodesService;

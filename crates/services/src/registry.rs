@@ -1,8 +1,8 @@
 //! The service registry: WSDL discovery plus the simulated SOAP transport.
 //!
 //! This is the layer the mediator's `cwo` built-in talks to: given a WSDL
-//! URI, a service name, an operation and rendered arguments, it builds the
-//! request body, pays the network/provider latency through
+//! URI, a service name, an operation and rendered arguments, it streams the
+//! request body onto the wire, pays the network/provider latency through
 //! [`wsmed_netsim`], runs the service implementation, and returns the
 //! response body.
 
@@ -14,7 +14,7 @@ use wsmed_wsdl::WsdlDocument;
 use wsmed_xml::Element;
 
 use crate::dataset::Dataset;
-use crate::soap::SoapService;
+use crate::soap::{Request, SoapService};
 use crate::{
     calibration, AviationService, GeoPlacesService, TerraService, UsZipService, ZipCodesService,
 };
@@ -159,15 +159,7 @@ impl ServiceRegistry {
             });
         }
 
-        let mut request = Element::new(operation.to_owned());
-        request.children = args
-            .iter()
-            .map(|(name, value)| Element::text_leaf(name.as_ref().to_owned(), value.as_ref()))
-            .collect();
-        // One streaming pass gives the request's wire size and content key;
-        // the XML text itself has no reader and is never built.
-        let mut wire = RequestWire::default();
-        wsmed_xml::write_compact_to(&request, &mut wire).expect("hashing cannot fail");
+        let wire = RequestWire::of(operation, args);
         let opts = CallOpts {
             deadline_model_secs,
             args_key: wire.content_key,
@@ -175,7 +167,7 @@ impl ServiceRegistry {
 
         let (response, stats) =
             provider.call_with_opts(self.network.config(), operation, wire.bytes, opts, || {
-                match endpoint.service.invoke(operation, &request) {
+                match endpoint.service.invoke(operation, &Request::new(&args)) {
                     Ok(resp) => {
                         let bytes = resp.encoded_len();
                         (Ok(resp), bytes)
@@ -198,6 +190,17 @@ impl ServiceRegistry {
 struct RequestWire {
     bytes: usize,
     content_key: u64,
+}
+
+impl RequestWire {
+    /// The wire of the body `<operation><name>text</name>…</operation>`,
+    /// streamed from the argument pairs: neither the body's tree nor its
+    /// text is ever built.
+    fn of<N: AsRef<str>, V: AsRef<str>>(operation: &str, args: &[(N, V)]) -> Self {
+        let mut wire = RequestWire::default();
+        wsmed_xml::write_leaves_to(operation, args, &mut wire).expect("hashing cannot fail");
+        wire
+    }
 }
 
 impl Default for RequestWire {
@@ -272,21 +275,30 @@ mod tests {
         hash
     }
 
-    // Requests as the registry builds them, with repeated names and texts
-    // that need escaping and run to multi-byte characters.
+    /// The request body as the registry built it before the body was
+    /// streamed: the tree whose rendering the wire is held to.
+    fn rendered_request(operation: &str, args: &[(String, String)]) -> String {
+        let mut request = Element::new(operation.to_owned());
+        request.children = args
+            .iter()
+            .map(|(name, value)| Element::text_leaf(name.clone(), value.as_str()))
+            .collect();
+        request.to_xml()
+    }
+
+    // Requests with repeated names and texts that are empty, need escaping
+    // or run to multi-byte characters.
     proptest::proptest! {
         #[test]
         fn prop_streamed_wire_matches_rendered_request(
             operation in "[A-Za-z]{1,12}",
-            args in proptest::collection::vec(("[a-c]{1,2}", "[ -~\u{e9}]{0,12}"), 0..5),
+            args in proptest::collection::vec(
+                ("[a-c]{1,2}", "[ -~\u{e9}\u{1F600}]{0,12}"),
+                0..5,
+            ),
         ) {
-            let mut request = Element::new(operation);
-            for (name, value) in &args {
-                request.children.push(Element::text_leaf(name.clone(), value.as_str()));
-            }
-            let mut wire = RequestWire::default();
-            wsmed_xml::write_compact_to(&request, &mut wire).unwrap();
-            let rendered = request.to_xml();
+            let wire = RequestWire::of(&operation, &args);
+            let rendered = rendered_request(&operation, &args);
             proptest::prop_assert_eq!(wire.bytes, rendered.len());
             proptest::prop_assert_eq!(wire.content_key, reference_content_key(&rendered));
         }

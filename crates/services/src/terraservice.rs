@@ -8,7 +8,7 @@ use wsmed_xml::Element;
 
 use crate::dataset::Dataset;
 use crate::soap::{
-    bool_arg, int_arg, nested_response, nested_result_operation, scalar_arg, SoapService,
+    bool_arg, int_arg, nested_response, nested_result_operation, scalar_arg, Request, SoapService,
 };
 
 /// Simulated `http://terraservice.net/TerraService.asmx`.
@@ -69,7 +69,7 @@ impl SoapService for TerraService {
         }
     }
 
-    fn invoke(&self, operation: &str, request: &Element) -> Result<Element, String> {
+    fn invoke(&self, operation: &str, request: &Request<'_>) -> Result<Element, String> {
         if operation != "GetPlaceList" {
             return Err(format!("unknown operation {operation:?}"));
         }
@@ -124,11 +124,12 @@ mod tests {
         (Arc::clone(&ds), TerraService::new(ds))
     }
 
-    fn request(place: &str, max: i64, image: bool) -> Element {
-        Element::new("GetPlaceList")
-            .with_child(Element::text_leaf("placeName", place))
-            .with_child(Element::text_leaf("MaxItems", max.to_string()))
-            .with_child(Element::text_leaf("imagePresence", image.to_string()))
+    fn request(place: &str, max: i64, image: bool) -> [(&'static str, String); 3] {
+        [
+            ("placeName", place.to_owned()),
+            ("MaxItems", max.to_string()),
+            ("imagePresence", image.to_string()),
+        ]
     }
 
     #[test]
@@ -137,7 +138,7 @@ mod tests {
         let (name, st, _) = ds.places_within("Atlanta", "GA", 15.0, "City")[0];
         let spec = format!("{name}, {st}");
         let resp = svc
-            .invoke("GetPlaceList", &request(&spec, 100, false))
+            .invoke("GetPlaceList", &Request::new(&request(&spec, 100, false)))
             .unwrap();
         let result = resp.child("GetPlaceListResult").unwrap();
         assert!(!result.children.is_empty());
@@ -152,7 +153,10 @@ mod tests {
     fn unknown_place_yields_empty_result() {
         let (_, svc) = setup();
         let resp = svc
-            .invoke("GetPlaceList", &request("Nowhere, ZZ", 100, true))
+            .invoke(
+                "GetPlaceList",
+                &Request::new(&request("Nowhere, ZZ", 100, true)),
+            )
             .unwrap();
         assert!(resp
             .child("GetPlaceListResult")
@@ -173,7 +177,7 @@ mod tests {
         )
         .unwrap();
         let resp = svc
-            .invoke("GetPlaceList", &request(&spec, 100, false))
+            .invoke("GetPlaceList", &Request::new(&request(&spec, 100, false)))
             .unwrap();
         let rows = owf.flatten(&xml_to_value(&resp)).unwrap();
         assert!(!rows.is_empty());
@@ -184,12 +188,13 @@ mod tests {
     #[test]
     fn bad_arguments_error() {
         let (_, svc) = setup();
-        let bad = Element::new("GetPlaceList")
-            .with_child(Element::text_leaf("placeName", "X"))
-            .with_child(Element::text_leaf("MaxItems", "lots"))
-            .with_child(Element::text_leaf("imagePresence", "true"));
-        assert!(svc.invoke("GetPlaceList", &bad).is_err());
-        assert!(svc.invoke("Other", &Element::new("Other")).is_err());
+        let bad = [
+            ("placeName", "X"),
+            ("MaxItems", "lots"),
+            ("imagePresence", "true"),
+        ];
+        assert!(svc.invoke("GetPlaceList", &Request::new(&bad)).is_err());
+        assert!(svc.invoke("Other", &Request::default()).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use wsmed_wsdl::WsdlDocument;
 use wsmed_xml::Element;
 
 use crate::dataset::Dataset;
-use crate::soap::{scalar_arg, scalar_result_operation, SoapService};
+use crate::soap::{scalar_arg, scalar_result_operation, Request, SoapService};
 
 /// Simulated `http://www.webservicex.net/uszip.asmx` — returns all zip
 /// codes of a state as one comma-separated string (§II.B).
@@ -53,7 +53,7 @@ impl SoapService for UsZipService {
         }
     }
 
-    fn invoke(&self, operation: &str, request: &Element) -> Result<Element, String> {
+    fn invoke(&self, operation: &str, request: &Request<'_>) -> Result<Element, String> {
         if operation != "GetInfoByState" {
             return Err(format!("unknown operation {operation:?}"));
         }
@@ -75,14 +75,16 @@ mod tests {
         UsZipService::new(Arc::new(Dataset::generate(DatasetConfig::tiny())))
     }
 
-    fn request(state: &str) -> Element {
-        Element::new("GetInfoByState").with_child(Element::text_leaf("USState", state))
+    fn request(state: &str) -> [(&str, &str); 1] {
+        [("USState", state)]
     }
 
     #[test]
     fn returns_comma_separated_zips() {
         let svc = service();
-        let resp = svc.invoke("GetInfoByState", &request("CO")).unwrap();
+        let resp = svc
+            .invoke("GetInfoByState", &Request::new(&request("CO")))
+            .unwrap();
         let zipstr = resp.child("GetInfoByStateResult").unwrap().text();
         let zips: Vec<&str> = zipstr.split(',').collect();
         assert_eq!(zips.len(), 3); // tiny config: 3 zips per state
@@ -92,7 +94,9 @@ mod tests {
     #[test]
     fn unknown_state_yields_empty_string() {
         let svc = service();
-        let resp = svc.invoke("GetInfoByState", &request("ZZ")).unwrap();
+        let resp = svc
+            .invoke("GetInfoByState", &Request::new(&request("ZZ")))
+            .unwrap();
         assert_eq!(resp.child("GetInfoByStateResult").unwrap().text(), "");
     }
 
@@ -105,7 +109,9 @@ mod tests {
             svc.wsdl_uri(),
         )
         .unwrap();
-        let resp = svc.invoke("GetInfoByState", &request("GA")).unwrap();
+        let resp = svc
+            .invoke("GetInfoByState", &Request::new(&request("GA")))
+            .unwrap();
         let rows = owf.flatten(&xml_to_value(&resp)).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].get(0).as_str().unwrap().contains(','));
@@ -114,9 +120,7 @@ mod tests {
     #[test]
     fn missing_argument_is_error() {
         let svc = service();
-        assert!(svc
-            .invoke("GetInfoByState", &Element::new("GetInfoByState"))
-            .is_err());
+        assert!(svc.invoke("GetInfoByState", &Request::default()).is_err());
     }
 
     #[test]

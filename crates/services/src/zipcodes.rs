@@ -7,7 +7,7 @@ use wsmed_wsdl::WsdlDocument;
 use wsmed_xml::Element;
 
 use crate::dataset::Dataset;
-use crate::soap::{nested_response, nested_result_operation, scalar_arg, SoapService};
+use crate::soap::{nested_response, nested_result_operation, scalar_arg, Request, SoapService};
 
 /// Simulated `http://codebump.com/services/ZipCodeLookup.asmx` — the places
 /// located inside a zip code area (§II.B).
@@ -61,7 +61,7 @@ impl SoapService for ZipCodesService {
         }
     }
 
-    fn invoke(&self, operation: &str, request: &Element) -> Result<Element, String> {
+    fn invoke(&self, operation: &str, request: &Request<'_>) -> Result<Element, String> {
         if operation != "GetPlacesInside" {
             return Err(format!("unknown operation {operation:?}"));
         }
@@ -96,14 +96,16 @@ mod tests {
         ZipCodesService::new(Arc::new(Dataset::generate(DatasetConfig::tiny())))
     }
 
-    fn request(zip: &str) -> Element {
-        Element::new("GetPlacesInside").with_child(Element::text_leaf("zip", zip))
+    fn request(zip: &str) -> [(&str, &str); 1] {
+        [("zip", zip)]
     }
 
     #[test]
     fn usaf_academy_zip() {
         let svc = service();
-        let resp = svc.invoke("GetPlacesInside", &request("80840")).unwrap();
+        let resp = svc
+            .invoke("GetPlacesInside", &Request::new(&request("80840")))
+            .unwrap();
         let result = resp.child("GetPlacesInsideResult").unwrap();
         let places: Vec<&str> = result
             .children
@@ -117,7 +119,9 @@ mod tests {
     #[test]
     fn unknown_zip_yields_empty() {
         let svc = service();
-        let resp = svc.invoke("GetPlacesInside", &request("99999")).unwrap();
+        let resp = svc
+            .invoke("GetPlacesInside", &Request::new(&request("99999")))
+            .unwrap();
         assert!(resp
             .child("GetPlacesInsideResult")
             .unwrap()
@@ -134,7 +138,9 @@ mod tests {
             svc.wsdl_uri(),
         )
         .unwrap();
-        let resp = svc.invoke("GetPlacesInside", &request("80840")).unwrap();
+        let resp = svc
+            .invoke("GetPlacesInside", &Request::new(&request("80840")))
+            .unwrap();
         let rows = owf.flatten(&xml_to_value(&resp)).unwrap();
         assert!(!rows.is_empty());
         assert_eq!(rows[0].get(0).as_str().unwrap(), "USAF Academy");
@@ -144,9 +150,7 @@ mod tests {
     #[test]
     fn missing_zip_argument_is_error() {
         let svc = service();
-        assert!(svc
-            .invoke("GetPlacesInside", &Element::new("GetPlacesInside"))
-            .is_err());
+        assert!(svc.invoke("GetPlacesInside", &Request::default()).is_err());
     }
 
     #[test]

@@ -37,5 +37,5 @@ mod writer;
 
 pub use error::{WsdlError, WsdlResult};
 pub use model::{OperationDef, TypeNode, WsdlDocument};
-pub use owf::{FlattenSpec, LeafKind, OwfDef};
+pub use owf::{FlattenSpec, LeafKind, OwfDef, Response};
 pub use parser::parse_wsdl;

@@ -8,7 +8,8 @@
 //! — queries constrain the input columns with equality predicates
 //! (`gp.place='Atlanta'`) and read the output columns.
 
-use wsmed_store::{Schema, SqlType, StoreResult, Tuple, Value, ValueBatch};
+use wsmed_store::{xml_to_value, Schema, SqlType, StoreResult, Tuple, Value, ValueBatch};
+use wsmed_xml::Element;
 
 use crate::{OperationDef, TypeNode, WsdlError, WsdlResult};
 
@@ -144,72 +145,76 @@ impl OwfDef {
     /// which the XML→value conversion renders as an empty string.
     pub fn flatten(&self, response: &Value) -> StoreResult<Vec<Tuple>> {
         let mut rows = Vec::new();
-        self.flatten_onto(&[], response, &mut rows);
+        self.flatten_node(&[], response, &mut rows);
         Ok(rows)
     }
 
-    /// [`OwfDef::flatten`] for the γ apply operator: appends to `out` one
-    /// tuple per flattened row, each `prefix` (the input row's columns)
-    /// followed by the row's output columns, built in one allocation.
-    pub fn flatten_onto(&self, prefix: &[Value], response: &Value, out: &mut Vec<Tuple>) {
-        self.descend(&self.flatten.path, response, prefix, out);
+    /// [`OwfDef::flatten`] for the γ apply operator, over a response in
+    /// either form: appends to `out` one tuple per flattened row, each
+    /// `prefix` (the input row's columns) followed by the row's output
+    /// columns, built in one allocation. Both forms yield the same rows.
+    pub fn flatten_onto(&self, prefix: &[Value], response: &Response, out: &mut Vec<Tuple>) {
+        match response {
+            Response::Xml(body) => self.flatten_node(prefix, body, out),
+            Response::Value(value) => self.flatten_node(prefix, value, out),
+        }
     }
 
-    /// One level of the descent. A sequence or bag stands for its elements,
-    /// anything else for itself; an element is not unwrapped a second time.
-    fn descend(&self, path: &[String], value: &Value, prefix: &[Value], out: &mut Vec<Tuple>) {
-        match value {
-            Value::Sequence(items) | Value::Bag(items) => {
-                if path.is_empty() {
-                    out.reserve(items.len());
-                }
+    /// The one descent: a step of the path stands for every item of its
+    /// field, and what the path reaches becomes a row, or none.
+    fn flatten_node<N: Node>(&self, prefix: &[Value], response: &N, out: &mut Vec<Tuple>) {
+        self.descend(&self.flatten.path, response.members(), None, prefix, out);
+    }
+
+    /// One level of the descent over `nodes`, or over those of them that are
+    /// items of field `step` when the level is a field's.
+    fn descend<N: Node>(
+        &self,
+        path: &[String],
+        nodes: &[N],
+        step: Option<&str>,
+        prefix: &[Value],
+        out: &mut Vec<Tuple>,
+    ) {
+        let items = nodes.iter().filter(|node| match step {
+            Some(step) => node.is_item_of(step),
+            None => true,
+        });
+        match path.split_first() {
+            None => {
+                out.reserve(nodes.len());
+                out.extend(items.filter_map(|item| self.leaf_row(item, prefix)));
+            }
+            Some((next, rest)) => {
                 for item in items {
-                    self.descend_item(path, item, prefix, out);
+                    self.descend(rest, item.field(next), Some(next), prefix, out);
                 }
             }
-            item => self.descend_item(path, item, prefix, out),
         }
     }
 
-    fn descend_item(&self, path: &[String], item: &Value, prefix: &[Value], out: &mut Vec<Tuple>) {
-        let Some((step, rest)) = path.split_first() else {
-            out.extend(self.leaf_row(item, prefix));
-            return;
-        };
-        // Non-records (e.g. the empty string of an empty result element)
-        // contribute no rows.
-        if let Value::Record(record) = item {
-            if let Some(field) = record.get_opt(step) {
-                self.descend(rest, field, prefix, out);
-            }
-        }
-    }
-
-    /// The row a value at the end of the path stands for, if any: an empty
-    /// string (an empty result element) or a record where a scalar was
+    /// The row a node at the end of the path stands for, if any: an empty
+    /// text (an empty result element) or a record where a scalar was
     /// declared yields none, as does a non-record where a row was declared.
-    fn leaf_row(&self, item: &Value, prefix: &[Value]) -> Option<Tuple> {
+    fn leaf_row<N: Node>(&self, item: &N, prefix: &[Value]) -> Option<Tuple> {
         let row_with = |columns: usize| {
             let mut values = Vec::with_capacity(prefix.len() + columns);
             values.extend_from_slice(prefix);
             values
         };
-        match (&self.flatten.leaf, item) {
-            (LeafKind::Scalar(..), Value::Record(_)) => None,
-            (LeafKind::Scalar(..), Value::Str(s)) if s.is_empty() => None,
-            (LeafKind::Scalar(_, ty), scalar) => {
+        match &self.flatten.leaf {
+            LeafKind::Scalar(_, ty) => {
+                let value = item.scalar(*ty)?;
                 let mut values = row_with(1);
-                values.push(coerce(scalar, *ty));
+                values.push(value);
                 Some(Tuple::new(values))
             }
-            (LeafKind::Row(cols), Value::Record(record)) => {
+            LeafKind::Row(cols) if item.is_record() => {
                 let mut values = row_with(cols.len());
-                values.extend(cols.iter().map(|(name, ty)| {
-                    record.get_opt(name).map_or(Value::Null, |v| coerce(v, *ty))
-                }));
+                values.extend(cols.iter().map(|(name, ty)| item.column(name, *ty)));
                 Some(Tuple::new(values))
             }
-            (LeafKind::Row(_), _) => None,
+            LeafKind::Row(_) => None,
         }
     }
 
@@ -228,6 +233,139 @@ impl OwfDef {
     }
 }
 
+/// A call's response in the form the transport has it: a simulated
+/// service answers with its XML body, a mock or the call cache with the
+/// record/sequence value [`xml_to_value`] makes of such a body.
+/// [`OwfDef::flatten_onto`] reads either form, so the XML is converted only
+/// where a [`Value`] has to exist.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Response {
+    /// The service's `<Op>Response` element.
+    Xml(Element),
+    /// A converted record/sequence value.
+    Value(Value),
+}
+
+impl Response {
+    /// The response as a record/sequence value, converting the XML form.
+    pub fn into_value(self) -> Value {
+        match self {
+            Response::Xml(body) => xml_to_value(&body),
+            Response::Value(value) => value,
+        }
+    }
+}
+
+/// What the flattening reads of a response node, in the two forms a
+/// [`Response`] takes. An [`Element`] reads as its [`xml_to_value`]
+/// conversion would: with children it is a record whose fields are its
+/// children by local name, without them the text leaf of its trimmed
+/// content. Attributes are never read: the names a flattening looks up are
+/// XSD element names, which cannot start with the `@` of an attribute field.
+trait Node: Sized {
+    /// Whether the node is a record.
+    fn is_record(&self) -> bool;
+
+    /// What the node stands for at the response root: a sequence's items,
+    /// anything else itself.
+    fn members(&self) -> &[Self];
+
+    /// The nodes among which the items of the record field `name` are, in
+    /// document order: every occurrence of a repeated field, a single one
+    /// itself. Empty when the node is not a record or has no such field.
+    fn field(&self, name: &str) -> &[Self];
+
+    /// Whether this node, one of the nodes [`Node::field`] returned for
+    /// `name`, is an item of that field.
+    fn is_item_of(&self, name: &str) -> bool;
+
+    /// The node as a value of type `ty`, or `None` where it stands for no
+    /// row: a record, or an empty text.
+    fn scalar(&self, ty: SqlType) -> Option<Value>;
+
+    /// Field `name` of a record as a column of type `ty`: null when absent,
+    /// and the whole converted value where it is not a single text leaf.
+    fn column(&self, name: &str, ty: SqlType) -> Value;
+}
+
+impl Node for Value {
+    fn is_record(&self) -> bool {
+        matches!(self, Value::Record(_))
+    }
+
+    fn members(&self) -> &[Self] {
+        match self {
+            Value::Sequence(items) | Value::Bag(items) => items,
+            item => std::slice::from_ref(item),
+        }
+    }
+
+    fn field(&self, name: &str) -> &[Self] {
+        match self {
+            Value::Record(record) => record.get_opt(name).map_or(&[], Node::members),
+            _ => &[],
+        }
+    }
+
+    fn is_item_of(&self, _name: &str) -> bool {
+        true
+    }
+
+    fn scalar(&self, ty: SqlType) -> Option<Value> {
+        match self {
+            Value::Record(_) => None,
+            Value::Str(s) if s.is_empty() => None,
+            scalar => Some(coerce(scalar, ty)),
+        }
+    }
+
+    fn column(&self, name: &str, ty: SqlType) -> Value {
+        match self {
+            Value::Record(record) => record.get_opt(name).map_or(Value::Null, |v| coerce(v, ty)),
+            _ => Value::Null,
+        }
+    }
+}
+
+impl Node for Element {
+    fn is_record(&self) -> bool {
+        !self.children.is_empty()
+    }
+
+    fn members(&self) -> &[Self] {
+        std::slice::from_ref(self)
+    }
+
+    fn field(&self, _name: &str) -> &[Self] {
+        &self.children
+    }
+
+    fn is_item_of(&self, name: &str) -> bool {
+        self.local_name() == name
+    }
+
+    fn scalar(&self, ty: SqlType) -> Option<Value> {
+        let text = self.text();
+        (self.children.is_empty() && !text.is_empty()).then(|| ty.value_from_text(text))
+    }
+
+    fn column(&self, name: &str, ty: SqlType) -> Value {
+        let mut occurrences = self.children_named(name);
+        match (occurrences.next(), occurrences.next()) {
+            (None, _) => Value::Null,
+            (Some(leaf), None) if leaf.children.is_empty() => ty.value_from_text(leaf.text()),
+            (Some(only), None) => xml_to_value(only),
+            (Some(first), Some(second)) => Value::Sequence(
+                [first, second]
+                    .into_iter()
+                    .chain(occurrences)
+                    .map(xml_to_value)
+                    .collect(),
+            ),
+        }
+    }
+}
+
 /// Coerces an XML-sourced value (usually a string) to its declared type.
 fn coerce(value: &Value, ty: SqlType) -> Value {
     match value {
@@ -243,8 +381,7 @@ fn coerce(value: &Value, ty: SqlType) -> Value {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use wsmed_store::xml_to_value;
-    use wsmed_xml::{parse, Element};
+    use wsmed_xml::parse;
 
     /// The flattening this module had before it became a recursive descent:
     /// a frontier vector per path step, boxed iterators over each value.
@@ -297,13 +434,39 @@ mod tests {
     }
 
     /// Responses over a two-letter name alphabet, so that path steps and
-    /// columns hit fields, sequences and leaves by chance, with numeric and
-    /// empty texts among the leaves.
+    /// columns hit fields, repeated and interleaved, and leaves by chance.
+    /// Names may carry a `p:` prefix; elements carry attributes; texts are
+    /// numeric, empty or whitespace only; an element with children may also
+    /// hold text, and a column's element may have children or repeat.
     fn response_strategy() -> impl Strategy<Value = Element> {
-        let leaf = ("[ab]", "[0-9x.]{0,3}").prop_map(|(name, text)| Element::text_leaf(name, text));
-        leaf.prop_recursive(4, 64, 6, |inner| {
-            ("[ab]", proptest::collection::vec(inner, 1..6))
-                .prop_map(|(name, children)| Element::new(name).with_children(children))
+        let name =
+            (any::<bool>(), "[ab]").prop_map(
+                |(prefixed, name)| {
+                    if prefixed {
+                        format!("p:{name}")
+                    } else {
+                        name
+                    }
+                },
+            );
+        let attributes = proptest::collection::vec(("[ab]", "[0-9x]{0,2}"), 0..2);
+        let text = "[ 0-9x.]{0,3}";
+        let leaf =
+            (name.clone(), text, attributes.clone()).prop_map(|(name, text, attributes)| Element {
+                attributes,
+                ..Element::text_leaf(name, text)
+            });
+        leaf.prop_recursive(4, 64, 6, move |inner| {
+            (
+                name.clone(),
+                proptest::collection::vec(inner, 1..6),
+                text,
+                attributes.clone(),
+            )
+                .prop_map(|(name, children, text, attributes)| Element {
+                    attributes,
+                    ..Element::text_leaf(name, text).with_children(children)
+                })
         })
     }
 
@@ -338,11 +501,29 @@ mod tests {
 
             let prefix = Tuple::new(vec![Value::Int(7), Value::str("in")]);
             let mut appended = vec![prefix.clone()];
-            owf.flatten_onto(prefix.values(), &value, &mut appended);
+            owf.flatten_onto(prefix.values(), &Response::Value(value), &mut appended);
             let concatenated: Vec<Tuple> = std::iter::once(prefix.clone())
                 .chain(expected.iter().map(|row| prefix.concat(row)))
                 .collect();
             prop_assert_eq!(appended, concatenated);
+        }
+
+        #[test]
+        fn prop_xml_descent_is_the_value_descent(
+            response in response_strategy(),
+            spec in spec_strategy(),
+        ) {
+            let owf = OwfDef {
+                flatten: spec,
+                ..OwfDef::derive(&zip_op(), "USZip", "urn:zip").unwrap()
+            };
+            let prefix = [Value::Int(7), Value::str("in")];
+            let mut from_value = Vec::new();
+            let converted = Response::Value(xml_to_value(&response));
+            owf.flatten_onto(&prefix, &converted, &mut from_value);
+            let mut from_xml = Vec::new();
+            owf.flatten_onto(&prefix, &Response::Xml(response), &mut from_xml);
+            prop_assert_eq!(from_xml, from_value);
         }
     }
 

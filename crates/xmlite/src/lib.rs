@@ -40,7 +40,7 @@ mod writer;
 
 pub use error::{XmlError, XmlResult};
 pub use parser::parse;
-pub use writer::{write_compact, write_compact_to, write_pretty};
+pub use writer::{write_compact, write_compact_to, write_leaves_to, write_pretty};
 
 use std::borrow::Cow;
 
@@ -112,10 +112,7 @@ impl Element {
 
     /// The tag name without any namespace prefix (`soap:Body` → `Body`).
     pub fn local_name(&self) -> &str {
-        match self.name.rfind(':') {
-            Some(i) => &self.name[i + 1..],
-            None => &self.name,
-        }
+        local_name(&self.name)
     }
 
     /// Looks up an attribute value by exact name.
@@ -191,6 +188,14 @@ impl Element {
 impl std::fmt::Display for Element {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write_compact_to(self, f)
+    }
+}
+
+/// A qualified name without its namespace prefix (`soap:Body` → `Body`).
+pub fn local_name(name: &str) -> &str {
+    match name.rfind(':') {
+        Some(i) => &name[i + 1..],
+        None => name,
     }
 }
 

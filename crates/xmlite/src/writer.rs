@@ -5,7 +5,8 @@
 //! a formatter (`Display`), a byte counter ([`Element::encoded_len`]) or a
 //! caller's hasher. Whatever a sink derives from the stream is therefore a
 //! function of exactly the bytes `to_xml` would have produced, without
-//! those bytes ever being stored.
+//! those bytes ever being stored. [`write_leaves_to`] streams the same
+//! bytes for an element of text leaves that was never built as a tree.
 
 use std::fmt::{self, Write};
 
@@ -30,7 +31,36 @@ pub fn write_compact_to<W: Write>(el: &Element, out: &mut W) -> fmt::Result {
     for child in &el.children {
         write_compact_to(child, out)?;
     }
-    write_end_tag(el, out)
+    write_end_tag(&el.name, out)
+}
+
+/// Streams what [`write_compact_to`] writes for an element `name` whose
+/// children are one [`Element::text_leaf`] per `(leaf, text)` pair, in
+/// order, without that element being built: `<name><leaf>text</leaf>…</name>`.
+pub fn write_leaves_to<W: Write, N: AsRef<str>, T: AsRef<str>>(
+    name: &str,
+    leaves: &[(N, T)],
+    out: &mut W,
+) -> fmt::Result {
+    out.write_char('<')?;
+    out.write_str(name)?;
+    if leaves.is_empty() {
+        return out.write_str("/>");
+    }
+    out.write_char('>')?;
+    for (leaf, text) in leaves {
+        let (leaf, text) = (leaf.as_ref(), text.as_ref());
+        out.write_char('<')?;
+        out.write_str(leaf)?;
+        if text.is_empty() {
+            out.write_str("/>")?;
+        } else {
+            out.write_char('>')?;
+            write_escaped(text, false, out)?;
+            write_end_tag(leaf, out)?;
+        }
+    }
+    write_end_tag(name, out)
 }
 
 /// `<name k="v"…` — everything of the start tag but its closing bracket.
@@ -47,9 +77,9 @@ fn write_start_tag<W: Write>(el: &Element, out: &mut W) -> fmt::Result {
     Ok(())
 }
 
-fn write_end_tag<W: Write>(el: &Element, out: &mut W) -> fmt::Result {
+fn write_end_tag<W: Write>(name: &str, out: &mut W) -> fmt::Result {
     out.write_str("</")?;
-    out.write_str(&el.name)?;
+    out.write_str(name)?;
     out.write_char('>')
 }
 
@@ -106,7 +136,7 @@ fn write_el_pretty(el: &Element, depth: usize, out: &mut String) -> fmt::Result 
         // Text-only leaf stays on one line so trimming on re-parse is exact.
         out.write_char('>')?;
         write_escaped(&el.content, false, out)?;
-        write_end_tag(el, out)?;
+        write_end_tag(&el.name, out)?;
         return out.write_char('\n');
     }
     out.write_str(">\n")?;
@@ -119,7 +149,7 @@ fn write_el_pretty(el: &Element, depth: usize, out: &mut String) -> fmt::Result 
         write_el_pretty(child, depth + 1, out)?;
     }
     write_indent(depth, out)?;
-    write_end_tag(el, out)?;
+    write_end_tag(&el.name, out)?;
     out.write_char('\n')
 }
 
@@ -178,6 +208,19 @@ mod tests {
             prop_assert_eq!(&el.to_xml(), &reference);
             prop_assert_eq!(&el.to_string(), &reference);
             prop_assert_eq!(el.encoded_len(), reference.len());
+        }
+
+        #[test]
+        fn prop_streamed_leaves_are_the_built_element(
+            name in "[a-c]{1,3}",
+            leaves in proptest::collection::vec(("[a-c]{1,2}", "[ a-c<&>\"'\u{e9}]{0,6}"), 0..5),
+        ) {
+            let built = Element::new(name.clone()).with_children(
+                leaves.iter().map(|(leaf, text)| Element::text_leaf(leaf.clone(), text.as_str())),
+            );
+            let mut streamed = String::new();
+            write_leaves_to(&name, &leaves, &mut streamed).unwrap();
+            prop_assert_eq!(streamed, built.to_xml());
         }
     }
 

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use wsmed::core::{AdaptiveConfig, Wsmed};
 use wsmed::netsim::{LatencyModel, Network, ProviderSpec, SimConfig};
 use wsmed::services::{
-    calibration, scalar_arg, Dataset, DatasetConfig, GeoPlacesService, ServiceRegistry, SoapService,
+    calibration, scalar_arg, Dataset, DatasetConfig, GeoPlacesService, Request, ServiceRegistry,
+    SoapService,
 };
 use wsmed::store::SqlType;
 use wsmed::wsdl::{OperationDef, TypeNode, WsdlDocument};
@@ -77,7 +78,7 @@ impl SoapService for CensusService {
         }
     }
 
-    fn invoke(&self, operation: &str, request: &Element) -> Result<Element, String> {
+    fn invoke(&self, operation: &str, request: &Request<'_>) -> Result<Element, String> {
         if operation != "GetPopulation" {
             return Err(format!("unknown operation {operation:?}"));
         }
