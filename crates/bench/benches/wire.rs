@@ -62,25 +62,32 @@ fn bench_wire(c: &mut Criterion) {
         )
     });
 
-    // Batched frames: the vectorized-shipping fast path. Sizes span the
-    // BatchPolicy sweep of the batch_ablation harness.
+    // Batched message frames. Sizes span the BatchPolicy sweep of the
+    // batch_ablation harness. The row frame is what a child ships: each
+    // tuple encoded on its own, then framed.
     let mut group = c.benchmark_group("wire/batch");
     for size in [1usize, 8, 64, 512] {
         let tuples: Vec<Tuple> = wsmed_bench::wire_bench_tuples(size);
-        let frame = wire::encode_tuple_batch(&tuples);
         let encoded: Vec<bytes::Bytes> = tuples.iter().map(wire::encode_tuple).collect();
+        let frame = wire::encode_rows_message(&encoded);
         group.bench_with_input(BenchmarkId::new("encode", size), &tuples, |b, tuples| {
-            b.iter(|| wire::encode_tuple_batch(std::hint::black_box(tuples)))
+            b.iter(|| {
+                let encoded: Vec<bytes::Bytes> = std::hint::black_box(tuples)
+                    .iter()
+                    .map(wire::encode_tuple)
+                    .collect();
+                wire::encode_rows_message(&encoded)
+            })
         });
         group.bench_with_input(
             BenchmarkId::new("frame_encoded", size),
             &encoded,
-            |b, encoded| b.iter(|| wire::frame_encoded_batch(std::hint::black_box(encoded))),
+            |b, encoded| b.iter(|| wire::encode_rows_message(std::hint::black_box(encoded))),
         );
         group.bench_with_input(BenchmarkId::new("decode", size), &frame, |b, frame| {
             b.iter_batched(
                 || frame.clone(),
-                |frame| wire::decode_tuple_batch(frame).expect("decode"),
+                |frame| wire::decode_message(frame).expect("decode"),
                 BatchSize::SmallInput,
             )
         });

@@ -253,8 +253,8 @@ pub fn wire_bench_tuples(size: usize) -> Vec<Tuple> {
 }
 
 /// Wire-path micro-measurement over one batch of [`wire_bench_tuples`]:
-/// the row message path (per-tuple encode + frame; frame split + per-tuple
-/// decode) versus the columnar path (whole-column encode; typed column
+/// the row message path (per-tuple encode + frame; per-tuple decode of the
+/// frame's entries) versus the columnar path (whole-column encode; typed column
 /// decode that borrows string heaps from the frame).
 #[derive(Debug, Clone)]
 pub struct WireMicro {
@@ -353,14 +353,7 @@ pub fn measure_wire_micro(size: usize) -> WireMicro {
         std::hint::black_box(wire::encode_columnar_message(&tuples));
     });
     let row_decode_tps = best_tuples_per_sec(size, || {
-        match wire::decode_message(row_frame.clone()).expect("row frame decodes") {
-            wire::MessageBatch::Rows(parts) => {
-                for part in parts {
-                    std::hint::black_box(wire::decode_tuple(part).expect("tuple decodes"));
-                }
-            }
-            wire::MessageBatch::Columnar(_) => unreachable!("kind-0 frame"),
-        }
+        std::hint::black_box(wire::decode_message(row_frame.clone()).expect("row frame decodes"));
     });
     let col_decode_tps = best_tuples_per_sec(size, || {
         std::hint::black_box(

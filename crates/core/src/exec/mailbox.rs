@@ -71,14 +71,19 @@ impl<T> Chan<T> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Queues `msg` if there is room; on a full mailbox registers `waiter`
-    /// to be woken when there is.
-    fn offer(&self, msg: T, waiter: Option<&Waker>) -> Result<(), TrySendError<T>> {
+    /// Queues `msg` if fewer than `capacity` messages are queued; on a
+    /// full mailbox registers `waiter` to be woken when there is room.
+    fn offer(
+        &self,
+        msg: T,
+        capacity: usize,
+        waiter: Option<&Waker>,
+    ) -> Result<(), TrySendError<T>> {
         let mut state = self.lock();
         if state.disconnected || state.sealed {
             return Err(TrySendError::Disconnected(msg));
         }
-        if state.queue.len() >= self.capacity {
+        if state.queue.len() >= capacity {
             if let Some(waker) = waiter {
                 if !state.blocked.iter().any(|w| w.will_wake(waker)) {
                     state.blocked.push(waker.clone());
@@ -111,7 +116,18 @@ impl<T> Chan<T> {
 impl<T> Sender<T> {
     /// Queues `msg` if there is room, without waiting.
     pub(crate) fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        self.0.offer(msg, None)
+        self.0.offer(msg, self.0.capacity, None)
+    }
+
+    /// Queues `msg` even on a full mailbox; returns it if the receiver is
+    /// gone. Only for the one message a process sends once in its life
+    /// (`Installed`): its parent reads the mailbox only while it has work
+    /// out, and the message must be queued the moment it is sent.
+    pub(crate) fn send_past_capacity(&self, msg: T) -> Result<(), T> {
+        match self.0.offer(msg, usize::MAX, None) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(msg) | TrySendError::Disconnected(msg)) => Err(msg),
+        }
     }
 
     /// Queues `msg`, waiting for room; returns it if the receiver is gone.
@@ -119,7 +135,7 @@ impl<T> Sender<T> {
         let mut msg = Some(msg);
         poll_fn(|cx| {
             let value = msg.take().expect("a send completes once");
-            match self.0.offer(value, Some(cx.waker())) {
+            match self.0.offer(value, self.0.capacity, Some(cx.waker())) {
                 Ok(()) => Poll::Ready(Ok(())),
                 Err(TrySendError::Disconnected(value)) => Poll::Ready(Err(value)),
                 Err(TrySendError::Full(value)) => {
@@ -285,6 +301,20 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got.len(), 300);
+    }
+
+    #[test]
+    fn send_past_capacity_queues_on_a_full_mailbox() {
+        let (tx, rx) = bounded(1);
+        tx.try_send(1).unwrap();
+        tx.send_past_capacity(2).unwrap();
+        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        assert_eq!(
+            (rx.try_recv(), rx.try_recv(), rx.try_recv()),
+            (Some(1), Some(2), None)
+        );
+        drop(rx);
+        assert_eq!(tx.send_past_capacity(4), Err(4));
     }
 
     #[test]

@@ -52,13 +52,13 @@ enum SlotStatus {
     Dead,
 }
 
-/// One parameter tuple staged for shipping: the row itself (source of
-/// columnar Call frames — whole-column encode without re-decoding) and
-/// its row encoding (memo screening key, and the row-format frame body).
+/// One parameter tuple staged for shipping: the row itself, which the
+/// Call frame is encoded from, and, when a call cache screens parameters,
+/// its row encoding — the memo key.
 #[derive(Debug, Clone)]
 struct ShipParam {
-    encoded: Bytes,
     row: Tuple,
+    key: Option<Bytes>,
 }
 
 struct Slot {
@@ -324,18 +324,21 @@ impl ParallelApply {
         let mut to_ship: Vec<ShipParam> = Vec::with_capacity(params.len());
         let mut pruned: u64 = 0;
         for row in params {
-            let encoded = wire::encode_tuple(&row);
+            // A parameter's encoding is built only where it is a key.
+            let encoded =
+                (cache.is_some() || self.prune.is_some()).then(|| wire::encode_tuple(&row));
             // Semi-join pruning first: a parameter learned to evaluate
             // empty contributes nothing to the result stream, so it is
             // dropped before the memo screen and before any child sees it.
-            if let Some(prune) = &self.prune {
-                if prune.contains(&encoded) {
+            if let (Some(prune), Some(encoded)) = (&self.prune, &encoded) {
+                if prune.contains(encoded) {
                     pruned += 1;
                     continue;
                 }
             }
-            if !self.screen_param(ctx, cache, &encoded, &mut out) {
-                to_ship.push(ShipParam { encoded, row });
+            let key = cache.and(encoded);
+            if !self.screen_param(ctx, cache, key.as_ref(), &mut out) {
+                to_ship.push(ShipParam { row, key });
             }
         }
         if pruned > 0 {
@@ -415,18 +418,19 @@ impl ParallelApply {
                             self.pf_name, self.slots[slot].current_call
                         )));
                     }
-                    let batch = wire::decode_message(tuples)?.into_tuples()?;
+                    // The frame's tuples decode straight onto the call's
+                    // buffered results.
+                    let n = wire::decode_message_onto(tuples, &mut self.slots[slot].call_buf)?;
                     // The rest of the frame's price, now that its tuples are
                     // counted (the per-frame share was paid above on receipt).
                     ctx.sim()
-                        .sleep_model(client.frame_cost(batch.len()) - client.frame_cost(0));
-                    if !batch.is_empty() && self.env.level == 0 {
+                        .sleep_model(client.frame_cost(n) - client.frame_cost(0));
+                    if n > 0 && self.env.level == 0 {
                         ctx.record_first_result();
                     }
                     if let Some(adapt) = &mut self.adapt {
-                        adapt.tuples_in_cycle += batch.len() as u64;
+                        adapt.tuples_in_cycle += n as u64;
                     }
-                    self.slots[slot].call_buf.extend(batch);
                 }
                 FromChild::EndOfCall {
                     slot,
@@ -511,17 +515,18 @@ impl ParallelApply {
         }
     }
 
-    /// Answers `encoded` from the plan-function row memo if possible,
-    /// appending its memoized result rows to `out`. Returns `true` when the
-    /// parameter was short-circuited and must not be shipped.
+    /// Answers the parameter encoded as `key` from the plan-function row
+    /// memo if possible, appending its memoized result rows to `out`.
+    /// Returns `true` when the parameter was short-circuited and must not
+    /// be shipped.
     fn screen_param(
         &self,
         ctx: &Arc<ExecContext>,
         cache: Option<&Arc<CallCache>>,
-        encoded: &Bytes,
+        key: Option<&Bytes>,
         out: &mut Vec<Tuple>,
     ) -> bool {
-        let Some(cache) = cache else {
+        let (Some(cache), Some(encoded)) = (cache, key) else {
             return false;
         };
         let key = CacheKey::for_rows(&self.pf_digest, encoded);
@@ -567,7 +572,7 @@ impl ParallelApply {
             let had_work = !batch.is_empty();
             // Second screening pass: a duplicate of this parameter may have
             // completed (and been memoized) since the run started.
-            batch.retain(|p| !self.screen_param(ctx, cache, &p.encoded, out));
+            batch.retain(|p| !self.screen_param(ctx, cache, p.key.as_ref(), out));
             if batch.is_empty() {
                 if had_work {
                     // Everything taken was answered from the memo; the slot
@@ -608,7 +613,7 @@ impl ParallelApply {
                 let rows: Vec<Tuple> = batch.iter().map(|p| p.row.clone()).collect();
                 wire::encode_columnar_message(&rows)
             } else {
-                wire::encode_rows_message(batch.iter().map(|p| &p.encoded))
+                wire::encode_rows(batch.iter().map(|p| &p.row))
             };
             let sent = proc.send_call(ctx, call_id, frame, batch.len()).await;
             match sent {

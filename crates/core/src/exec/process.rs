@@ -79,6 +79,9 @@ pub(crate) enum ToChild {
         slot: usize,
         /// The new parent's result channel.
         results: Sender<FromChild>,
+        /// Counts the process as installing in the acquiring run until
+        /// its subtree has re-registered.
+        ticket: InstallTicket,
     },
     /// Terminate: tear down the subtree and exit. The end of the mailbox
     /// (every sender gone) means the same.
@@ -123,8 +126,9 @@ pub(crate) enum FromChild {
     },
 }
 
-/// The processes one run spawned cold: how many have not yet installed
-/// (sent `Installed` or ended), and how many are still running.
+/// The processes one run spawned cold or attached warm: how many have not
+/// yet installed (sent `Installed` or ended, or re-registered their warm
+/// subtree), and how many of the cold ones are still running.
 #[derive(Debug, Default)]
 pub(crate) struct SpawnCounts {
     installing: AtomicUsize,
@@ -134,9 +138,10 @@ pub(crate) struct SpawnCounts {
 }
 
 impl SpawnCounts {
-    /// Completes once every process spawned so far has installed or ended.
-    /// A process spawns its own children before it installs, so once this
-    /// completes the whole tree is registered.
+    /// Completes once every process spawned or attached so far has
+    /// installed or ended. A process spawns its own children before it
+    /// installs, and a warm one re-attaches its subtree before it counts as
+    /// installed, so once this completes the whole tree is registered.
     pub(crate) async fn installs_settled(&self) {
         std::future::poll_fn(|cx| {
             if self.installing.load(Ordering::Acquire) == 0 {
@@ -160,30 +165,32 @@ impl SpawnCounts {
         self.running.load(Ordering::Acquire)
     }
 
-    fn ticket(self: &Arc<Self>) -> SpawnTicket {
+    /// Counts one more process as installing.
+    fn install_ticket(self: &Arc<Self>) -> InstallTicket {
         self.installing.fetch_add(1, Ordering::AcqRel);
+        InstallTicket(Some(Arc::clone(self)))
+    }
+
+    /// Counts one more cold-spawned process as installing and running.
+    fn ticket(self: &Arc<Self>) -> SpawnTicket {
         self.running.fetch_add(1, Ordering::AcqRel);
         SpawnTicket {
+            install: self.install_ticket(),
             counts: Arc::clone(self),
-            installing: true,
         }
     }
 }
 
-/// One process's place in its run's [`SpawnCounts`], given up as it
-/// installs and as its task ends.
-struct SpawnTicket {
-    counts: Arc<SpawnCounts>,
-    installing: bool,
-}
+/// One process's place among its run's installing processes, given up
+/// once (at the latest when dropped).
+#[derive(Debug)]
+pub(crate) struct InstallTicket(Option<Arc<SpawnCounts>>);
 
-impl SpawnTicket {
+impl InstallTicket {
     fn installed(&mut self) {
-        if std::mem::take(&mut self.installing)
-            && self.counts.installing.fetch_sub(1, Ordering::AcqRel) == 1
-        {
-            let waiter = self
-                .counts
+        let Some(counts) = self.0.take() else { return };
+        if counts.installing.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let waiter = counts
                 .waiter
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -192,6 +199,25 @@ impl SpawnTicket {
                 waker.wake();
             }
         }
+    }
+}
+
+impl Drop for InstallTicket {
+    fn drop(&mut self) {
+        self.installed();
+    }
+}
+
+/// A cold-spawned process's place in its run's [`SpawnCounts`], given up
+/// as it installs and as its task ends.
+struct SpawnTicket {
+    install: InstallTicket,
+    counts: Arc<SpawnCounts>,
+}
+
+impl SpawnTicket {
+    fn installed(&mut self) {
+        self.install.installed();
     }
 }
 
@@ -415,6 +441,7 @@ impl ChildProc {
                 },
                 slot,
                 results,
+                ticket: ctx.spawn_counts().install_ticket(),
             },
             &self.tree,
             self.id,
@@ -537,7 +564,7 @@ async fn child_main(
                     slot,
                     error: Some(e.to_string()),
                 };
-                report_install(&ctx, &env, &results, failed, &mut ticket).await;
+                report_install(&ctx, &env, &results, failed, &mut ticket);
                 return;
             }
         },
@@ -571,12 +598,13 @@ async fn child_main(
                 slot,
                 error: Some(e.to_string()),
             };
-            report_install(&ctx, &env, &results, failed, &mut ticket).await;
+            report_install(&ctx, &env, &results, failed, &mut ticket);
             return;
         }
     };
     let installed = FromChild::Installed { slot, error: None };
-    let mut running = report_install(&ctx, &env, &results, installed, &mut ticket).await;
+    let mut running = report_install(&ctx, &env, &results, installed, &mut ticket);
+    let mut frame = wire::RowFrame::default();
 
     // ---- call loop ---------------------------------------------------------
     while running {
@@ -586,6 +614,7 @@ async fn child_main(
                 let prune_key = pf.prune.as_ref().map(|s| s.section_key.as_str());
                 running = handle_call(
                     &ctx, &env, slot, &mut body, &pf_digest, prune_key, call_id, params, &results,
+                    &mut frame,
                 )
                 .await;
             }
@@ -598,17 +627,20 @@ async fn child_main(
                 env: new_env,
                 slot: new_slot,
                 results: new_results,
+                ticket,
             } => {
                 // Re-wired to a new parent run, possibly under a different
                 // query's execution context: rebind everything — context,
                 // identity, slot, results channel — then re-register the
-                // warm subtree into the new run's tree with fresh ids.
+                // warm subtree into the new run's tree with fresh ids. The
+                // run's snapshot waits for the walk: the ticket drops after.
                 ctx = new_ctx;
                 env = new_env;
                 slot = new_slot;
                 results = new_results;
                 obs::set_current_proc(env.id, env.level, Arc::from(pf_digest.as_str()));
                 body.reattach(&ctx, &env).await;
+                drop(ticket);
             }
             ToChild::Shutdown => break,
             ToChild::Install(_) => {
@@ -619,12 +651,13 @@ async fn child_main(
     body.shutdown().await;
 }
 
-/// Reports the install outcome (counted as one message up). The process
-/// counts as installed once the message is queued — or at once if the
-/// parent's mailbox is full: a parent that is between calls reads it only
-/// in its next one, and the run's wait for installs must not hang on that.
-/// Returns `false` if the parent hung up.
-async fn report_install(
+/// Reports the install outcome (counted as one message up), and counts the
+/// process as installed. The message is queued even on a full mailbox: a
+/// parent that is between calls reads it only in its next one, the run's
+/// wait for installs must not hang on that, and once that wait is over the
+/// parent must find it queued to park the process. Returns `false` if the
+/// parent hung up.
+fn report_install(
     ctx: &ExecContext,
     env: &ProcEnv,
     results: &Sender<FromChild>,
@@ -632,19 +665,9 @@ async fn report_install(
     ticket: &mut SpawnTicket,
 ) -> bool {
     ctx.tree().note_msg_up(env.id);
-    let msg = match results.try_send(msg) {
-        Ok(()) => {
-            ticket.installed();
-            return true;
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            ticket.installed();
-            return false;
-        }
-        Err(TrySendError::Full(msg)) => msg,
-    };
+    let sent = results.send_past_capacity(msg).is_ok();
     ticket.installed();
-    results.send(msg).await.is_ok()
+    sent
 }
 
 /// Sends one frame up to the parent, counting the message (and any time
@@ -679,8 +702,9 @@ async fn handle_call(
     call_id: u64,
     params: Bytes,
     results: &Sender<FromChild>,
+    frame: &mut wire::RowFrame,
 ) -> bool {
-    let mut flush = FlushBuffer::new(ctx, env, slot, call_id, results);
+    let mut flush = FlushBuffer::new(ctx, env, slot, call_id, results, frame);
     // Fresh per call: skips recorded by `eval` under partial failure mode
     // accumulate here and ship with this call's end-of-call message.
     resilience::install_skip_sink();
@@ -717,15 +741,25 @@ async fn eval_call(
     params: Bytes,
     flush: &mut FlushBuffer<'_>,
 ) -> CoreResult<()> {
-    match wire::decode_message(params)? {
-        wire::MessageBatch::Rows(parts) => {
+    if ctx.call_cache().is_none() {
+        // No memo to key: the parameters decode straight onto their rows.
+        let mut rows = Vec::new();
+        wire::decode_message_onto(params, &mut rows)?;
+        for param in &rows {
+            let key = || CacheKey::for_rows(pf_digest, &wire::encode_tuple(param));
+            eval_param(ctx, body, param, key, prune_key, flush).await?;
+        }
+        return Ok(());
+    }
+    match wire::decode_keyed_params(params)? {
+        wire::KeyedParams::Rows(parts) => {
             for encoded in parts {
                 let param = wire::decode_tuple(encoded.clone())?;
                 let key = || CacheKey::for_rows(pf_digest, &encoded);
                 eval_param(ctx, body, &param, key, prune_key, flush).await?;
             }
         }
-        wire::MessageBatch::Columnar(batch) => {
+        wire::KeyedParams::Columnar(batch) => {
             for i in 0..batch.len() {
                 let param = batch.row(i);
                 // Memo-key parity: the key bytes come straight from the
@@ -784,7 +818,7 @@ async fn eval_param(
     Ok(())
 }
 
-/// Child-side result buffer: accumulates encoded tuples and flushes a
+/// Child-side result buffer: accumulates result tuples and flushes a
 /// [`FromChild::ResultBatch`] frame when `max_result_tuples` is reached,
 /// when `flush_model_secs` of model time passed since the buffer's first
 /// tuple, or at end of call. At the default policy (1 tuple per frame)
@@ -797,8 +831,9 @@ struct FlushBuffer<'a> {
     results: &'a Sender<FromChild>,
     max_tuples: usize,
     flush_model_secs: f64,
-    /// Row mode: per-tuple encodings, framed with a memcpy at flush.
-    buf: Vec<Bytes>,
+    /// Row mode: the frame body the tuples are encoded into as they come,
+    /// the process's own, reused from call to call.
+    frame: &'a mut wire::RowFrame,
     /// Columnar mode: buffered rows, whole-column encoded at flush.
     rows: Vec<Tuple>,
     columnar: bool,
@@ -813,8 +848,11 @@ impl<'a> FlushBuffer<'a> {
         slot: usize,
         call_id: u64,
         results: &'a Sender<FromChild>,
+        frame: &'a mut wire::RowFrame,
     ) -> Self {
         let policy: BatchPolicy = ctx.batch_policy();
+        // What a failed call left behind is not this call's.
+        frame.clear();
         FlushBuffer {
             ctx,
             env,
@@ -823,7 +861,7 @@ impl<'a> FlushBuffer<'a> {
             results,
             max_tuples: policy.max_result_tuples.max(1),
             flush_model_secs: policy.flush_model_secs,
-            buf: Vec::new(),
+            frame,
             rows: Vec::new(),
             columnar: policy.columnar,
             buffered_since: None,
@@ -835,7 +873,7 @@ impl<'a> FlushBuffer<'a> {
         if self.columnar {
             self.rows.len()
         } else {
-            self.buf.len()
+            self.frame.len()
         }
     }
 
@@ -845,7 +883,7 @@ impl<'a> FlushBuffer<'a> {
         if self.columnar {
             self.rows.push(tuple.clone());
         } else {
-            self.buf.push(wire::encode_tuple(tuple));
+            self.frame.push(tuple);
         }
         self.buffered_since.get_or_insert_with(Instant::now);
         if self.buffered() >= self.max_tuples {
@@ -873,12 +911,12 @@ impl<'a> FlushBuffer<'a> {
             return true;
         }
         let frame = if self.columnar {
-            wire::encode_columnar_message(&self.rows)
+            let frame = wire::encode_columnar_message(&self.rows);
+            self.rows.clear();
+            frame
         } else {
-            wire::encode_rows_message(&self.buf)
+            self.frame.take()
         };
-        self.buf.clear();
-        self.rows.clear();
         self.buffered_since = None;
         // The child pays its own send cost: one frame plus its tuples.
         let sim = self.ctx.sim();

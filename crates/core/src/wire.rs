@@ -12,8 +12,9 @@
 //! same build, as in the paper's single-system deployment.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use wsmed_store::ValueBatch;
 use wsmed_store::{Column, ColumnData, Record, StrColumn, StrHeap, Tuple, Validity, Value};
@@ -22,33 +23,60 @@ use crate::plan::{AdaptiveConfig, ArgExpr, PlanFunction, PlanOp};
 use crate::{CoreError, CoreResult};
 
 // ---------------------------------------------------------------- encode --
+//
+// Every encoder writes into one per-thread buffer and copies the finished
+// frame out once, at its exact size: a frame costs one allocation, and the
+// buffer keeps its capacity, so after the first frames it never regrows.
+
+thread_local! {
+    static FRAME_SCRATCH: RefCell<Vec<u8>> = RefCell::new(Vec::with_capacity(256));
+}
+
+/// The capacity the per-thread buffer keeps between frames; the buffer of
+/// a larger frame is shrunk back once the frame is copied out.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+/// Runs `write` on this thread's emptied frame buffer and returns what it
+/// wrote as one exact-size [`Bytes`].
+fn encode_with(write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    FRAME_SCRATCH.with(|cell| {
+        let buf = &mut *cell.borrow_mut();
+        buf.clear();
+        write(buf);
+        let frame = Bytes::copy_from_slice(buf);
+        if buf.capacity() > SCRATCH_KEEP {
+            buf.clear();
+            buf.shrink_to(SCRATCH_KEEP);
+        }
+        frame
+    })
+}
 
 /// Serializes a plan function for shipping.
 pub fn encode_plan_function(pf: &PlanFunction) -> Bytes {
-    let mut buf = BytesMut::with_capacity(256);
-    put_plan_function(&mut buf, pf);
-    buf.freeze()
+    encode_with(|buf| put_plan_function(buf, pf))
 }
 
 /// Serializes a tuple for shipping as a parameter or result message.
 pub fn encode_tuple(tuple: &Tuple) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    put_tuple(&mut buf, tuple);
-    buf.freeze()
+    encode_with(|buf| put_tuple(buf, tuple))
 }
 
 /// Serializes a value slice with the same layout as [`encode_tuple`] —
 /// lets callers build structural keys without cloning values into a
-/// `Tuple` first. Capacity is sized from the values' exact encoded
-/// length, so the buffer never re-grows mid-encode.
+/// `Tuple` first.
 pub(crate) fn encode_value_slice(values: &[Value]) -> Bytes {
-    let cap = 4 + values.iter().map(value_encoded_size).sum::<usize>();
-    let mut buf = BytesMut::with_capacity(cap);
-    buf.put_u32_le(values.len() as u32);
-    for v in values {
-        put_value(&mut buf, v);
-    }
-    buf.freeze()
+    encode_with(|buf| {
+        buf.put_u32_le(values.len() as u32);
+        for v in values {
+            put_value(buf, v);
+        }
+    })
+}
+
+/// Exact number of bytes [`put_tuple`] writes for `tuple`.
+fn tuple_encoded_size(tuple: &Tuple) -> usize {
+    4 + tuple.values().iter().map(value_encoded_size).sum::<usize>()
 }
 
 /// Exact number of bytes [`put_value`] writes for `value`.
@@ -71,56 +99,16 @@ fn value_encoded_size(value: &Value) -> usize {
     }
 }
 
-/// Serializes a batch of tuples into one frame.
-///
-/// Frame layout: a varint tuple count, then per tuple a varint byte
-/// length followed by that tuple's [`encode_tuple`] encoding. The
-/// per-tuple length prefix lets a receiver slice tuples out without
-/// re-parsing and lets pre-encoded tuples be framed without re-encoding
-/// (see [`frame_encoded_batch`]).
-pub fn encode_tuple_batch(tuples: &[Tuple]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 * tuples.len() + 8);
-    put_varint(&mut buf, tuples.len() as u64);
-    TUPLE_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        for t in tuples {
-            scratch.clear();
-            put_tuple(scratch, t);
-            put_varint(&mut buf, scratch.len() as u64);
-            buf.put_slice(scratch);
-        }
-    });
-    buf.freeze()
-}
-
-thread_local! {
-    // Per-tuple encode buffer shared across frames: `clear` keeps the
-    // capacity, so after the first few frames no frame re-grows it.
-    static TUPLE_SCRATCH: RefCell<BytesMut> = RefCell::new(BytesMut::with_capacity(256));
-}
-
-/// Builds a batch frame from tuples that are already individually
-/// encoded — a memcpy per tuple instead of a re-encoding tree walk.
-pub fn frame_encoded_batch<'a, I>(encoded: I) -> Bytes
-where
-    I: IntoIterator<Item = &'a Bytes>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let iter = encoded.into_iter();
-    let mut buf = BytesMut::with_capacity(8);
-    put_varint(&mut buf, iter.len() as u64);
-    for part in iter {
-        put_varint(&mut buf, part.len() as u64);
-        buf.put_slice(part);
-    }
-    buf.freeze()
-}
-
-// -------------------------------------------------------------- columnar --
+// ---------------------------------------------------------- message frames --
 //
-// The Call / ResultBatch message frames carry a one-byte kind prefix:
-// kind 0 means a legacy row frame follows (`encode_tuple_batch` layout),
-// kind 1 a columnar frame. Columnar layout after the kind byte:
+// The Call / ResultBatch message frames carry a one-byte kind prefix.
+//
+// A row frame (kind 0) is a varint tuple count, then per tuple a varint
+// byte length followed by that tuple's [`encode_tuple`] encoding. The
+// per-tuple length prefix lets a child slice each parameter's encoding out
+// of a Call frame as its memo key without re-encoding it.
+//
+// A columnar frame (kind 1):
 //
 //   varint row_count, varint col_count, then per column:
 //     u8 tag (0=Null 1=Int 2=Real 3=Bool 4=Str 5=Other)
@@ -132,7 +120,7 @@ where
 // Decode of a Str column borrows the heap straight out of the received
 // frame (`copy_to_bytes` shares the allocation) — zero per-value copies.
 
-/// Message frame kind: a legacy row frame follows.
+/// Message frame kind: a row frame follows.
 const KIND_ROWS: u8 = 0;
 /// Message frame kind: a columnar frame follows.
 const KIND_COLUMNAR: u8 = 1;
@@ -140,9 +128,8 @@ const KIND_COLUMNAR: u8 = 1;
 /// A decoded Call/ResultBatch message frame.
 #[derive(Debug, Clone)]
 pub enum MessageBatch {
-    /// Per-tuple row encodings, zero-copy slices of the frame (the
-    /// slices match [`encode_tuple`] output byte-for-byte).
-    Rows(Vec<Bytes>),
+    /// The tuples of a row frame.
+    Rows(Vec<Tuple>),
     /// A columnar batch whose string heaps borrow the frame.
     Columnar(ValueBatch),
 }
@@ -151,7 +138,7 @@ impl MessageBatch {
     /// Number of tuples carried.
     pub fn len(&self) -> usize {
         match self {
-            MessageBatch::Rows(parts) => parts.len(),
+            MessageBatch::Rows(rows) => rows.len(),
             MessageBatch::Columnar(batch) => batch.len(),
         }
     }
@@ -161,38 +148,103 @@ impl MessageBatch {
         self.len() == 0
     }
 
-    /// Materializes every tuple (row fallback for unmigrated callers).
+    /// Every tuple as a row (materializes a columnar batch).
     pub fn into_tuples(self) -> CoreResult<Vec<Tuple>> {
         match self {
-            MessageBatch::Rows(parts) => parts.into_iter().map(decode_tuple).collect(),
+            MessageBatch::Rows(rows) => Ok(rows),
             MessageBatch::Columnar(batch) => Ok(batch.to_tuples()),
         }
     }
 }
 
-/// Builds a kind-prefixed message frame from pre-encoded row tuples.
+/// Builds a row message frame from tuples already encoded one by one
+/// ([`encode_tuple`]).
 pub fn encode_rows_message<'a, I>(encoded: I) -> Bytes
 where
     I: IntoIterator<Item = &'a Bytes>,
     I::IntoIter: ExactSizeIterator,
 {
-    let iter = encoded.into_iter();
-    let mut buf = BytesMut::with_capacity(8);
-    buf.put_u8(KIND_ROWS);
-    put_varint(&mut buf, iter.len() as u64);
-    for part in iter {
-        put_varint(&mut buf, part.len() as u64);
-        buf.put_slice(part);
+    let parts = encoded.into_iter();
+    encode_row_frame(parts.len(), |buf| {
+        for part in parts {
+            put_varint(buf, part.len() as u64);
+            buf.put_slice(part);
+        }
+    })
+}
+
+/// Encodes tuples as a row message frame, each written once, straight
+/// into the frame. The same bytes as [`encode_rows_message`] over their
+/// [`encode_tuple`] encodings.
+pub(crate) fn encode_rows<'a, I>(tuples: I) -> Bytes
+where
+    I: IntoIterator<Item = &'a Tuple>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let tuples = tuples.into_iter();
+    encode_row_frame(tuples.len(), |buf| {
+        for tuple in tuples {
+            put_row_entry(buf, tuple);
+        }
+    })
+}
+
+/// A row frame of `count` entries, which `put_entries` appends.
+fn encode_row_frame(count: usize, put_entries: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    encode_with(|buf| {
+        buf.put_u8(KIND_ROWS);
+        put_varint(buf, count as u64);
+        put_entries(buf);
+    })
+}
+
+/// Appends one row-frame entry: the tuple's encoded length, then its
+/// encoding.
+fn put_row_entry(buf: &mut Vec<u8>, tuple: &Tuple) {
+    put_varint(buf, tuple_encoded_size(tuple) as u64);
+    put_tuple(buf, tuple);
+}
+
+/// A row message frame filled one tuple at a time: the entries accumulate
+/// in a body that keeps its capacity from frame to frame.
+#[derive(Debug, Default)]
+pub(crate) struct RowFrame {
+    body: Vec<u8>,
+    count: usize,
+}
+
+impl RowFrame {
+    /// Appends one tuple's entry.
+    pub(crate) fn push(&mut self, tuple: &Tuple) {
+        put_row_entry(&mut self.body, tuple);
+        self.count += 1;
     }
-    buf.freeze()
+
+    /// Tuples appended since the last [`RowFrame::take`].
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// The message frame of every appended tuple; leaves the frame empty.
+    pub(crate) fn take(&mut self) -> Bytes {
+        let frame = encode_row_frame(self.count, |buf| buf.put_slice(&self.body));
+        self.clear();
+        frame
+    }
+
+    /// Drops every appended tuple, keeping the body's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.body.clear();
+        self.count = 0;
+    }
 }
 
 /// Builds a columnar message frame from a batch.
-pub fn encode_columnar_batch(batch: &ValueBatch) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + 16 * batch.len());
-    buf.put_u8(KIND_COLUMNAR);
-    put_columnar(&mut buf, batch);
-    buf.freeze()
+fn encode_columnar_batch(batch: &ValueBatch) -> Bytes {
+    encode_with(|buf| {
+        buf.put_u8(KIND_COLUMNAR);
+        put_columnar(buf, batch);
+    })
 }
 
 /// Encodes tuples as a columnar message frame, falling back to the row
@@ -200,41 +252,64 @@ pub fn encode_columnar_batch(batch: &ValueBatch) -> Bytes {
 pub fn encode_columnar_message(tuples: &[Tuple]) -> Bytes {
     match ValueBatch::from_tuples(tuples) {
         Some(batch) => encode_columnar_batch(&batch),
-        None => {
-            let mut buf = BytesMut::with_capacity(64 * tuples.len() + 9);
-            buf.put_u8(KIND_ROWS);
-            put_varint(&mut buf, tuples.len() as u64);
-            TUPLE_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                for t in tuples {
-                    scratch.clear();
-                    put_tuple(scratch, t);
-                    put_varint(&mut buf, scratch.len() as u64);
-                    buf.put_slice(scratch);
-                }
-            });
-            buf.freeze()
-        }
+        None => encode_rows(tuples),
     }
 }
 
 /// Decodes a kind-prefixed message frame produced by
 /// [`encode_rows_message`] / [`encode_columnar_message`].
-pub fn decode_message(mut bytes: Bytes) -> CoreResult<MessageBatch> {
-    match get_u8(&mut bytes)? {
-        KIND_ROWS => Ok(MessageBatch::Rows(split_tuple_batch(bytes)?)),
-        KIND_COLUMNAR => {
-            let batch = get_columnar(&mut bytes)?;
-            if bytes.has_remaining() {
-                return Err(CoreError::Wire(format!(
-                    "{} trailing bytes after columnar frame",
-                    bytes.remaining()
-                )));
-            }
-            Ok(MessageBatch::Columnar(batch))
+pub fn decode_message(mut frame: Bytes) -> CoreResult<MessageBatch> {
+    match get_u8(&mut frame)? {
+        KIND_ROWS => {
+            let mut rows = Vec::new();
+            get_rows_onto(frame, &mut rows)?;
+            Ok(MessageBatch::Rows(rows))
         }
-        kind => Err(CoreError::Wire(format!("unknown message kind {kind}"))),
+        KIND_COLUMNAR => Ok(MessageBatch::Columnar(get_columnar_frame(frame)?)),
+        kind => Err(unknown_kind(kind)),
     }
+}
+
+/// Decodes a message frame straight onto `out`, as rows, and returns how
+/// many it appended. On error `out` is left as it was.
+pub(crate) fn decode_message_onto(mut frame: Bytes, out: &mut Vec<Tuple>) -> CoreResult<usize> {
+    let before = out.len();
+    let decoded = match get_u8(&mut frame)? {
+        KIND_ROWS => get_rows_onto(frame, out),
+        KIND_COLUMNAR => get_columnar_frame(frame)
+            .map(|batch| out.extend((0..batch.len()).map(|i| batch.row(i)))),
+        kind => Err(unknown_kind(kind)),
+    };
+    match decoded {
+        Ok(()) => Ok(out.len() - before),
+        Err(e) => {
+            out.truncate(before);
+            Err(e)
+        }
+    }
+}
+
+/// A Call frame as a child with a call cache reads it: every parameter
+/// keeps the bytes that key its memo entry.
+pub(crate) enum KeyedParams {
+    /// A row frame: each parameter's own encoding, a slice of the frame.
+    Rows(Vec<Bytes>),
+    /// A columnar frame: a row's key is re-encoded from its columns
+    /// ([`encode_row_tuple`]).
+    Columnar(ValueBatch),
+}
+
+/// Decodes a Call frame for a child that memoizes per parameter.
+pub(crate) fn decode_keyed_params(mut frame: Bytes) -> CoreResult<KeyedParams> {
+    match get_u8(&mut frame)? {
+        KIND_ROWS => Ok(KeyedParams::Rows(split_row_frame(frame)?)),
+        KIND_COLUMNAR => Ok(KeyedParams::Columnar(get_columnar_frame(frame)?)),
+        kind => Err(unknown_kind(kind)),
+    }
+}
+
+fn unknown_kind(kind: u8) -> CoreError {
+    CoreError::Wire(format!("unknown message kind {kind}"))
 }
 
 /// Re-encodes row `i` of a columnar batch in [`encode_tuple`] layout,
@@ -243,40 +318,40 @@ pub fn decode_message(mut bytes: Bytes) -> CoreResult<MessageBatch> {
 /// — this is how the child keeps per-parameter memo keys in parity with
 /// the parent's row encodings without materializing rows.
 pub fn encode_row_tuple(batch: &ValueBatch, i: usize) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 * batch.arity().max(1));
-    buf.put_u32_le(batch.arity() as u32);
-    for col in batch.columns() {
-        if !col.is_valid(i) {
-            buf.put_u8(0);
-            continue;
+    encode_with(|buf| {
+        buf.put_u32_le(batch.arity() as u32);
+        for col in batch.columns() {
+            if !col.is_valid(i) {
+                buf.put_u8(0);
+                continue;
+            }
+            match col.data() {
+                ColumnData::Null => buf.put_u8(0),
+                ColumnData::Int(v) => {
+                    buf.put_u8(3);
+                    buf.put_i64_le(v[i]);
+                }
+                ColumnData::Real(v) => {
+                    buf.put_u8(2);
+                    buf.put_f64_le(v[i]);
+                }
+                ColumnData::Bool(v) => {
+                    buf.put_u8(4);
+                    buf.put_u8(u8::from(v[i]));
+                }
+                ColumnData::Str(col) => {
+                    buf.put_u8(1);
+                    let raw = col.get_bytes(i);
+                    buf.put_u32_le(raw.len() as u32);
+                    buf.put_slice(raw);
+                }
+                ColumnData::Other(v) => put_value(buf, &v[i]),
+            }
         }
-        match col.data() {
-            ColumnData::Null => buf.put_u8(0),
-            ColumnData::Int(v) => {
-                buf.put_u8(3);
-                buf.put_i64_le(v[i]);
-            }
-            ColumnData::Real(v) => {
-                buf.put_u8(2);
-                buf.put_f64_le(v[i]);
-            }
-            ColumnData::Bool(v) => {
-                buf.put_u8(4);
-                buf.put_u8(u8::from(v[i]));
-            }
-            ColumnData::Str(col) => {
-                buf.put_u8(1);
-                let raw = col.get_bytes(i);
-                buf.put_u32_le(raw.len() as u32);
-                buf.put_slice(raw);
-            }
-            ColumnData::Other(v) => put_value(&mut buf, &v[i]),
-        }
-    }
-    buf.freeze()
+    })
 }
 
-fn put_validity(buf: &mut BytesMut, validity: Option<&Validity>) {
+fn put_validity(buf: &mut Vec<u8>, validity: Option<&Validity>) {
     match validity {
         Some(mask) => {
             buf.put_u8(1);
@@ -286,7 +361,7 @@ fn put_validity(buf: &mut BytesMut, validity: Option<&Validity>) {
     }
 }
 
-fn put_columnar(buf: &mut BytesMut, batch: &ValueBatch) {
+fn put_columnar(buf: &mut Vec<u8>, batch: &ValueBatch) {
     put_varint(buf, batch.len() as u64);
     put_varint(buf, batch.arity() as u64);
     for col in batch.columns() {
@@ -312,13 +387,13 @@ fn put_columnar(buf: &mut BytesMut, batch: &ValueBatch) {
             ColumnData::Bool(v) => {
                 buf.put_u8(3);
                 put_validity(buf, col.validity());
-                let mut packed = vec![0u8; v.len().div_ceil(8)];
+                let packed = buf.len();
+                buf.resize(packed + v.len().div_ceil(8), 0);
                 for (i, &b) in v.iter().enumerate() {
                     if b {
-                        packed[i / 8] |= 1 << (i % 8);
+                        buf[packed + i / 8] |= 1 << (i % 8);
                     }
                 }
-                buf.put_slice(&packed);
             }
             ColumnData::Str(scol) => {
                 buf.put_u8(4);
@@ -357,6 +432,19 @@ fn get_validity(buf: &mut Bytes, rows: usize) -> CoreResult<Option<Validity>> {
     }
 }
 
+/// Decodes a columnar frame's body (after its kind byte), which must end
+/// the frame.
+fn get_columnar_frame(mut frame: Bytes) -> CoreResult<ValueBatch> {
+    let batch = get_columnar(&mut frame)?;
+    if frame.has_remaining() {
+        return Err(CoreError::Wire(format!(
+            "{} trailing bytes after columnar frame",
+            frame.remaining()
+        )));
+    }
+    Ok(batch)
+}
+
 fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
     let rows = get_varint(buf)?;
     let cols = get_varint(buf)?;
@@ -366,7 +454,7 @@ fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
         )));
     }
     let rows = rows as usize;
-    let mut columns = Vec::with_capacity((cols as usize).min(4096));
+    let mut columns = Vec::with_capacity(capacity_for(cols as usize, buf));
     for _ in 0..cols {
         let tag = get_u8(buf)?;
         if tag == 0 {
@@ -434,9 +522,9 @@ fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
                 ColumnData::Str(col)
             }
             5 => {
-                let mut v = Vec::with_capacity(rows.min(4096));
+                let mut v = Vec::with_capacity(capacity_for(rows, buf));
                 for _ in 0..rows {
-                    v.push(get_value(buf)?);
+                    v.push(get_value(buf, 0)?);
                 }
                 ColumnData::Other(v)
             }
@@ -449,7 +537,7 @@ fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
 }
 
 /// LEB128 unsigned varint (7 bits per byte, high bit = continuation).
-fn put_varint(buf: &mut BytesMut, mut n: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut n: u64) {
     loop {
         let byte = (n & 0x7f) as u8;
         n >>= 7;
@@ -461,12 +549,12 @@ fn put_varint(buf: &mut BytesMut, mut n: u64) {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_value(buf: &mut BytesMut, value: &Value) {
+fn put_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
         Value::Null => buf.put_u8(0),
         Value::Str(s) => {
@@ -510,14 +598,14 @@ fn put_value(buf: &mut BytesMut, value: &Value) {
     }
 }
 
-fn put_tuple(buf: &mut BytesMut, tuple: &Tuple) {
+fn put_tuple(buf: &mut Vec<u8>, tuple: &Tuple) {
     buf.put_u32_le(tuple.arity() as u32);
     for v in tuple.values() {
         put_value(buf, v);
     }
 }
 
-fn put_arg(buf: &mut BytesMut, arg: &ArgExpr) {
+fn put_arg(buf: &mut Vec<u8>, arg: &ArgExpr) {
     match arg {
         ArgExpr::Col(i) => {
             buf.put_u8(0);
@@ -530,14 +618,14 @@ fn put_arg(buf: &mut BytesMut, arg: &ArgExpr) {
     }
 }
 
-fn put_args(buf: &mut BytesMut, args: &[ArgExpr]) {
+fn put_args(buf: &mut Vec<u8>, args: &[ArgExpr]) {
     buf.put_u32_le(args.len() as u32);
     for a in args {
         put_arg(buf, a);
     }
 }
 
-fn put_plan_op(buf: &mut BytesMut, op: &PlanOp) {
+fn put_plan_op(buf: &mut Vec<u8>, op: &PlanOp) {
     match op {
         PlanOp::Unit => buf.put_u8(0),
         PlanOp::Param { arity } => {
@@ -649,7 +737,7 @@ fn put_plan_op(buf: &mut BytesMut, op: &PlanOp) {
     }
 }
 
-fn put_plan_function(buf: &mut BytesMut, pf: &PlanFunction) {
+fn put_plan_function(buf: &mut Vec<u8>, pf: &PlanFunction) {
     put_str(buf, &pf.name);
     buf.put_u32_le(pf.param_arity as u32);
     buf.put_u32_le(pf.output_arity as u32);
@@ -670,83 +758,103 @@ fn put_plan_function(buf: &mut BytesMut, pf: &PlanFunction) {
 
 // ---------------------------------------------------------------- decode --
 
+/// The deepest nesting of values, or of plan operators, a decoder follows.
+/// The mediator's plans and values nest a few levels; a deeper frame is
+/// corrupt or hostile, and following it would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+/// The depth one level below `depth`, or an error beyond [`MAX_DEPTH`].
+fn nested(depth: usize) -> CoreResult<usize> {
+    if depth < MAX_DEPTH {
+        Ok(depth + 1)
+    } else {
+        Err(CoreError::Wire(format!(
+            "nested deeper than {MAX_DEPTH} levels"
+        )))
+    }
+}
+
 /// Deserializes a plan function received from a parent process.
 pub fn decode_plan_function(mut bytes: Bytes) -> CoreResult<PlanFunction> {
-    let pf = get_plan_function(&mut bytes)?;
-    if bytes.has_remaining() {
-        return Err(CoreError::Wire(format!(
-            "{} trailing bytes",
-            bytes.remaining()
-        )));
-    }
+    let pf = get_plan_function(&mut bytes, 0)?;
+    expect_end(&bytes, "plan function")?;
     Ok(pf)
 }
 
 /// Deserializes a tuple.
 pub fn decode_tuple(mut bytes: Bytes) -> CoreResult<Tuple> {
     let t = get_tuple(&mut bytes)?;
-    if bytes.has_remaining() {
-        return Err(CoreError::Wire(format!(
-            "{} trailing bytes",
-            bytes.remaining()
-        )));
-    }
+    expect_end(&bytes, "tuple")?;
     Ok(t)
 }
 
-/// Deserializes a batch frame produced by [`encode_tuple_batch`] or
-/// [`frame_encoded_batch`].
-pub fn decode_tuple_batch(mut bytes: Bytes) -> CoreResult<Vec<Tuple>> {
-    let n = get_varint(&mut bytes)?;
-    if n > u32::MAX as u64 {
-        return Err(CoreError::Wire(format!("absurd batch count {n}")));
-    }
-    let mut tuples = Vec::with_capacity((n as usize).min(4096));
+/// Decodes a row frame's body (after its kind byte) onto `out`.
+fn get_rows_onto(mut frame: Bytes, out: &mut Vec<Tuple>) -> CoreResult<()> {
+    let n = get_entry_count(&mut frame)?;
+    out.reserve(n);
     for _ in 0..n {
-        let len = get_varint(&mut bytes)? as usize;
-        need(&bytes, len)?;
-        let mut part = bytes.copy_to_bytes(len);
-        let t = get_tuple(&mut part)?;
-        if part.has_remaining() {
-            return Err(CoreError::Wire(format!(
-                "{} trailing bytes inside batch entry",
-                part.remaining()
-            )));
-        }
-        tuples.push(t);
+        let mut entry = get_row_entry(&mut frame)?;
+        out.push(get_tuple(&mut entry)?);
+        expect_end(&entry, "row entry")?;
     }
-    if bytes.has_remaining() {
-        return Err(CoreError::Wire(format!(
-            "{} trailing bytes after batch",
-            bytes.remaining()
-        )));
-    }
-    Ok(tuples)
+    expect_end(&frame, "row frame")
 }
 
-/// Splits a batch frame into the per-tuple encodings it carries without
-/// decoding them — zero-copy slices of the original frame. Each returned
-/// `Bytes` equals what [`encode_tuple`] produced for that tuple, so the
-/// slices can key per-parameter memo lookups ([`crate::cache`]) against
-/// parent-side `encode_tuple` output byte-for-byte.
-pub fn split_tuple_batch(mut bytes: Bytes) -> CoreResult<Vec<Bytes>> {
-    let n = get_varint(&mut bytes)?;
-    if n > u32::MAX as u64 {
-        return Err(CoreError::Wire(format!("absurd batch count {n}")));
-    }
-    let mut parts = Vec::with_capacity((n as usize).min(4096));
-    for _ in 0..n {
-        let len = get_varint(&mut bytes)? as usize;
-        need(&bytes, len)?;
-        parts.push(bytes.copy_to_bytes(len));
-    }
-    if bytes.has_remaining() {
+/// Splits a row frame's body (after its kind byte) into the per-tuple
+/// encodings it carries without decoding them — zero-copy slices of the
+/// frame. Each equals what [`encode_tuple`] produced for that tuple, so the
+/// slices key per-parameter memo lookups ([`crate::cache`]) byte for byte
+/// like the parent's `encode_tuple` output.
+fn split_row_frame(mut frame: Bytes) -> CoreResult<Vec<Bytes>> {
+    let n = get_entry_count(&mut frame)?;
+    let parts = (0..n)
+        .map(|_| get_row_entry(&mut frame))
+        .collect::<CoreResult<Vec<_>>>()?;
+    expect_end(&frame, "row frame")?;
+    Ok(parts)
+}
+
+/// A row frame's entry count; every entry takes at least a byte, so a
+/// count beyond the bytes left is corrupt.
+fn get_entry_count(buf: &mut Bytes) -> CoreResult<usize> {
+    let n = get_varint(buf)?;
+    if n > buf.remaining() as u64 {
         return Err(CoreError::Wire(format!(
-            "{} trailing bytes after batch",
-            bytes.remaining()
+            "{n} entries claimed in {} bytes",
+            buf.remaining()
         )));
     }
-    Ok(parts)
+    Ok(n as usize)
+}
+
+/// One length-prefixed row-frame entry, as a view of the frame.
+fn get_row_entry(buf: &mut Bytes) -> CoreResult<Bytes> {
+    let len = get_varint(buf)?;
+    if len > buf.remaining() as u64 {
+        return Err(CoreError::Wire(format!(
+            "entry of {len} bytes in {} bytes",
+            buf.remaining()
+        )));
+    }
+    Ok(buf.copy_to_bytes(len as usize))
+}
+
+/// Fails unless `buf` was read to its end.
+fn expect_end(buf: &Bytes, what: &str) -> CoreResult<()> {
+    if buf.has_remaining() {
+        Err(CoreError::Wire(format!(
+            "{} trailing bytes after {what}",
+            buf.remaining()
+        )))
+    } else {
+        Ok(())
+    }
+}
+
+/// The capacity to reserve for `n` items of a count prefix: each item
+/// takes at least a byte, so no more than the bytes left.
+fn capacity_for(n: usize, buf: &Bytes) -> usize {
+    n.min(buf.remaining())
 }
 
 fn need(buf: &Bytes, n: usize) -> CoreResult<()> {
@@ -791,21 +899,30 @@ fn get_f64(buf: &mut Bytes) -> CoreResult<f64> {
     Ok(buf.get_f64_le())
 }
 
-fn get_str(buf: &mut Bytes) -> CoreResult<String> {
+/// Reads a length-prefixed UTF-8 string and hands it to `own`, borrowed
+/// from the frame, so the owned form costs the one allocation `own` makes.
+fn get_str_with<T>(buf: &mut Bytes, own: impl FnOnce(&str) -> T) -> CoreResult<T> {
     let len = get_u32(buf)?;
     need(buf, len)?;
-    let raw = buf.copy_to_bytes(len);
-    // Validate in place and copy once; `String::from_utf8(raw.to_vec())`
-    // would copy before validating and throw the copy away on error.
-    std::str::from_utf8(&raw)
-        .map(str::to_owned)
-        .map_err(|_| CoreError::Wire("invalid UTF-8".into()))
+    let s =
+        std::str::from_utf8(&buf[..len]).map_err(|_| CoreError::Wire("invalid UTF-8".into()))?;
+    let owned = own(s);
+    buf.advance(len);
+    Ok(owned)
 }
 
-fn get_value(buf: &mut Bytes) -> CoreResult<Value> {
+fn get_str(buf: &mut Bytes) -> CoreResult<String> {
+    get_str_with(buf, str::to_owned)
+}
+
+fn get_shared_str(buf: &mut Bytes) -> CoreResult<Arc<str>> {
+    get_str_with(buf, |s| Arc::from(s))
+}
+
+fn get_value(buf: &mut Bytes, depth: usize) -> CoreResult<Value> {
     match get_u8(buf)? {
         0 => Ok(Value::Null),
-        1 => Ok(Value::from(get_str(buf)?)),
+        1 => Ok(Value::Str(get_shared_str(buf)?)),
         2 => Ok(Value::Real(get_f64(buf)?)),
         3 => {
             need(buf, 8)?;
@@ -813,30 +930,28 @@ fn get_value(buf: &mut Bytes) -> CoreResult<Value> {
         }
         4 => Ok(Value::Bool(get_u8(buf)? != 0)),
         5 => {
+            let depth = nested(depth)?;
             let n = get_u32(buf)?;
             let mut record = Record::new();
             for _ in 0..n {
-                let name = get_str(buf)?;
-                let value = get_value(buf)?;
+                let name = get_shared_str(buf)?;
+                let value = get_value(buf, depth)?;
                 record.set(name, value);
             }
             Ok(Value::Record(record))
         }
-        6 => {
+        tag @ (6 | 7) => {
+            let depth = nested(depth)?;
             let n = get_u32(buf)?;
-            let mut items = Vec::with_capacity(n.min(4096));
+            let mut items = Vec::with_capacity(capacity_for(n, buf));
             for _ in 0..n {
-                items.push(get_value(buf)?);
+                items.push(get_value(buf, depth)?);
             }
-            Ok(Value::Sequence(items))
-        }
-        7 => {
-            let n = get_u32(buf)?;
-            let mut items = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                items.push(get_value(buf)?);
-            }
-            Ok(Value::Bag(items))
+            Ok(if tag == 6 {
+                Value::Sequence(items)
+            } else {
+                Value::Bag(items)
+            })
         }
         tag => Err(CoreError::Wire(format!("unknown value tag {tag}"))),
     }
@@ -844,142 +959,176 @@ fn get_value(buf: &mut Bytes) -> CoreResult<Value> {
 
 fn get_tuple(buf: &mut Bytes) -> CoreResult<Tuple> {
     let n = get_u32(buf)?;
-    let mut values = Vec::with_capacity(n.min(4096));
+    let mut values = Vec::with_capacity(capacity_for(n, buf));
     for _ in 0..n {
-        values.push(get_value(buf)?);
+        values.push(get_value(buf, 0)?);
     }
     Ok(Tuple::new(values))
 }
 
-fn get_arg(buf: &mut Bytes) -> CoreResult<ArgExpr> {
+fn get_arg(buf: &mut Bytes, depth: usize) -> CoreResult<ArgExpr> {
     match get_u8(buf)? {
         0 => Ok(ArgExpr::Col(get_u32(buf)?)),
-        1 => Ok(ArgExpr::Const(get_value(buf)?)),
+        1 => Ok(ArgExpr::Const(get_value(buf, depth)?)),
         tag => Err(CoreError::Wire(format!("unknown arg tag {tag}"))),
     }
 }
 
-fn get_args(buf: &mut Bytes) -> CoreResult<Vec<ArgExpr>> {
+fn get_args(buf: &mut Bytes, depth: usize) -> CoreResult<Vec<ArgExpr>> {
     let n = get_u32(buf)?;
-    let mut args = Vec::with_capacity(n.min(4096));
+    let mut args = Vec::with_capacity(capacity_for(n, buf));
     for _ in 0..n {
-        args.push(get_arg(buf)?);
+        args.push(get_arg(buf, depth)?);
     }
     Ok(args)
 }
 
-fn get_plan_op(buf: &mut Bytes) -> CoreResult<PlanOp> {
+/// Decodes an operator and, below it, its input chain. Each level's frame
+/// holds only the operator: the fields of every kind are read by
+/// functions that return before the recursion.
+fn get_plan_op(buf: &mut Bytes, depth: usize) -> CoreResult<PlanOp> {
+    let depth = nested(depth)?;
+    let mut op = get_plan_op_head(buf, depth)?;
+    if let Some(input) = op.input_mut() {
+        // Into the placeholder's box: no second allocation.
+        *input = get_plan_op(buf, depth)?;
+    }
+    Ok(op)
+}
+
+/// The placeholder an operator's input is decoded with, overwritten in
+/// place once the input is decoded.
+fn leaf() -> Box<PlanOp> {
+    Box::new(PlanOp::Unit)
+}
+
+/// Decodes one operator, with a [`leaf`] placeholder for its input. The
+/// operators with more than a field or two decode in functions of their
+/// own, so this frame, which a nested plan function recurses through,
+/// stays small.
+fn get_plan_op_head(buf: &mut Bytes, depth: usize) -> CoreResult<PlanOp> {
     match get_u8(buf)? {
         0 => Ok(PlanOp::Unit),
         1 => Ok(PlanOp::Param {
             arity: get_u32(buf)?,
         }),
-        2 => {
-            let owf = get_str(buf)?;
-            let args = get_args(buf)?;
-            let output_arity = get_u32(buf)?;
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::ApplyOwf {
-                owf,
-                args,
-                output_arity,
-                input,
-            })
-        }
-        3 => {
-            let function = get_str(buf)?;
-            let args = get_args(buf)?;
-            let output_arity = get_u32(buf)?;
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::ApplyFunction {
-                function,
-                args,
-                output_arity,
-                input,
-            })
-        }
-        4 => {
-            let exprs = get_args(buf)?;
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::Extend { exprs, input })
-        }
-        5 => {
-            let n = get_u32(buf)?;
-            let mut columns = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                columns.push(get_u32(buf)?);
-            }
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::Project { columns, input })
-        }
-        6 => {
-            let pf = get_plan_function(buf)?;
-            let fanout = get_u32(buf)?;
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::FfApply { pf, fanout, input })
-        }
-        7 => {
-            let pf = get_plan_function(buf)?;
-            let config = AdaptiveConfig {
-                add_step: get_u32(buf)?,
-                threshold: get_f64(buf)?,
-                drop_enabled: get_u8(buf)? != 0,
-                init_fanout: get_u32(buf)?,
-                max_fanout: get_u32(buf)?,
-                rearm_factor: match get_u8(buf)? {
-                    0 => None,
-                    _ => Some(get_f64(buf)?),
-                },
-            };
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::AffApply { pf, config, input })
-        }
-        8 => {
-            let n = get_u32(buf)?;
-            let mut keys = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let col = get_u32(buf)?;
-                let desc = get_u8(buf)? != 0;
-                keys.push((col, desc));
-            }
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::Sort { keys, input })
-        }
-        9 => {
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::Distinct { input })
-        }
-        10 => {
-            let count = get_u32(buf)?;
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::Limit { count, input })
-        }
-        11 => {
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::Count { input })
-        }
-        12 => {
-            let key_count = get_u32(buf)?;
-            let n = get_u32(buf)?;
-            let mut aggs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let func = agg_from_code(get_u8(buf)?)?;
-                let arg = match get_u8(buf)? {
-                    0 => None,
-                    1 => Some(get_u32(buf)?),
-                    tag => return Err(CoreError::Wire(format!("bad agg-arg tag {tag}"))),
-                };
-                aggs.push((func, arg));
-            }
-            let input = Box::new(get_plan_op(buf)?);
-            Ok(PlanOp::GroupBy {
-                key_count,
-                aggs,
-                input,
-            })
-        }
+        2 => get_apply(buf, depth, true),
+        3 => get_apply(buf, depth, false),
+        4 => Ok(PlanOp::Extend {
+            exprs: get_args(buf, depth)?,
+            input: leaf(),
+        }),
+        5 => get_project(buf),
+        6 => get_ff_apply(buf, depth),
+        7 => get_aff_apply(buf, depth),
+        8 => get_sort(buf),
+        9 => Ok(PlanOp::Distinct { input: leaf() }),
+        10 => Ok(PlanOp::Limit {
+            count: get_u32(buf)?,
+            input: leaf(),
+        }),
+        11 => Ok(PlanOp::Count { input: leaf() }),
+        12 => get_group_by(buf),
         tag => Err(CoreError::Wire(format!("unknown plan-op tag {tag}"))),
     }
+}
+
+/// `ApplyOwf` (`owf`) or `ApplyFunction`.
+fn get_apply(buf: &mut Bytes, depth: usize, owf: bool) -> CoreResult<PlanOp> {
+    let name = get_str(buf)?;
+    let args = get_args(buf, depth)?;
+    let output_arity = get_u32(buf)?;
+    Ok(if owf {
+        PlanOp::ApplyOwf {
+            owf: name,
+            args,
+            output_arity,
+            input: leaf(),
+        }
+    } else {
+        PlanOp::ApplyFunction {
+            function: name,
+            args,
+            output_arity,
+            input: leaf(),
+        }
+    })
+}
+
+fn get_project(buf: &mut Bytes) -> CoreResult<PlanOp> {
+    let n = get_u32(buf)?;
+    let mut columns = Vec::with_capacity(capacity_for(n, buf));
+    for _ in 0..n {
+        columns.push(get_u32(buf)?);
+    }
+    Ok(PlanOp::Project {
+        columns,
+        input: leaf(),
+    })
+}
+
+fn get_ff_apply(buf: &mut Bytes, depth: usize) -> CoreResult<PlanOp> {
+    let pf = get_plan_function(buf, depth)?;
+    let fanout = get_u32(buf)?;
+    Ok(PlanOp::FfApply {
+        pf,
+        fanout,
+        input: leaf(),
+    })
+}
+
+fn get_aff_apply(buf: &mut Bytes, depth: usize) -> CoreResult<PlanOp> {
+    let pf = get_plan_function(buf, depth)?;
+    let config = AdaptiveConfig {
+        add_step: get_u32(buf)?,
+        threshold: get_f64(buf)?,
+        drop_enabled: get_u8(buf)? != 0,
+        init_fanout: get_u32(buf)?,
+        max_fanout: get_u32(buf)?,
+        rearm_factor: match get_u8(buf)? {
+            0 => None,
+            _ => Some(get_f64(buf)?),
+        },
+    };
+    Ok(PlanOp::AffApply {
+        pf,
+        config,
+        input: leaf(),
+    })
+}
+
+fn get_sort(buf: &mut Bytes) -> CoreResult<PlanOp> {
+    let n = get_u32(buf)?;
+    let mut keys = Vec::with_capacity(capacity_for(n, buf));
+    for _ in 0..n {
+        let col = get_u32(buf)?;
+        let desc = get_u8(buf)? != 0;
+        keys.push((col, desc));
+    }
+    Ok(PlanOp::Sort {
+        keys,
+        input: leaf(),
+    })
+}
+
+fn get_group_by(buf: &mut Bytes) -> CoreResult<PlanOp> {
+    let key_count = get_u32(buf)?;
+    let n = get_u32(buf)?;
+    let mut aggs = Vec::with_capacity(capacity_for(n, buf));
+    for _ in 0..n {
+        let func = agg_from_code(get_u8(buf)?)?;
+        let arg = match get_u8(buf)? {
+            0 => None,
+            1 => Some(get_u32(buf)?),
+            tag => return Err(CoreError::Wire(format!("bad agg-arg tag {tag}"))),
+        };
+        aggs.push((func, arg));
+    }
+    Ok(PlanOp::GroupBy {
+        key_count,
+        aggs,
+        input: leaf(),
+    })
 }
 
 fn agg_code(func: wsmed_sql::AggFunc) -> u8 {
@@ -1003,29 +1152,12 @@ fn agg_from_code(code: u8) -> CoreResult<wsmed_sql::AggFunc> {
     })
 }
 
-fn get_plan_function(buf: &mut Bytes) -> CoreResult<PlanFunction> {
+fn get_plan_function(buf: &mut Bytes, depth: usize) -> CoreResult<PlanFunction> {
     let name = get_str(buf)?;
     let param_arity = get_u32(buf)?;
     let output_arity = get_u32(buf)?;
-    let body = Box::new(get_plan_op(buf)?);
-    let prune = match get_u8(buf)? {
-        0 => None,
-        1 => {
-            let section_key = get_str(buf)?;
-            let n = get_u32(buf)?;
-            let mut drop_params = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let len = get_u32(buf)?;
-                need(buf, len)?;
-                drop_params.push(buf.copy_to_bytes(len));
-            }
-            Some(crate::plan::PruneSpec {
-                section_key,
-                drop_params,
-            })
-        }
-        tag => return Err(CoreError::Wire(format!("bad prune-spec tag {tag}"))),
-    };
+    let body = Box::new(get_plan_op(buf, depth)?);
+    let prune = get_prune_spec(buf)?;
     Ok(PlanFunction {
         name,
         param_arity,
@@ -1033,6 +1165,27 @@ fn get_plan_function(buf: &mut Bytes) -> CoreResult<PlanFunction> {
         output_arity,
         prune,
     })
+}
+
+fn get_prune_spec(buf: &mut Bytes) -> CoreResult<Option<crate::plan::PruneSpec>> {
+    match get_u8(buf)? {
+        0 => Ok(None),
+        1 => {
+            let section_key = get_str(buf)?;
+            let n = get_u32(buf)?;
+            let mut drop_params = Vec::with_capacity(capacity_for(n, buf));
+            for _ in 0..n {
+                let len = get_u32(buf)?;
+                need(buf, len)?;
+                drop_params.push(buf.copy_to_bytes(len));
+            }
+            Ok(Some(crate::plan::PruneSpec {
+                section_key,
+                drop_params,
+            }))
+        }
+        tag => Err(CoreError::Wire(format!("bad prune-spec tag {tag}"))),
+    }
 }
 
 #[cfg(test)]
@@ -1071,6 +1224,54 @@ mod tests {
         let bytes = encode_plan_function(&pf);
         let back = decode_plan_function(bytes).unwrap();
         assert_eq!(back, pf);
+    }
+
+    #[test]
+    fn plan_function_bytes_are_pinned() {
+        // Every operator kind, a prune annotation and nested plan
+        // functions: the shipped bytes (and so every memo namespace and
+        // warm-pool key) must not move when the encoder's buffering does.
+        let outer = PlanFunction {
+            name: "PF0".into(),
+            param_arity: 1,
+            output_arity: 2,
+            body: Box::new(PlanOp::AffApply {
+                pf: sample_pf(),
+                config: AdaptiveConfig {
+                    add_step: 4,
+                    threshold: 0.1,
+                    drop_enabled: true,
+                    init_fanout: 2,
+                    max_fanout: 9,
+                    rearm_factor: Some(0.5),
+                },
+                input: Box::new(PlanOp::Sort {
+                    keys: vec![(1, true)],
+                    input: Box::new(PlanOp::GroupBy {
+                        key_count: 1,
+                        aggs: vec![
+                            (wsmed_sql::AggFunc::Sum, Some(1)),
+                            (wsmed_sql::AggFunc::Count, None),
+                        ],
+                        input: Box::new(PlanOp::FfApply {
+                            pf: sample_pf(),
+                            fanout: 4,
+                            input: Box::new(PlanOp::Param { arity: 1 }),
+                        }),
+                    }),
+                }),
+            }),
+            prune: Some(crate::plan::PruneSpec {
+                section_key: "a1b2".into(),
+                drop_params: vec![encode_tuple(&Tuple::new(vec![Value::str("GA")]))],
+            }),
+        };
+        let bytes = encode_plan_function(&outer);
+        assert_eq!(
+            crate::cache::pf_digest("PF0", &bytes),
+            "pf:PF0:349:88faa5eec87b622b"
+        );
+        assert_eq!(decode_plan_function(bytes).unwrap(), outer);
     }
 
     #[test]
@@ -1183,6 +1384,107 @@ mod tests {
         assert!(decode_tuple(Bytes::from(raw)).is_err());
     }
 
+    // ---- hostile frames --------------------------------------------------
+
+    /// How deep the hostile inputs nest: far past [`MAX_DEPTH`], and deep
+    /// enough to overflow a thread's stack if a decoder followed it.
+    const BOMB_DEPTH: usize = 20_000;
+
+    /// A value nesting `depth` one-item `Sequence` headers around a null.
+    fn nested_sequences(buf: &mut Vec<u8>, depth: usize) {
+        for _ in 0..depth {
+            buf.put_u8(6);
+            buf.put_u32_le(1);
+        }
+        buf.put_u8(0);
+    }
+
+    /// A one-value tuple whose value nests `depth` sequences.
+    fn deep_tuple(depth: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u32_le(1);
+        nested_sequences(&mut buf, depth);
+        buf
+    }
+
+    #[test]
+    fn deep_tuples_fail_instead_of_overflowing_the_stack() {
+        assert!(decode_tuple(Bytes::from(deep_tuple(BOMB_DEPTH))).is_err());
+        // A row frame carrying the tuple.
+        let entry = deep_tuple(BOMB_DEPTH);
+        let mut frame = vec![KIND_ROWS];
+        put_varint(&mut frame, 1);
+        put_varint(&mut frame, entry.len() as u64);
+        frame.extend_from_slice(&entry);
+        assert!(decode_message(Bytes::from(frame)).is_err());
+        // A columnar frame whose one `Other` column holds it.
+        let mut frame = vec![KIND_COLUMNAR];
+        put_varint(&mut frame, 1); // rows
+        put_varint(&mut frame, 1); // columns
+        frame.extend_from_slice(&[5, 0]); // Other, no validity mask
+        nested_sequences(&mut frame, BOMB_DEPTH);
+        assert!(decode_message(Bytes::from(frame)).is_err());
+    }
+
+    #[test]
+    fn deep_plans_fail_instead_of_overflowing_the_stack() {
+        let mut raw = Vec::new();
+        put_str(&mut raw, "PF");
+        raw.put_u32_le(0); // param arity
+        raw.put_u32_le(0); // output arity
+        raw.resize(raw.len() + BOMB_DEPTH, 9); // Distinct over Distinct …
+        raw.put_u8(0); // … over Unit
+        raw.put_u8(0); // no prune spec
+        assert!(decode_plan_function(Bytes::from(raw)).is_err());
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_decodes() {
+        let mut body = PlanOp::Unit;
+        for _ in 0..MAX_DEPTH - 1 {
+            body = PlanOp::Distinct {
+                input: Box::new(body),
+            };
+        }
+        let pf = PlanFunction {
+            name: "deep".into(),
+            param_arity: 0,
+            output_arity: 0,
+            body: Box::new(body),
+            prune: None,
+        };
+        assert_eq!(decode_plan_function(encode_plan_function(&pf)).unwrap(), pf);
+        let mut value = Value::Null;
+        for _ in 0..MAX_DEPTH {
+            value = Value::Sequence(vec![value]);
+        }
+        let t = Tuple::new(vec![value]);
+        assert_eq!(decode_tuple(encode_tuple(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn counts_beyond_the_frame_fail() {
+        // 16-byte frames that claim u32::MAX items.
+        let mut tuple = Vec::new();
+        tuple.put_u32_le(u32::MAX); // values
+        tuple.extend_from_slice(&[0; 12]);
+        assert!(decode_tuple(Bytes::from(tuple)).is_err());
+
+        let mut rows = vec![KIND_ROWS];
+        put_varint(&mut rows, u64::from(u32::MAX)); // tuples
+        rows.resize(16, 0);
+        assert!(decode_message(Bytes::from(rows)).is_err());
+
+        let mut seq = Vec::new();
+        seq.put_u32_le(1);
+        seq.put_u8(6);
+        seq.put_u32_le(u32::MAX); // sequence items
+        seq.resize(16, 0);
+        assert!(decode_tuple(Bytes::from(seq)).is_err());
+    }
+
+    // ---- message frames --------------------------------------------------
+
     fn sample_batch() -> Vec<Tuple> {
         vec![
             Tuple::new(vec![Value::Int(1), Value::str("Atlanta")]),
@@ -1191,68 +1493,107 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn tuple_batch_roundtrip() {
-        let tuples = sample_batch();
-        let frame = encode_tuple_batch(&tuples);
-        assert_eq!(decode_tuple_batch(frame).unwrap(), tuples);
-        assert_eq!(decode_tuple_batch(encode_tuple_batch(&[])).unwrap(), vec![]);
+    fn decoded_rows(frame: Bytes) -> Vec<Tuple> {
+        match decode_message(frame).unwrap() {
+            MessageBatch::Rows(rows) => rows,
+            MessageBatch::Columnar(_) => panic!("expected a row frame"),
+        }
     }
 
     #[test]
-    fn framed_encoded_batch_matches_direct_encoding() {
+    fn rows_message_roundtrip() {
+        let tuples = sample_batch();
+        assert_eq!(decoded_rows(encode_rows(&tuples)), tuples);
+        assert!(decoded_rows(encode_rows(&[])).is_empty());
+    }
+
+    #[test]
+    fn rows_message_from_encoded_parts_matches_direct_encoding() {
         let tuples = sample_batch();
         let parts: Vec<Bytes> = tuples.iter().map(encode_tuple).collect();
-        assert_eq!(frame_encoded_batch(&parts), encode_tuple_batch(&tuples));
+        assert_eq!(encode_rows_message(&parts), encode_rows(&tuples));
+        let mut frame = RowFrame::default();
+        for round in 0..2 {
+            for t in &tuples {
+                frame.push(t);
+            }
+            assert_eq!(frame.len(), tuples.len());
+            assert_eq!(frame.take(), encode_rows(&tuples), "round {round}");
+            assert_eq!(frame.len(), 0);
+        }
     }
 
     #[test]
-    fn split_batch_yields_per_tuple_encodings() {
+    fn decode_onto_appends_rows_and_keeps_them_on_error() {
         let tuples = sample_batch();
-        let frame = encode_tuple_batch(&tuples);
-        let parts = split_tuple_batch(frame).unwrap();
+        let mut out = vec![Tuple::empty()];
+        assert_eq!(
+            decode_message_onto(encode_rows(&tuples), &mut out).unwrap(),
+            3
+        );
+        let columnar = encode_columnar_message(&columnar_batch());
+        assert_eq!(decode_message_onto(columnar, &mut out).unwrap(), 3);
+        assert_eq!(out.len(), 7);
+        assert_eq!(&out[1..4], &tuples[..]);
+        assert_rows_eq(&out[4..], &columnar_batch());
+        // A frame that fails half-way leaves what was there.
+        let mut raw = encode_rows(&tuples).to_vec();
+        raw.truncate(raw.len() - 1);
+        assert!(decode_message_onto(Bytes::from(raw), &mut out).is_err());
+        assert_eq!(out.len(), 7);
+    }
+
+    #[test]
+    fn keyed_params_are_per_tuple_encodings() {
+        let tuples = sample_batch();
+        let KeyedParams::Rows(parts) = decode_keyed_params(encode_rows(&tuples)).unwrap() else {
+            panic!("expected row parts");
+        };
         assert_eq!(parts.len(), tuples.len());
         for (part, t) in parts.iter().zip(&tuples) {
             assert_eq!(part, &encode_tuple(t));
         }
-        assert!(split_tuple_batch(encode_tuple_batch(&[]))
-            .unwrap()
-            .is_empty());
+        let KeyedParams::Columnar(batch) =
+            decode_keyed_params(encode_columnar_message(&columnar_batch())).unwrap()
+        else {
+            panic!("expected a columnar batch");
+        };
+        assert_eq!(batch.len(), 3);
     }
 
     #[test]
-    fn batch_truncation_errors() {
-        let frame = encode_tuple_batch(&sample_batch());
+    fn rows_message_truncation_errors() {
+        let frame = encode_rows(&sample_batch());
         for cut in 0..frame.len() {
             assert!(
-                decode_tuple_batch(frame.slice(0..cut)).is_err(),
+                decode_message(frame.slice(0..cut)).is_err(),
                 "cut at {cut} decoded successfully"
             );
+            assert!(decode_keyed_params(frame.slice(0..cut)).is_err());
         }
     }
 
     #[test]
-    fn batch_trailing_and_garbage_errors() {
-        let mut raw = encode_tuple_batch(&sample_batch()).to_vec();
+    fn rows_message_trailing_and_garbage_errors() {
+        let mut raw = encode_rows(&sample_batch()).to_vec();
         raw.push(0);
-        assert!(decode_tuple_batch(Bytes::from(raw.clone())).is_err());
+        assert!(decode_message(Bytes::from(raw.clone())).is_err());
         raw.pop();
-        raw[0] = 0xFF; // claim a huge continuation-heavy count
+        raw[1] = 0xFF; // claim a huge continuation-heavy count
         for _ in 0..10 {
-            raw.insert(1, 0xFF);
+            raw.insert(2, 0xFF);
         }
-        assert!(decode_tuple_batch(Bytes::from(raw)).is_err());
+        assert!(decode_message(Bytes::from(raw)).is_err());
     }
 
     #[test]
-    fn batch_entry_length_mismatch_errors() {
+    fn rows_message_entry_length_mismatch_errors() {
         // A per-tuple length that overclaims into the next entry must fail
-        // the inner trailing-bytes check, not silently misparse.
-        let tuples = sample_batch();
-        let mut raw = encode_tuple_batch(&tuples).to_vec();
-        raw[1] += 1; // first entry's varint length (count is 1 byte here)
-        raw.push(0); // keep the outer frame long enough
-        assert!(decode_tuple_batch(Bytes::from(raw)).is_err());
+        // the entry's trailing-bytes check, not silently misparse.
+        let mut raw = encode_rows(&sample_batch()).to_vec();
+        raw[2] += 1; // first entry's varint length (kind and count are 1 byte each)
+        raw.push(0); // keep the frame long enough
+        assert!(decode_message(Bytes::from(raw)).is_err());
     }
 
     // ---- columnar frames -------------------------------------------------
@@ -1326,27 +1667,8 @@ mod tests {
     fn non_uniform_batch_falls_back_to_rows() {
         let tuples = sample_batch(); // arities 2, 0, 3
         let frame = encode_columnar_message(&tuples);
-        let decoded = decode_message(frame).unwrap();
-        let MessageBatch::Rows(parts) = &decoded else {
-            panic!("non-uniform arity must fall back to the row format");
-        };
-        for (part, t) in parts.iter().zip(&tuples) {
-            assert_eq!(part, &encode_tuple(t));
-        }
-        assert_rows_eq(&decoded.into_tuples().unwrap(), &tuples);
-    }
-
-    #[test]
-    fn rows_message_matches_legacy_frame_plus_kind() {
-        let tuples = sample_batch();
-        let parts: Vec<Bytes> = tuples.iter().map(encode_tuple).collect();
-        let msg = encode_rows_message(&parts);
-        assert_eq!(msg[0], 0, "kind byte");
-        assert_eq!(msg.slice(1..), encode_tuple_batch(&tuples));
-        assert_rows_eq(
-            &decode_message(msg).unwrap().into_tuples().unwrap(),
-            &tuples,
-        );
+        assert_eq!(frame, encode_rows(&tuples));
+        assert_eq!(decoded_rows(frame), tuples);
     }
 
     #[test]
@@ -1380,12 +1702,175 @@ mod tests {
         assert!(decode_message(Bytes::from(raw)).is_err(), "unknown kind");
     }
 
+    // ---- the encoders before the per-thread frame buffer ------------------
+
+    /// The encoders as they were when every frame grew a `BytesMut` and
+    /// froze it: the oracle the buffered encoders must match byte for byte.
+    mod grown {
+        use bytes::{BufMut, Bytes, BytesMut};
+        use wsmed_store::{ColumnData, Tuple, Validity, Value, ValueBatch};
+
+        fn put_varint(buf: &mut BytesMut, mut n: u64) {
+            loop {
+                let byte = (n & 0x7f) as u8;
+                n >>= 7;
+                if n == 0 {
+                    buf.put_u8(byte);
+                    return;
+                }
+                buf.put_u8(byte | 0x80);
+            }
+        }
+
+        fn put_str(buf: &mut BytesMut, s: &str) {
+            buf.put_u32_le(s.len() as u32);
+            buf.put_slice(s.as_bytes());
+        }
+
+        fn put_value(buf: &mut BytesMut, value: &Value) {
+            match value {
+                Value::Null => buf.put_u8(0),
+                Value::Str(s) => {
+                    buf.put_u8(1);
+                    put_str(buf, s);
+                }
+                Value::Real(r) => {
+                    buf.put_u8(2);
+                    buf.put_f64_le(*r);
+                }
+                Value::Int(i) => {
+                    buf.put_u8(3);
+                    buf.put_i64_le(*i);
+                }
+                Value::Bool(b) => {
+                    buf.put_u8(4);
+                    buf.put_u8(u8::from(*b));
+                }
+                Value::Record(record) => {
+                    buf.put_u8(5);
+                    buf.put_u32_le(record.len() as u32);
+                    for (name, v) in record.iter() {
+                        put_str(buf, name);
+                        put_value(buf, v);
+                    }
+                }
+                Value::Sequence(items) => {
+                    buf.put_u8(6);
+                    buf.put_u32_le(items.len() as u32);
+                    for v in items {
+                        put_value(buf, v);
+                    }
+                }
+                Value::Bag(items) => {
+                    buf.put_u8(7);
+                    buf.put_u32_le(items.len() as u32);
+                    for v in items {
+                        put_value(buf, v);
+                    }
+                }
+            }
+        }
+
+        pub fn encode_tuple(tuple: &Tuple) -> Bytes {
+            let mut buf = BytesMut::with_capacity(64);
+            buf.put_u32_le(tuple.arity() as u32);
+            for v in tuple.values() {
+                put_value(&mut buf, v);
+            }
+            buf.freeze()
+        }
+
+        pub fn encode_rows_message(encoded: &[Bytes]) -> Bytes {
+            let mut buf = BytesMut::with_capacity(8);
+            buf.put_u8(0);
+            put_varint(&mut buf, encoded.len() as u64);
+            for part in encoded {
+                put_varint(&mut buf, part.len() as u64);
+                buf.put_slice(part);
+            }
+            buf.freeze()
+        }
+
+        fn put_validity(buf: &mut BytesMut, validity: Option<&Validity>) {
+            match validity {
+                Some(mask) => {
+                    buf.put_u8(1);
+                    buf.put_slice(mask.as_bytes());
+                }
+                None => buf.put_u8(0),
+            }
+        }
+
+        pub fn encode_columnar_message(tuples: &[Tuple]) -> Bytes {
+            let Some(batch) = ValueBatch::from_tuples(tuples) else {
+                let parts: Vec<Bytes> = tuples.iter().map(encode_tuple).collect();
+                return encode_rows_message(&parts);
+            };
+            let mut buf = BytesMut::with_capacity(64 + 16 * batch.len());
+            buf.put_u8(1);
+            put_varint(&mut buf, batch.len() as u64);
+            put_varint(&mut buf, batch.arity() as u64);
+            for col in batch.columns() {
+                match col.data() {
+                    ColumnData::Null => {
+                        buf.put_u8(0);
+                        buf.put_u8(0);
+                    }
+                    ColumnData::Int(v) => {
+                        buf.put_u8(1);
+                        put_validity(&mut buf, col.validity());
+                        for &x in v {
+                            buf.put_i64_le(x);
+                        }
+                    }
+                    ColumnData::Real(v) => {
+                        buf.put_u8(2);
+                        put_validity(&mut buf, col.validity());
+                        for &x in v {
+                            buf.put_f64_le(x);
+                        }
+                    }
+                    ColumnData::Bool(v) => {
+                        buf.put_u8(3);
+                        put_validity(&mut buf, col.validity());
+                        let mut packed = vec![0u8; v.len().div_ceil(8)];
+                        for (i, &b) in v.iter().enumerate() {
+                            if b {
+                                packed[i / 8] |= 1 << (i % 8);
+                            }
+                        }
+                        buf.put_slice(&packed);
+                    }
+                    ColumnData::Str(scol) => {
+                        buf.put_u8(4);
+                        put_validity(&mut buf, col.validity());
+                        for w in scol.offsets().windows(2) {
+                            buf.put_u32_le(w[1] - w[0]);
+                        }
+                        let heap = scol.heap().as_bytes();
+                        buf.put_u32_le(heap.len() as u32);
+                        buf.put_slice(heap);
+                    }
+                    ColumnData::Other(v) => {
+                        buf.put_u8(5);
+                        put_validity(&mut buf, col.validity());
+                        for value in v {
+                            put_value(&mut buf, value);
+                        }
+                    }
+                }
+            }
+            buf.freeze()
+        }
+    }
+
     // ---- property tests --------------------------------------------------
 
     fn value_strategy() -> impl Strategy<Value = Value> {
         let leaf = prop_oneof![
             Just(Value::Null),
             "[ -~]{0,24}".prop_map(Value::from),
+            "[a-zé€😀 ]{0,12}".prop_map(Value::from),
             any::<f64>().prop_map(Value::Real),
             any::<i64>().prop_map(Value::Int),
             any::<bool>().prop_map(Value::Bool),
@@ -1394,7 +1879,7 @@ mod tests {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Sequence),
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Bag),
-                proptest::collection::vec(("[a-z]{1,8}", inner), 0..4).prop_map(|fields| {
+                proptest::collection::vec(("[a-zß]{1,8}", inner), 0..4).prop_map(|fields| {
                     let mut r = Record::new();
                     for (k, v) in fields {
                         r.set(k, v);
@@ -1418,12 +1903,55 @@ mod tests {
         fn prop_decoder_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_plan_function(Bytes::from(raw.clone()));
             let _ = decode_tuple(Bytes::from(raw.clone()));
-            let _ = decode_tuple_batch(Bytes::from(raw.clone()));
             let _ = decode_message(Bytes::from(raw.clone()));
-            // Exercise the columnar decoder directly too.
-            let mut framed = vec![1u8];
-            framed.extend_from_slice(&raw);
-            let _ = decode_message(Bytes::from(framed));
+            let _ = decode_keyed_params(Bytes::from(raw.clone()));
+            // Exercise the row and columnar decoders directly too.
+            for kind in [KIND_ROWS, KIND_COLUMNAR] {
+                let mut framed = vec![kind];
+                framed.extend_from_slice(&raw);
+                let _ = decode_message(Bytes::from(framed));
+            }
+        }
+
+        #[test]
+        fn prop_buffered_encoders_write_the_grown_bytes(
+            batch in proptest::collection::vec(
+                proptest::collection::vec(value_strategy(), 0..4),
+                0..12,
+            )
+        ) {
+            let tuples: Vec<Tuple> = batch.into_iter().map(Tuple::new).collect();
+            let grown_parts: Vec<Bytes> = tuples.iter().map(grown::encode_tuple).collect();
+            let parts: Vec<Bytes> = tuples.iter().map(encode_tuple).collect();
+            prop_assert_eq!(&parts, &grown_parts);
+            for t in &tuples {
+                prop_assert_eq!(encode_value_slice(t.values()), grown::encode_tuple(t));
+                prop_assert_eq!(tuple_encoded_size(t), grown::encode_tuple(t).len());
+            }
+            let grown_frame = grown::encode_rows_message(&grown_parts);
+            prop_assert_eq!(&encode_rows_message(&parts), &grown_frame);
+            prop_assert_eq!(&encode_rows(&tuples), &grown_frame);
+            let mut frame = RowFrame::default();
+            for t in &tuples {
+                frame.push(t);
+            }
+            prop_assert_eq!(&frame.take(), &grown_frame);
+            prop_assert_eq!(
+                encode_columnar_message(&tuples),
+                grown::encode_columnar_message(&tuples)
+            );
+            // Uniform arity: the columnar layout proper.
+            let uniform: Vec<Tuple> = tuples.iter().filter(|t| t.arity() == 2).cloned().collect();
+            prop_assert_eq!(
+                encode_columnar_message(&uniform),
+                grown::encode_columnar_message(&uniform)
+            );
+            // And every frame decodes back to its tuples.
+            let back = decode_message(grown_frame).unwrap().into_tuples().unwrap();
+            prop_assert_eq!(back.len(), tuples.len());
+            for (b, t) in back.iter().zip(&tuples) {
+                prop_assert_eq!(b.total_cmp(t), std::cmp::Ordering::Equal);
+            }
         }
 
         #[test]
@@ -1460,28 +1988,10 @@ mod tests {
                 panic!("expected columnar")
             };
             for (i, t) in tuples.iter().enumerate() {
-                let expected = encode_tuple(t);
+                let expected = grown::encode_tuple(t);
                 prop_assert_eq!(&encode_row_tuple(&direct, i), &expected);
                 prop_assert_eq!(&encode_row_tuple(&wired, i), &expected);
             }
-        }
-
-        #[test]
-        fn prop_tuple_batch_roundtrip(
-            batch in proptest::collection::vec(
-                proptest::collection::vec(value_strategy(), 0..4),
-                0..12,
-            )
-        ) {
-            let tuples: Vec<Tuple> = batch.into_iter().map(Tuple::new).collect();
-            let back = decode_tuple_batch(encode_tuple_batch(&tuples)).unwrap();
-            prop_assert_eq!(back.len(), tuples.len());
-            for (b, t) in back.iter().zip(&tuples) {
-                prop_assert_eq!(b.total_cmp(t), std::cmp::Ordering::Equal);
-            }
-            // Framing pre-encoded tuples is byte-identical to direct encoding.
-            let parts: Vec<Bytes> = tuples.iter().map(encode_tuple).collect();
-            prop_assert_eq!(frame_encoded_batch(&parts), encode_tuple_batch(&tuples));
         }
     }
 }

@@ -4,7 +4,7 @@
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -35,16 +35,28 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 }
 
 /// Resolves one key against the cache, acting as leader (completing with
-/// `value`) on a miss and retrying after an aborted flight.
-fn resolve(cache: &CallCache, key: &CacheKey, value: &Value, leaders: &AtomicUsize) -> Value {
+/// `value`) on a miss and retrying after an aborted flight. The leader
+/// holds its flight open until the `waiters` other threads queue on the
+/// latch: a fixed pause would let a descheduled thread arrive after the
+/// flight completed and hit instead.
+fn resolve(
+    cache: &CallCache,
+    key: &CacheKey,
+    value: &Value,
+    leaders: &AtomicUsize,
+    waiters: u64,
+) -> Value {
     loop {
         match cache.lookup_call(key) {
             CallLookup::Hit { value: v, .. } => return v,
             CallLookup::Miss(flight) => {
                 leaders.fetch_add(1, AtomicOrdering::Relaxed);
-                // Hold the flight open briefly so other threads really do
-                // queue up on the latch instead of racing past it.
-                std::thread::sleep(Duration::from_millis(2));
+                let patience = Instant::now();
+                while cache.stats().dedup_waits < waiters
+                    && patience.elapsed() < Duration::from_secs(10)
+                {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
                 flight.complete(value);
                 return value.clone();
             }
@@ -98,7 +110,7 @@ proptest! {
                     let (barrier, leaders) = (&barrier, &leaders);
                     s.spawn(move || {
                         barrier.wait();
-                        resolve(&cache, &key, &value, leaders)
+                        resolve(&cache, &key, &value, leaders, k as u64 - 1)
                     })
                 })
                 .collect();

@@ -27,9 +27,14 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copies a slice into a new buffer.
+    /// Copies a slice into a new buffer: one allocation of exactly
+    /// `data.len()` bytes.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// Bytes remaining (length of the unread view).
@@ -91,13 +96,13 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
-        Bytes::from(v.to_vec())
+        Bytes::copy_from_slice(v)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Self {
-        Bytes::from(v.as_bytes().to_vec())
+        Bytes::copy_from_slice(v.as_bytes())
     }
 }
 
@@ -173,7 +178,9 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Converts into an immutable shared buffer without copying.
+    /// Converts into an immutable shared buffer. Unlike the real crate's,
+    /// this copies: the bytes move into a new exact-size shared
+    /// allocation, and this buffer is freed.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -311,6 +318,57 @@ impl BufMut for Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts this thread's allocations.
+    struct CountingAllocator;
+
+    // SAFETY: every method forwards to `System` unchanged; the counter is a
+    // const-initialised thread-local `Cell`, which never allocates.
+    unsafe impl GlobalAlloc for CountingAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAllocator = CountingAllocator;
+
+    fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCATIONS.with(Cell::get);
+        let out = f();
+        (out, ALLOCATIONS.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn copy_from_slice_allocates_once() {
+        let src = [7u8; 100];
+        let (b, allocations) = allocations_of(|| Bytes::copy_from_slice(&src));
+        assert_eq!(allocations, 1);
+        assert_eq!(&*b, &src[..]);
+        assert_ne!(b.as_ptr(), src.as_ptr());
+    }
+
+    #[test]
+    fn freeze_copies_into_a_new_allocation() {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_slice(b"frame");
+        let growable = buf.as_ptr();
+        let (frozen, allocations) = allocations_of(|| buf.freeze());
+        assert_eq!(allocations, 1, "one shared allocation, sized to fit");
+        assert_eq!(&*frozen, b"frame");
+        assert_ne!(frozen.as_ptr(), growable, "the bytes moved");
+    }
 
     #[test]
     fn roundtrip_ints() {

@@ -1,16 +1,19 @@
-//! Allocation budget of the web-service call path.
+//! Allocation budgets of the web-service call path and of a message frame.
 //!
 //! Central Query2 runs every call on the calling thread (no tree, wire or
 //! mailbox), so heap allocations ÷ `ws_calls` is what one trip through
-//! transport → SOAP/XML → netsim → flatten costs. The count is exact and
-//! machine-independent; a change that spends more of it has to raise the
+//! transport → SOAP/XML → netsim → flatten costs. A one-tuple frame's
+//! round trip through the wire functions is what one message of a query
+//! tree costs to encode and decode. The counts are exact and
+//! machine-independent; a change that spends more of them has to raise the
 //! budget here, in the open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wsmed::core::{paper, CachePolicy};
+use wsmed::core::{paper, wire, CachePolicy};
 use wsmed::services::DatasetConfig;
+use wsmed::store::{Tuple, Value};
 
 /// Allocations per web-service call the call path may spend (112.8 before
 /// the one-pass-per-stage rewrite, 42.7 before responses were flattened
@@ -21,6 +24,11 @@ const BUDGET_PER_CALL: f64 = 25.0;
 /// miss converts the response into the value the cache stores: 59.8 when
 /// the uncached path still converted every response too.
 const CACHED_BUDGET_PER_CALL: f64 = 59.8;
+
+/// Allocations of a one-tuple row frame's round trip: 12 when every
+/// encoder grew a buffer and then copied it, and a decoded string was
+/// allocated twice (see DESIGN.md, "Columnar engine").
+const ROW_FRAME_ROUND_TRIP_BUDGET: u64 = 7;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -107,6 +115,41 @@ fn central_query2_stays_inside_the_allocation_budget() {
     assert!(
         per_call <= BUDGET_PER_CALL,
         "{per_call:.1} allocations per call, budget {BUDGET_PER_CALL}"
+    );
+}
+
+/// One result row of Query1, as a tree ships it at the default policy.
+fn result_row() -> Tuple {
+    Tuple::new(vec![Value::str("Atlanta Heights"), Value::str("GA")])
+}
+
+/// Allocations of `round_trip` on `result_row()`; asserts the rows come
+/// back and the count repeats exactly.
+fn round_trip_allocations(round_trip: impl Fn(&Tuple) -> Vec<Tuple>) -> u64 {
+    let row = result_row();
+    // Per-thread encode buffers are set up by the first frame.
+    round_trip(&row);
+    let (rows, first) = allocations_of(|| round_trip(&row));
+    let (_, second) = allocations_of(|| round_trip(&row));
+    assert_eq!(rows, vec![row]);
+    assert_eq!(first, second, "the allocation count must repeat exactly");
+    first
+}
+
+#[test]
+fn one_tuple_row_frame_round_trip_stays_inside_its_allocation_budget() {
+    let rows = round_trip_allocations(|row| {
+        let frame = wire::encode_rows_message([&wire::encode_tuple(row)]);
+        wire::decode_message(frame).unwrap().into_tuples().unwrap()
+    });
+    let columnar = round_trip_allocations(|row| {
+        let frame = wire::encode_columnar_message(std::slice::from_ref(row));
+        wire::decode_message(frame).unwrap().into_tuples().unwrap()
+    });
+    println!("one-tuple round trip: {rows} allocations as a row frame, {columnar} as columnar");
+    assert!(
+        rows <= ROW_FRAME_ROUND_TRIP_BUDGET,
+        "{rows} allocations, budget {ROW_FRAME_ROUND_TRIP_BUDGET}"
     );
 }
 
