@@ -16,7 +16,7 @@
 //!   keys never contend on a global lock.
 //! * **Single-flight deduplication** — when several query processes miss
 //!   on the *same* key concurrently, exactly one issues the web service
-//!   call; the rest block on a per-key in-flight latch and receive the
+//!   call; the rest wait on a per-key in-flight latch and receive the
 //!   leader's value. A failed leader releases its waiters without caching
 //!   anything (each waiter then retries on its own, preserving uncached
 //!   error semantics).
@@ -36,6 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -263,14 +264,16 @@ impl EvictSink<'_> {
 
 // ---------------------------------------------------------------- latch --
 
-/// The per-key in-flight latch single-flight waiters block on.
+/// The per-key in-flight latch single-flight waiters wait on: a task awaits
+/// it ([`Latch::poll_wait`]), a plain thread blocks on it ([`Latch::wait`]).
 struct Latch<V> {
     state: StdMutex<FlightState<V>>,
     cv: Condvar,
 }
 
 enum FlightState<V> {
-    Pending,
+    /// In flight; the wakers of the tasks awaiting it.
+    Pending(Vec<Waker>),
     Done(V),
     /// The leader's call failed; waiters must retry themselves.
     Aborted,
@@ -279,45 +282,67 @@ enum FlightState<V> {
 impl<V: Clone> Latch<V> {
     fn new() -> Arc<Self> {
         Arc::new(Latch {
-            state: StdMutex::new(FlightState::Pending),
+            state: StdMutex::new(FlightState::Pending(Vec::new())),
             cv: Condvar::new(),
         })
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, FlightState<V>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn settle(&self, outcome: Option<V>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        *state = match outcome {
+        let settled = match outcome {
             Some(v) => FlightState::Done(v),
             None => FlightState::Aborted,
         };
+        let waiting = std::mem::replace(&mut *self.lock(), settled);
         self.cv.notify_all();
+        if let FlightState::Pending(wakers) = waiting {
+            wakers.into_iter().for_each(Waker::wake);
+        }
     }
 
-    /// Blocks until the leader settles; `None` means aborted (or the
-    /// leader vanished past the timeout) — the waiter retries itself.
-    /// Inside a query process the wait is a blocking section, so the
-    /// leader, wherever it runs, is never queued behind its waiters.
-    fn wait(&self) -> Option<V> {
-        crate::exec::blocking(|| {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            let deadline = Instant::now() + WAIT_TIMEOUT;
-            loop {
-                match &*state {
-                    FlightState::Done(v) => return Some(v.clone()),
-                    FlightState::Aborted => return None,
-                    FlightState::Pending => {}
+    /// The outcome once the leader settles (`None`: aborted, the waiter
+    /// retries itself); until then the task is woken when it does. The
+    /// leader's flight settles also when it unwinds, so a task waits no
+    /// longer than the leader's call; a leader that never returns is the
+    /// run's wedge, caught by its coordinator.
+    fn poll_wait(&self, cx: &mut Context<'_>) -> Poll<Option<V>> {
+        match &mut *self.lock() {
+            FlightState::Done(v) => Poll::Ready(Some(v.clone())),
+            FlightState::Aborted => Poll::Ready(None),
+            FlightState::Pending(wakers) => {
+                if !wakers.iter().any(|w| w.will_wake(cx.waker())) {
+                    wakers.push(cx.waker().clone());
                 }
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                if timeout.is_zero() {
-                    return None;
-                }
-                let (guard, _) = self
-                    .cv
-                    .wait_timeout(state, timeout)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = guard;
+                Poll::Pending
             }
-        })
+        }
+    }
+
+    /// Blocks the calling thread until the leader settles; `None` means
+    /// aborted (or the leader vanished past the timeout) — the waiter
+    /// retries itself. For callers outside the task runtime.
+    fn wait(&self) -> Option<V> {
+        let mut state = self.lock();
+        let deadline = Instant::now() + WAIT_TIMEOUT;
+        loop {
+            match &*state {
+                FlightState::Done(v) => return Some(v.clone()),
+                FlightState::Aborted => return None,
+                FlightState::Pending(_) => {}
+            }
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            if timeout.is_zero() {
+                return None;
+            }
+            let (guard, _) = self
+                .cv
+                .wait_timeout(state, timeout)
+                .unwrap_or_else(|e| e.into_inner());
+            state = guard;
+        }
     }
 }
 
@@ -761,22 +786,50 @@ impl CallCache {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
     }
 
-    /// Looks a call key up, blocking on an identical in-flight call when
-    /// single-flight is enabled. The caller loops on [`CallLookup::Retry`]
-    /// (each retry is preceded by a real failed call, so the loop is
-    /// bounded by the transport's own failure behaviour).
+    /// Looks a call key up, blocking the calling thread on an identical
+    /// in-flight call when single-flight is enabled. The caller loops on
+    /// [`CallLookup::Retry`] (each retry is preceded by a real failed call,
+    /// so the loop is bounded by the transport's own failure behaviour).
     pub fn lookup_call(&self, key: &CacheKey) -> CallLookup<'_> {
-        self.lookup_call_for(key, None)
+        match self.probe_call(key, None) {
+            Ok(lookup) => lookup,
+            Err(latch) => Self::waited(latch.wait()),
+        }
     }
 
-    /// [`CallCache::lookup_call`] attributed to one query's scope: the
+    /// [`CallCache::lookup_call`] for a query process, attributed to one
+    /// query's scope: it awaits an in-flight call instead of blocking. The
     /// scope's counters are bumped alongside the cache-global ones, and
     /// hits on entries owned by a different query count as cross-query.
-    pub(crate) fn lookup_call_for<'a>(
+    pub(crate) async fn lookup_call_for<'a>(
         &'a self,
         key: &CacheKey,
         scope: Option<&CacheScope>,
     ) -> CallLookup<'a> {
+        match self.probe_call(key, scope) {
+            Ok(lookup) => lookup,
+            Err(latch) => Self::waited(std::future::poll_fn(|cx| latch.poll_wait(cx)).await),
+        }
+    }
+
+    /// A waiter's lookup once the leader settled (`None`: it failed).
+    fn waited<'a>(outcome: Option<Value>) -> CallLookup<'a> {
+        match outcome {
+            Some(value) => CallLookup::Hit {
+                value,
+                waited: true,
+            },
+            None => CallLookup::Retry,
+        }
+    }
+
+    /// The lookup, or — for a key in flight under single-flight — the
+    /// latch to wait on. Counts it either way.
+    fn probe_call<'a>(
+        &'a self,
+        key: &CacheKey,
+        scope: Option<&CacheScope>,
+    ) -> Result<CallLookup<'a>, Arc<Latch<Value>>> {
         let ttl = self.policy.ttl_model_secs;
         let query = scope.map_or(0, CacheScope::query);
         match self.calls.probe(
@@ -795,22 +848,22 @@ impl CallCache {
                 if scope.is_some_and(|s| owner != s.query()) {
                     self.cross_query_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                CallLookup::Hit {
+                Ok(CallLookup::Hit {
                     value,
                     waited: false,
-                }
+                })
             }
             Probe::Begin => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 if let Some(scope) = scope {
                     scope.misses.fetch_add(1, Ordering::Relaxed);
                 }
-                CallLookup::Miss(Flight {
+                Ok(CallLookup::Miss(Flight {
                     cache: self,
                     key: key.clone(),
                     settled: false,
                     owner: query,
-                })
+                }))
             }
             Probe::Wait(latch, leader) => {
                 self.dedup_waits.fetch_add(1, Ordering::Relaxed);
@@ -823,13 +876,7 @@ impl CallCache {
                 if scope.is_some_and(|s| leader != s.query()) {
                     self.cross_query_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                match latch.wait() {
-                    Some(value) => CallLookup::Hit {
-                        value,
-                        waited: true,
-                    },
-                    None => CallLookup::Retry,
-                }
+                Err(latch)
             }
         }
     }
@@ -911,6 +958,7 @@ impl std::fmt::Debug for CallCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::block_on;
 
     fn key(owf: &str, n: i64) -> CacheKey {
         CacheKey::for_call(owf, &[Value::Int(n)])
@@ -1130,18 +1178,18 @@ mod tests {
         let a = CacheScope::new(1);
         let b = CacheScope::new(2);
         // Query 1 produces the entry.
-        match cache.lookup_call_for(&key("F", 1), Some(&a)) {
+        match block_on(cache.lookup_call_for(&key("F", 1), Some(&a))) {
             CallLookup::Miss(flight) => flight.complete(&Value::Int(10)),
             _ => panic!("expected a miss"),
         }
         // Query 1 re-reading its own entry is a plain hit.
         assert!(matches!(
-            cache.lookup_call_for(&key("F", 1), Some(&a)),
+            block_on(cache.lookup_call_for(&key("F", 1), Some(&a))),
             CallLookup::Hit { .. }
         ));
         // Query 2 reading query 1's entry is a cross-query hit.
         assert!(matches!(
-            cache.lookup_call_for(&key("F", 1), Some(&b)),
+            block_on(cache.lookup_call_for(&key("F", 1), Some(&b))),
             CallLookup::Hit { .. }
         ));
         let sa = a.snapshot(0);

@@ -30,7 +30,7 @@ use crate::cache::{self, CacheKey, CallCache};
 use crate::exec::mailbox::{bounded, Receiver, Sender};
 use crate::exec::pool::{Acquired, ProcessPool};
 use crate::exec::process::{ChildProc, FromChild};
-use crate::exec::{ExecContext, ProcEnv};
+use crate::exec::{pay, ExecContext, ProcEnv};
 use crate::obs::TraceEventKind;
 use crate::plan::{AdaptDecision, AdaptiveConfig, PlanFunction};
 use crate::transport::DispatchPolicy;
@@ -268,7 +268,8 @@ impl ParallelApply {
             &self.pf_digest,
             self.pf_bytes.clone(),
             self.results_tx.clone(),
-        );
+        )
+        .await;
         self.slots.push(Slot::new(proc, SlotStatus::Installing));
     }
 
@@ -377,7 +378,7 @@ impl ParallelApply {
             // Receiving a message costs the parent dispatch time, which is
             // what makes an over-wide tree hurt on a single-core client.
             let client = &ctx.sim().client;
-            ctx.sim().sleep_model(client.frame_cost(0));
+            pay(ctx.sim(), client.frame_cost(0)).await;
 
             match msg {
                 FromChild::Installed { slot, error: None } => {
@@ -423,8 +424,7 @@ impl ParallelApply {
                     let n = wire::decode_message_onto(tuples, &mut self.slots[slot].call_buf)?;
                     // The rest of the frame's price, now that its tuples are
                     // counted (the per-frame share was paid above on receipt).
-                    ctx.sim()
-                        .sleep_model(client.frame_cost(n) - client.frame_cost(0));
+                    pay(ctx.sim(), client.frame_cost(n) - client.frame_cost(0)).await;
                     if n > 0 && self.env.level == 0 {
                         ctx.record_first_result();
                     }

@@ -372,8 +372,9 @@ impl ProcessPool {
         evicted
     }
 
-    /// Ends every parked process and waits for their subtrees to finish.
-    /// Used when the catalog or policy changes invalidate warm state.
+    /// Ends every parked process and waits for their subtrees to finish
+    /// (on a worker thread it ends them without waiting). Used when the
+    /// catalog or policy changes invalidate warm state.
     pub fn clear(&self) {
         let drained: Vec<ChildProc> = {
             let mut inner = self.inner.lock();
@@ -384,7 +385,14 @@ impl ProcessPool {
                 .flat_map(|(_, q)| q.into_iter().map(|p| p.proc))
                 .collect()
         };
-        runtime::block_on(ChildProc::join_all(drained));
+        let ended = ChildProc::join_all(drained);
+        if runtime::on_worker() {
+            // A query process held the last handle (a run abandoned while
+            // its tasks ran on): waiting here would hold its worker.
+            drop(runtime::spawn(ended));
+        } else {
+            runtime::block_on(ended);
+        }
     }
 
     fn pop_globally_oldest(inner: &mut PoolInner) -> Option<ParkedProc> {

@@ -40,7 +40,7 @@ use wsmed_store::Tuple;
 use crate::cache::CacheKey;
 use crate::exec::mailbox::{bounded, Receiver, Sender, TrySendError};
 use crate::exec::runtime::{self, TaskHandle};
-use crate::exec::{compile, eval, ExecContext, Pipeline, ProcEnv};
+use crate::exec::{compile, eval, pay, ExecContext, Pipeline, ProcEnv};
 use crate::obs::{self, TraceEventKind, TraceLog};
 use crate::stats::TreeRegistry;
 use crate::transport::BatchPolicy;
@@ -289,11 +289,11 @@ impl ChildProc {
     /// mailbox.
     ///
     /// The calling (parent) process pays the modeled process-startup and
-    /// plan-shipping costs before this returns, serializing process
+    /// plan-shipping costs before this completes, serializing process
     /// management on the parent as on the paper's single-core client.
     /// This is the single site charging `process_startup`, so the pool's
     /// `cold_spawns` counter is exactly the number of startup charges.
-    pub fn spawn(
+    pub async fn spawn(
         ctx: &Arc<ExecContext>,
         parent: &ProcEnv,
         slot: usize,
@@ -311,10 +311,13 @@ impl ChildProc {
         }
 
         // Client-side costs: starting the process and shipping the plan.
-        let client = &ctx.sim().client;
-        ctx.sim().sleep_model(client.process_startup);
-        ctx.sim()
-            .sleep_model(client.plan_ship_per_kib * pf_bytes.len() as f64 / 1024.0);
+        let (sim, client) = (ctx.sim(), &ctx.sim().client);
+        pay(sim, client.process_startup).await;
+        pay(
+            sim,
+            client.plan_ship_per_kib * pf_bytes.len() as f64 / 1024.0,
+        )
+        .await;
         ctx.record_shipped(pf_bytes.len());
         tree.note_msg_down(id);
 
@@ -332,7 +335,7 @@ impl ChildProc {
             .expect("a new mailbox has room for the plan function");
         let ticket = ctx.spawn_counts().ticket();
         let env = ProcEnv { id, level };
-        let task = runtime::spawn(child_main(Arc::clone(ctx), env, slot, rx, results, ticket));
+        let task = start(Arc::clone(ctx), env, slot, rx, results, ticket);
         ChildProc {
             id,
             tx,
@@ -356,7 +359,7 @@ impl ChildProc {
         params: Bytes,
         n_params: usize,
     ) -> CoreResult<()> {
-        ctx.sim().sleep_model(ctx.sim().client.frame_cost(n_params));
+        pay(ctx.sim(), ctx.sim().client.frame_cost(n_params)).await;
         ctx.record_shipped(params.len());
         self.tree.note_msg_down(self.id);
         let sent = send_counted(
@@ -427,7 +430,7 @@ impl ChildProc {
         self.deregistered = false;
         self.tree
             .register(self.id, Some(parent.id), parent.level + 1, pf_name);
-        ctx.sim().sleep_model(ctx.sim().client.frame_cost(0));
+        pay(ctx.sim(), ctx.sim().client.frame_cost(0)).await;
         self.tree.note_msg_down(self.id);
         self.level = parent.level + 1;
         let trace = ctx.trace_handle();
@@ -534,6 +537,21 @@ impl Drop for ChildProc {
             self.deregistered = true;
         }
     }
+}
+
+/// Starts a child process's task. A function of its own, so that the
+/// compiler proves the task `Send` here and not inside
+/// [`ChildProc::spawn`]'s future, which the task itself awaits when it
+/// spawns children.
+fn start(
+    ctx: Arc<ExecContext>,
+    env: ProcEnv,
+    slot: usize,
+    rx: Receiver<ToChild>,
+    results: Sender<FromChild>,
+    ticket: SpawnTicket,
+) -> TaskHandle {
+    runtime::spawn(child_main(ctx, env, slot, rx, results, ticket))
 }
 
 /// The child process main loop.
@@ -920,7 +938,7 @@ impl<'a> FlushBuffer<'a> {
         self.buffered_since = None;
         // The child pays its own send cost: one frame plus its tuples.
         let sim = self.ctx.sim();
-        sim.sleep_model(sim.client.frame_cost(n));
+        pay(sim, sim.client.frame_cost(n)).await;
         self.ctx.record_shipped(frame.len());
         let batch = FromChild::ResultBatch {
             slot: self.slot,

@@ -9,10 +9,10 @@ use wsmed_wsdl::{OwfDef, Response};
 use crate::cache::{CachePolicy, CallCache};
 use crate::catalog::OwfCatalog;
 use crate::config::RunConfig;
-use crate::exec::ExecContext;
+use crate::exec::{block_on, ExecContext};
 use crate::plan::{AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, QueryPlan};
 use crate::stats::ExecutionReport;
-use crate::transport::{MockTransport, WsTransport};
+use crate::transport::{Charge, MockTransport, WsTransport};
 use crate::{CoreError, CoreResult};
 
 /// Builds a catalog with one mock OWF `Echo(x) -> <y>` that the mock
@@ -255,7 +255,7 @@ fn ff_apply_overlaps_calls_in_wall_time() {
         .collect::<Vec<_>>()
         .join("|");
     let split_plan = echo_plan(&seed, None);
-    let transport = MockTransport::with_delay(Duration::from_millis(30), echo_responder);
+    let transport = MockTransport::with_delay(|_, _| Duration::from_millis(30), echo_responder);
     let ctx = mock_ctx(transport);
     let sequential = ctx.run_plan(&split_plan).unwrap();
     assert_eq!(sequential.rows.len(), 16);
@@ -263,7 +263,7 @@ fn ff_apply_overlaps_calls_in_wall_time() {
     // Parallel: first split the seed (1 call), then fan out per-parameter
     // calls of Echo over the 16 values.
     let plan = echo_plan(&seed, Some((8, false)));
-    let transport = MockTransport::with_delay(Duration::from_millis(30), echo_responder);
+    let transport = MockTransport::with_delay(|_, _| Duration::from_millis(30), echo_responder);
     let ctx = mock_ctx(transport);
     let parallel = ctx.run_plan(&plan).unwrap();
     assert_eq!(parallel.rows.len(), 16);
@@ -286,15 +286,14 @@ fn ff_apply_first_finished_dispatch_beats_stragglers() {
     // One slow parameter ("slow") takes 150ms, others 5ms. With fanout 2
     // and FF dispatch, the fast children keep churning while one child is
     // stuck — total should be ≈ 150ms, not 150ms + stragglers.
-    let transport = MockTransport::new(|_, args| {
-        let arg = args[0].as_str().map_err(CoreError::Store)?;
-        if arg.starts_with("slow") {
-            crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(150)));
-        } else if !arg.contains('|') {
-            crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(5)));
-        }
-        Ok(split_response(arg, '|'))
-    });
+    let transport = MockTransport::with_delay(
+        |_, args| match args[0].as_str() {
+            Ok(arg) if arg.starts_with("slow") => Duration::from_millis(150),
+            Ok(arg) if !arg.contains('|') => Duration::from_millis(5),
+            _ => Duration::ZERO,
+        },
+        echo_responder,
+    );
     let seed = "slow|a|b|c|d|e|f|g|h";
     let plan = echo_plan(seed, Some((2, false)));
     let ctx = mock_ctx(transport);
@@ -319,13 +318,13 @@ fn aff_apply_produces_correct_results_and_adapts() {
         .collect::<Vec<_>>()
         .join("|");
     let plan = echo_plan(&seed, Some((2, true)));
-    let ctx = mock_ctx(MockTransport::new(move |_, args| {
-        let arg = args[0].as_str().map_err(CoreError::Store)?;
-        if !arg.contains('|') {
-            crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(3)));
-        }
-        Ok(split_response(arg, '|'))
-    }));
+    let ctx = mock_ctx(MockTransport::with_delay(
+        |_, args| match args[0].as_str() {
+            Ok(arg) if !arg.contains('|') => Duration::from_millis(3),
+            _ => Duration::ZERO,
+        },
+        echo_responder,
+    ));
     let report = ctx.run_plan(&plan).unwrap();
     assert_eq!(report.rows.len(), 40);
     // Started binary, added at least once after the first monitoring cycle.
@@ -474,7 +473,7 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
     // K threads hammer one cold key; single-flight must let exactly one
     // reach the transport while the rest block on the latch and share the
     // leader's value.
-    let transport = MockTransport::with_delay(Duration::from_millis(50), echo_responder);
+    let transport = MockTransport::with_delay(|_, _| Duration::from_millis(50), echo_responder);
     let cache = Arc::new(CallCache::new(CachePolicy::default(), 0.0));
     let ctx = mock_ctx_with(Arc::clone(&transport), cached(&cache));
     let catalog = echo_catalog();
@@ -488,7 +487,7 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
                 let barrier = &barrier;
                 s.spawn(move || {
                     barrier.wait();
-                    ctx.call_with_retry(owf, &[Value::str("p|q")])
+                    block_on(ctx.call_with_retry(owf, &[Value::str("p|q")]))
                         .unwrap()
                         .into_value()
                 })
@@ -744,13 +743,13 @@ fn adaptive_drop_stage_parks_dropped_children_warm() {
         .collect::<Vec<_>>()
         .join("|");
     let make_transport = || {
-        MockTransport::new(move |_, args: &[Value]| {
-            let arg = args[0].as_str().map_err(CoreError::Store)?;
-            if !arg.contains('|') {
-                crate::exec::blocking(|| std::thread::sleep(Duration::from_millis(2)));
-            }
-            Ok(split_response(arg, '|'))
-        })
+        MockTransport::with_delay(
+            |_, args| match args[0].as_str() {
+                Ok(arg) if !arg.contains('|') => Duration::from_millis(2),
+                _ => Duration::ZERO,
+            },
+            echo_responder,
+        )
     };
     let runs = Pooled::new(make_transport(), PoolPolicy::default(), 0.0);
     let plan = echo_plan(&seed, Some((2, true)));
@@ -886,7 +885,6 @@ fn tiny_mailbox_capacity_is_correct_under_load() {
 fn full_results_mailbox_records_blocked_send() {
     use crate::exec::mailbox::bounded;
     use crate::exec::process::{ChildProc, FromChild};
-    use crate::exec::runtime::block_on;
     use crate::exec::ProcEnv;
     use crate::obs::{TraceEventKind, TracePolicy};
     use crate::wire;
@@ -915,7 +913,7 @@ fn full_results_mailbox_records_blocked_send() {
         prune: None,
     };
     let (results_tx, results) = bounded::<FromChild>(ctx.batch_policy().mailbox_capacity());
-    let child = ChildProc::spawn(
+    let child = block_on(ChildProc::spawn(
         &ctx,
         &ProcEnv { id: 0, level: 0 },
         0,
@@ -923,7 +921,7 @@ fn full_results_mailbox_records_blocked_send() {
         &Arc::from("pf1"),
         wire::encode_plan_function(&pf),
         results_tx,
-    );
+    ));
     let child_id = child.id;
     block_on(async {
         assert!(matches!(
@@ -1005,11 +1003,12 @@ impl WsTransport for RecordingTransport {
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
-    ) -> CoreResult<(Response, u64)> {
+    ) -> (Charge, CoreResult<(Response, u64)>) {
         self.seen
             .lock()
             .push((deadline_model_secs, replica.map(str::to_owned)));
-        Ok((Response::Value(echo_responder(owf, args)?), 0))
+        let result = echo_responder(owf, args).map(|value| (Response::Value(value), 0));
+        (Charge::default(), result)
     }
 
     fn group_view(&self, _owf: &OwfDef) -> Option<crate::router::GroupView> {

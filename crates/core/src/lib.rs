@@ -56,7 +56,7 @@ pub use config::RunConfig;
 pub use costs::{CostModel, CostStage, LevelCost, OpObs, PlanCost, PlannerStats, ProviderProfile};
 pub use error::{CoreError, CoreResult};
 pub use exec::pool::{PoolPolicy, PoolStats, ProcessPool};
-pub use exec::{blocking, ExecContext};
+pub use exec::ExecContext;
 pub use materialized::run_materialized;
 pub use obs::{KindMask, TraceEvent, TraceEventKind, TraceLog, TracePolicy};
 pub use parallel::{

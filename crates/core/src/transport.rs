@@ -4,6 +4,10 @@
 //! concrete network; it calls a [`WsTransport`]. Production code uses
 //! [`SimTransport`] over the simulated providers; operator unit tests use
 //! [`MockTransport`] with scripted results and optional artificial delays.
+//!
+//! A transport never waits: a call returns at once with the [`Charge`] it
+//! owes the clock, and the caller waits that out — a query process on a
+//! timer, a plain caller with a sleep ([`Charge::pay_here`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,14 +115,54 @@ impl BatchPolicy {
     }
 }
 
+/// What a web-service call owes the clock before its caller may see the
+/// outcome: the model seconds its provider charged, and wall time owed at
+/// any scale (a [`MockTransport`]'s delay). It holds the provider's
+/// in-flight slot, so dropping it — once the charge is paid — ends the
+/// call.
+#[derive(Debug, Default)]
+#[must_use = "a call's charge is paid before its outcome is used"]
+pub struct Charge {
+    in_flight: Option<wsmed_netsim::InFlight>,
+    pub(crate) wall: Duration,
+}
+
+impl Charge {
+    /// The charge of a call that `in_flight` holds at its provider (none:
+    /// the call never reached one), plus `wall` time owed at any scale.
+    pub fn new(in_flight: Option<wsmed_netsim::InFlight>, wall: Duration) -> Self {
+        Charge { in_flight, wall }
+    }
+
+    /// The model seconds the provider charged (0 without a provider).
+    pub fn model_secs(&self) -> f64 {
+        self.in_flight
+            .as_ref()
+            .map_or(0.0, wsmed_netsim::InFlight::model_secs)
+    }
+
+    /// Pays the charge on the calling thread — the model seconds through
+    /// the thread pacer ([`wsmed_netsim::SimConfig::sleep_model`]), the
+    /// wall time as a sleep — then ends the call.
+    pub fn pay_here(self) {
+        if let Some(in_flight) = self.in_flight {
+            in_flight.pay_here();
+        }
+        if !self.wall.is_zero() {
+            std::thread::sleep(self.wall);
+        }
+    }
+}
+
 /// Something that can invoke a data-providing web service operation.
 pub trait WsTransport: Send + Sync {
     /// Invokes `owf`'s operation with typed argument values (the `cwo`
-    /// built-in, paper Fig. 2 line 14). Returns the response in the form
-    /// the transport has it — a service's XML body, or a value — and the
-    /// wire bytes (request + response) the call moved, so each execution
-    /// context can meter its own traffic without diffing global provider
-    /// metrics.
+    /// built-in, paper Fig. 2 line 14), without waiting: returns what the
+    /// call owes the clock, which the caller pays before it uses the
+    /// outcome, and the outcome — the response in the form the transport
+    /// has it (a service's XML body, or a value) and the wire bytes
+    /// (request + response) the call moved, so each execution context can
+    /// meter its own traffic without diffing global provider metrics.
     ///
     /// With a `deadline_model_secs`, a call whose model latency would
     /// exceed it charges exactly the deadline and fails with
@@ -134,13 +178,15 @@ pub trait WsTransport: Send + Sync {
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
-    ) -> CoreResult<(Response, u64)>;
+    ) -> (Charge, CoreResult<(Response, u64)>);
 
-    /// [`WsTransport::call`] with no deadline and no pinned replica,
-    /// returning only the response, converted into record/sequence values.
+    /// [`WsTransport::call`] with no deadline and no pinned replica, paid
+    /// on the calling thread ([`Charge::pay_here`]), returning only the
+    /// response, converted into record/sequence values.
     fn call_operation(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Value> {
-        self.call(owf, args, None, None)
-            .map(|(response, _bytes)| response.into_value())
+        let (charge, result) = self.call(owf, args, None, None);
+        charge.pay_here();
+        result.map(|(response, _bytes)| response.into_value())
     }
 
     /// The routable replica-group view for an OWF's provider, when the
@@ -211,18 +257,13 @@ impl SimTransport {
     }
 }
 
-impl WsTransport for SimTransport {
-    fn call(
-        &self,
-        owf: &OwfDef,
-        args: &[Value],
-        deadline_model_secs: Option<f64>,
-        replica: Option<&str>,
-    ) -> CoreResult<(Response, u64)> {
-        let replica = replica
-            .map(|name| self.registry.network().provider(name))
-            .transpose()
-            .map_err(CoreError::Net)?;
+impl SimTransport {
+    /// Checks `args` against `owf` and renders them as the request's
+    /// argument texts.
+    fn render<'a>(
+        owf: &'a OwfDef,
+        args: &'a [Value],
+    ) -> CoreResult<Vec<(&'a str, std::borrow::Cow<'a, str>)>> {
         if args.len() != owf.inputs.len() {
             return Err(CoreError::InvalidPlan(format!(
                 "OWF {} expects {} arguments, plan supplied {}",
@@ -235,30 +276,52 @@ impl WsTransport for SimTransport {
         for ((name, ty), value) in owf.inputs.iter().zip(args) {
             rendered.push((name.as_str(), ty.value_to_text(value)?));
         }
-        let (body, stats) = self
-            .registry
-            .call_on_provider(
-                &owf.wsdl_uri,
-                &owf.service,
-                &owf.operation,
-                &rendered,
-                deadline_model_secs,
-                replica.as_ref(),
-            )
-            .map_err(|e| match e {
-                wsmed_netsim::NetError::Timeout {
-                    provider,
-                    operation,
-                    ..
-                } => CoreError::DeadlineExceeded {
-                    provider,
-                    operation,
-                    deadline_model_secs: deadline_model_secs.unwrap_or(f64::INFINITY),
-                },
-                other => CoreError::Net(other),
-            })?;
-        let bytes = (stats.request_bytes + stats.response_bytes) as u64;
-        Ok((Response::Xml(body), bytes))
+        Ok(rendered)
+    }
+}
+
+impl WsTransport for SimTransport {
+    fn call(
+        &self,
+        owf: &OwfDef,
+        args: &[Value],
+        deadline_model_secs: Option<f64>,
+        replica: Option<&str>,
+    ) -> (Charge, CoreResult<(Response, u64)>) {
+        let replica = replica
+            .map(|name| self.registry.network().provider(name))
+            .transpose()
+            .map_err(CoreError::Net);
+        let request = replica.and_then(|replica| Ok((replica, Self::render(owf, args)?)));
+        let (replica, rendered) = match request {
+            Ok(request) => request,
+            Err(e) => return (Charge::default(), Err(e)),
+        };
+        let (in_flight, result) = self.registry.call_on_provider(
+            &owf.wsdl_uri,
+            &owf.service,
+            &owf.operation,
+            &rendered,
+            deadline_model_secs,
+            replica.as_ref(),
+        );
+        let result = match result {
+            Ok((body, stats)) => {
+                let bytes = (stats.request_bytes + stats.response_bytes) as u64;
+                Ok((Response::Xml(body), bytes))
+            }
+            Err(wsmed_netsim::NetError::Timeout {
+                provider,
+                operation,
+                ..
+            }) => Err(CoreError::DeadlineExceeded {
+                provider,
+                operation,
+                deadline_model_secs: deadline_model_secs.unwrap_or(f64::INFINITY),
+            }),
+            Err(other) => Err(CoreError::Net(other)),
+        };
+        (Charge::new(in_flight, Duration::ZERO), result)
     }
 
     fn group_view(&self, owf: &OwfDef) -> Option<crate::router::GroupView> {
@@ -351,12 +414,16 @@ impl WsTransport for SimTransport {
 /// The closure type a [`MockTransport`] dispatches to.
 type Responder = Box<dyn Fn(&OwfDef, &[Value]) -> CoreResult<Value> + Send + Sync>;
 
+/// The closure type a [`MockTransport`] takes its per-call delay from.
+type Delay = Box<dyn Fn(&OwfDef, &[Value]) -> Duration + Send + Sync>;
+
 /// Scripted transport for operator tests: a closure maps `(operation,
-/// args)` to a response value, with an optional fixed wall-clock delay to
-/// exercise concurrency.
+/// args)` to a response value, and an optional one to the wall-clock
+/// delay the call charges (at any time scale), which exercises
+/// concurrency.
 pub struct MockTransport {
     respond: Responder,
-    delay: Option<Duration>,
+    delay: Option<Delay>,
     calls: AtomicU64,
 }
 
@@ -372,14 +439,15 @@ impl MockTransport {
         })
     }
 
-    /// Creates a mock that also sleeps `delay` per call.
+    /// Creates a mock whose calls also charge `delay(owf, args)` of wall
+    /// time, which the caller waits out like any other charge.
     pub fn with_delay(
-        delay: Duration,
+        delay: impl Fn(&OwfDef, &[Value]) -> Duration + Send + Sync + 'static,
         respond: impl Fn(&OwfDef, &[Value]) -> CoreResult<Value> + Send + Sync + 'static,
     ) -> Arc<Self> {
         Arc::new(MockTransport {
             respond: Box::new(respond),
-            delay: Some(delay),
+            delay: Some(Box::new(delay)),
             calls: AtomicU64::new(0),
         })
     }
@@ -397,12 +465,12 @@ impl WsTransport for MockTransport {
         args: &[Value],
         _deadline_model_secs: Option<f64>,
         _replica: Option<&str>,
-    ) -> CoreResult<(Response, u64)> {
+    ) -> (Charge, CoreResult<(Response, u64)>) {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = self.delay {
-            crate::exec::blocking(|| std::thread::sleep(d));
-        }
-        Ok((Response::Value((self.respond)(owf, args)?), 0))
+        let delay = self.delay.as_ref();
+        let charge = Charge::new(None, delay.map_or(Duration::ZERO, |delay| delay(owf, args)));
+        let result = (self.respond)(owf, args).map(|value| (Response::Value(value), 0));
+        (charge, result)
     }
 }
 

@@ -445,6 +445,12 @@ fn get_columnar_frame(mut frame: Bytes) -> CoreResult<ValueBatch> {
     Ok(batch)
 }
 
+/// The most rows a columnar frame may claim when no column carries bytes
+/// per row (it has no columns, or only `Null` ones), so that its length does
+/// not bound them: far above any frame the mediator sends, far below what
+/// materializing would exhaust memory with.
+const MAX_BODILESS_ROWS: usize = 1 << 20;
+
 fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
     let rows = get_varint(buf)?;
     let cols = get_varint(buf)?;
@@ -455,6 +461,7 @@ fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
     }
     let rows = rows as usize;
     let mut columns = Vec::with_capacity(capacity_for(cols as usize, buf));
+    let mut bodiless = true;
     for _ in 0..cols {
         let tag = get_u8(buf)?;
         if tag == 0 {
@@ -468,6 +475,7 @@ fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
             }
             continue;
         }
+        bodiless = false;
         let validity = get_validity(buf, rows)?;
         let data = match tag {
             1 => {
@@ -531,6 +539,11 @@ fn get_columnar(buf: &mut Bytes) -> CoreResult<ValueBatch> {
             other => return Err(CoreError::Wire(format!("unknown column tag {other}"))),
         };
         columns.push(Column::new(data, validity));
+    }
+    if bodiless && rows > MAX_BODILESS_ROWS {
+        return Err(CoreError::Wire(format!(
+            "{rows} rows claimed by a columnar frame without row data"
+        )));
     }
     ValueBatch::from_parts(rows, columns)
         .ok_or_else(|| CoreError::Wire("columnar frame shape mismatch".into()))
@@ -1481,6 +1494,28 @@ mod tests {
         seq.put_u32_le(u32::MAX); // sequence items
         seq.resize(16, 0);
         assert!(decode_tuple(Bytes::from(seq)).is_err());
+    }
+
+    #[test]
+    fn columnar_frames_without_row_data_claim_bounded_rows() {
+        // ≤ 16-byte frames that claim u32::MAX rows and carry no byte per
+        // row: no column at all, and one `Null` column.
+        for null_columns in [0u64, 1] {
+            let mut frame = vec![KIND_COLUMNAR];
+            put_varint(&mut frame, u64::from(u32::MAX)); // rows
+            put_varint(&mut frame, null_columns);
+            for _ in 0..null_columns {
+                frame.extend_from_slice(&[0, 0]); // Null, no validity mask
+            }
+            assert!(frame.len() <= 16);
+            assert!(decode_message(Bytes::from(frame)).is_err());
+        }
+        // What the mediator sends, a `columnar(64)` frame, still round-trips.
+        let nulls = vec![Tuple::new(vec![Value::Null]); 64];
+        let frame = encode_columnar_message(&nulls);
+        let decoded = decode_message(frame).unwrap();
+        assert!(matches!(decoded, MessageBatch::Columnar(_)));
+        assert_eq!(decoded.into_tuples().unwrap(), nulls);
     }
 
     // ---- message frames --------------------------------------------------

@@ -21,7 +21,8 @@
 //!
 //! All latencies are expressed in **model seconds**. A global
 //! [`SimConfig::time_scale`] maps model seconds to wall-clock time owed by
-//! the charged thread ([`SimConfig::sleep_model`]), so the paper's
+//! the charged party ([`SimConfig::sleep_model`], [`SimConfig::owe_model`]),
+//! so the paper's
 //! ~2400-second experiments replay in seconds (or, with scale 0, in
 //! pure-functional time for unit tests — latencies are still *computed* and
 //! recorded in metrics, just not slept).
@@ -44,8 +45,8 @@ pub use fault::FaultSpec;
 pub use latency::LatencyModel;
 pub use metrics::{CallStats, MetricsSnapshot, ProviderMetrics};
 pub use network::{NetError, NetResult, Network};
-pub use pacing::{pacing_stats, set_blocking_hook, swap_pacing_debt, BlockingHook, PacingStats};
-pub use provider::{CallOpts, Provider, ProviderSpec};
+pub use pacing::{pacing_stats, settle_pacing, swap_pacing_debt, PacingStats};
+pub use provider::{CallOpts, InFlight, Provider, ProviderSpec};
 pub use rng::DetRng;
 pub use topology::{
     AutoscalePolicy, MembershipChange, ReplicaGroup, ReplicaStatus, TopologyAction, TopologyEvent,
@@ -88,8 +89,9 @@ impl SimConfig {
         }
     }
 
-    /// Charges `model_seconds` of simulated time to the calling thread: the
-    /// only place model time becomes wall time.
+    /// Charges `model_seconds` of simulated time to the calling thread and
+    /// sleeps it for what is due: the thread pacer, for callers outside a
+    /// task runtime.
     ///
     /// At `time_scale == 0.0` this returns at once. Otherwise the thread
     /// owes `model_seconds * time_scale` of wall time, and sleeps, once and
@@ -101,9 +103,16 @@ impl SimConfig {
     /// either direction. A charge that is NaN, zero or negative is ignored;
     /// one too long for a `Duration` sleeps the longest sleep there is.
     pub fn sleep_model(&self, model_seconds: f64) {
-        if self.time_scale > 0.0 && model_seconds > 0.0 {
-            pacing::pace(model_seconds * self.time_scale);
-        }
+        pacing::pace(self.time_scale, model_seconds);
+    }
+
+    /// [`SimConfig::sleep_model`] for a caller that waits by other means (a
+    /// task awaiting a timer): charges `model_seconds` to the calling
+    /// thread's debt and returns the wall wait now due, if any. The caller
+    /// waits it out, then books how long that took with
+    /// [`settle_pacing`].
+    pub fn owe_model(&self, model_seconds: f64) -> Option<std::time::Duration> {
+        pacing::owe(self.time_scale, model_seconds)
     }
 }
 

@@ -203,11 +203,6 @@ impl Network {
         rows
     }
 
-    /// Sleeps for `model_seconds` of simulated client-side work.
-    pub fn pay_client_cost(&self, model_seconds: f64) {
-        self.config.sleep_model(model_seconds);
-    }
-
     /// Total model time charged across all providers — the sum of their
     /// deterministic per-provider model clocks ([`Provider::model_time`]).
     /// Monotone and independent of wall time, so client-side policies

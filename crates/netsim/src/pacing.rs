@@ -1,25 +1,29 @@
-//! Paced model time as a per-thread debt (DESIGN.md, "Pacing").
+//! Paced model time as a per-party debt (DESIGN.md, "Pacing").
 //!
-//! At `time_scale > 0` a charge of model seconds is owed wall time. A
-//! `thread::sleep` cannot take less than the OS sleep floor (~80 µs of wall
-//! and ~20 µs of CPU here, whatever was asked), and nine charges in ten of a
-//! paced query ask for less: a 4 µs message dispatch slept on its own costs
-//! twenty times its modelled price. So a thread accumulates what it owes and
-//! sleeps once per [`QUANTUM`] for the whole debt; the measured oversleep is
-//! carried forward as credit against the next charges.
+//! At `time_scale > 0` a charge of model seconds is owed wall time. A wait
+//! cannot take less than the OS sleep floor (~80 µs of wall and ~20 µs of
+//! CPU here, whatever was asked), and nine charges in ten of a paced query
+//! ask for less: a 4 µs message dispatch waited out on its own costs twenty
+//! times its modelled price. So a party accumulates what it owes and waits
+//! once per [`QUANTUM`] for the whole debt; the measured overwait is carried
+//! forward as credit against the next charges.
 //!
-//! A thread that runs many simulated parties in turn (a task runtime) keeps
-//! each party's debt apart with [`swap_pacing_debt`], and has its sleeps run
-//! by a [`BlockingHook`] so that they do not hold up the other parties.
+//! The debt lives in a thread-local. A thread that runs many simulated
+//! parties in turn (a task runtime) keeps each party's debt apart with
+//! [`swap_pacing_debt`]. How the due wait is waited out is the caller's
+//! business: [`SimConfig::sleep_model`](crate::SimConfig::sleep_model)
+//! sleeps the thread, a task runtime sets a timer
+//! ([`SimConfig::owe_model`](crate::SimConfig::owe_model), then
+//! [`settle_pacing`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
-/// Wall seconds a thread may owe before it sleeps, and the most oversleep it
+/// Wall seconds a party may owe before it waits, and the most overwait it
 /// may carry forward as credit. Just above the measured sleep floor: a
-/// smaller debt cannot be slept accurately, and a larger credit would let
-/// one long deschedule make that much of the model time after it free.
+/// smaller debt cannot be waited out accurately, and a larger credit would
+/// let one long deschedule make that much of the model time after it free.
 const QUANTUM: f64 = 100e-6;
 
 /// Wall seconds as a duration `thread::sleep` accepts: nothing for NaN, zero
@@ -54,18 +58,6 @@ impl PacingDebt {
 
 thread_local! {
     static DEBT: Cell<f64> = const { Cell::new(0.0) };
-    static HOOK: Cell<Option<BlockingHook>> = const { Cell::new(None) };
-}
-
-/// Runs a pacing sleep, handed to it as a closure, on behalf of the calling
-/// thread; see [`set_blocking_hook`].
-pub type BlockingHook = fn(&mut dyn FnMut());
-
-/// Routes the calling thread's pacing sleeps through `hook` from now on: a
-/// task runtime passes the function that lets its other tasks run elsewhere
-/// while this thread sleeps.
-pub fn set_blocking_hook(hook: BlockingHook) {
-    HOOK.with(|cell| cell.set(Some(hook)));
 }
 
 /// Exchanges the calling thread's pacing debt with `debt` (wall seconds,
@@ -83,7 +75,8 @@ pub struct PacingStats {
     /// Model-time charges that were paced (`time_scale > 0`, positive
     /// amount).
     pub charges: u64,
-    /// `thread::sleep` calls those charges turned into.
+    /// Paced waits those charges turned into, whether a thread slept or a
+    /// task awaited a timer.
     pub os_sleeps: u64,
 }
 
@@ -97,23 +90,44 @@ pub fn pacing_stats() -> PacingStats {
     }
 }
 
-/// Charges `wall_secs` to the calling thread, sleeping if a quantum is owed.
-pub(crate) fn pace(wall_secs: f64) {
+/// Charges `model_secs` at `time_scale` to the calling thread's debt; once
+/// a quantum is owed, returns the whole debt as the wait now due, which the
+/// caller waits out and reports with [`settle_pacing`]. Nothing for a scale
+/// or charge that is NaN, zero or negative.
+pub(crate) fn owe(time_scale: f64, model_secs: f64) -> Option<Duration> {
+    let paced = time_scale > 0.0 && model_secs > 0.0;
+    if !paced {
+        return None;
+    }
     CHARGES.fetch_add(1, Relaxed);
     DEBT.with(|cell| {
         let mut debt = PacingDebt(cell.get());
-        if let Some(asked) = debt.charge(wall_secs) {
-            let start = Instant::now();
-            let mut sleep = || std::thread::sleep(asked);
-            match HOOK.with(Cell::get) {
-                Some(hook) => hook(&mut sleep),
-                None => sleep(),
-            }
-            debt.settle(asked, start.elapsed());
-            OS_SLEEPS.fetch_add(1, Relaxed);
-        }
+        let due = debt.charge(model_secs * time_scale);
+        cell.set(debt.0);
+        due
+    })
+}
+
+/// Books a due wait of `asked` (from
+/// [`SimConfig::owe_model`](crate::SimConfig::owe_model)) that took
+/// `waited` against the calling thread's debt: the debt is paid and the
+/// overwait, up to one quantum, becomes credit.
+pub fn settle_pacing(asked: Duration, waited: Duration) {
+    OS_SLEEPS.fetch_add(1, Relaxed);
+    DEBT.with(|cell| {
+        let mut debt = PacingDebt(cell.get());
+        debt.settle(asked, waited);
         cell.set(debt.0);
     });
+}
+
+/// [`owe`], sleeping the thread for the wait due.
+pub(crate) fn pace(time_scale: f64, model_secs: f64) {
+    if let Some(asked) = owe(time_scale, model_secs) {
+        let start = Instant::now();
+        std::thread::sleep(asked);
+        settle_pacing(asked, start.elapsed());
+    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -174,7 +175,8 @@ impl Provider {
         DetRng::keyed_parts(config.seed, &[&self.spec.name, "/", op, suffix], key)
     }
 
-    /// Performs one call to operation `op`.
+    /// Performs one call to operation `op` and pays its model latency on
+    /// the calling thread ([`SimConfig::sleep_model`]).
     ///
     /// `serve` produces the response and its payload size in bytes; it runs
     /// *inside* the simulated service so its wall-clock cost should be
@@ -183,17 +185,26 @@ impl Provider {
     /// Returns the response together with [`CallStats`] describing the model
     /// latency the call experienced.
     pub fn call<R>(
-        &self,
+        self: &Arc<Self>,
         config: &SimConfig,
         op: &str,
         request_bytes: usize,
         serve: impl FnOnce() -> (R, usize),
     ) -> NetResult<(R, CallStats)> {
-        self.call_with_opts(config, op, request_bytes, CallOpts::default(), serve)
+        let (in_flight, result) =
+            self.call_with_opts(config, op, request_bytes, CallOpts::default(), serve);
+        in_flight.pay_here();
+        result
     }
 
-    /// [`Self::call`] with per-call options: a model-time deadline and an
-    /// argument-content key for chaos rolls.
+    /// Rolls, prices and serves one call to `op` under per-call options (a
+    /// model-time deadline and an argument-content key for chaos rolls),
+    /// without waiting: returns the outcome together with the call's
+    /// [`InFlight`] hold, which carries the model seconds the call charged —
+    /// a fault's set-up cost, a timeout's deadline or a success's latency.
+    /// The caller waits that charge out, then drops the hold; only then does
+    /// the call leave the provider (its in-flight slot, model clock, metrics
+    /// and trace), so calls that overlap in wall time congest one another.
     ///
     /// RNG discipline: the pre-existing per-call stream (keyed by provider,
     /// operation and call sequence) draws exactly the same values in
@@ -203,13 +214,13 @@ impl Provider {
     /// behaviour. Hang rolls and argument-keyed fault rolls come from
     /// *separately keyed* streams.
     pub fn call_with_opts<R>(
-        &self,
+        self: &Arc<Self>,
         config: &SimConfig,
         op: &str,
         request_bytes: usize,
         opts: CallOpts,
         serve: impl FnOnce() -> (R, usize),
-    ) -> NetResult<(R, CallStats)> {
+    ) -> (InFlight, NetResult<(R, CallStats)>) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let mut rng = self.call_stream(config, op, "", seq);
         let fault_roll = rng.next_f64();
@@ -219,6 +230,12 @@ impl Provider {
             opts.args_key
         } else {
             seq
+        };
+        let hold = |model_secs, landing| InFlight {
+            provider: Arc::clone(self),
+            time_scale: config.time_scale,
+            model_secs,
+            landing,
         };
 
         let fail_roll = if spec.keyed_by_args && spec.fail_probability > 0.0 {
@@ -232,13 +249,12 @@ impl Provider {
             // A failed call still pays its set-up cost before erroring
             // out; the charge advances the model clock, so outage windows
             // eventually pass even when every call during them fails.
-            config.sleep_model(model.setup);
-            self.advance_model_clock(model.setup);
-            return Err(NetError::ServiceFault {
+            let fault = NetError::ServiceFault {
                 provider: self.spec.name.clone(),
                 operation: op.to_owned(),
                 call_seq: seq,
-            });
+            };
+            return (hold(model.setup, Landing::Fault), Err(fault));
         }
 
         let in_flight = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -261,21 +277,14 @@ impl Provider {
             if latency > deadline {
                 // The caller is charged exactly the deadline, never the
                 // (possibly effectively infinite) hang latency.
-                config.sleep_model(deadline);
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                self.advance_model_clock(deadline);
-                self.metrics.record_timeout();
-                return Err(NetError::Timeout {
+                let timeout = NetError::Timeout {
                     provider: self.spec.name.clone(),
                     operation: op.to_owned(),
                     call_seq: seq,
-                });
+                };
+                return (hold(deadline, Landing::Timeout), Err(timeout));
             }
         }
-        config.sleep_model(latency);
-
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.advance_model_clock(latency);
 
         let stats = CallStats {
             model_latency: latency,
@@ -283,11 +292,76 @@ impl Provider {
             request_bytes,
             response_bytes,
         };
-        self.metrics.record_call(&stats);
-        if let Some(trace) = self.trace.read().as_ref() {
-            trace.record(seq, op, in_flight, latency);
+        let trace = self
+            .trace
+            .read()
+            .as_ref()
+            .map(|trace| (Arc::clone(trace), op.to_owned()));
+        let served = Landing::Served { seq, stats, trace };
+        (hold(latency, served), Ok((response, stats)))
+    }
+}
+
+/// What a call does to its provider once its charge is paid.
+#[derive(Debug)]
+enum Landing {
+    /// An injected fault: only the model clock moves.
+    Fault,
+    /// Cut off at the caller's deadline.
+    Timeout,
+    /// Served: recorded in the metrics, and in the trace that was live when
+    /// it was served.
+    Served {
+        seq: u64,
+        stats: CallStats,
+        trace: Option<(Arc<crate::CallTrace>, String)>,
+    },
+}
+
+/// A priced call that has not yet left its provider
+/// ([`Provider::call_with_opts`]): it holds its in-flight slot, so calls
+/// served meanwhile are priced with it in the crowd. Dropping it ends the
+/// call — the slot is freed, the provider's model clock advances by the
+/// charge, and the call is counted — so drop it once the charge is paid.
+#[derive(Debug)]
+#[must_use = "dropping the hold ends the call before its charge is paid"]
+pub struct InFlight {
+    provider: Arc<Provider>,
+    time_scale: f64,
+    model_secs: f64,
+    landing: Landing,
+}
+
+impl InFlight {
+    /// The model seconds the call charged.
+    pub fn model_secs(&self) -> f64 {
+        self.model_secs
+    }
+
+    /// Pays the charge on the calling thread ([`SimConfig::sleep_model`] at
+    /// the scale of the call's config), then ends the call.
+    pub fn pay_here(self) {
+        crate::pacing::pace(self.time_scale, self.model_secs);
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        let provider = &self.provider;
+        if !matches!(self.landing, Landing::Fault) {
+            provider.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
-        Ok((response, stats))
+        provider.advance_model_clock(self.model_secs);
+        match &mut self.landing {
+            Landing::Fault => {}
+            Landing::Timeout => provider.metrics.record_timeout(),
+            Landing::Served { seq, stats, trace } => {
+                provider.metrics.record_call(stats);
+                if let Some((trace, op)) = trace.take() {
+                    trace.record(*seq, &op, stats.in_flight_at_start, stats.model_latency);
+                }
+            }
+        }
     }
 }
 
@@ -296,8 +370,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn test_provider(capacity: usize) -> Provider {
-        Provider::new(ProviderSpec::new(
+    fn test_provider(capacity: usize) -> Arc<Provider> {
+        Arc::new(Provider::new(ProviderSpec::new(
             "test.example",
             capacity,
             LatencyModel {
@@ -306,7 +380,7 @@ mod tests {
                 server_mean: 0.4,
                 jitter_frac: 0.0,
             },
-        ))
+        )))
     }
 
     #[test]
@@ -323,7 +397,7 @@ mod tests {
     fn op_override_is_used() {
         let spec = ProviderSpec::new("p", 1, LatencyModel::fixed(1.0))
             .with_op_latency("Fast", LatencyModel::fixed(0.25));
-        let p = Provider::new(spec);
+        let p = Arc::new(Provider::new(spec));
         let cfg = SimConfig::default();
         let (_, slow) = p.call(&cfg, "Slow", 0, || ((), 0)).unwrap();
         let (_, fast) = p.call(&cfg, "Fast", 0, || ((), 0)).unwrap();
@@ -335,7 +409,7 @@ mod tests {
     fn congestion_inflates_concurrent_calls() {
         // With capacity 1 and several truly concurrent calls, at least one
         // call must observe in_flight > 1 and hence a larger latency.
-        let p = Arc::new(test_provider(1));
+        let p = test_provider(1);
         let cfg = SimConfig::new(0.001, 7); // real (tiny) sleeps to force overlap
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -391,7 +465,7 @@ mod tests {
     #[test]
     fn latencies_are_deterministic_for_same_seed() {
         let make = || {
-            let p = Provider::new(ProviderSpec::new(
+            let p = Arc::new(Provider::new(ProviderSpec::new(
                 "d",
                 2,
                 LatencyModel {
@@ -400,7 +474,7 @@ mod tests {
                     server_mean: 0.5,
                     jitter_frac: 0.3,
                 },
-            ));
+            )));
             let cfg = SimConfig::new(0.0, 1234);
             (0..20)
                 .map(|_| p.call(&cfg, "Op", 0, || ((), 0)).unwrap().1.model_latency)
@@ -457,6 +531,7 @@ mod tests {
         };
         let err = p
             .call_with_opts(&cfg, "Op", 0, opts, || ((), 0))
+            .1
             .unwrap_err();
         match err {
             NetError::Timeout {
@@ -486,7 +561,11 @@ mod tests {
             deadline_model_secs: Some(10.0),
             args_key: 0,
         };
-        let with = p.call_with_opts(&cfg, "Op", 0, opts, || ((), 0)).unwrap().1;
+        let with = p
+            .call_with_opts(&cfg, "Op", 0, opts, || ((), 0))
+            .1
+            .unwrap()
+            .1;
         // Same seed and stream position as an undeadlined provider's first
         // call: the deadline must not perturb the latency draw.
         let q = test_provider(4);
@@ -561,7 +640,7 @@ mod tests {
                 deadline_model_secs: None,
                 args_key: key,
             };
-            p.call_with_opts(&cfg, "Op", 0, opts, || ((), 0)).is_ok()
+            p.call_with_opts(&cfg, "Op", 0, opts, || ((), 0)).1.is_ok()
         };
         for key in [1u64, 2, 3, 4, 5, 6, 7, 8] {
             assert_eq!(
@@ -578,7 +657,7 @@ mod tests {
         // per-call RNG stream: latencies match a clean provider's exactly.
         let cfg = SimConfig::new(0.0, 1234);
         let latencies = |spec: Option<FaultSpec>| {
-            let p = Provider::new(ProviderSpec::new(
+            let p = Arc::new(Provider::new(ProviderSpec::new(
                 "d",
                 2,
                 LatencyModel {
@@ -587,7 +666,7 @@ mod tests {
                     server_mean: 0.5,
                     jitter_frac: 0.3,
                 },
-            ));
+            )));
             if let Some(spec) = spec {
                 p.set_fault(spec);
             }

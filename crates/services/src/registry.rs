@@ -9,7 +9,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wsmed_netsim::{CallOpts, CallStats, NetError, NetResult, Network, Provider, ProviderSpec};
+use wsmed_netsim::{
+    CallOpts, CallStats, InFlight, NetError, NetResult, Network, Provider, ProviderSpec,
+};
 use wsmed_wsdl::WsdlDocument;
 use wsmed_xml::Element;
 
@@ -100,7 +102,7 @@ impl ServiceRegistry {
 
     /// The `cwo` transport (paper Fig. 2 line 14): calls `operation` of the
     /// service at `wsdl_uri` with rendered arguments, paying the simulated
-    /// latency, and returns the response body element.
+    /// latency on the calling thread, and returns the response body element.
     ///
     /// `service_name` is checked against the registered service, mirroring
     /// `cwo`'s signature `cwo(wsdl_uri, service, operation, args)`.
@@ -111,13 +113,21 @@ impl ServiceRegistry {
         operation: &str,
         args: &[(String, String)],
     ) -> NetResult<Element> {
-        self.call_on_provider(wsdl_uri, service_name, operation, args, None, None)
-            .map(|(response, _stats)| response)
+        let (in_flight, result) =
+            self.call_on_provider(wsdl_uri, service_name, operation, args, None, None);
+        if let Some(in_flight) = in_flight {
+            in_flight.pay_here();
+        }
+        result.map(|(response, _stats)| response)
     }
 
-    /// [`Self::call`] for callers that meter and steer the call: it also
-    /// returns the per-call wire accounting ([`CallStats`]: request and
-    /// response bytes, model latency) and takes
+    /// [`Self::call`] for callers that meter, steer and wait out the call
+    /// themselves: it returns, without waiting, the provider's
+    /// [`InFlight`] hold (`None` when the request never reached the
+    /// provider), which carries the model seconds the call charged and
+    /// must be dropped once they are paid, together with the outcome and
+    /// its per-call wire accounting ([`CallStats`]: request and response
+    /// bytes, model latency). It takes
     ///
     /// * an optional model-time deadline — a call whose model latency
     ///   (hangs and brownouts included) would exceed it charges exactly the
@@ -140,9 +150,48 @@ impl ServiceRegistry {
         args: &[(N, V)],
         deadline_model_secs: Option<f64>,
         replica: Option<&Arc<Provider>>,
-    ) -> NetResult<(Element, CallStats)> {
-        let endpoint = self.endpoint(wsdl_uri)?;
+    ) -> (Option<InFlight>, NetResult<(Element, CallStats)>) {
+        let endpoint = match self.operation_endpoint(wsdl_uri, service_name, operation) {
+            Ok(endpoint) => endpoint,
+            Err(e) => return (None, Err(e)),
+        };
         let provider = replica.unwrap_or(&endpoint.provider);
+
+        let wire = RequestWire::of(operation, args);
+        let opts = CallOpts {
+            deadline_model_secs,
+            args_key: wire.content_key,
+        };
+
+        let (in_flight, served) =
+            provider.call_with_opts(self.network.config(), operation, wire.bytes, opts, || {
+                match endpoint.service.invoke(operation, &Request::new(&args)) {
+                    Ok(resp) => {
+                        let bytes = resp.encoded_len();
+                        (Ok(resp), bytes)
+                    }
+                    Err(msg) => (Err(msg), 128),
+                }
+            });
+        let result = served.and_then(|(response, stats)| match response {
+            Ok(response) => Ok((response, stats)),
+            Err(message) => Err(NetError::BadRequest {
+                provider: endpoint.service.provider_name().to_owned(),
+                message,
+            }),
+        });
+        (Some(in_flight), result)
+    }
+
+    /// The endpoint at `wsdl_uri`, once it is known to host `service_name`
+    /// with an operation `operation`.
+    fn operation_endpoint(
+        &self,
+        wsdl_uri: &str,
+        service_name: &str,
+        operation: &str,
+    ) -> NetResult<&ServiceEndpoint> {
+        let endpoint = self.endpoint(wsdl_uri)?;
         if endpoint.service.service_name() != service_name {
             return Err(NetError::BadRequest {
                 provider: endpoint.service.provider_name().to_owned(),
@@ -158,28 +207,7 @@ impl ServiceRegistry {
                 operation: operation.to_owned(),
             });
         }
-
-        let wire = RequestWire::of(operation, args);
-        let opts = CallOpts {
-            deadline_model_secs,
-            args_key: wire.content_key,
-        };
-
-        let (response, stats) =
-            provider.call_with_opts(self.network.config(), operation, wire.bytes, opts, || {
-                match endpoint.service.invoke(operation, &Request::new(&args)) {
-                    Ok(resp) => {
-                        let bytes = resp.encoded_len();
-                        (Ok(resp), bytes)
-                    }
-                    Err(msg) => (Err(msg), 128),
-                }
-            })?;
-        let response = response.map_err(|message| NetError::BadRequest {
-            provider: endpoint.service.provider_name().to_owned(),
-            message,
-        })?;
-        Ok((response, stats))
+        Ok(endpoint)
     }
 }
 
@@ -317,6 +345,7 @@ mod tests {
                 None,
                 None,
             )
+            .1
             .unwrap();
         let request = "<GetPlacesInside><zip>80840</zip></GetPlacesInside>";
         assert_eq!(stats.request_bytes, request.len());

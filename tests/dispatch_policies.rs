@@ -82,13 +82,13 @@ fn first_finished_beats_round_robin_under_skew() {
         Arc::new(cat)
     };
     let transport = || {
-        MockTransport::new(|_, args| {
+        let delay = |_: &_, args: &[Value]| match args[0].as_str() {
+            Ok(arg) if arg.starts_with("slow") => Duration::from_millis(100),
+            Ok(arg) if !arg.contains('|') => Duration::from_millis(3),
+            _ => Duration::ZERO,
+        };
+        MockTransport::with_delay(delay, |_, args| {
             let arg = args[0].as_str().map_err(wsmed::core::CoreError::Store)?;
-            if arg.starts_with("slow") {
-                wsmed::core::blocking(|| std::thread::sleep(Duration::from_millis(100)));
-            } else if !arg.contains('|') {
-                wsmed::core::blocking(|| std::thread::sleep(Duration::from_millis(3)));
-            }
             Ok(Value::Record(
                 Record::new().with(
                     "y",

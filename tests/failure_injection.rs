@@ -680,7 +680,7 @@ fn hedged_requests_win_against_hangs_without_corrupting_results() {
     // (this test failed 5 runs in 8). At 4 ms per model second the hung
     // primary is charged its 5 model-s deadline as 20 ms of sleep, and the
     // hedge launched 0.5 model-s (2 ms) in has answered long before that.
-    // Goes back to 0 with the virtual clock of ROADMAP item 1.
+    // Goes back to 0 with the virtual clock of ROADMAP item 2.
     let mut setup = paper::setup(0.004, DatasetConfig::tiny());
     let zip = setup.network.provider(ZipCodesService::PROVIDER).unwrap();
     zip.set_fault(FaultSpec::hang_every(6));
