@@ -17,11 +17,13 @@
 //!   `coordinator + Σ level_times + startup` a candidate plan is scored
 //!   by, monotone in every latency and selectivity input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
+
+use crate::plan::PruneSet;
 
 /// Calibrated latency/capacity figures for one OWF's provider.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +56,9 @@ impl OpObs {
 }
 
 /// Cap on remembered empty parameters per section, bounding memory on
-/// adversarial workloads. 4096 wire-encoded tuples is a few hundred KiB.
+/// adversarial workloads. The whole set ships in the section's plan
+/// function: at about 12 B per wire-encoded state parameter, a full set
+/// is about 50 KB in every plan function sent to a cold child.
 const MAX_EMPTY_PARAMS_PER_SECTION: usize = 4096;
 
 /// Mediator-lifetime planner statistics: provider profiles, per-operator
@@ -68,7 +72,9 @@ pub struct PlannerStats {
     /// Observed mean model latency per OWF, refined from execution traces
     /// (overrides the profile's calibrated `latency_secs` once present).
     latency: RwLock<HashMap<String, (u64, f64)>>,
-    empties: RwLock<HashMap<String, HashSet<Bytes>>>,
+    /// Per-section empty parameters: one sorted snapshot each, replaced
+    /// (never mutated) when a parameter is learned.
+    empties: RwLock<HashMap<String, PruneSet>>,
 }
 
 impl PlannerStats {
@@ -135,24 +141,41 @@ impl PlannerStats {
 
     /// Records that the wire-encoded parameter `param` evaluated to the
     /// empty stream in section `section_key`. Bounded per section.
+    ///
+    /// A parameter already known (or a full section) costs one read lock
+    /// and a binary search; a new one replaces the section's snapshot with
+    /// a grown copy, so plans holding the old snapshot keep it unchanged.
     pub fn observe_empty(&self, section_key: &str, param: Bytes) {
+        let full_or_known =
+            |set: &PruneSet| set.len() >= MAX_EMPTY_PARAMS_PER_SECTION || set.contains(&param);
+        if self
+            .empties
+            .read()
+            .get(section_key)
+            .is_some_and(full_or_known)
+        {
+            return;
+        }
         let mut empties = self.empties.write();
-        let set = empties.entry(section_key.to_owned()).or_default();
-        if set.len() < MAX_EMPTY_PARAMS_PER_SECTION {
-            set.insert(param);
+        match empties.get_mut(section_key) {
+            Some(set) if full_or_known(set) => {}
+            Some(set) => *set = set.inserted(param).expect("not a member"),
+            None => {
+                let set = PruneSet::default().inserted(param).expect("empty set");
+                empties.insert(section_key.to_owned(), set);
+            }
         }
     }
 
     /// The wire-encoded parameters known to produce no rows in section
-    /// `section_key`, in a deterministic (sorted) order.
-    pub fn empty_params(&self, section_key: &str) -> Vec<Bytes> {
-        let empties = self.empties.read();
-        let Some(set) = empties.get(section_key) else {
-            return Vec::new();
-        };
-        let mut params: Vec<Bytes> = set.iter().cloned().collect();
-        params.sort_by(|a, b| a.as_ref().cmp(b.as_ref()));
-        params
+    /// `section_key`, in increasing byte order: the section's current
+    /// snapshot, shared by refcount.
+    pub fn empty_params(&self, section_key: &str) -> PruneSet {
+        self.empties
+            .read()
+            .get(section_key)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Number of sections with at least one recorded empty parameter.
@@ -385,18 +408,116 @@ mod tests {
         assert!((stats.profile("GetAirports").unwrap().latency_secs - 2.0).abs() < 1e-12);
     }
 
+    fn is_strictly_increasing(set: &PruneSet) -> bool {
+        set.iter()
+            .zip(set.iter().skip(1))
+            .all(|(a, b)| a[..] < b[..])
+    }
+
     #[test]
     fn empty_params_are_bounded_and_sorted() {
         let stats = PlannerStats::new();
         stats.observe_empty("s1", Bytes::copy_from_slice(b"bb"));
         stats.observe_empty("s1", Bytes::copy_from_slice(b"aa"));
         stats.observe_empty("s1", Bytes::copy_from_slice(b"aa")); // dedup
+        let expected = vec![Bytes::copy_from_slice(b"aa"), Bytes::copy_from_slice(b"bb")];
         assert_eq!(
             stats.empty_params("s1"),
-            vec![Bytes::copy_from_slice(b"aa"), Bytes::copy_from_slice(b"bb")]
+            PruneSet::from_sorted(expected).unwrap()
         );
-        assert_eq!(stats.empty_params("other"), Vec::<Bytes>::new());
+        assert_eq!(stats.empty_params("other"), PruneSet::default());
         assert_eq!(stats.sections_with_empties(), 1);
+
+        // Random insert sequences with duplicates, run past the cap, against
+        // the first `MAX_EMPTY_PARAMS_PER_SECTION` distinct parameters. Key
+        // `n` is the `n`th string over `abcd`, shortest first (`""`, `a`,
+        // …, `d`, `aa`, `ba`, …): 6,000 draws below 16,000 repeat
+        // about a thousand times and pass the cap, and the empty key and
+        // prefixes of members are among them.
+        let key = |mut n: u64| {
+            let mut key = Vec::new();
+            while n > 0 {
+                n -= 1;
+                key.push(b"abcd"[(n % 4) as usize]);
+                n /= 4;
+            }
+            key
+        };
+        for seed in 1..=2u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % 16_000
+            };
+            let stats = PlannerStats::new();
+            let mut reference = std::collections::BTreeSet::new();
+            for _ in 0..6_000 {
+                let param = key(next());
+                if reference.len() < MAX_EMPTY_PARAMS_PER_SECTION {
+                    reference.insert(param.clone());
+                }
+                stats.observe_empty("s", Bytes::copy_from_slice(&param));
+                let snapshot = stats.empty_params("s");
+                assert!(is_strictly_increasing(&snapshot));
+                assert_eq!(snapshot.len(), reference.len());
+                let probe = key(next());
+                for probe in [&param[..], &param[..param.len() / 2], &probe[..], &b""[..]] {
+                    assert_eq!(snapshot.contains(probe), reference.contains(probe));
+                }
+            }
+            assert_eq!(reference.len(), MAX_EMPTY_PARAMS_PER_SECTION);
+            let snapshot = stats.empty_params("s");
+            assert!(snapshot.iter().map(|p| p.to_vec()).eq(reference));
+        }
+        let stats = PlannerStats::new();
+        stats.observe_empty("s", Bytes::copy_from_slice(b"ab"));
+        let snapshot = stats.empty_params("s");
+        assert!(!snapshot.contains(b"a") && !snapshot.contains(b"") && snapshot.contains(b"ab"));
+
+        // Concurrent observers and readers: every snapshot a reader sees is
+        // sorted and holds everything the one before it held.
+        // A barrier starts all six together.
+        let stats = PlannerStats::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|scope| {
+            let observers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (stats, start) = (&stats, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for n in 0..1_500 {
+                            stats.observe_empty("s", Bytes::from(key(n * 3 + t)));
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut previous = PruneSet::default();
+                    start.wait();
+                    loop {
+                        let finished = done.load(std::sync::atomic::Ordering::Acquire);
+                        let snapshot = stats.empty_params("s");
+                        assert!(is_strictly_increasing(&snapshot));
+                        assert!(previous.iter().all(|p| snapshot.contains(p)));
+                        previous = snapshot;
+                        if finished {
+                            break;
+                        }
+                    }
+                });
+            }
+            for observer in observers {
+                observer.join().unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        let distinct: std::collections::BTreeSet<_> = (0..=1_499 * 3 + 3).map(key).collect();
+        let expected = distinct.len().min(MAX_EMPTY_PARAMS_PER_SECTION);
+        assert_eq!(stats.empty_params("s").len(), expected);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::exec::pool::{Acquired, ProcessPool};
 use crate::exec::process::{ChildProc, FromChild};
 use crate::exec::{pay, ExecContext, ProcEnv};
 use crate::obs::TraceEventKind;
-use crate::plan::{AdaptDecision, AdaptiveConfig, PlanFunction};
+use crate::plan::{AdaptDecision, AdaptiveConfig, PlanFunction, PruneSet};
 use crate::transport::DispatchPolicy;
 use crate::wire;
 use crate::{CoreError, CoreResult};
@@ -133,9 +133,10 @@ pub(crate) struct ParallelApply {
     env: ProcEnv,
     /// Semi-join prune set: wire-encoded parameter tuples learned to
     /// evaluate empty, dropped before shipping ([`PlanFunction::prune`]).
-    /// `None` when the plan carries no drop list — the common case, and
-    /// zero overhead per parameter.
-    prune: Option<std::collections::HashSet<Bytes>>,
+    /// The plan's own sorted set, shared by refcount; empty when the plan
+    /// carries no drop list — the common case, and zero overhead per
+    /// parameter.
+    prune: PruneSet,
     slots: Vec<Slot>,
     idle: VecDeque<usize>,
     results_tx: Sender<FromChild>,
@@ -197,8 +198,8 @@ impl ParallelApply {
         let prune = pf
             .prune
             .as_ref()
-            .filter(|spec| !spec.drop_params.is_empty())
-            .map(|spec| spec.drop_params.iter().cloned().collect());
+            .map(|spec| spec.drop_params.clone())
+            .unwrap_or_default();
         let mut this = ParallelApply {
             pf_name: pf.name.clone(),
             pf_bytes,
@@ -327,15 +328,13 @@ impl ParallelApply {
         for row in params {
             // A parameter's encoding is built only where it is a key.
             let encoded =
-                (cache.is_some() || self.prune.is_some()).then(|| wire::encode_tuple(&row));
+                (cache.is_some() || !self.prune.is_empty()).then(|| wire::encode_tuple(&row));
             // Semi-join pruning first: a parameter learned to evaluate
             // empty contributes nothing to the result stream, so it is
             // dropped before the memo screen and before any child sees it.
-            if let (Some(prune), Some(encoded)) = (&self.prune, &encoded) {
-                if prune.contains(encoded) {
-                    pruned += 1;
-                    continue;
-                }
+            if encoded.as_ref().is_some_and(|e| self.prune.contains(e)) {
+                pruned += 1;
+                continue;
             }
             let key = cache.and(encoded);
             if !self.screen_param(ctx, cache, key.as_ref(), &mut out) {

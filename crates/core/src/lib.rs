@@ -64,7 +64,7 @@ pub use parallel::{
     parallelize_unprojected, plan_sections, FanoutVector, SectionStage,
 };
 pub use plan::{
-    AdaptDecision, AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, PruneSpec, QueryPlan,
+    AdaptDecision, AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, PruneSet, PruneSpec, QueryPlan,
 };
 pub use planner::{PlanExplanation, PlannerPolicy};
 pub use resilience::{

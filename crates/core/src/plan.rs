@@ -7,7 +7,9 @@
 //! A final [`PlanOp::Project`] narrows to the query's head.
 
 use std::fmt;
+use std::sync::Arc;
 
+use bytes::Bytes;
 use wsmed_sql::AggFunc;
 use wsmed_store::Value;
 
@@ -134,8 +136,78 @@ pub struct PruneSpec {
     /// Stable digest of the section's own stages (fanouts excluded), the
     /// key under which empty-parameter observations accumulate.
     pub section_key: String,
-    /// Wire-encoded parameter tuples known to produce no rows.
-    pub drop_params: Vec<bytes::Bytes>,
+    /// Wire-encoded parameter tuples known to produce no rows, strictly
+    /// increasing by byte content (the order they are shipped in). It is
+    /// the planner statistics' own snapshot, shared by refcount: the plan
+    /// and the dispatching operator probe it by binary search and never
+    /// sort, copy or hash it.
+    pub drop_params: PruneSet,
+}
+
+/// An immutable set of wire-encoded parameter tuples, kept strictly
+/// increasing by byte content so that membership is a binary search and
+/// iteration is the deterministic order the wire format ships.
+///
+/// Cloning shares the entries by refcount. Only two operations make a
+/// non-empty one: `inserted`, which the planner statistics grow a
+/// section's set with, and `from_sorted`, which the wire decoder checks a
+/// received list with. Equality is by content.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct PruneSet(Option<Arc<[Bytes]>>);
+
+impl PruneSet {
+    /// The set of `params`, or `None` when they are not strictly
+    /// increasing (out of order, or with a duplicate).
+    pub(crate) fn from_sorted(params: Vec<Bytes>) -> Option<Self> {
+        if !params.windows(2).all(|w| w[0].as_ref() < w[1].as_ref()) {
+            return None;
+        }
+        Some(PruneSet((!params.is_empty()).then(|| params.into())))
+    }
+
+    /// A new set holding these entries and `param`, in one allocation, or
+    /// `None` when `param` is already a member. `self` is left as it is,
+    /// so a snapshot someone holds never changes under them.
+    pub(crate) fn inserted(&self, param: Bytes) -> Option<Self> {
+        let entries = self.entries();
+        let at = match entries.binary_search_by(|p| p.as_ref().cmp(param.as_ref())) {
+            Ok(_) => return None,
+            Err(at) => at,
+        };
+        let grown: Arc<[Bytes]> = entries[..at]
+            .iter()
+            .cloned()
+            .chain(std::iter::once(param))
+            .chain(entries[at..].iter().cloned())
+            .collect();
+        Some(PruneSet(Some(grown)))
+    }
+
+    /// Whether the wire-encoded tuple `param` is a member.
+    pub fn contains(&self, param: &[u8]) -> bool {
+        self.entries()
+            .binary_search_by(|p| p.as_ref().cmp(param))
+            .is_ok()
+    }
+
+    /// The members in increasing byte order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Bytes> {
+        self.entries().iter()
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    fn entries(&self) -> &[Bytes] {
+        self.0.as_deref().unwrap_or_default()
+    }
 }
 
 /// A parameterized sub-plan shipped to child query processes.

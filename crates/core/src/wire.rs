@@ -19,7 +19,7 @@ use bytes::{Buf, BufMut, Bytes};
 use wsmed_store::ValueBatch;
 use wsmed_store::{Column, ColumnData, Record, StrColumn, StrHeap, Tuple, Validity, Value};
 
-use crate::plan::{AdaptiveConfig, ArgExpr, PlanFunction, PlanOp};
+use crate::plan::{AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, PruneSet};
 use crate::{CoreError, CoreResult};
 
 // ---------------------------------------------------------------- encode --
@@ -761,7 +761,7 @@ fn put_plan_function(buf: &mut Vec<u8>, pf: &PlanFunction) {
             buf.put_u8(1);
             put_str(buf, &spec.section_key);
             buf.put_u32_le(spec.drop_params.len() as u32);
-            for param in &spec.drop_params {
+            for param in spec.drop_params.iter() {
                 buf.put_u32_le(param.len() as u32);
                 buf.extend_from_slice(param);
             }
@@ -1186,12 +1186,15 @@ fn get_prune_spec(buf: &mut Bytes) -> CoreResult<Option<crate::plan::PruneSpec>>
         1 => {
             let section_key = get_str(buf)?;
             let n = get_u32(buf)?;
-            let mut drop_params = Vec::with_capacity(capacity_for(n, buf));
+            let mut params = Vec::with_capacity(capacity_for(n, buf));
             for _ in 0..n {
                 let len = get_u32(buf)?;
                 need(buf, len)?;
-                drop_params.push(buf.copy_to_bytes(len));
+                params.push(buf.copy_to_bytes(len));
             }
+            let drop_params = PruneSet::from_sorted(params).ok_or_else(|| {
+                CoreError::Wire("prune drop list is not strictly increasing".into())
+            })?;
             Ok(Some(crate::plan::PruneSpec {
                 section_key,
                 drop_params,
@@ -1276,7 +1279,10 @@ mod tests {
             }),
             prune: Some(crate::plan::PruneSpec {
                 section_key: "a1b2".into(),
-                drop_params: vec![encode_tuple(&Tuple::new(vec![Value::str("GA")]))],
+                drop_params: PruneSet::from_sorted(vec![encode_tuple(&Tuple::new(vec![
+                    Value::str("GA"),
+                ]))])
+                .unwrap(),
             }),
         };
         let bytes = encode_plan_function(&outer);
@@ -1292,11 +1298,12 @@ mod tests {
         let mut pf = sample_pf();
         pf.prune = Some(crate::plan::PruneSpec {
             section_key: "a1b2c3d4e5f60718".into(),
-            drop_params: vec![
+            drop_params: PruneSet::from_sorted(vec![
+                Bytes::new(), // empty params survive too
                 encode_tuple(&Tuple::new(vec![Value::str("GA")])),
                 encode_tuple(&Tuple::new(vec![Value::str("TX")])),
-                Bytes::new(), // empty params survive too
-            ],
+            ])
+            .unwrap(),
         });
         let bytes = encode_plan_function(&pf);
         let back = decode_plan_function(bytes).unwrap();
@@ -1305,6 +1312,40 @@ mod tests {
         pf.prune = Some(crate::plan::PruneSpec::default());
         let back = decode_plan_function(encode_plan_function(&pf)).unwrap();
         assert_eq!(back.prune, Some(crate::plan::PruneSpec::default()));
+    }
+
+    /// `sample_pf` framed with a prune spec whose drop list is `params`,
+    /// written by hand in the order given.
+    fn frame_with_drop_list(params: &[&[u8]]) -> Bytes {
+        let mut raw = encode_plan_function(&sample_pf()).to_vec();
+        assert_eq!(raw.pop(), Some(0)); // no prune spec …
+        raw.put_u8(1); // … becomes one
+        put_str(&mut raw, "k");
+        raw.put_u32_le(params.len() as u32);
+        for param in params {
+            raw.put_u32_le(param.len() as u32);
+            raw.put_slice(param);
+        }
+        Bytes::from(raw)
+    }
+
+    #[test]
+    fn drop_lists_out_of_order_or_with_duplicates_are_rejected() {
+        for bad in [
+            &[&b"b"[..], b"a"][..],
+            &[b"a", b"b", b"b"],
+            &[b"", b""],
+            &[b"ab", b"a"],
+        ] {
+            let err = decode_plan_function(frame_with_drop_list(bad)).unwrap_err();
+            assert!(matches!(err, CoreError::Wire(_)), "{bad:?}: {err:?}");
+        }
+        let ordered = frame_with_drop_list(&[b"", b"a", b"ab", b"b"]);
+        let pf = decode_plan_function(ordered.clone()).unwrap();
+        let spec = pf.prune.as_ref().unwrap();
+        assert_eq!(spec.drop_params.len(), 4);
+        assert!(spec.drop_params.contains(b"ab") && !spec.drop_params.contains(b"aa"));
+        assert_eq!(encode_plan_function(&pf), ordered);
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl OwfDef {
             }
             LeafKind::Row(cols) if item.is_record() => {
                 let mut values = row_with(cols.len());
-                values.extend(cols.iter().map(|(name, ty)| item.column(name, *ty)));
+                item.columns(cols, &mut values);
                 Some(Tuple::new(values))
             }
             LeafKind::Row(_) => None,
@@ -283,9 +283,10 @@ trait Node: Sized {
     /// row: a record, or an empty text.
     fn scalar(&self, ty: SqlType) -> Option<Value>;
 
-    /// Field `name` of a record as a column of type `ty`: null when absent,
-    /// and the whole converted value where it is not a single text leaf.
-    fn column(&self, name: &str, ty: SqlType) -> Value;
+    /// Appends to `values` each declared column of a record: field `name`
+    /// as a value of type `ty`, null when absent, and the whole converted
+    /// value where it is not a single text leaf.
+    fn columns(&self, cols: &[(String, SqlType)], values: &mut Vec<Value>);
 }
 
 impl Node for Value {
@@ -319,11 +320,11 @@ impl Node for Value {
         }
     }
 
-    fn column(&self, name: &str, ty: SqlType) -> Value {
-        match self {
-            Value::Record(record) => record.get_opt(name).map_or(Value::Null, |v| coerce(v, ty)),
+    fn columns(&self, cols: &[(String, SqlType)], values: &mut Vec<Value>) {
+        values.extend(cols.iter().map(|(name, ty)| match self {
+            Value::Record(record) => record.get_opt(name).map_or(Value::Null, |v| coerce(v, *ty)),
             _ => Value::Null,
-        }
+        }));
     }
 }
 
@@ -349,19 +350,40 @@ impl Node for Element {
         (self.children.is_empty() && !text.is_empty()).then(|| ty.value_from_text(text))
     }
 
-    fn column(&self, name: &str, ty: SqlType) -> Value {
-        let mut occurrences = self.children_named(name);
-        match (occurrences.next(), occurrences.next()) {
-            (None, _) => Value::Null,
-            (Some(leaf), None) if leaf.children.is_empty() => ty.value_from_text(leaf.text()),
-            (Some(only), None) => xml_to_value(only),
-            (Some(first), Some(second)) => Value::Sequence(
-                [first, second]
-                    .into_iter()
-                    .chain(occurrences)
-                    .map(xml_to_value)
-                    .collect(),
-            ),
+    /// One pass over the children, each child's local name taken once: a
+    /// column's first occurrence is its value (a text leaf read as `ty`),
+    /// and a second turns it into the sequence of every occurrence's
+    /// converted value, in document order. Columns go 64 at a time, one
+    /// bit each for "seen" and "repeated".
+    fn columns(&self, cols: &[(String, SqlType)], values: &mut Vec<Value>) {
+        for window in cols.chunks(64) {
+            let base = values.len();
+            values.resize(base + window.len(), Value::Null);
+            let (mut seen, mut repeated) = (0u64, 0u64);
+            for child in &self.children {
+                let local = child.local_name();
+                for (j, (name, ty)) in window.iter().enumerate() {
+                    if name != local {
+                        continue;
+                    }
+                    let bit = 1u64 << j;
+                    let value = &mut values[base + j];
+                    if seen & bit == 0 {
+                        seen |= bit;
+                        *value = if child.children.is_empty() {
+                            ty.value_from_text(child.text())
+                        } else {
+                            xml_to_value(child)
+                        };
+                    } else if repeated & bit == 0 {
+                        repeated |= bit;
+                        let first = self.children_named(local).next().expect("seen before");
+                        *value = Value::Sequence(vec![xml_to_value(first), xml_to_value(child)]);
+                    } else if let Value::Sequence(items) = value {
+                        items.push(xml_to_value(child));
+                    }
+                }
+            }
         }
     }
 }
@@ -525,6 +547,49 @@ mod tests {
             owf.flatten_onto(&prefix, &Response::Xml(response), &mut from_xml);
             prop_assert_eq!(from_xml, from_value);
         }
+    }
+
+    #[test]
+    fn a_row_reads_repeated_prefixed_and_duplicate_columns() {
+        // `p:ToPlace` repeats (once as a record), `Name` is declared twice
+        // and `Gone` is absent; declared 24 times over, the row's 96
+        // columns span two 64-column windows of the one-pass read.
+        let row = Element::new("p:Row").with_children([
+            Element::text_leaf("p:ToPlace", "Atlanta"),
+            Element::text_leaf("Name", " 12 "),
+            Element::new("p:ToPlace").with_children([Element::text_leaf("Zip", "30301")]),
+            Element::text_leaf("p:Miles", "4.5"),
+        ]);
+        let declared = [
+            ("ToPlace", SqlType::Charstring),
+            ("Name", SqlType::Integer),
+            ("Gone", SqlType::Real),
+            ("Name", SqlType::Charstring),
+        ];
+        let cols: Vec<(String, SqlType)> = (0..24)
+            .flat_map(|_| declared.iter().map(|(n, ty)| (n.to_string(), *ty)))
+            .collect();
+        let owf = OwfDef {
+            flatten: FlattenSpec {
+                path: vec![],
+                leaf: LeafKind::Row(cols),
+            },
+            ..OwfDef::derive(&zip_op(), "USZip", "urn:zip").unwrap()
+        };
+        let mut from_xml = Vec::new();
+        owf.flatten_onto(&[], &Response::Xml(row.clone()), &mut from_xml);
+        let expected = reference_flatten(&owf.flatten, &xml_to_value(&row));
+        assert_eq!(from_xml, expected);
+        assert_eq!(from_xml[0].values().len(), 96);
+        assert_eq!(
+            &from_xml[0].values()[64..68],
+            &[
+                Value::Sequence(vec![Value::str("Atlanta"), xml_to_value(&row.children[2])]),
+                Value::Int(12),
+                Value::Null,
+                Value::str("12"),
+            ]
+        );
     }
 
     fn states_op() -> OperationDef {

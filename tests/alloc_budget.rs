@@ -4,14 +4,19 @@
 //! mailbox), so heap allocations ÷ `ws_calls` is what one trip through
 //! transport → SOAP/XML → netsim → flatten costs. A one-tuple frame's
 //! round trip through the wire functions is what one message of a query
-//! tree costs to encode and decode. The counts are exact and
+//! tree costs to encode and decode. Learned semi-join prune sets are read
+//! by planning without a copy, so planning allocates the same whatever
+//! their size. The counts are exact and
 //! machine-independent; a change that spends more of them has to raise the
 //! budget here, in the open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use wsmed::core::{paper, wire, CachePolicy};
+use wsmed::core::planner::annotate_prune;
+use wsmed::core::{
+    paper, wire, CachePolicy, PlanFunction, PlanOp, PlannerPolicy, PlannerStats, QueryPlan,
+};
 use wsmed::services::DatasetConfig;
 use wsmed::store::{Tuple, Value};
 
@@ -160,4 +165,110 @@ fn cached_central_query2_stays_inside_its_allocation_budget() {
         per_call <= CACHED_BUDGET_PER_CALL,
         "{per_call:.1} allocations per call with the cache on, budget {CACHED_BUDGET_PER_CALL}"
     );
+}
+
+/// The wire encoding of the `i`th learned empty parameter: a state code.
+fn state_param(i: usize) -> Vec<u8> {
+    wire::encode_tuple(&Tuple::new(vec![Value::str(format!("S{i:04}"))])).to_vec()
+}
+
+/// Query1's cost-based plan, unannotated.
+fn query1_cost_plan() -> QueryPlan {
+    let setup = paper::setup(0.0, DatasetConfig::small());
+    setup
+        .wsmed
+        .set_planner_policy(PlannerPolicy::CostBased { prune: false });
+    setup.wsmed.plan_query(paper::QUERY1_SQL).unwrap()
+}
+
+/// The first plan function met walking down from the root, the one whose
+/// section key `annotate_prune` reports first.
+fn first_pf(plan: &QueryPlan) -> &PlanFunction {
+    let mut op = &plan.root;
+    loop {
+        match op {
+            PlanOp::FfApply { pf, .. } | PlanOp::AffApply { pf, .. } => return pf,
+            other => op = other.input().expect("the plan has a plan function"),
+        }
+    }
+}
+
+/// Statistics that learned `params` as empty, in order, under `section`.
+fn learned(
+    section: &str,
+    params: impl IntoIterator<Item = Vec<u8>>,
+) -> std::sync::Arc<PlannerStats> {
+    let stats = PlannerStats::new();
+    for param in params {
+        stats.observe_empty(section, param.into());
+    }
+    stats
+}
+
+#[test]
+fn learned_prune_sets_are_shared_not_copied() {
+    const CAP: usize = 4096;
+    let plan = query1_cost_plan();
+    let section = annotate_prune(&mut plan.clone(), &PlannerStats::new())[0]
+        .0
+        .clone();
+
+    // Reading a full section's set, and observing a parameter it already
+    // holds, allocate nothing.
+    let stats = learned(&section, (0..CAP).map(state_param));
+    let known: Vec<_> = (0..8).map(|i| state_param(i * 500).into()).collect();
+    let (set, allocations) = allocations_of(|| stats.empty_params(&section));
+    assert_eq!((set.len(), allocations), (CAP, 0));
+    let ((), allocations) = allocations_of(|| {
+        for param in known {
+            stats.observe_empty(&section, param);
+        }
+    });
+    assert_eq!(allocations, 0, "observing a known parameter");
+    assert_eq!(stats.empty_params(&section).len(), CAP);
+
+    // Planning allocates the same with 16 learned parameters as with 4,096.
+    let annotate = |stats: &PlannerStats| {
+        let mut plan = plan.clone();
+        let (annotated, allocations) = allocations_of(|| annotate_prune(&mut plan, stats));
+        assert_eq!(
+            annotated[0],
+            (section.clone(), stats.empty_params(&section).len())
+        );
+        allocations
+    };
+    let few = learned(&section, (0..16).map(state_param));
+    let (small, full) = (annotate(&few), annotate(&stats));
+    println!("annotate_prune on Query1: {small} allocations with 16 learned, {full} with {CAP}");
+    assert_eq!(small, full);
+
+    // The shipped bytes do not depend on the order parameters were learned
+    // in, and are what sorting the list and encoding it entry by entry gives.
+    let params: Vec<Vec<u8>> = (0..300).map(|i| state_param(i * 7 % 300)).collect();
+    let shipped = |stats: &PlannerStats| {
+        let mut plan = plan.clone();
+        annotate_prune(&mut plan, stats);
+        wire::encode_plan_function(first_pf(&plan))
+    };
+    let forward = shipped(&learned(&section, params.iter().cloned()));
+    let backward = shipped(&learned(&section, params.iter().rev().cloned()));
+    assert_eq!(forward, backward);
+
+    let mut plan = plan.clone();
+    annotate_prune(&mut plan, &PlannerStats::new());
+    let mut pf = first_pf(&plan).clone();
+    pf.prune = None;
+    let mut reference = wire::encode_plan_function(&pf).to_vec();
+    assert_eq!(reference.pop(), Some(0), "the unannotated prune tag");
+    let mut sorted = params;
+    sorted.sort();
+    reference.push(1);
+    reference.extend_from_slice(&(section.len() as u32).to_le_bytes());
+    reference.extend_from_slice(section.as_bytes());
+    reference.extend_from_slice(&(sorted.len() as u32).to_le_bytes());
+    for param in &sorted {
+        reference.extend_from_slice(&(param.len() as u32).to_le_bytes());
+        reference.extend_from_slice(param);
+    }
+    assert_eq!(&forward[..], &reference[..]);
 }
