@@ -146,11 +146,7 @@ impl CacheKey {
 pub(crate) fn pf_digest(pf_name: &str, pf_bytes: &[u8]) -> String {
     // FNV-1a, 64-bit: tiny, deterministic, good enough to content-address
     // the handful of plan functions alive in one mediator.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in pf_bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = wsmed_netsim::fnv1a(pf_bytes);
     format!("pf:{pf_name}:{}:{hash:016x}", pf_bytes.len())
 }
 

@@ -21,10 +21,7 @@ use crate::config::RunConfig;
 use crate::exec::pool::{PoolScope, PoolStats, ProcessPool};
 use crate::obs::{self, TraceEventKind, TraceLog};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
-use crate::resilience::{
-    self, BreakerPolicy, FailureMode, HedgePolicy, ResilienceCollector, ResiliencePolicy,
-    Transition,
-};
+use crate::resilience::{self, BreakerPolicy, FailureMode, ResilienceCollector, Transition};
 use crate::router::{GroupView, Router, RouterCollector};
 use crate::stats::{ExecutionReport, TreeRegistry, TreeSnapshot};
 use crate::transport::{BatchPolicy, Charge, DispatchPolicy, WsTransport};
@@ -478,223 +475,198 @@ impl ExecContext {
         }
         // Boxed: the retry loop's state is most of this future, and the
         // plain path above would otherwise build and move it on every call.
-        Box::pin(async move {
-            let provider = self.transport.provider_name(owf);
-            let breakers = &self.cfg.breakers;
-            let mut attempt: usize = 1;
-            // Replicas that already failed an attempt of this logical call;
-            // routing avoids them while fresh alternatives remain.
-            let mut failed_replicas: Vec<String> = Vec::new();
-            loop {
-                // Pick this attempt's target. Routed: walk the router's choices
-                // until one passes breaker admission — a rejected replica is a
-                // failover, not a terminal error, and only when *every* routable
-                // replica rejects is the group circuit-open. Direct: the single
-                // provider's breaker decides alone.
-                let route: Option<String> = match &routing {
-                    Some((router, view)) => {
-                        let mut rejected: Vec<String> = Vec::new();
-                        let chosen = loop {
-                            let exclude: Vec<&str> = failed_replicas
-                                .iter()
-                                .chain(rejected.iter())
-                                .map(String::as_str)
-                                .collect();
-                            let pick = router.select(view, &exclude).or_else(|| {
-                                // Every fresh replica is spoken for: forgive
-                                // earlier-attempt failures, but never a replica
-                                // whose breaker rejected this very attempt.
-                                let rejected_only: Vec<&str> =
-                                    rejected.iter().map(String::as_str).collect();
-                                router.select(view, &rejected_only)
-                            });
-                            let Some(replica) = pick else { break None };
-                            let admitted = match &policy.breaker {
-                                Some(bp) => {
-                                    self.breaker_admits(bp, &provider, &replica, &owf.operation)
-                                }
-                                None => true,
-                            };
-                            if admitted {
-                                break Some(replica);
-                            }
-                            self.router_stats.note_failover();
-                            if self.tracing() {
-                                self.trace_here(TraceEventKind::ReplicaSkipped {
-                                    group: provider.clone(),
-                                    replica: replica.clone(),
-                                    reason: "breaker_open".to_owned(),
-                                });
-                            }
-                            rejected.push(replica);
-                        };
-                        let Some(replica) = chosen else {
-                            // Every routable replica is breaker-rejected (or
-                            // the group has no active replica left).
-                            return Err(CoreError::CircuitOpen {
-                                provider,
-                                operation: owf.operation.clone(),
-                            });
-                        };
-                        self.router_stats.note_decision(&provider, &replica);
-                        if self.tracing() {
-                            self.trace_here(TraceEventKind::RouteDecision {
-                                group: provider.clone(),
-                                replica: replica.clone(),
-                                alternatives: view.replicas.len() as u64,
-                            });
-                        }
-                        Some(replica)
-                    }
-                    None => {
-                        if let Some(bp) = &policy.breaker {
-                            if !self.breaker_admits(bp, &provider, &provider, &owf.operation) {
-                                // Terminal for this call: retrying against an open
-                                // breaker would only burn the backoff budget.
-                                return Err(CoreError::CircuitOpen {
-                                    provider,
-                                    operation: owf.operation.clone(),
-                                });
-                            }
-                        }
-                        None
-                    }
-                };
-                // The breaker (and per-replica counter) key for this attempt:
-                // the replica actually called, or the lone provider itself.
-                let breaker_key = route.clone().unwrap_or_else(|| provider.clone());
-                // Pre-select the hedge's alternate replica (never the primary)
-                // so a hedged backup lands on different hardware when any
-                // exists. Selected up front — the seq bump is deterministic
-                // whether or not the hedge ends up launching.
-                let hedge_alt: Option<String> = match (&routing, &route) {
-                    (Some((router, view)), Some(primary)) if policy.hedge.is_some() => {
-                        router.select(view, &[primary.as_str()])
-                    }
-                    _ => None,
-                };
-                let attempt_result = self
-                    .call_attempt(owf, args, policy, route.as_deref(), hedge_alt.as_deref())
-                    .await;
-                match attempt_result {
-                    Ok(value) => {
-                        if policy.breaker.is_some()
-                            && breakers.on_success(&breaker_key) == Some(Transition::Closed)
-                        {
-                            self.res_stats.note_breaker_close();
-                            if self.tracing() {
-                                self.trace_here(TraceEventKind::BreakerClose {
-                                    provider: breaker_key.clone(),
-                                });
-                            }
-                        }
-                        return Ok(value);
-                    }
-                    Err(e) if is_transient(&e) => {
-                        if matches!(e, CoreError::DeadlineExceeded { .. }) {
-                            self.res_stats.note_deadline_exceeded();
-                        }
-                        if let Some(bp) = &policy.breaker {
-                            if breakers.on_failure(&breaker_key, bp, self.transport.model_now())
-                                == Some(Transition::Opened)
-                            {
-                                self.res_stats.note_breaker_open(&provider, &breaker_key);
-                                if self.tracing() {
-                                    self.trace_here(TraceEventKind::BreakerOpen {
-                                        provider: breaker_key.clone(),
-                                    });
-                                }
-                            }
-                        }
-                        if let Some(replica) = &route {
-                            if !failed_replicas.contains(replica) {
-                                failed_replicas.push(replica.clone());
-                            }
-                        }
-                        if attempt >= policy.max_attempts {
-                            return Err(e);
-                        }
-                        // Jitter comes from a stream keyed by the arguments
-                        // and attempt number — seeded model randomness, never
-                        // wall time, so identically-seeded runs back off
-                        // identically.
-                        let roll = if policy.backoff_jitter_frac > 0.0 {
-                            wsmed_netsim::DetRng::keyed(
-                                self.sim.seed,
-                                &format!("backoff/{}", owf.name),
-                                fnv1a(&crate::wire::encode_value_slice(args)) ^ attempt as u64,
-                            )
-                            .next_f64()
-                        } else {
-                            0.5
-                        };
-                        pay(&self.sim, policy.backoff_for(attempt, roll)).await;
-                        attempt += 1;
-                        self.res_stats.note_retry(&provider, &breaker_key);
-                        if self.tracing() {
-                            self.trace_here(TraceEventKind::RetryAttempt {
-                                op: owf.name.clone(),
-                                attempt: attempt as u32,
-                            });
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-        .await
+        Box::pin(self.call_resilient(owf, args, routing)).await
     }
 
-    /// One attempt of a resilient call: the deadline-bounded transport
-    /// call, plus the hedged backup when configured ([`Self::hedged`]).
-    /// When the router picked a `replica`, both the primary and the hedge
-    /// pin their transport calls: the hedge to `hedge_replica` (a
-    /// different replica, when the group has one) so the backup lands on
-    /// different hardware than the call it is hedging against.
-    async fn call_attempt(
+    /// The resilient attempt loop of [`Self::call_uncached`], for a call
+    /// that has a router or a resilience policy to apply.
+    async fn call_resilient(
         &self,
         owf: &OwfDef,
         args: &[Value],
-        policy: &ResiliencePolicy,
-        replica: Option<&str>,
-        hedge_replica: Option<&str>,
+        routing: Option<(&Router, GroupView)>,
     ) -> CoreResult<Response> {
-        let deadline = policy.deadline_model_secs;
-        match policy.hedge {
-            None => self.transport_call(owf, args, deadline, replica).await,
-            Some(hedge) => {
-                let replicas = (replica, hedge_replica);
-                self.hedged(owf, args, deadline, hedge, replicas).await
+        let policy = &self.cfg.resilience;
+        let provider = self.transport.provider_name(owf);
+        let breakers = &self.cfg.breakers;
+        // No hedge is a hedge that never launches.
+        let hedge_delay = policy.hedge.map_or(f64::INFINITY, |h| h.delay_model_secs);
+        let mut attempt: usize = 1;
+        // Replicas that already failed an attempt of this logical call;
+        // routing avoids them while fresh alternatives remain.
+        let mut failed_replicas: Vec<String> = Vec::new();
+        loop {
+            // Pick this attempt's target: the router's choices, or the
+            // lone provider, a group of one. A candidate whose breaker
+            // rejects it is passed over; only when every candidate
+            // rejects is the call circuit-open, which is terminal:
+            // retrying against open breakers only burns the backoff.
+            let mut rejected: Vec<String> = Vec::new();
+            let target = loop {
+                let pick = match &routing {
+                    Some((router, view)) => {
+                        let exclude: Vec<&str> = failed_replicas
+                            .iter()
+                            .chain(rejected.iter())
+                            .map(String::as_str)
+                            .collect();
+                        router.select(view, &exclude).or_else(|| {
+                            // Every fresh replica is spoken for: forgive
+                            // earlier-attempt failures, but never a replica
+                            // whose breaker rejected this very attempt.
+                            let rejected_only: Vec<&str> =
+                                rejected.iter().map(String::as_str).collect();
+                            router.select(view, &rejected_only)
+                        })
+                    }
+                    None => rejected.is_empty().then(|| provider.clone()),
+                };
+                let Some(candidate) = pick else {
+                    return Err(CoreError::CircuitOpen {
+                        provider,
+                        operation: owf.operation.clone(),
+                    });
+                };
+                let admitted = match &policy.breaker {
+                    Some(bp) => self.breaker_admits(bp, &provider, &candidate, &owf.operation),
+                    None => true,
+                };
+                if admitted {
+                    break candidate;
+                }
+                if routing.is_some() {
+                    self.router_stats.note_failover();
+                    if self.tracing() {
+                        self.trace_here(TraceEventKind::ReplicaSkipped {
+                            group: provider.clone(),
+                            replica: candidate.clone(),
+                            reason: "breaker_open".to_owned(),
+                        });
+                    }
+                }
+                rejected.push(candidate);
+            };
+            // Routed: pin the transport call to the chosen replica, and
+            // pre-select the hedge's alternate (never the primary) so a
+            // backup lands on different hardware when any exists. It is
+            // selected up front, so the router's sequence advances the
+            // same whether or not the hedge launches.
+            let (replica, alternate) = match &routing {
+                Some((router, view)) => {
+                    self.router_stats.note_decision(&provider, &target);
+                    if self.tracing() {
+                        self.trace_here(TraceEventKind::RouteDecision {
+                            group: provider.clone(),
+                            replica: target.clone(),
+                            alternatives: view.replicas.len() as u64,
+                        });
+                    }
+                    let alternate = policy
+                        .hedge
+                        .and_then(|_| router.select(view, &[target.as_str()]));
+                    (Some(target.as_str()), alternate)
+                }
+                None => (None, None),
+            };
+            let replicas = (replica, alternate.as_deref());
+            let deadline = policy.deadline_model_secs;
+            let outcome = self
+                .hedged(owf, args, deadline, hedge_delay, replicas)
+                .await;
+            match outcome {
+                Ok(value) => {
+                    if policy.breaker.is_some()
+                        && breakers.on_success(&target) == Some(Transition::Closed)
+                    {
+                        self.res_stats.note_breaker_close();
+                        if self.tracing() {
+                            self.trace_here(TraceEventKind::BreakerClose {
+                                provider: target.clone(),
+                            });
+                        }
+                    }
+                    return Ok(value);
+                }
+                Err(e) if is_transient(&e) => {
+                    if matches!(e, CoreError::DeadlineExceeded { .. }) {
+                        self.res_stats.note_deadline_exceeded();
+                    }
+                    if let Some(bp) = &policy.breaker {
+                        if breakers.on_failure(&target, bp, self.transport.model_now())
+                            == Some(Transition::Opened)
+                        {
+                            self.res_stats.note_breaker_open(&provider, &target);
+                            if self.tracing() {
+                                self.trace_here(TraceEventKind::BreakerOpen {
+                                    provider: target.clone(),
+                                });
+                            }
+                        }
+                    }
+                    if routing.is_some() && !failed_replicas.contains(&target) {
+                        failed_replicas.push(target.clone());
+                    }
+                    if attempt >= policy.max_attempts {
+                        return Err(e);
+                    }
+                    // Jitter comes from a stream keyed by the arguments
+                    // and attempt number — seeded model randomness, never
+                    // wall time, so identically-seeded runs back off
+                    // identically.
+                    let roll = if policy.backoff_jitter_frac > 0.0 {
+                        wsmed_netsim::DetRng::keyed(
+                            self.sim.seed,
+                            &format!("backoff/{}", owf.name),
+                            wsmed_netsim::fnv1a(&crate::wire::encode_value_slice(args))
+                                ^ attempt as u64,
+                        )
+                        .next_f64()
+                    } else {
+                        0.5
+                    };
+                    pay(&self.sim, policy.backoff_for(attempt, roll)).await;
+                    attempt += 1;
+                    self.res_stats.note_retry(&provider, &target);
+                    if self.tracing() {
+                        self.trace_here(TraceEventKind::RetryAttempt {
+                            op: owf.name.clone(),
+                            attempt: attempt as u32,
+                        });
+                    }
+                }
+                other => return other,
             }
         }
     }
 
-    /// A hedged attempt: the primary call, and a backup that — if the
-    /// primary is still in flight once the hedge delay has passed — issues
-    /// the same call. The primary's charge is known when it is issued, so
-    /// this is decided in model time, the same at every scale: the backup
-    /// launches when the primary charged more than the delay. A successful
-    /// primary wins, else a successful backup, else the primary's error
-    /// stands; a launched backup is paid for before the attempt returns,
-    /// whatever won. The loser's value is dropped here, below the caching
-    /// layer, so a hedge can never insert a value the winner did not
-    /// produce.
+    /// One attempt: the deadline-bounded primary call, and a backup that —
+    /// if the primary is still in flight once `delay_model_secs` has
+    /// passed — issues the same call. With no hedge configured the delay
+    /// is infinite and the backup never launches. The primary's charge is
+    /// known when it is issued, so this is decided in model time, the same
+    /// at every scale: the backup launches when the primary charged more
+    /// than the delay. A successful primary wins, else a successful backup,
+    /// else the primary's error stands; a launched backup is paid for
+    /// before the attempt returns, whatever won. The loser's value is
+    /// dropped here, below the caching layer, so a hedge can never insert
+    /// a value the winner did not produce. A routed primary is pinned to
+    /// `replica`, its backup to `hedge_replica` when the group has another.
     async fn hedged(
         &self,
         owf: &OwfDef,
         args: &[Value],
         deadline: Option<f64>,
-        hedge: HedgePolicy,
+        delay_model_secs: f64,
         (replica, hedge_replica): (Option<&str>, Option<&str>),
     ) -> CoreResult<Response> {
         let primary = self.issue(owf, args, deadline, replica);
         let charged = primary.charge.model_secs();
-        if charged <= hedge.delay_model_secs {
+        if charged <= delay_model_secs {
             // Settled before the backup would launch.
             self.wait_out(charged, &primary.charge).await;
             return self.land(owf, primary);
         }
-        pay(&self.sim, hedge.delay_model_secs).await;
+        pay(&self.sim, delay_model_secs).await;
         self.res_stats.note_hedge_launched();
         if hedge_replica.is_some() {
             self.router_stats.note_hedge_reroute();
@@ -707,7 +679,7 @@ impl ExecContext {
         let backup = self.issue(owf, args, deadline, hedge_replica.or(replica));
         // Both are in flight: each call ends, and leaves its provider, once
         // its own share of the wait is paid.
-        let primary_left = charged - hedge.delay_model_secs;
+        let primary_left = charged - delay_model_secs;
         let backup_left = backup.charge.model_secs();
         let (primary, backup) = if primary_left <= backup_left {
             self.wait_out(primary_left, &primary.charge).await;
@@ -893,16 +865,6 @@ pub(crate) fn is_skippable(e: &CoreError) -> bool {
             e,
             CoreError::CircuitOpen { .. } | CoreError::Admission { .. }
         )
-}
-
-/// FNV-1a over a byte slice (backoff-jitter stream key).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A transport call issued but not yet ended ([`ExecContext::transport_call`]):

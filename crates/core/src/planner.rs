@@ -629,16 +629,7 @@ pub fn section_key(pf: &PlanFunction) -> String {
             None => break,
         }
     }
-    format!("{:016x}", fnv1a64(desc.as_bytes()))
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    format!("{:016x}", wsmed_netsim::fnv1a(desc.as_bytes()))
 }
 
 /// Annotates every plan function in `plan` with a [`PruneSpec`]: its

@@ -31,13 +31,14 @@
 //! paper-reproduction call path byte-identical to the non-resilient code.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::{CoreError, CoreResult};
+use crate::stats::sorted_entry;
 
 /// What the mediator does when one parameter tuple's web-service call
 /// fails terminally (retries exhausted, deadline exceeded, breaker open).
@@ -216,74 +217,65 @@ impl ResilienceStats {
     }
 }
 
-/// Run-scoped collector behind [`ResilienceStats`]. Cheap when idle: the
-/// maps are only locked on actual resilience events.
+/// Run-scoped collector behind [`ResilienceStats`]: the report itself,
+/// written in place under one lock, taken only on resilience events.
 #[derive(Debug, Default)]
-pub(crate) struct ResilienceCollector {
-    retries: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    hedges_launched: AtomicU64,
-    hedge_wins: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_half_opens: AtomicU64,
-    breaker_closes: AtomicU64,
-    breaker_rejections: AtomicU64,
-    skipped_params: AtomicU64,
-    admission_rejections: AtomicU64,
-    per_replica: Mutex<BTreeMap<(String, String), ProviderResilience>>,
-    skipped_by_owf: Mutex<BTreeMap<String, u64>>,
+pub(crate) struct ResilienceCollector(Mutex<ResilienceStats>);
+
+/// Counts one event against `replica` of `group` in the per-replica list
+/// and in the group's rollup.
+fn note_provider(
+    stats: &mut ResilienceStats,
+    group: &str,
+    replica: &str,
+    field: fn(&mut ProviderResilience) -> &mut u64,
+) {
+    *field(sorted_entry(&mut stats.per_provider, group.to_owned())) += 1;
+    let key = (group.to_owned(), replica.to_owned());
+    *field(sorted_entry(&mut stats.per_replica, key)) += 1;
 }
 
 impl ResilienceCollector {
     pub(crate) fn note_retry(&self, group: &str, replica: &str) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        self.per_replica
-            .lock()
-            .entry((group.to_owned(), replica.to_owned()))
-            .or_default()
-            .retries += 1;
+        let mut stats = self.0.lock();
+        stats.retries += 1;
+        note_provider(&mut stats, group, replica, |p| &mut p.retries);
     }
 
     pub(crate) fn note_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().deadline_exceeded += 1;
     }
 
     pub(crate) fn note_hedge_launched(&self) {
-        self.hedges_launched.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().hedges_launched += 1;
     }
 
     pub(crate) fn note_hedge_win(&self) {
-        self.hedge_wins.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().hedge_wins += 1;
     }
 
     pub(crate) fn note_breaker_open(&self, group: &str, replica: &str) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        self.per_replica
-            .lock()
-            .entry((group.to_owned(), replica.to_owned()))
-            .or_default()
-            .breaker_opens += 1;
+        let mut stats = self.0.lock();
+        stats.breaker_opens += 1;
+        note_provider(&mut stats, group, replica, |p| &mut p.breaker_opens);
     }
 
     pub(crate) fn note_breaker_half_open(&self) {
-        self.breaker_half_opens.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().breaker_half_opens += 1;
     }
 
     pub(crate) fn note_breaker_close(&self) {
-        self.breaker_closes.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().breaker_closes += 1;
     }
 
     pub(crate) fn note_admission_rejection(&self) {
-        self.admission_rejections.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().admission_rejections += 1;
     }
 
     pub(crate) fn note_breaker_rejection(&self, group: &str, replica: &str) {
-        self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-        self.per_replica
-            .lock()
-            .entry((group.to_owned(), replica.to_owned()))
-            .or_default()
-            .breaker_rejections += 1;
+        let mut stats = self.0.lock();
+        stats.breaker_rejections += 1;
+        note_provider(&mut stats, group, replica, |p| &mut p.breaker_rejections);
     }
 
     /// Counts `n` skipped parameter tuples against one OWF (at the
@@ -292,50 +284,13 @@ impl ResilienceCollector {
         if n == 0 {
             return;
         }
-        self.skipped_params.fetch_add(n, Ordering::Relaxed);
-        *self
-            .skipped_by_owf
-            .lock()
-            .entry(owf.to_owned())
-            .or_default() += n;
+        let mut stats = self.0.lock();
+        stats.skipped_params += n;
+        *sorted_entry(&mut stats.skipped_by_owf, owf.to_owned()) += n;
     }
 
     pub(crate) fn snapshot(&self) -> ResilienceStats {
-        ResilienceStats {
-            retries: self.retries.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            hedges_launched: self.hedges_launched.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            breaker_half_opens: self.breaker_half_opens.load(Ordering::Relaxed),
-            breaker_closes: self.breaker_closes.load(Ordering::Relaxed),
-            breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
-            skipped_params: self.skipped_params.load(Ordering::Relaxed),
-            admission_rejections: self.admission_rejections.load(Ordering::Relaxed),
-            per_provider: {
-                let map = self.per_replica.lock();
-                let mut groups: BTreeMap<String, ProviderResilience> = BTreeMap::new();
-                for ((group, _), v) in map.iter() {
-                    let g = groups.entry(group.clone()).or_default();
-                    g.retries += v.retries;
-                    g.breaker_opens += v.breaker_opens;
-                    g.breaker_rejections += v.breaker_rejections;
-                }
-                groups.into_iter().collect()
-            },
-            per_replica: self
-                .per_replica
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            skipped_by_owf: self
-                .skipped_by_owf
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-        }
+        self.0.lock().clone()
     }
 }
 

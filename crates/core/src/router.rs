@@ -12,12 +12,13 @@
 //! Random`]) the seeded model RNG — never on wall time — so identically
 //! seeded runs route identically.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
 use wsmed_netsim::{DetRng, MembershipChange};
+
+use crate::stats::sorted_entry;
 
 /// How the mediator spreads calls across the replicas of a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,51 +110,33 @@ impl RouterStats {
     }
 }
 
-/// Run-scoped routing counters (the collector behind [`RouterStats`]).
+/// Run-scoped routing counters: the [`RouterStats`] report itself, written
+/// in place under one lock.
 #[derive(Debug, Default)]
-pub(crate) struct RouterCollector {
-    decisions: AtomicU64,
-    failovers: AtomicU64,
-    hedge_reroutes: AtomicU64,
-    membership_events: AtomicU64,
-    per_replica: Mutex<BTreeMap<(String, String), u64>>,
-}
+pub(crate) struct RouterCollector(Mutex<RouterStats>);
 
 impl RouterCollector {
     pub(crate) fn note_decision(&self, group: &str, replica: &str) {
-        self.decisions.fetch_add(1, Ordering::Relaxed);
-        *self
-            .per_replica
-            .lock()
-            .entry((group.to_owned(), replica.to_owned()))
-            .or_insert(0) += 1;
+        let mut stats = self.0.lock();
+        stats.decisions += 1;
+        let key = (group.to_owned(), replica.to_owned());
+        *sorted_entry(&mut stats.per_replica, key) += 1;
     }
 
     pub(crate) fn note_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().failovers += 1;
     }
 
     pub(crate) fn note_hedge_reroute(&self) {
-        self.hedge_reroutes.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().hedge_reroutes += 1;
     }
 
     pub(crate) fn note_membership(&self) {
-        self.membership_events.fetch_add(1, Ordering::Relaxed);
+        self.0.lock().membership_events += 1;
     }
 
     pub(crate) fn snapshot(&self) -> RouterStats {
-        RouterStats {
-            decisions: self.decisions.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            hedge_reroutes: self.hedge_reroutes.load(Ordering::Relaxed),
-            membership_events: self.membership_events.load(Ordering::Relaxed),
-            per_replica: self
-                .per_replica
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-        }
+        self.0.lock().clone()
     }
 }
 

@@ -13,6 +13,20 @@ use crate::exec::pool::PoolStats;
 use crate::resilience::ResilienceStats;
 use crate::router::RouterStats;
 
+/// The value under `key` in a list kept sorted by key, inserted in order
+/// (as `V::default()`) when absent: how the per-run reports keep their
+/// per-provider and per-replica breakdowns.
+pub(crate) fn sorted_entry<K: Ord, V: Default>(list: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let at = match list.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(at) => at,
+        Err(at) => {
+            list.insert(at, (key, V::default()));
+            at
+        }
+    };
+    &mut list[at].1
+}
+
 /// Live registry of query processes, maintained by the runtime so the
 /// process tree (paper Fig. 4, 14, 15, 18–20) can be observed at any time.
 #[derive(Debug, Default)]

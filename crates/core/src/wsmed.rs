@@ -122,11 +122,6 @@ impl Wsmed {
         self.config.get_mut().trace = policy;
     }
 
-    /// The current structured-trace policy.
-    pub fn trace_policy(&self) -> TracePolicy {
-        self.config.read().trace
-    }
-
     /// Installs the planning policy used by [`Wsmed::plan_query`] and
     /// [`Wsmed::run_planned`]. The default ([`PlannerPolicy::Heuristic`])
     /// reproduces the paper's plans exactly; takes `&self` so the shell and
@@ -192,11 +187,6 @@ impl Wsmed {
             policy.map(|p| Arc::new(ProcessPool::new(p, self.sim.time_scale)));
     }
 
-    /// The installed pool policy, if any.
-    pub fn pool_policy(&self) -> Option<PoolPolicy> {
-        self.config.read().pool.as_ref().map(|p| p.policy())
-    }
-
     /// The live process pool, if one is installed — for inspecting
     /// [`ProcessPool::stats`] and the parked-process census across runs.
     /// Parked query processes live here between executions — and, since
@@ -218,11 +208,6 @@ impl Wsmed {
     pub fn set_cache_policy(&mut self, policy: Option<CachePolicy>) {
         self.config.get_mut().cache =
             policy.map(|p| Arc::new(CallCache::new(p, self.sim.time_scale)));
-    }
-
-    /// The installed cache policy, if any.
-    pub fn cache_policy(&self) -> Option<CachePolicy> {
-        self.config.read().cache.as_ref().map(|c| *c.policy())
     }
 
     /// The live cache instance, if caching is enabled — for inspecting

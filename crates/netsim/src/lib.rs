@@ -47,7 +47,7 @@ pub use metrics::{CallStats, MetricsSnapshot, ProviderMetrics};
 pub use network::{NetError, NetResult, Network};
 pub use pacing::{pacing_stats, settle_pacing, swap_pacing_debt, PacingStats};
 pub use provider::{CallOpts, InFlight, Provider, ProviderSpec};
-pub use rng::DetRng;
+pub use rng::{fnv1a, DetRng};
 pub use topology::{
     AutoscalePolicy, MembershipChange, ReplicaGroup, ReplicaStatus, TopologyAction, TopologyEvent,
     TopologyScenario,

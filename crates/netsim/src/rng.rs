@@ -5,6 +5,18 @@
 //! This keeps fan-out sweeps comparable: configuration A and B see the same
 //! per-call latencies, differing only in how calls overlap.
 
+/// FNV-1a, 64-bit, over a byte string: the one content digest of the
+/// workspace (stream keys, plan-function and dataset keys, transcripts).
+/// `#[inline]`: small, and called on other crates' per-run paths.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// A SplitMix64 generator. Cheap, decent quality, and `Copy`.
 #[derive(Debug, Clone, Copy)]
 pub struct DetRng {

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use wsmed_netsim::DetRng;
+use wsmed_netsim::{fnv1a, DetRng};
 
 /// One US state.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,7 +166,7 @@ impl DatasetConfig {
             let mut rng = DetRng::keyed(
                 self.seed,
                 "count-jitter",
-                hash_str(kind) ^ hash_str(key).rotate_left(17),
+                fnv1a(kind.as_bytes()) ^ fnv1a(key.as_bytes()).rotate_left(17),
             );
             n *= 1.0 + rng.uniform(-self.count_jitter, self.count_jitter);
         }
@@ -185,7 +185,7 @@ impl DatasetConfig {
         let mut rng = DetRng::keyed(
             self.seed,
             "count-jitter",
-            hash_str(kind) ^ hash_str(key).rotate_left(17),
+            fnv1a(kind.as_bytes()) ^ fnv1a(key.as_bytes()).rotate_left(17),
         );
         let n = base as f64 * (1.0 + rng.uniform(-self.count_jitter, self.count_jitter));
         (n.round() as usize).max(1)
@@ -347,7 +347,7 @@ impl Dataset {
 
         let mut neighbors: HashMap<String, Vec<Neighbor>> = HashMap::new();
         for state in &has_atlanta {
-            let mut rng = DetRng::keyed(config.seed, "neighbors", hash_str(&state.abbr));
+            let mut rng = DetRng::keyed(config.seed, "neighbors", fnv1a(state.abbr.as_bytes()));
             let span = (config.max_neighbors - config.min_neighbors) as u64 + 1;
             let count = config.scaled_count(
                 config.min_neighbors + rng.below(span) as usize,
@@ -382,7 +382,7 @@ impl Dataset {
             if let Some(list) = neighbors.get(&state.abbr) {
                 for neighbor in list {
                     let key = format!("{}, {}", neighbor.name, neighbor.state_abbr);
-                    let mut rng = DetRng::keyed(config.seed, "facts", hash_str(&key));
+                    let mut rng = DetRng::keyed(config.seed, "facts", fnv1a(key.as_bytes()));
                     let rows = if rng.next_f64() < 0.38 { 2 } else { 1 };
                     let mut facts = Vec::with_capacity(rows);
                     for row in 0..rows {
@@ -412,7 +412,7 @@ impl Dataset {
         let wide_zips = config.max_zip_count_bound() > 200;
         let zip_span = config.max_zip_count_bound().next_multiple_of(1000);
         for (state_idx, state) in states.iter().enumerate() {
-            let mut rng = DetRng::keyed(config.seed, "zips", hash_str(&state.abbr));
+            let mut rng = DetRng::keyed(config.seed, "zips", fnv1a(state.abbr.as_bytes()));
             let zip_count = config.scaled_count(config.zips_per_state, "zips", &state.abbr);
             let mut areas = Vec::with_capacity(zip_count);
             for z in 0..zip_count {
@@ -449,7 +449,7 @@ impl Dataset {
         // --- Aviation chain (Query3): airports → departures → status ------
         let mut airports: HashMap<String, Vec<(String, String)>> = HashMap::new();
         for state in &states {
-            let mut rng = DetRng::keyed(config.seed, "airports", hash_str(&state.abbr));
+            let mut rng = DetRng::keyed(config.seed, "airports", fnv1a(state.abbr.as_bytes()));
             // 2..=3 airports per state at base scale.
             let count = config.scaled_count(2 + rng.below(2) as usize, "airports", &state.abbr);
             let mut list = Vec::with_capacity(count);
@@ -474,7 +474,7 @@ impl Dataset {
         let mut departures: HashMap<String, Vec<(String, String)>> = HashMap::new();
         let mut flight_status: HashMap<String, (&'static str, i64)> = HashMap::new();
         for code in &all_codes {
-            let mut rng = DetRng::keyed(config.seed, "departures", hash_str(code));
+            let mut rng = DetRng::keyed(config.seed, "departures", fnv1a(code.as_bytes()));
             // 3..=5 departures per airport at base scale.
             let count = config.jittered_count(3 + rng.below(3) as usize, "departures", code);
             let mut list = Vec::with_capacity(count);
@@ -666,14 +666,6 @@ fn normalize_place_spec(spec: &str) -> String {
 
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

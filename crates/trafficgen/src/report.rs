@@ -28,14 +28,7 @@ pub fn exact_quantile(sorted: &[f64], p: f64) -> f64 {
 
 /// FNV-1a over a byte string — the digest used to compare transcripts and
 /// outcome sequences without storing either.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use wsmed_netsim::fnv1a;
 
 /// Aggregates for one arrival phase (or the whole run, phase `all`).
 #[derive(Debug, Clone, PartialEq)]

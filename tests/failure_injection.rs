@@ -714,3 +714,184 @@ fn hedged_requests_win_against_hangs_without_corrupting_results() {
         clean_rows.swap_remove(i);
     }
 }
+
+/// One central Query2 at time scale 0 through every resilient layer at
+/// once, where each decision is a function of the seed: the leaf provider
+/// replicated ×3 under weighted routing (replica `#1` failing with
+/// probability `replica_faults`), an unreplicated provider that faults and
+/// hangs on seeded call sequences, breakers that open, three attempts with
+/// seeded jitter under a deadline, and `hedge`. Returns the report and the
+/// run's transcript: the replay summary, then every trace event's kind in
+/// order, without timestamps.
+fn resilient_central(
+    hedge: Option<HedgePolicy>,
+    replica_faults: f64,
+) -> (wsmed::core::ExecutionReport, String) {
+    use wsmed::core::RouterPolicy;
+    use wsmed::services::calibration;
+
+    let mut setup = paper::setup(0.0, DatasetConfig::tiny());
+    let extras = (1..=2)
+        .map(|i| {
+            let mut spec = calibration::zipcodes_spec();
+            spec.name = format!("{}#{i}", ZipCodesService::PROVIDER);
+            spec
+        })
+        .collect();
+    setup
+        .network
+        .replicate(ZipCodesService::PROVIDER, extras)
+        .expect("leaf replicates");
+    setup.wsmed.set_router_policy(Some(RouterPolicy::Weighted));
+    setup.wsmed.reseed_profiles();
+    let flaky = format!("{}#1", ZipCodesService::PROVIDER);
+    setup
+        .network
+        .provider(&flaky)
+        .unwrap()
+        .set_fault(FaultSpec {
+            fail_probability: replica_faults,
+            ..FaultSpec::default()
+        });
+    let uszip = setup.network.provider(UsZipService::PROVIDER).unwrap();
+    uszip.set_fault(FaultSpec {
+        fail_probability: 0.3,
+        hang_probability: 0.1,
+        ..FaultSpec::default()
+    });
+    setup.wsmed.set_resilience_policy(ResiliencePolicy {
+        max_attempts: 3,
+        backoff_model_secs: 0.5,
+        backoff_multiplier: 2.0,
+        backoff_jitter_frac: 0.25,
+        deadline_model_secs: Some(3.0),
+        breaker: Some(BreakerPolicy {
+            failure_threshold: 2,
+            cooldown_model_secs: 4.0,
+            half_open_probes: 1,
+            probe_after_rejections: 4,
+        }),
+        hedge,
+        failure_mode: FailureMode::Partial,
+    });
+    setup.wsmed.set_trace_policy(TracePolicy::enabled());
+    let report = setup
+        .wsmed
+        .run_central(paper::QUERY2_SQL)
+        .expect("partial mode rides out the faults");
+    let events = settled_events(report.trace.as_ref().expect("traced"));
+    let mut transcript = obs::replay_transcript(&events);
+    for e in &events {
+        transcript.push_str(&format!("{:?}\n", e.kind));
+    }
+    (report, transcript)
+}
+
+#[test]
+fn resilient_central_run_is_pinned() {
+    use wsmed::core::{ProviderResilience, ResilienceStats, RouterStats};
+    use wsmed::trafficgen::fnv1a;
+
+    let zip = ZipCodesService::PROVIDER;
+    let uszip = UsZipService::PROVIDER;
+    let pair = |group: &str, replica: &str| (group.to_owned(), replica.to_owned());
+
+    // A hedge that some charges exceed: it launches on the slower calls,
+    // reroutes to another replica, and beats two hung primaries.
+    let hedge = Some(HedgePolicy {
+        delay_model_secs: 0.45,
+    });
+    let (report, transcript) = resilient_central(hedge, 0.5);
+    assert_eq!(report.ws_calls, 239);
+    assert_eq!(report.rows.len(), 1);
+    let zip_faults = ProviderResilience {
+        retries: 10,
+        breaker_opens: 8,
+        breaker_rejections: 10,
+    };
+    let uszip_faults = ProviderResilience {
+        retries: 16,
+        breaker_opens: 6,
+        breaker_rejections: 18,
+    };
+    assert_eq!(
+        report.resilience,
+        ResilienceStats {
+            retries: 26,
+            deadline_exceeded: 0,
+            hedges_launched: 80,
+            hedge_wins: 2,
+            breaker_opens: 14,
+            breaker_half_opens: 14,
+            breaker_closes: 4,
+            breaker_rejections: 28,
+            skipped_params: 18,
+            admission_rejections: 0,
+            per_provider: vec![
+                (zip.to_owned(), zip_faults),
+                (uszip.to_owned(), uszip_faults)
+            ],
+            per_replica: vec![
+                (pair(zip, &format!("{zip}#1")), zip_faults),
+                (pair(uszip, uszip), uszip_faults),
+            ],
+            skipped_by_owf: vec![("GetInfoByState".to_owned(), 18)],
+        }
+    );
+    assert_eq!(
+        report.router,
+        RouterStats {
+            decisions: 109,
+            failovers: 10,
+            hedge_reroutes: 46,
+            membership_events: 0,
+            per_replica: vec![
+                (pair(zip, zip), 51),
+                (pair(zip, &format!("{zip}#1")), 17),
+                (pair(zip, &format!("{zip}#2")), 41),
+            ],
+        }
+    );
+    // Only routed calls are counted per replica: the unreplicated
+    // provider is never a routing group.
+    assert!(report
+        .router
+        .per_replica
+        .iter()
+        .all(|((g, _), _)| g != uszip));
+    assert_eq!(fnv1a(transcript.as_bytes()), 0x772d_97ca_b857_f6b9);
+
+    // A hedge whose delay exceeds every charge never launches, so the run
+    // is the run without a hedge. One thing differs by design: a
+    // configured hedge draws its alternate replica from the weighted
+    // rotation up front, launched or not, so the primaries take every
+    // other turn and the transcripts agree once the routed replica's name
+    // is masked. The per-replica tallies still agree: 72 decisions walk
+    // the 9-slot capacity strip (3 replicas × 3) 8 times either way.
+    let (plain, plain_transcript) = resilient_central(None, 0.0);
+    let never = Some(HedgePolicy {
+        delay_model_secs: 1e9,
+    });
+    let (unlaunched, unlaunched_transcript) = resilient_central(never, 0.0);
+    let project = |r: &wsmed::core::ExecutionReport| {
+        (
+            r.ws_calls,
+            r.ws_bytes,
+            r.rows.clone(),
+            r.resilience.clone(),
+            r.router.clone(),
+        )
+    };
+    assert_eq!(project(&plain), project(&unlaunched));
+    assert_eq!(plain.resilience.hedges_launched, 0);
+    let mask = |t: &str| {
+        t.lines()
+            .map(|line| match line.find("replica: ") {
+                Some(at) if line.starts_with("RouteDecision") => &line[..at],
+                _ => line,
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(mask(&plain_transcript), mask(&unlaunched_transcript));
+}
