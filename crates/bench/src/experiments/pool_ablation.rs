@@ -11,9 +11,10 @@
 //!
 //! Two modes over K repeated executions of the fixed-fanout Query2 plan:
 //!
-//! * `cold` — pool installed but disabled: every run spawns every process
-//!   (and is charged the modeled startup + plan-ship cost);
-//! * `warm` — pool enabled: runs ≥ 2 acquire the whole parked tree.
+//! * `cold` — pool installed but parking nothing (`max_idle_total: 0`):
+//!   every run spawns every process (and is charged the modeled startup +
+//!   plan-ship cost);
+//! * `warm` — default pool: runs ≥ 2 acquire the whole parked tree.
 //!
 //! Claims asserted in-binary:
 //! * every mode and run returns the same result multiset;
@@ -49,17 +50,14 @@ struct Cell {
 fn run_mode(
     opts: &HarnessOpts,
     mode: &'static str,
-    enabled: bool,
+    policy: PoolPolicy,
     fanouts: &FanoutVector,
     csv: &mut std::fs::File,
 ) -> Vec<Cell> {
     let mut setup = opts.setup();
     // Both modes install a pool so `cold_spawns` (= modeled startup
-    // charges) is counted either way; only `enabled` differs.
-    setup.wsmed.set_pool_policy(Some(PoolPolicy {
-        enabled,
-        ..Default::default()
-    }));
+    // charges) is counted either way; only what it may park differs.
+    setup.wsmed.set_pool_policy(Some(policy));
     (1..=RUNS)
         .map(|run| {
             let t: Timed =
@@ -108,8 +106,12 @@ pub fn run(opts: &HarnessOpts) {
          blocked_send_ms,rows",
     );
 
-    let cold = run_mode(opts, "cold", false, &fanouts, &mut csv);
-    let warm = run_mode(opts, "warm", true, &fanouts, &mut csv);
+    let parks_nothing = PoolPolicy {
+        max_idle_total: 0,
+        ..Default::default()
+    };
+    let cold = run_mode(opts, "cold", parks_nothing, &fanouts, &mut csv);
+    let warm = run_mode(opts, "warm", PoolPolicy::default(), &fanouts, &mut csv);
 
     // ---- claims -----------------------------------------------------------
     let reference = canonicalize(cold[0].rows.clone());
@@ -129,7 +131,10 @@ pub fn run(opts: &HarnessOpts) {
             "cold run {} spawned nothing?",
             cell.run
         );
-        assert_eq!(cell.pool.warm_acquires, 0, "disabled pool went warm");
+        assert_eq!(
+            cell.pool.warm_acquires, 0,
+            "a pool that parks nothing went warm"
+        );
     }
 
     let tree_size = warm[0].pool.cold_spawns;

@@ -35,7 +35,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
@@ -44,9 +44,10 @@ use parking_lot::Mutex;
 
 use wsmed_store::{Tuple, Value};
 
-/// How long a single-flight waiter blocks on the in-flight latch before
-/// giving up and issuing its own call. Generously above any modeled
-/// latency; only reached if the leading thread died without completing.
+/// How long a blocking single-flight waiter ([`CallCache::lookup_call`])
+/// waits on the in-flight latch before giving up and issuing its own
+/// call. Generously above any modeled latency; only reached if the
+/// leading thread died without completing.
 const WAIT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Configuration of the [`CallCache`].
@@ -151,8 +152,8 @@ pub(crate) fn pf_digest(pf_name: &str, pf_bytes: &[u8]) -> String {
 }
 
 /// Per-run cache counters, surfaced in
-/// [`crate::ExecutionReport::cache`]. All counters reset at the start of
-/// each run (entries may persist when the policy is cross-run).
+/// [`crate::ExecutionReport::cache`]: each run counts its own lookups
+/// from zero (entries may persist when the policy is cross-run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Web service calls answered from a completed cache entry.
@@ -185,11 +186,12 @@ impl CacheStats {
     }
 }
 
-/// Per-query attribution counters for one shared [`CallCache`]. Every
-/// execution context owns one; scoped cache operations bump both the
-/// cache-global counters and the caller's scope, so a query's
+/// The cache counters of one run: every cache operation counts its event
+/// here, in the scope of the run that caused it, and nowhere else. Every
+/// execution context owns one, so a query's
 /// [`crate::ExecutionReport::cache`] describes *its* traffic even when
-/// many queries share the cache concurrently.
+/// many queries share the cache concurrently; lookups made outside any
+/// run count in a scope the cache owns ([`CallCache::stats`]).
 #[derive(Debug, Default)]
 pub(crate) struct CacheScope {
     query: u64,
@@ -210,16 +212,18 @@ impl CacheScope {
         }
     }
 
-    /// The query id entries produced through this scope are tagged with.
-    pub(crate) fn query(&self) -> u64 {
-        self.query
-    }
-
-    fn note_hit(&self, owner: u64) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if owner != self.query() {
+    /// Counts a read of an entry produced (or being produced) by query
+    /// `owner` as cross-query when that is another query.
+    fn note_owner(&self, owner: u64) {
+        if owner != self.query {
             self.cross_query_hits.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Counts one parameter tuple answered parent-side by dedup-aware
+    /// dispatch.
+    pub(crate) fn note_short_circuit(&self) {
+        self.short_circuits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// This query's slice of the shared cache activity; `entries` is the
@@ -237,34 +241,12 @@ impl CacheScope {
     }
 }
 
-/// Eviction counter fan-out: every eviction is charged to the cache's
-/// global counter and, when the evicting operation ran under a query's
-/// scope, to that scope as well.
-#[derive(Clone, Copy)]
-struct EvictSink<'a> {
-    global: &'a AtomicU64,
-    scope: Option<&'a AtomicU64>,
-}
-
-impl EvictSink<'_> {
-    fn add(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.global.fetch_add(n, Ordering::Relaxed);
-        if let Some(scope) = self.scope {
-            scope.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
 // ---------------------------------------------------------------- latch --
 
-/// The per-key in-flight latch single-flight waiters wait on: a task awaits
-/// it ([`Latch::poll_wait`]), a plain thread blocks on it ([`Latch::wait`]).
+/// The per-key in-flight latch single-flight waiters await
+/// ([`Latch::poll_wait`]).
 struct Latch<V> {
     state: StdMutex<FlightState<V>>,
-    cv: Condvar,
 }
 
 enum FlightState<V> {
@@ -279,7 +261,6 @@ impl<V: Clone> Latch<V> {
     fn new() -> Arc<Self> {
         Arc::new(Latch {
             state: StdMutex::new(FlightState::Pending(Vec::new())),
-            cv: Condvar::new(),
         })
     }
 
@@ -293,7 +274,6 @@ impl<V: Clone> Latch<V> {
             None => FlightState::Aborted,
         };
         let waiting = std::mem::replace(&mut *self.lock(), settled);
-        self.cv.notify_all();
         if let FlightState::Pending(wakers) = waiting {
             wakers.into_iter().for_each(Waker::wake);
         }
@@ -316,30 +296,6 @@ impl<V: Clone> Latch<V> {
             }
         }
     }
-
-    /// Blocks the calling thread until the leader settles; `None` means
-    /// aborted (or the leader vanished past the timeout) — the waiter
-    /// retries itself. For callers outside the task runtime.
-    fn wait(&self) -> Option<V> {
-        let mut state = self.lock();
-        let deadline = Instant::now() + WAIT_TIMEOUT;
-        loop {
-            match &*state {
-                FlightState::Done(v) => return Some(v.clone()),
-                FlightState::Aborted => return None,
-                FlightState::Pending(_) => {}
-            }
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            if timeout.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
-    }
 }
 
 // --------------------------------------------------------------- shards --
@@ -349,8 +305,8 @@ enum EntryState<V> {
         value: V,
         stamp: u64,
         inserted: Instant,
-        /// Query id of the run that produced the value (0 for unscoped
-        /// callers) — the provenance behind `cross_query_hits`.
+        /// Query id of the run that produced the value (0 outside any
+        /// run) — the provenance behind `cross_query_hits`.
         owner: u64,
     },
     InFlight(Arc<Latch<V>>, u64),
@@ -385,7 +341,7 @@ impl<V> Shard<V> {
     }
 
     /// Evicts least-recently-used ready entries until `ready <= cap`.
-    fn evict_to(&mut self, cap: usize, evictions: EvictSink<'_>) {
+    fn evict_to(&mut self, cap: usize, evictions: &AtomicU64) {
         while self.ready > cap {
             let Some((key, stamp)) = self.queue.pop_front() else {
                 break; // only in-flight entries left
@@ -397,7 +353,7 @@ impl<V> Shard<V> {
             if current {
                 self.map.remove(&key);
                 self.ready -= 1;
-                evictions.add(1);
+                evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         // Bound the lazy queue: rebuild it from live stamps when stale
@@ -461,7 +417,7 @@ impl<V: Clone> Sharded<V> {
         key: &CacheKey,
         ttl: Option<f64>,
         time_scale: f64,
-        evictions: EvictSink<'_>,
+        evictions: &AtomicU64,
     ) -> Option<(V, u64)> {
         let mut shard = self.shard(key).lock();
         let inserted = match shard.map.get(key) {
@@ -470,7 +426,7 @@ impl<V: Clone> Sharded<V> {
         };
         if Self::expired(ttl, time_scale, inserted) {
             shard.remove_ready(key);
-            evictions.add(1);
+            evictions.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let stamp = shard.touch(key);
@@ -488,7 +444,7 @@ impl<V: Clone> Sharded<V> {
     }
 
     /// Plain insert (used by the rows memo and by completing flights).
-    fn insert(&self, key: &CacheKey, value: V, owner: u64, evictions: EvictSink<'_>) {
+    fn insert(&self, key: &CacheKey, value: V, owner: u64, evictions: &AtomicU64) {
         let mut shard = self.shard(key).lock();
         let stamp = shard.touch(key);
         let was_ready = matches!(shard.map.get(key), Some(EntryState::Ready { .. }));
@@ -516,7 +472,7 @@ impl<V: Clone> Sharded<V> {
         ttl: Option<f64>,
         time_scale: f64,
         owner: u64,
-        evictions: EvictSink<'_>,
+        evictions: &AtomicU64,
     ) -> Probe<V> {
         if !single_flight {
             return match self.get(key, ttl, time_scale, evictions) {
@@ -560,7 +516,7 @@ impl<V: Clone> Sharded<V> {
             Seen::Wait(latch, leader) => return Probe::Wait(latch, leader),
             Seen::Expired => {
                 shard.remove_ready(key);
-                evictions.add(1);
+                evictions.fetch_add(1, Ordering::Relaxed);
             }
             Seen::Cold => {}
         }
@@ -573,7 +529,7 @@ impl<V: Clone> Sharded<V> {
     /// Settles an in-flight entry: `Some` caches the value (owned by
     /// `owner`) and wakes the waiters with it; `None` removes the entry
     /// and wakes them empty-handed (error results are never cached).
-    fn finish(&self, key: &CacheKey, outcome: Option<V>, owner: u64, evictions: EvictSink<'_>) {
+    fn finish(&self, key: &CacheKey, outcome: Option<V>, owner: u64, evictions: &AtomicU64) {
         let latch = {
             let mut shard = self.shard(key).lock();
             let latch = match shard.map.get(key) {
@@ -658,22 +614,23 @@ pub struct Flight<'a> {
     cache: &'a CallCache,
     key: CacheKey,
     settled: bool,
-    owner: u64,
+    /// The scope of the lookup that missed: the entry's owner, and where
+    /// the evictions its insert causes are counted.
+    scope: &'a CacheScope,
 }
 
 impl Flight<'_> {
     /// Caches `value` and hands it to every waiter.
     pub fn complete(mut self, value: &Value) {
         self.settled = true;
-        self.cache.calls.finish(
-            &self.key,
-            Some(value.clone()),
-            self.owner,
-            EvictSink {
-                global: &self.cache.evictions,
-                scope: None,
-            },
-        );
+        self.settle(Some(value.clone()));
+    }
+
+    fn settle(&self, outcome: Option<Value>) {
+        let scope = self.scope;
+        self.cache
+            .calls
+            .finish(&self.key, outcome, scope.query, &scope.evictions);
     }
 }
 
@@ -682,15 +639,7 @@ impl Drop for Flight<'_> {
         if !self.settled {
             // Error path (or leader unwound): release waiters, cache
             // nothing.
-            self.cache.calls.finish(
-                &self.key,
-                None,
-                self.owner,
-                EvictSink {
-                    global: &self.cache.evictions,
-                    scope: None,
-                },
-            );
+            self.settle(None);
         }
     }
 }
@@ -707,15 +656,12 @@ pub struct CallCache {
     calls: Sharded<Value>,
     /// Memoized plan-function invocations: `digest(pf) ⊕ param → rows`.
     rows: Sharded<Arc<Vec<Tuple>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    dedup_waits: AtomicU64,
-    evictions: AtomicU64,
-    short_circuits: AtomicU64,
-    cross_query_hits: AtomicU64,
-    /// Runs currently using this cache. Counter resets and per-run
-    /// entry clears happen only on the idle → busy edge, so overlapping
-    /// runs share state instead of clobbering each other.
+    /// The counters of lookups made outside any run
+    /// ([`CallCache::lookup_call`]), attributed to query 0.
+    unscoped: CacheScope,
+    /// Runs currently using this cache. Per-run entries are cleared only
+    /// on the idle → busy edge, so overlapping runs share them instead of
+    /// clobbering each other.
     active_runs: AtomicUsize,
 }
 
@@ -729,12 +675,7 @@ impl CallCache {
             rows: Sharded::new(policy.shards, policy.capacity),
             policy,
             time_scale,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            dedup_waits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            short_circuits: AtomicU64::new(0),
-            cross_query_hits: AtomicU64::new(0),
+            unscoped: CacheScope::new(0),
             active_runs: AtomicUsize::new(0),
         }
     }
@@ -744,30 +685,13 @@ impl CallCache {
         &self.policy
     }
 
-    fn sink<'a>(&'a self, scope: Option<&'a CacheScope>) -> EvictSink<'a> {
-        EvictSink {
-            global: &self.evictions,
-            scope: scope.map(|s| &s.evictions),
-        }
-    }
-
     /// Starts a run against this cache. On the idle → busy edge (no
-    /// other run active) the busy-period counters reset and entries are
-    /// cleared unless the policy is cross-run; runs overlapping an
-    /// already-active run join the busy period and share its state —
-    /// that sharing is what cross-query single-flight rides on. Pair
-    /// with [`CallCache::end_run`].
+    /// other run active) entries are cleared unless the policy is
+    /// cross-run; runs overlapping an already-active run join the busy
+    /// period and share its entries — that sharing is what cross-query
+    /// single-flight rides on. Pair with [`CallCache::end_run`].
     pub fn begin_run(&self) {
-        if self.active_runs.fetch_add(1, Ordering::AcqRel) > 0 {
-            return;
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.dedup_waits.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.short_circuits.store(0, Ordering::Relaxed);
-        self.cross_query_hits.store(0, Ordering::Relaxed);
-        if !self.policy.cross_run {
+        if self.active_runs.fetch_add(1, Ordering::AcqRel) == 0 && !self.policy.cross_run {
             self.calls.clear();
             self.rows.clear();
         }
@@ -786,21 +710,27 @@ impl CallCache {
     /// in-flight call when single-flight is enabled. The caller loops on
     /// [`CallLookup::Retry`] (each retry is preceded by a real failed call,
     /// so the loop is bounded by the transport's own failure behaviour).
+    /// Counted in [`CallCache::stats`].
     pub fn lookup_call(&self, key: &CacheKey) -> CallLookup<'_> {
-        match self.probe_call(key, None) {
+        match self.probe_call(key, &self.unscoped) {
             Ok(lookup) => lookup,
-            Err(latch) => Self::waited(latch.wait()),
+            Err(latch) => Self::waited(
+                crate::exec::block_on_watched(
+                    std::future::poll_fn(|cx| latch.poll_wait(cx)),
+                    WAIT_TIMEOUT,
+                )
+                .flatten(),
+            ),
         }
     }
 
-    /// [`CallCache::lookup_call`] for a query process, attributed to one
-    /// query's scope: it awaits an in-flight call instead of blocking. The
-    /// scope's counters are bumped alongside the cache-global ones, and
+    /// [`CallCache::lookup_call`] for a query process, counted in its
+    /// run's scope: it awaits an in-flight call instead of blocking, and
     /// hits on entries owned by a different query count as cross-query.
     pub(crate) async fn lookup_call_for<'a>(
         &'a self,
         key: &CacheKey,
-        scope: Option<&CacheScope>,
+        scope: &'a CacheScope,
     ) -> CallLookup<'a> {
         match self.probe_call(key, scope) {
             Ok(lookup) => lookup,
@@ -820,58 +750,40 @@ impl CallCache {
     }
 
     /// The lookup, or — for a key in flight under single-flight — the
-    /// latch to wait on. Counts it either way.
+    /// latch to wait on. Counts it in `scope` either way.
     fn probe_call<'a>(
         &'a self,
         key: &CacheKey,
-        scope: Option<&CacheScope>,
+        scope: &'a CacheScope,
     ) -> Result<CallLookup<'a>, Arc<Latch<Value>>> {
-        let ttl = self.policy.ttl_model_secs;
-        let query = scope.map_or(0, CacheScope::query);
         match self.calls.probe(
             key,
             self.policy.single_flight,
-            ttl,
+            self.policy.ttl_model_secs,
             self.time_scale,
-            query,
-            self.sink(scope),
+            scope.query,
+            &scope.evictions,
         ) {
             Probe::Ready(value, owner) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(scope) = scope {
-                    scope.note_hit(owner);
-                }
-                if scope.is_some_and(|s| owner != s.query()) {
-                    self.cross_query_hits.fetch_add(1, Ordering::Relaxed);
-                }
+                scope.hits.fetch_add(1, Ordering::Relaxed);
+                scope.note_owner(owner);
                 Ok(CallLookup::Hit {
                     value,
                     waited: false,
                 })
             }
             Probe::Begin => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(scope) = scope {
-                    scope.misses.fetch_add(1, Ordering::Relaxed);
-                }
+                scope.misses.fetch_add(1, Ordering::Relaxed);
                 Ok(CallLookup::Miss(Flight {
                     cache: self,
                     key: key.clone(),
                     settled: false,
-                    owner: query,
+                    scope,
                 }))
             }
             Probe::Wait(latch, leader) => {
-                self.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                if let Some(scope) = scope {
-                    scope.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                    if leader != scope.query() {
-                        scope.cross_query_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if scope.is_some_and(|s| leader != s.query()) {
-                    self.cross_query_hits.fetch_add(1, Ordering::Relaxed);
-                }
+                scope.dedup_waits.fetch_add(1, Ordering::Relaxed);
+                scope.note_owner(leader);
                 Err(latch)
             }
         }
@@ -879,46 +791,21 @@ impl CallCache {
 
     /// Memoized result rows of a plan-function invocation, if present
     /// (non-blocking — dedup-aware dispatch never waits on a child).
-    /// A hit on another query's memoized rows counts as cross-query on
-    /// both the scope and the cache.
-    pub(crate) fn peek_rows(
-        &self,
-        key: &CacheKey,
-        scope: Option<&CacheScope>,
-    ) -> Option<Arc<Vec<Tuple>>> {
+    /// A hit on another query's memoized rows counts as cross-query.
+    pub(crate) fn peek_rows(&self, key: &CacheKey, scope: &CacheScope) -> Option<Arc<Vec<Tuple>>> {
         let (rows, owner) = self.rows.get(
             key,
             self.policy.ttl_model_secs,
             self.time_scale,
-            self.sink(scope),
+            &scope.evictions,
         )?;
-        if let Some(scope) = scope {
-            if owner != scope.query() {
-                scope.cross_query_hits.fetch_add(1, Ordering::Relaxed);
-                self.cross_query_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        scope.note_owner(owner);
         Some(rows)
     }
 
     /// Records the result rows of one plan-function invocation.
-    pub(crate) fn insert_rows(
-        &self,
-        key: &CacheKey,
-        rows: Arc<Vec<Tuple>>,
-        scope: Option<&CacheScope>,
-    ) {
-        let owner = scope.map_or(0, CacheScope::query);
-        self.rows.insert(key, rows, owner, self.sink(scope));
-    }
-
-    /// Counts parameter tuples answered parent-side by dedup-aware
-    /// dispatch.
-    pub(crate) fn note_short_circuits(&self, n: u64, scope: Option<&CacheScope>) {
-        self.short_circuits.fetch_add(n, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.short_circuits.fetch_add(n, Ordering::Relaxed);
-        }
+    pub(crate) fn insert_rows(&self, key: &CacheKey, rows: Arc<Vec<Tuple>>, scope: &CacheScope) {
+        self.rows.insert(key, rows, scope.query, &scope.evictions);
     }
 
     /// Entries currently resident (completed calls + memoized rows).
@@ -926,18 +813,11 @@ impl CallCache {
         self.calls.ready_entries() + self.rows.ready_entries()
     }
 
-    /// Snapshot of the busy-period counters (since the last idle → busy
-    /// edge; equals per-run counters for sequential callers).
+    /// The counters of the lookups made outside any run
+    /// ([`CallCache::lookup_call`]), plus the resident entries. A run's
+    /// own lookups are counted in its [`crate::ExecutionReport::cache`].
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            short_circuits: self.short_circuits.load(Ordering::Relaxed),
-            cross_query_hits: self.cross_query_hits.load(Ordering::Relaxed),
-            entries: self.ready_entries() as u64,
-        }
+        self.unscoped.snapshot(self.ready_entries() as u64)
     }
 }
 
@@ -946,7 +826,6 @@ impl std::fmt::Debug for CallCache {
         f.debug_struct("CallCache")
             .field("policy", &self.policy)
             .field("entries", &self.ready_entries())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -1076,11 +955,10 @@ mod tests {
     }
 
     #[test]
-    fn begin_run_resets_stats_and_clears_per_run_entries() {
+    fn begin_run_clears_per_run_entries() {
         let cache = CallCache::new(CachePolicy::default(), 0.0);
         complete_miss(&cache, &key("F", 1), Value::Int(1));
         cache.begin_run();
-        assert_eq!(cache.stats(), CacheStats::default());
         assert!(matches!(
             cache.lookup_call(&key("F", 1)),
             CallLookup::Miss(_)
@@ -1096,7 +974,6 @@ mod tests {
             cache.lookup_call(&key("F", 1)),
             CallLookup::Hit { .. }
         ));
-        assert_eq!(cache.stats().hits, 1, "stats still reset per run");
     }
 
     #[test]
@@ -1162,10 +1039,11 @@ mod tests {
         let cache = CallCache::new(CachePolicy::default(), 0.0);
         let param = crate::wire::encode_tuple(&Tuple::new(vec![Value::Int(5)]));
         let k = CacheKey::for_rows("pf:PF1:10:abcd", &param);
-        assert!(cache.peek_rows(&k, None).is_none());
+        let scope = CacheScope::new(0);
+        assert!(cache.peek_rows(&k, &scope).is_none());
         let rows = Arc::new(vec![Tuple::new(vec![Value::str("a")])]);
-        cache.insert_rows(&k, Arc::clone(&rows), None);
-        assert_eq!(cache.peek_rows(&k, None).as_deref(), Some(rows.as_ref()));
+        cache.insert_rows(&k, Arc::clone(&rows), &scope);
+        assert_eq!(cache.peek_rows(&k, &scope).as_deref(), Some(rows.as_ref()));
     }
 
     #[test]
@@ -1174,29 +1052,24 @@ mod tests {
         let a = CacheScope::new(1);
         let b = CacheScope::new(2);
         // Query 1 produces the entry.
-        match block_on(cache.lookup_call_for(&key("F", 1), Some(&a))) {
+        match block_on(cache.lookup_call_for(&key("F", 1), &a)) {
             CallLookup::Miss(flight) => flight.complete(&Value::Int(10)),
             _ => panic!("expected a miss"),
         }
         // Query 1 re-reading its own entry is a plain hit.
         assert!(matches!(
-            block_on(cache.lookup_call_for(&key("F", 1), Some(&a))),
+            block_on(cache.lookup_call_for(&key("F", 1), &a)),
             CallLookup::Hit { .. }
         ));
         // Query 2 reading query 1's entry is a cross-query hit.
         assert!(matches!(
-            block_on(cache.lookup_call_for(&key("F", 1), Some(&b))),
+            block_on(cache.lookup_call_for(&key("F", 1), &b)),
             CallLookup::Hit { .. }
         ));
         let sa = a.snapshot(0);
         let sb = b.snapshot(0);
         assert_eq!((sa.misses, sa.hits, sa.cross_query_hits), (1, 1, 0));
         assert_eq!((sb.misses, sb.hits, sb.cross_query_hits), (0, 1, 1));
-        assert_eq!(cache.stats().cross_query_hits, 1);
-        // Scope sums equal the cache-global counters.
-        let total = cache.stats();
-        assert_eq!(sa.hits + sb.hits, total.hits);
-        assert_eq!(sa.misses + sb.misses, total.misses);
     }
 
     #[test]
@@ -1207,10 +1080,10 @@ mod tests {
         let param = crate::wire::encode_tuple(&Tuple::new(vec![Value::Int(5)]));
         let k = CacheKey::for_rows("pf:PF1:10:abcd", &param);
         let rows = Arc::new(vec![Tuple::new(vec![Value::str("a")])]);
-        cache.insert_rows(&k, rows, Some(&a));
-        assert!(cache.peek_rows(&k, Some(&a)).is_some());
+        cache.insert_rows(&k, rows, &a);
+        assert!(cache.peek_rows(&k, &a).is_some());
         assert_eq!(a.snapshot(0).cross_query_hits, 0);
-        assert!(cache.peek_rows(&k, Some(&b)).is_some());
+        assert!(cache.peek_rows(&k, &b).is_some());
         assert_eq!(b.snapshot(0).cross_query_hits, 1);
     }
 
@@ -1219,18 +1092,16 @@ mod tests {
         let cache = CallCache::new(CachePolicy::default(), 0.0);
         cache.begin_run();
         complete_miss(&cache, &key("F", 1), Value::Int(1));
-        // A second overlapping run neither clears entries nor counters.
+        // A second overlapping run does not clear entries.
         cache.begin_run();
         assert!(matches!(
             cache.lookup_call(&key("F", 1)),
             CallLookup::Hit { .. }
         ));
-        assert_eq!(cache.stats().misses, 1);
         cache.end_run();
         cache.end_run();
         // Idle again: the next run starts a fresh busy period.
         cache.begin_run();
-        assert_eq!(cache.stats(), CacheStats::default());
         assert!(matches!(
             cache.lookup_call(&key("F", 1)),
             CallLookup::Miss(_)

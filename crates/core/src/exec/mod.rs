@@ -29,7 +29,7 @@ use crate::{CoreError, CoreResult};
 
 use parallel_op::ParallelApply;
 use process::SpawnCounts;
-pub(crate) use runtime::{block_on, pay, sleep};
+pub(crate) use runtime::{block_on, block_on_watched, pay, sleep};
 
 /// How long the coordinator waits without any wake-up before declaring the
 /// process tree wedged. Generously above any modeled latency at the time
@@ -361,7 +361,7 @@ impl ExecContext {
         // value equality is structural.
         let key = CacheKey::for_call(&owf.name, args);
         loop {
-            match cache.lookup_call_for(&key, Some(&self.cache_scope)).await {
+            match cache.lookup_call_for(&key, &self.cache_scope).await {
                 CallLookup::Hit { value, waited } => {
                     if self.tracing() {
                         self.trace_here(TraceEventKind::CacheHit {
@@ -741,19 +741,16 @@ impl ExecContext {
     pub fn run_plan(self: &Arc<Self>, plan: &QueryPlan) -> CoreResult<ExecutionReport> {
         let tree = &self.tree;
         tree.register(0, None, 0, "coordinator");
-        // Shared infrastructure joins this run's busy period: counters
-        // (and per-run entries / breaker states) reset only on the
-        // idle→busy edge, so overlapping queries share live state while a
-        // sequential caller still sees fresh counters every run. Each
-        // `begin_run` is paired with an `end_run` below.
+        // Shared infrastructure joins this run's busy period: per-run
+        // cache entries and breaker states are cleared only on the
+        // idle→busy edge, so overlapping queries share live state. Each
+        // `begin_run` is paired with an `end_run` below; the run's own
+        // counters live in its scopes.
         let cache = self.call_cache();
         if let Some(cache) = cache {
             cache.begin_run();
         }
         let pool = self.process_pool();
-        if let Some(pool) = &pool {
-            pool.begin_run();
-        }
         let breakers = &self.cfg.breakers;
         breakers.begin_run();
         obs::set_current_proc(0, 0, Arc::from(""));
@@ -770,9 +767,6 @@ impl ExecContext {
         // begin_run calls above), on success and failure alike.
         if let Some(cache) = cache {
             cache.end_run();
-        }
-        if let Some(pool) = &pool {
-            pool.end_run();
         }
         breakers.end_run();
 
@@ -794,7 +788,7 @@ impl ExecContext {
             shipped_bytes: self.shipped_bytes.load(Ordering::Relaxed),
             messages: snapshot.total_messages(),
             cache: cache.map_or_else(CacheStats::default, |c| {
-                self.cache_scope.snapshot(c.stats().entries)
+                self.cache_scope.snapshot(c.ready_entries() as u64)
             }),
             pool: pool.map_or_else(PoolStats::default, |_| self.pool_scope.snapshot()),
             resilience: self.res_stats.snapshot(),

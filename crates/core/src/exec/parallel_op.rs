@@ -232,7 +232,7 @@ impl ParallelApply {
     async fn spawn_child(&mut self, ctx: &Arc<ExecContext>) {
         let slot_index = self.slots.len();
         if let Some(pool) = ctx.process_pool() {
-            let scope = Some(ctx.pool_scope());
+            let scope = ctx.pool_scope();
             while let Some(acquired) = pool.acquire(&self.pf_digest, self.env.level + 1, scope) {
                 let (mut proc, saved_model_secs) = match acquired {
                     Acquired::Warm {
@@ -249,7 +249,7 @@ impl ParallelApply {
                     .attach(ctx, &self.env, slot_index, &self.pf_name, results)
                     .await
                 {
-                    pool.note_warm_acquire(saved_model_secs, scope);
+                    scope.note_warm_acquire(saved_model_secs);
                     // A warm process is installed and idle immediately —
                     // Attach is processed before any later Call (FIFO), so
                     // no installation round-trip is needed.
@@ -258,7 +258,7 @@ impl ParallelApply {
                     return;
                 }
                 // The parked process died while idle; drop it and retry.
-                pool.note_dead_on_acquire(scope);
+                scope.note_evictions(1);
             }
         }
         let proc = ChildProc::spawn(
@@ -529,14 +529,14 @@ impl ParallelApply {
             return false;
         };
         let key = CacheKey::for_rows(&self.pf_digest, encoded);
-        let Some(rows) = cache.peek_rows(&key, Some(ctx.cache_scope())) else {
+        let Some(rows) = cache.peek_rows(&key, ctx.cache_scope()) else {
             return false;
         };
         if !rows.is_empty() && self.env.level == 0 {
             ctx.record_first_result();
         }
         out.extend(rows.iter().cloned());
-        cache.note_short_circuits(1, Some(ctx.cache_scope()));
+        ctx.cache_scope().note_short_circuit();
         ctx.tree().note_short_circuits(self.env.id, 1);
         ctx.trace_here(TraceEventKind::ShortCircuit { params: 1 });
         true
@@ -822,10 +822,14 @@ impl ParallelApply {
         }
     }
 
-    /// The process pool idle children park in, when the run has one and it
-    /// is on.
+    /// The process pool idle children park in, when the run has one that
+    /// can park anything (one with `max_idle_total: 0` spawns every
+    /// process cold).
     fn parking_pool(ctx: &ExecContext) -> Option<Arc<ProcessPool>> {
-        ctx.process_pool().filter(|p| p.policy().enabled)
+        ctx.process_pool().filter(|p| {
+            let policy = p.policy();
+            policy.max_idle_total > 0 && policy.max_idle_per_pf > 0
+        })
     }
 
     /// Parks one idle child (with its whole subtree) and ends whatever the
@@ -844,8 +848,7 @@ impl ParallelApply {
         };
         if let Some(parked) = proc.park(dropped_by_adaptation).await {
             let level = self.env.level + 1;
-            let scope = Some(ctx.pool_scope());
-            let evicted = pool.release(&self.pf_digest, level, parked, saved, scope);
+            let evicted = pool.release(&self.pf_digest, level, parked, saved, ctx.pool_scope());
             ChildProc::join_all(evicted).await;
         }
     }
@@ -924,9 +927,7 @@ impl ParallelApply {
             {
                 // This subtree process rode along with a warm acquire
                 // above it — its skipped spawn cost counts as saved.
-                if let Some(pool) = ctx.process_pool() {
-                    pool.note_saved(saved, Some(ctx.pool_scope()));
-                }
+                ctx.pool_scope().note_saved(saved);
             } else {
                 // Died while parked: the slot is gone for this run.
                 slot.proc.take();

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -47,15 +47,6 @@ pub struct PoolPolicy {
     /// the simulation runs at a non-zero time scale (matching
     /// [`crate::cache::CachePolicy::ttl_model_secs`]).
     pub idle_ttl_model_secs: Option<f64>,
-    /// Master switch: when false, every spawn is cold and nothing parks.
-    pub enabled: bool,
-    /// Fair-share bound on warm acquisitions per query (`None` =
-    /// unlimited). With many queries sharing one pool, an unbounded
-    /// first-comer drains every warm process LIFO; capping per-query
-    /// acquisitions slices the warm fleet round-robin across queries
-    /// (each query stays LIFO — warmest-first — within its budget) while
-    /// the losers fall back to cold spawns instead of starving.
-    pub warm_acquire_budget_per_query: Option<u64>,
 }
 
 impl Default for PoolPolicy {
@@ -64,14 +55,13 @@ impl Default for PoolPolicy {
             max_idle_per_pf: 8,
             max_idle_total: 64,
             idle_ttl_model_secs: None,
-            enabled: true,
-            warm_acquire_budget_per_query: None,
         }
     }
 }
 
-/// Per-run pool counters, surfaced in [`crate::ExecutionReport::pool`].
-/// All counters reset at the start of each run; parked processes persist.
+/// Per-run pool counters, surfaced in [`crate::ExecutionReport::pool`]:
+/// each run counts its own pool traffic from zero; parked processes
+/// persist.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolStats {
     /// Child processes acquired warm from the pool this run.
@@ -88,12 +78,11 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// Per-query attribution counters for one shared [`ProcessPool`], owned
-/// by the execution context. Scoped pool operations bump both the
-/// pool-global counters and the acquiring query's scope, so a query's
+/// The pool counters of one run, owned by its execution context: every
+/// pool operation counts its event here, in the scope of the run that
+/// caused it, and nowhere else, so a query's
 /// [`crate::ExecutionReport::pool`] describes *its* warm reuse even when
-/// many queries share the pool concurrently. The warm-acquire count also
-/// enforces [`PoolPolicy::warm_acquire_budget_per_query`].
+/// many queries share the pool concurrently.
 #[derive(Debug, Default)]
 pub(crate) struct PoolScope {
     warm_acquires: AtomicU64,
@@ -103,9 +92,33 @@ pub(crate) struct PoolScope {
 }
 
 impl PoolScope {
-    /// Warm acquisitions so far this run (the fair-share budget meter).
-    pub(crate) fn warm_acquires(&self) -> u64 {
-        self.warm_acquires.load(Ordering::Relaxed)
+    /// Counts one cold spawn (called from `ChildProc::spawn`, the single
+    /// site that charges the modeled startup cost — so `cold_spawns` is
+    /// exactly the number of startup charges this run).
+    pub(crate) fn note_cold_spawn(&self) {
+        self.cold_spawns.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a successful warm attach: one spawn's worth of modeled
+    /// startup + plan-ship cost skipped.
+    pub(crate) fn note_warm_acquire(&self, saved_model_secs: f64) {
+        self.warm_acquires.fetch_add(1, Ordering::Relaxed);
+        self.note_saved(saved_model_secs);
+    }
+
+    /// Adds skipped modeled cost without counting an acquire — used for
+    /// the subtree processes re-attached beneath a warm acquire (each
+    /// skipped its own startup + plan-ship charge, but was never itself in
+    /// the pool).
+    pub(crate) fn note_saved(&self, saved_model_secs: f64) {
+        let micros = (saved_model_secs * 1e6) as u64;
+        self.saved_micros.fetch_add(micros, Ordering::Relaxed);
+    }
+
+    /// Counts parked processes let go: evicted by the bounds or the TTL,
+    /// or found dead at attach time.
+    pub(crate) fn note_evictions(&self, n: u64) {
+        self.evictions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// This query's slice of the shared pool activity.
@@ -157,13 +170,6 @@ pub struct ProcessPool {
     policy: PoolPolicy,
     time_scale: f64,
     inner: Mutex<PoolInner>,
-    warm_acquires: AtomicU64,
-    cold_spawns: AtomicU64,
-    saved_micros: AtomicU64,
-    evictions: AtomicU64,
-    /// Runs currently using this pool; counters reset only on the
-    /// idle → busy edge so overlapping runs share one busy period.
-    active_runs: AtomicUsize,
 }
 
 impl std::fmt::Debug for ProcessPool {
@@ -171,7 +177,6 @@ impl std::fmt::Debug for ProcessPool {
         f.debug_struct("ProcessPool")
             .field("policy", &self.policy)
             .field("idle", &self.idle_total())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -184,11 +189,6 @@ impl ProcessPool {
             policy,
             time_scale,
             inner: Mutex::default(),
-            warm_acquires: AtomicU64::new(0),
-            cold_spawns: AtomicU64::new(0),
-            saved_micros: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            active_runs: AtomicUsize::new(0),
         }
     }
 
@@ -197,84 +197,20 @@ impl ProcessPool {
         self.policy
     }
 
-    /// Starts a run against this pool. Counters reset only on the
-    /// idle → busy edge (no other run active); overlapping runs join the
-    /// busy period. Parked processes are kept either way — cross-run
-    /// reuse is the pool's entire point. Pair with
-    /// [`ProcessPool::end_run`].
-    pub fn begin_run(&self) {
-        if self.active_runs.fetch_add(1, Ordering::AcqRel) > 0 {
-            return;
-        }
-        self.warm_acquires.store(0, Ordering::Relaxed);
-        self.cold_spawns.store(0, Ordering::Relaxed);
-        self.saved_micros.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Marks one run as finished with this pool.
-    pub fn end_run(&self) {
-        // Tolerate historical callers that paired begin_run with nothing.
-        let _ = self
-            .active_runs
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-    }
-
-    /// Snapshot of the busy-period counters (equals per-run counters for
-    /// sequential callers).
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            warm_acquires: self.warm_acquires.load(Ordering::Relaxed),
-            cold_spawns: self.cold_spawns.load(Ordering::Relaxed),
-            startup_model_secs_saved: self.saved_micros.load(Ordering::Relaxed) as f64 / 1e6,
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
     /// Total processes currently parked.
     pub fn idle_total(&self) -> usize {
         self.inner.lock().total
     }
 
-    fn note_evictions(&self, n: u64, scope: Option<&PoolScope>) {
-        if n == 0 {
-            return;
-        }
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.evictions.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one cold spawn (called from `ChildProc::spawn`, the single
-    /// site that charges the modeled startup cost — so `cold_spawns` is
-    /// exactly the number of startup charges this run).
-    pub(crate) fn note_cold_spawn(&self, scope: Option<&PoolScope>) {
-        self.cold_spawns.fetch_add(1, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.cold_spawns.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Pops the most recently parked (warmest) process for a key: warm, or
     /// expired past its TTL (counted as an eviction). Returns `None` when
-    /// the pool is disabled, has nothing parked for this key, or the
-    /// acquiring query's fair-share budget
-    /// ([`PoolPolicy::warm_acquire_budget_per_query`]) is spent.
+    /// nothing is parked for this key.
     pub(crate) fn acquire(
         &self,
         digest: &str,
         level: usize,
-        scope: Option<&PoolScope>,
+        scope: &PoolScope,
     ) -> Option<Acquired> {
-        if !self.policy.enabled {
-            return None;
-        }
-        if let (Some(budget), Some(scope)) = (self.policy.warm_acquire_budget_per_query, scope) {
-            if scope.warm_acquires() >= budget {
-                return None; // budget spent: fall back to a cold spawn
-            }
-        }
         let parked = {
             let mut inner = self.inner.lock();
             let key = (digest.to_owned(), level);
@@ -287,7 +223,7 @@ impl ProcessPool {
             parked?
         };
         if self.is_expired(&parked) {
-            self.note_evictions(1, scope);
+            scope.note_evictions(1);
             return Some(Acquired::Expired(parked.proc));
         }
         Some(Acquired::Warm {
@@ -296,39 +232,11 @@ impl ProcessPool {
         })
     }
 
-    /// Counts a successful warm attach: one spawn's worth of modeled
-    /// startup + plan-ship cost skipped.
-    pub(crate) fn note_warm_acquire(&self, saved_model_secs: f64, scope: Option<&PoolScope>) {
-        self.warm_acquires.fetch_add(1, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.warm_acquires.fetch_add(1, Ordering::Relaxed);
-        }
-        self.note_saved(saved_model_secs, scope);
-    }
-
-    /// Adds skipped modeled cost without counting an acquire — used for
-    /// the subtree processes re-attached beneath a warm acquire (each
-    /// skipped its own startup + plan-ship charge, but was never itself in
-    /// the pool).
-    pub(crate) fn note_saved(&self, saved_model_secs: f64, scope: Option<&PoolScope>) {
-        let micros = (saved_model_secs * 1e6) as u64;
-        self.saved_micros.fetch_add(micros, Ordering::Relaxed);
-        if let Some(scope) = scope {
-            scope.saved_micros.fetch_add(micros, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts a parked process that turned out to be dead at attach time.
-    pub(crate) fn note_dead_on_acquire(&self, scope: Option<&PoolScope>) {
-        self.note_evictions(1, scope);
-    }
-
     /// Parks an idle process for later reuse, evicting the oldest parked
     /// processes beyond the per-key and total bounds. `saved_model_secs`
     /// is the modeled cost a future warm acquire will skip (startup plus
     /// plan shipping for this process's plan-function bytes). Returns the
-    /// processes the caller must end: the evicted ones, or `proc` itself
-    /// when the pool keeps nothing.
+    /// evicted processes, which the caller must end.
     #[must_use]
     pub(crate) fn release(
         &self,
@@ -336,14 +244,8 @@ impl ProcessPool {
         level: usize,
         proc: ChildProc,
         saved_model_secs: f64,
-        scope: Option<&PoolScope>,
+        scope: &PoolScope,
     ) -> Vec<ChildProc> {
-        if !self.policy.enabled
-            || self.policy.max_idle_total == 0
-            || self.policy.max_idle_per_pf == 0
-        {
-            return vec![proc]; // cold teardown
-        }
         let mut evicted: Vec<ChildProc> = Vec::new();
         {
             let mut inner = self.inner.lock();
@@ -368,7 +270,7 @@ impl ProcessPool {
                 }
             }
         }
-        self.note_evictions(evicted.len() as u64, scope);
+        scope.note_evictions(evicted.len() as u64);
         evicted
     }
 

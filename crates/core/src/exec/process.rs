@@ -306,9 +306,7 @@ impl ChildProc {
         let level = parent.level + 1;
         let tree = Arc::clone(ctx.tree());
         tree.register(id, Some(parent.id), level, pf_name);
-        if let Some(pool) = ctx.process_pool() {
-            pool.note_cold_spawn(Some(ctx.pool_scope()));
-        }
+        ctx.pool_scope().note_cold_spawn();
 
         // Client-side costs: starting the process and shipping the plan.
         let (sim, client) = (ctx.sim(), &ctx.sim().client);
@@ -825,7 +823,7 @@ async fn eval_param(
         // incomplete row set; memoizing it would let a later duplicate
         // short-circuit to partial rows without its skip being counted.
         if resilience::skip_sink_len() == skips_before {
-            cache.insert_rows(&key(), Arc::new(rows), Some(ctx.cache_scope()));
+            cache.insert_rows(&key(), Arc::new(rows), ctx.cache_scope());
         }
     }
     // A cheap parameter between expensive ones must not strand buffered

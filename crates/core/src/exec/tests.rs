@@ -499,7 +499,7 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
         }
     });
     assert_eq!(transport.call_count(), 1, "one real call for {K} threads");
-    let stats = cache.stats();
+    let stats = ctx.cache_scope().snapshot(0);
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.dedup_waits as usize, K - 1);
 }
@@ -651,7 +651,7 @@ fn nested_warm_tree_reattaches_whole_subtree() {
 fn disabled_pool_counts_cold_spawns_but_parks_nothing() {
     let transport = MockTransport::new(echo_responder);
     let policy = PoolPolicy {
-        enabled: false,
+        max_idle_total: 0,
         ..Default::default()
     };
     let runs = Pooled::new(transport, policy, 0.0);

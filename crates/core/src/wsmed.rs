@@ -177,18 +177,15 @@ impl Wsmed {
 
     /// Installs a process-pool policy (`None` removes the pool). A policy
     /// change rebuilds the pool: parked processes of the old pool are
-    /// joined once the last run using it has finished. Note that a policy
-    /// with `enabled: false` still installs a pool — nothing parks and
-    /// every spawn is cold, but cold spawns are counted in
-    /// [`crate::ExecutionReport::pool`], which is what the warm-vs-cold
-    /// ablation baseline measures.
+    /// joined once the last run using it has finished.
     pub fn set_pool_policy(&mut self, policy: Option<PoolPolicy>) {
         self.config.get_mut().pool =
             policy.map(|p| Arc::new(ProcessPool::new(p, self.sim.time_scale)));
     }
 
-    /// The live process pool, if one is installed — for inspecting
-    /// [`ProcessPool::stats`] and the parked-process census across runs.
+    /// The live process pool, if one is installed — for inspecting the
+    /// parked-process census across runs (a run's own pool counters are
+    /// in its [`crate::ExecutionReport::pool`]).
     /// Parked query processes live here between executions — and, since
     /// warm attach re-homes a parked subtree into the acquiring run's
     /// context, across concurrent queries too.
@@ -211,7 +208,8 @@ impl Wsmed {
     }
 
     /// The live cache instance, if caching is enabled — for inspecting
-    /// [`CallCache::stats`] and resident entries across runs.
+    /// resident entries across runs (a run's own cache counters are in
+    /// its [`crate::ExecutionReport::cache`]).
     pub fn call_cache(&self) -> Option<Arc<CallCache>> {
         self.config.read().cache.clone()
     }

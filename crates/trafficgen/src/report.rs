@@ -160,11 +160,9 @@ pub struct SubsystemCounters {
 impl SubsystemCounters {
     /// Snapshots the mediator's *lifetime-monotonic* counters (breakers,
     /// admission, provider calls); subtract a "before" snapshot to scope
-    /// to one replay. Cache/pool/prune attribution is deliberately *not*
-    /// read here — the mediator-level cache and pool counters reset at the
-    /// start of every run, so snapshot diffs across a replay would wrap;
-    /// [`LoadReport::build`] sums those from each run's own
-    /// [`wsmed_core::ExecutionReport`] attribution instead.
+    /// to one replay. Cache/pool/prune counts are not read here: they
+    /// exist only in each run's own [`wsmed_core::ExecutionReport`], and
+    /// [`LoadReport::build`] sums them from there.
     pub fn collect(med: &wsmed_core::Wsmed, network: &wsmed_netsim::Network) -> SubsystemCounters {
         let admission = med.admission().stats();
         SubsystemCounters {

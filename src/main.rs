@@ -35,6 +35,9 @@ struct Shell {
     dataset_name: String,
     mode: Mode,
     last_tree: Option<wsmed::core::TreeSnapshot>,
+    /// Pool counters of the most recent run (summed over an `mq` batch),
+    /// for `pool status`.
+    last_pool: Option<wsmed::core::PoolStats>,
     last_resilience: Option<wsmed::core::ResilienceStats>,
     /// Trace of the most recent traced query (kept across untraced ones),
     /// for `trace dump`.
@@ -98,6 +101,7 @@ impl Shell {
             dataset_name,
             mode: Mode::Adaptive(AdaptiveConfig::default()),
             last_tree: None,
+            last_pool: None,
             last_resilience: None,
             last_trace: None,
         }
@@ -457,14 +461,8 @@ impl Shell {
                 None => println!("process pool: off"),
                 Some(pool) => {
                     let policy = pool.policy();
-                    let s = pool.stats();
                     println!(
-                        "process pool: {} — {} idle parked (bounds {}/key, {} total{})",
-                        if policy.enabled {
-                            "on"
-                        } else {
-                            "installed, disabled"
-                        },
+                        "process pool: on — {} idle parked (bounds {}/key, {} total{})",
                         pool.idle_total(),
                         policy.max_idle_per_pf,
                         policy.max_idle_total,
@@ -473,11 +471,13 @@ impl Shell {
                             .map(|t| format!(", ttl {t} model-s"))
                             .unwrap_or_default(),
                     );
-                    println!(
-                        "last run: {} warm acquire(s), {} cold spawn(s), \
-                         {:.3} model-s startup saved, {} eviction(s)",
-                        s.warm_acquires, s.cold_spawns, s.startup_model_secs_saved, s.evictions
-                    );
+                    if let Some(s) = &self.last_pool {
+                        println!(
+                            "last run: {} warm acquire(s), {} cold spawn(s), \
+                             {:.3} model-s startup saved, {} eviction(s)",
+                            s.warm_acquires, s.cold_spawns, s.startup_model_secs_saved, s.evictions
+                        );
+                    }
                 }
             },
             _ => println!("usage: pool on|off|status"),
@@ -715,6 +715,7 @@ impl Shell {
                     }
                 }
                 self.last_resilience = Some(report.resilience.clone());
+                self.last_pool = Some(report.pool);
                 self.last_tree = Some(report.tree);
             }
             Err(e) => println!("error: {e}"),
@@ -810,16 +811,35 @@ impl Shell {
         };
         println!("makespan: {wall:?}{model} for {k} concurrent quer(ies)");
 
+        // The shared instances' totals are the sums of the K runs' own
+        // counters.
+        let mut cache_sum = wsmed::core::CacheStats::default();
+        let mut pool_sum = wsmed::core::PoolStats::default();
+        for report in results.iter().flatten() {
+            let (c, p) = (&report.cache, &report.pool);
+            cache_sum.hits += c.hits;
+            cache_sum.misses += c.misses;
+            cache_sum.dedup_waits += c.dedup_waits;
+            cache_sum.cross_query_hits += c.cross_query_hits;
+            pool_sum.warm_acquires += p.warm_acquires;
+            pool_sum.cold_spawns += p.cold_spawns;
+            pool_sum.startup_model_secs_saved += p.startup_model_secs_saved;
+            pool_sum.evictions += p.evictions;
+        }
         if let Some(cache) = med.call_cache() {
-            let c = cache.stats();
+            let c = cache_sum;
             println!(
                 "shared cache: {} hits / {} misses, {} dedup wait(s), \
                  {} cross-query hit(s), {} resident",
-                c.hits, c.misses, c.dedup_waits, c.cross_query_hits, c.entries
+                c.hits,
+                c.misses,
+                c.dedup_waits,
+                c.cross_query_hits,
+                cache.ready_entries()
             );
         }
         if let Some(pool) = med.process_pool() {
-            let p = pool.stats();
+            let p = pool_sum;
             println!(
                 "shared pool: {} parked, {} warm / {} cold, \
                  {:.3} model-s startup saved",
@@ -846,6 +866,7 @@ impl Shell {
 
         if let Some(Ok(report)) = results.into_iter().find(|r| r.is_ok()) {
             self.last_resilience = Some(report.resilience.clone());
+            self.last_pool = Some(pool_sum);
             self.last_tree = Some(report.tree);
         }
     }
@@ -1333,16 +1354,7 @@ mod tests {
         assert!(shell.setup.wsmed.process_pool().unwrap().idle_total() > 0);
         assert!(shell.dispatch("query2"));
         // The rerun reused the parked tree: zero cold spawns.
-        assert_eq!(
-            shell
-                .setup
-                .wsmed
-                .process_pool()
-                .unwrap()
-                .stats()
-                .cold_spawns,
-            0
-        );
+        assert_eq!(shell.last_pool.unwrap().cold_spawns, 0);
         assert!(shell.dispatch("pool status"));
         assert!(shell.dispatch("pool off"));
         assert!(shell.setup.wsmed.process_pool().is_none());

@@ -31,10 +31,7 @@ fn configured_setup(seed: u64, cache: bool, pool: bool, policy: BatchPolicy) -> 
     setup
         .wsmed
         .set_cache_policy(cache.then(CachePolicy::default));
-    setup.wsmed.set_pool_policy(pool.then(|| PoolPolicy {
-        enabled: true,
-        ..PoolPolicy::default()
-    }));
+    setup.wsmed.set_pool_policy(pool.then(PoolPolicy::default));
     setup.wsmed.set_batch_policy(policy);
     setup
 }
