@@ -8,10 +8,10 @@ mod process;
 mod runtime;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use wsmed_netsim::SimConfig;
+use wsmed_netsim::{PacingDebt, SimConfig};
 use wsmed_store::{FunctionRegistry, Tuple, Value};
 use wsmed_wsdl::{OwfDef, Response};
 
@@ -19,9 +19,9 @@ use crate::cache::{CacheKey, CacheScope, CacheStats, CallCache, CallLookup};
 use crate::catalog::OwfCatalog;
 use crate::config::RunConfig;
 use crate::exec::pool::{PoolScope, PoolStats, ProcessPool};
-use crate::obs::{self, TraceEventKind, TraceLog};
+use crate::obs::{TraceEventKind, TraceLog};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
-use crate::resilience::{self, BreakerPolicy, FailureMode, ResilienceCollector, Transition};
+use crate::resilience::{BreakerPolicy, FailureMode, ResilienceCollector, Skips, Transition};
 use crate::router::{GroupView, Router, RouterCollector};
 use crate::stats::{ExecutionReport, TreeRegistry, TreeSnapshot};
 use crate::transport::{BatchPolicy, Charge, DispatchPolicy, WsTransport};
@@ -29,20 +29,66 @@ use crate::{CoreError, CoreResult};
 
 use parallel_op::ParallelApply;
 use process::SpawnCounts;
-pub(crate) use runtime::{block_on, block_on_watched, pay, sleep};
+pub(crate) use runtime::{block_on, block_on_watched, sleep};
 
 /// How long the coordinator waits without any wake-up before declaring the
 /// process tree wedged. Generously above any modeled latency at the time
 /// scales used in tests and benches.
 const WEDGE_PATIENCE: Duration = Duration::from_secs(120);
 
-/// Identity of the query process executing a plan fragment.
-#[derive(Debug, Clone, Copy)]
-pub struct ProcEnv {
+/// The query process executing a plan fragment, as its evaluation carries
+/// it down every path: its identity in the run's tree, which its trace
+/// events are attributed to, and its pacing debt. The coordinator builds
+/// one per run; a child process owns one for its life, and a warm attach
+/// rebinds its identity but keeps its debt.
+#[derive(Debug)]
+pub(crate) struct ProcEnv {
     /// Process id in the tree registry (coordinator = 0).
     pub id: u64,
     /// Tree level (coordinator = 0).
     pub level: usize,
+    /// Content digest of the plan function the process runs (empty at the
+    /// coordinator).
+    pub pf: Arc<str>,
+    /// What the process owes the wall clock (DESIGN.md, "Pacing"). Only
+    /// its own task touches it.
+    debt: Mutex<PacingDebt>,
+}
+
+impl ProcEnv {
+    pub(crate) fn new(id: u64, level: usize, pf: Arc<str>) -> Self {
+        ProcEnv {
+            id,
+            level,
+            pf,
+            debt: Mutex::default(),
+        }
+    }
+
+    /// The coordinator q0: node 0 at level 0, running no plan function.
+    pub(crate) fn coordinator() -> Self {
+        ProcEnv::new(0, 0, Arc::from(""))
+    }
+
+    /// Pays `model_secs` of simulated time on `sim`'s pacer, charged to
+    /// this process's debt: once a quantum is owed, the process waits the
+    /// whole debt out on a timer, and the overwait is credit. At
+    /// `time_scale == 0` it is ready at its first poll, which compares one
+    /// number.
+    pub(crate) async fn pay(&self, sim: &SimConfig, model_secs: f64) {
+        if sim.time_scale > 0.0 {
+            let due = sim.owe_model(&mut self.debt(), model_secs);
+            if let Some(asked) = due {
+                let started = Instant::now();
+                sleep(asked).await;
+                wsmed_netsim::settle_pacing(&mut self.debt(), asked, started.elapsed());
+            }
+        }
+    }
+
+    fn debt(&self) -> std::sync::MutexGuard<'_, PacingDebt> {
+        self.debt.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The built-in helping functions, built once and shared by every context
@@ -174,20 +220,23 @@ impl ExecContext {
     /// member of the OWF's provider group the router chose.
     async fn transport_call(
         &self,
+        env: &ProcEnv,
         owf: &OwfDef,
         args: &[Value],
         deadline_model_secs: Option<f64>,
         replica: Option<&str>,
     ) -> CoreResult<Response> {
         let call = self.issue(owf, args, deadline_model_secs, replica);
-        self.wait_out(call.charge.model_secs(), &call.charge).await;
-        self.land(owf, call)
+        self.wait_out(env, call.charge.model_secs(), &call.charge)
+            .await;
+        self.land(env, owf, call)
     }
 
-    /// Pays `model_secs` of an issued call's charge on the run's pacer,
-    /// then the wall time the charge owes at any scale (a mock's delay).
-    async fn wait_out(&self, model_secs: f64, charge: &Charge) {
-        pay(&self.sim, model_secs).await;
+    /// Pays `model_secs` of an issued call's charge on the calling
+    /// process's debt, then the wall time the charge owes at any scale (a
+    /// mock's delay).
+    async fn wait_out(&self, env: &ProcEnv, model_secs: f64, charge: &Charge) {
+        env.pay(&self.sim, model_secs).await;
         if !charge.wall.is_zero() {
             sleep(charge.wall).await;
         }
@@ -220,7 +269,7 @@ impl ExecContext {
 
     /// The second half of [`Self::transport_call`], once the call's charge
     /// is paid: ends the call at its provider, then meters and traces it.
-    fn land(&self, owf: &OwfDef, call: Issued<'_>) -> CoreResult<Response> {
+    fn land(&self, env: &ProcEnv, owf: &OwfDef, call: Issued<'_>) -> CoreResult<Response> {
         let Issued {
             charge,
             result,
@@ -235,44 +284,19 @@ impl ExecContext {
             self.ws_bytes.fetch_add(*bytes, Ordering::Relaxed);
         }
         if self.tracing() {
-            self.trace_here(TraceEventKind::WsCall {
-                op: owf.operation.clone(),
-                ok: result.is_ok(),
-                err: result
-                    .as_ref()
-                    .err()
-                    .map(|e| crate::transport::error_class(e).to_owned()),
-            });
+            self.trace(
+                env,
+                TraceEventKind::WsCall {
+                    op: owf.operation.clone(),
+                    ok: result.is_ok(),
+                    err: result
+                        .as_ref()
+                        .err()
+                        .map(|e| crate::transport::error_class(e).to_owned()),
+                },
+            );
         }
         result.map(|(response, _bytes)| response)
-    }
-
-    /// Routes one skipped parameter tuple (partial failure mode): into
-    /// the calling thread's skip sink inside a child query process (it
-    /// ships with the end-of-call message, committing together with the
-    /// call's rows), or straight onto the run's collector at the
-    /// coordinator.
-    pub(crate) fn note_param_skip(&self, owf: &str) {
-        if self.tracing() {
-            self.trace_here(TraceEventKind::ParamSkipped { op: owf.to_owned() });
-        }
-        if !resilience::note_skip_local(owf) {
-            self.res_stats.note_skips(owf, 1);
-        }
-    }
-
-    /// Commits a batch of child-reported skips (successful end-of-call):
-    /// re-routes through the local sink so skips propagate correctly
-    /// through nested parallel operators, falling back to the collector
-    /// at the coordinator.
-    pub(crate) fn commit_skips(&self, skips: &[(String, u64)]) {
-        for (owf, n) in skips {
-            for _ in 0..*n {
-                if !resilience::note_skip_local(owf) {
-                    self.res_stats.note_skips(owf, 1);
-                }
-            }
-        }
     }
 
     /// The parameter dispatch policy for fixed-fanout operators.
@@ -312,12 +336,10 @@ impl ExecContext {
         self.trace.as_deref()
     }
 
-    /// Records a trace event attributed to the process-tree node the
-    /// calling thread is bound to (coordinator or child query process).
-    pub(crate) fn trace_here(&self, kind: TraceEventKind) {
+    /// Records a trace event attributed to the query process `env`.
+    pub(crate) fn trace(&self, env: &ProcEnv, kind: TraceEventKind) {
         if let Some(log) = &self.trace {
-            let (id, level, pf) = obs::current_proc();
-            log.emit(id, level, &pf, kind);
+            log.emit(env.id, env.level, &env.pf, kind);
         }
     }
 
@@ -351,11 +373,12 @@ impl ExecContext {
     /// cache miss converts it, because the cache stores values.
     pub(crate) async fn call_with_retry(
         &self,
+        env: &ProcEnv,
         owf: &OwfDef,
         args: &[Value],
     ) -> CoreResult<Response> {
         let Some(cache) = self.call_cache() else {
-            return self.call_uncached(owf, args).await;
+            return self.call_uncached(env, owf, args).await;
         };
         // Cache keys serialize the arguments through the wire format so
         // value equality is structural.
@@ -364,30 +387,39 @@ impl ExecContext {
             match cache.lookup_call_for(&key, &self.cache_scope).await {
                 CallLookup::Hit { value, waited } => {
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::CacheHit {
-                            op: owf.name.clone(),
-                            waited,
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::CacheHit {
+                                op: owf.name.clone(),
+                                waited,
+                            },
+                        );
                     }
                     return Ok(Response::Value(value));
                 }
                 CallLookup::Miss(flight) => {
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::CacheMiss {
-                            op: owf.name.clone(),
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::CacheMiss {
+                                op: owf.name.clone(),
+                            },
+                        );
                     }
                     // `?` drops the flight on Err, which releases any waiters.
-                    let value = self.call_uncached(owf, args).await?.into_value();
+                    let value = self.call_uncached(env, owf, args).await?.into_value();
                     flight.complete(&value);
                     return Ok(Response::Value(value));
                 }
                 // The in-flight leader failed; take the lead ourselves.
                 CallLookup::Retry => {
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::CacheRetry {
-                            op: owf.name.clone(),
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::CacheRetry {
+                                op: owf.name.clone(),
+                            },
+                        );
                     }
                     continue;
                 }
@@ -399,7 +431,14 @@ impl ExecContext {
     /// `group`, or the lone provider itself): counts and traces a
     /// half-open transition and a rejection. Returns whether the call may
     /// be issued.
-    fn breaker_admits(&self, bp: &BreakerPolicy, group: &str, target: &str, op: &str) -> bool {
+    fn breaker_admits(
+        &self,
+        env: &ProcEnv,
+        bp: &BreakerPolicy,
+        group: &str,
+        target: &str,
+        op: &str,
+    ) -> bool {
         let admission = self
             .cfg
             .breakers
@@ -407,18 +446,24 @@ impl ExecContext {
         if admission.went_half_open {
             self.res_stats.note_breaker_half_open();
             if self.tracing() {
-                self.trace_here(TraceEventKind::BreakerHalfOpen {
-                    provider: target.to_owned(),
-                });
+                self.trace(
+                    env,
+                    TraceEventKind::BreakerHalfOpen {
+                        provider: target.to_owned(),
+                    },
+                );
             }
         }
         if !admission.allowed {
             self.res_stats.note_breaker_rejection(group, target);
             if self.tracing() {
-                self.trace_here(TraceEventKind::BreakerReject {
-                    provider: target.to_owned(),
-                    op: op.to_owned(),
-                });
+                self.trace(
+                    env,
+                    TraceEventKind::BreakerReject {
+                        provider: target.to_owned(),
+                        op: op.to_owned(),
+                    },
+                );
             }
         }
         admission.allowed
@@ -428,7 +473,12 @@ impl ExecContext {
     /// with backoff, per-attempt deadline, optional hedging. With the
     /// default (plain, single-attempt) policy this is exactly one
     /// un-decorated transport call — the paper-reproduction fast path.
-    async fn call_uncached(&self, owf: &OwfDef, args: &[Value]) -> CoreResult<Response> {
+    async fn call_uncached(
+        &self,
+        env: &ProcEnv,
+        owf: &OwfDef,
+        args: &[Value],
+    ) -> CoreResult<Response> {
         // Admission first: a shed call must not consume breaker budget or
         // reach the wire. The token spans every attempt (and hedge) of
         // this one logical call.
@@ -438,10 +488,13 @@ impl ExecContext {
                 Err(e) => {
                     self.res_stats.note_admission_rejection();
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::AdmissionReject {
-                            tenant: gate.tenant().to_owned(),
-                            op: owf.operation.clone(),
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::AdmissionReject {
+                                tenant: gate.tenant().to_owned(),
+                                op: owf.operation.clone(),
+                            },
+                        );
                     }
                     return Err(e);
                 }
@@ -462,26 +515,30 @@ impl ExecContext {
             for change in &view.changes {
                 self.router_stats.note_membership();
                 if self.tracing() {
-                    self.trace_here(TraceEventKind::Membership {
-                        group: change.group.clone(),
-                        replica: change.replica.clone(),
-                        joined: change.joined,
-                    });
+                    self.trace(
+                        env,
+                        TraceEventKind::Membership {
+                            group: change.group.clone(),
+                            replica: change.replica.clone(),
+                            joined: change.joined,
+                        },
+                    );
                 }
             }
         }
         if routing.is_none() && policy.is_plain() && policy.max_attempts <= 1 {
-            return self.transport_call(owf, args, None, None).await;
+            return self.transport_call(env, owf, args, None, None).await;
         }
         // Boxed: the retry loop's state is most of this future, and the
         // plain path above would otherwise build and move it on every call.
-        Box::pin(self.call_resilient(owf, args, routing)).await
+        Box::pin(self.call_resilient(env, owf, args, routing)).await
     }
 
     /// The resilient attempt loop of [`Self::call_uncached`], for a call
     /// that has a router or a resilience policy to apply.
     async fn call_resilient(
         &self,
+        env: &ProcEnv,
         owf: &OwfDef,
         args: &[Value],
         routing: Option<(&Router, GroupView)>,
@@ -528,7 +585,7 @@ impl ExecContext {
                     });
                 };
                 let admitted = match &policy.breaker {
-                    Some(bp) => self.breaker_admits(bp, &provider, &candidate, &owf.operation),
+                    Some(bp) => self.breaker_admits(env, bp, &provider, &candidate, &owf.operation),
                     None => true,
                 };
                 if admitted {
@@ -537,11 +594,14 @@ impl ExecContext {
                 if routing.is_some() {
                     self.router_stats.note_failover();
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::ReplicaSkipped {
-                            group: provider.clone(),
-                            replica: candidate.clone(),
-                            reason: "breaker_open".to_owned(),
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::ReplicaSkipped {
+                                group: provider.clone(),
+                                replica: candidate.clone(),
+                                reason: "breaker_open".to_owned(),
+                            },
+                        );
                     }
                 }
                 rejected.push(candidate);
@@ -555,11 +615,14 @@ impl ExecContext {
                 Some((router, view)) => {
                     self.router_stats.note_decision(&provider, &target);
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::RouteDecision {
-                            group: provider.clone(),
-                            replica: target.clone(),
-                            alternatives: view.replicas.len() as u64,
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::RouteDecision {
+                                group: provider.clone(),
+                                replica: target.clone(),
+                                alternatives: view.replicas.len() as u64,
+                            },
+                        );
                     }
                     let alternate = policy
                         .hedge
@@ -571,7 +634,7 @@ impl ExecContext {
             let replicas = (replica, alternate.as_deref());
             let deadline = policy.deadline_model_secs;
             let outcome = self
-                .hedged(owf, args, deadline, hedge_delay, replicas)
+                .hedged(env, owf, args, deadline, hedge_delay, replicas)
                 .await;
             match outcome {
                 Ok(value) => {
@@ -580,9 +643,12 @@ impl ExecContext {
                     {
                         self.res_stats.note_breaker_close();
                         if self.tracing() {
-                            self.trace_here(TraceEventKind::BreakerClose {
-                                provider: target.clone(),
-                            });
+                            self.trace(
+                                env,
+                                TraceEventKind::BreakerClose {
+                                    provider: target.clone(),
+                                },
+                            );
                         }
                     }
                     return Ok(value);
@@ -597,9 +663,12 @@ impl ExecContext {
                         {
                             self.res_stats.note_breaker_open(&provider, &target);
                             if self.tracing() {
-                                self.trace_here(TraceEventKind::BreakerOpen {
-                                    provider: target.clone(),
-                                });
+                                self.trace(
+                                    env,
+                                    TraceEventKind::BreakerOpen {
+                                        provider: target.clone(),
+                                    },
+                                );
                             }
                         }
                     }
@@ -624,14 +693,17 @@ impl ExecContext {
                     } else {
                         0.5
                     };
-                    pay(&self.sim, policy.backoff_for(attempt, roll)).await;
+                    env.pay(&self.sim, policy.backoff_for(attempt, roll)).await;
                     attempt += 1;
                     self.res_stats.note_retry(&provider, &target);
                     if self.tracing() {
-                        self.trace_here(TraceEventKind::RetryAttempt {
-                            op: owf.name.clone(),
-                            attempt: attempt as u32,
-                        });
+                        self.trace(
+                            env,
+                            TraceEventKind::RetryAttempt {
+                                op: owf.name.clone(),
+                                attempt: attempt as u32,
+                            },
+                        );
                     }
                 }
                 other => return other,
@@ -653,6 +725,7 @@ impl ExecContext {
     /// `replica`, its backup to `hedge_replica` when the group has another.
     async fn hedged(
         &self,
+        env: &ProcEnv,
         owf: &OwfDef,
         args: &[Value],
         deadline: Option<f64>,
@@ -663,18 +736,21 @@ impl ExecContext {
         let charged = primary.charge.model_secs();
         if charged <= delay_model_secs {
             // Settled before the backup would launch.
-            self.wait_out(charged, &primary.charge).await;
-            return self.land(owf, primary);
+            self.wait_out(env, charged, &primary.charge).await;
+            return self.land(env, owf, primary);
         }
-        pay(&self.sim, delay_model_secs).await;
+        env.pay(&self.sim, delay_model_secs).await;
         self.res_stats.note_hedge_launched();
         if hedge_replica.is_some() {
             self.router_stats.note_hedge_reroute();
         }
         if self.tracing() {
-            self.trace_here(TraceEventKind::HedgeLaunch {
-                op: owf.operation.clone(),
-            });
+            self.trace(
+                env,
+                TraceEventKind::HedgeLaunch {
+                    op: owf.operation.clone(),
+                },
+            );
         }
         let backup = self.issue(owf, args, deadline, hedge_replica.or(replica));
         // Both are in flight: each call ends, and leaves its provider, once
@@ -682,26 +758,29 @@ impl ExecContext {
         let primary_left = charged - delay_model_secs;
         let backup_left = backup.charge.model_secs();
         let (primary, backup) = if primary_left <= backup_left {
-            self.wait_out(primary_left, &primary.charge).await;
-            let primary = self.land(owf, primary);
-            self.wait_out(backup_left - primary_left, &backup.charge)
+            self.wait_out(env, primary_left, &primary.charge).await;
+            let primary = self.land(env, owf, primary);
+            self.wait_out(env, backup_left - primary_left, &backup.charge)
                 .await;
-            (primary, self.land(owf, backup))
+            (primary, self.land(env, owf, backup))
         } else {
-            self.wait_out(backup_left, &backup.charge).await;
-            let backup = self.land(owf, backup);
-            self.wait_out(primary_left - backup_left, &primary.charge)
+            self.wait_out(env, backup_left, &backup.charge).await;
+            let backup = self.land(env, owf, backup);
+            self.wait_out(env, primary_left - backup_left, &primary.charge)
                 .await;
-            (self.land(owf, primary), backup)
+            (self.land(env, owf, primary), backup)
         };
         match (primary, backup) {
             (Ok(response), _) => Ok(response),
             (Err(_), Ok(response)) => {
                 self.res_stats.note_hedge_win();
                 if self.tracing() {
-                    self.trace_here(TraceEventKind::HedgeWin {
-                        op: owf.operation.clone(),
-                    });
+                    self.trace(
+                        env,
+                        TraceEventKind::HedgeWin {
+                            op: owf.operation.clone(),
+                        },
+                    );
                 }
                 Ok(response)
             }
@@ -753,7 +832,6 @@ impl ExecContext {
         let pool = self.process_pool();
         let breakers = &self.cfg.breakers;
         breakers.begin_run();
-        obs::set_current_proc(0, 0, Arc::from(""));
 
         let coordinator = self.coordinate(plan, pool.is_some());
         let (result, snapshot) = runtime::block_on_watched(coordinator, WEDGE_PATIENCE)
@@ -812,25 +890,35 @@ impl ExecContext {
         plan: &QueryPlan,
         pooled: bool,
     ) -> (CoreResult<Vec<Tuple>>, TreeSnapshot) {
-        let env = ProcEnv { id: 0, level: 0 };
-        self.trace_here(TraceEventKind::RunStart);
+        let env = ProcEnv::coordinator();
+        self.trace(&env, TraceEventKind::RunStart);
+        let mut skips = Skips::default();
         let (result, root) = match compile(self, &env, &plan.root).await {
-            Ok(mut root) => (eval(&mut root, self, &Tuple::empty()).await, Some(root)),
+            Ok(mut root) => {
+                let result = eval(&mut root, self, &env, &Tuple::empty(), &mut skips).await;
+                (result, Some(root))
+            }
             Err(e) => (Err(e), None),
         };
+        if result.is_ok() {
+            self.res_stats.note_skips(skips);
+        }
         // The final shape: a process still installing has not spawned its
         // own children yet, so the snapshot waits for every install.
         self.spawn_counts.installs_settled().await;
         let snapshot = self.tree.snapshot();
-        self.trace_here(TraceEventKind::RunEnd {
-            ok: result.is_ok(),
-            rows: result.as_ref().map_or(0, |r| r.len() as u64),
-        });
+        self.trace(
+            &env,
+            TraceEventKind::RunEnd {
+                ok: result.is_ok(),
+                rows: result.as_ref().map_or(0, |r| r.len() as u64),
+            },
+        );
         if let Some(mut root) = root {
             if result.is_ok() && pooled {
                 // Park idle children warm instead of ending them; whatever
                 // cannot be parked (busy, failed, over bounds) ends below.
-                root.park(self).await;
+                root.park(self, &env).await;
             }
             root.shutdown().await;
         }
@@ -933,9 +1021,9 @@ impl Pipeline {
 
     /// Parks every parallel operator's idle children into the warm process
     /// pool (end of a successful run).
-    async fn park(&mut self, ctx: &Arc<ExecContext>) {
+    async fn park(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
         for op in self.parallel_ops() {
-            op.park_children(ctx).await;
+            op.park_children(ctx, env).await;
         }
     }
 
@@ -1090,13 +1178,17 @@ pub(crate) async fn compile(
     }
 }
 
-/// Evaluates a compiled fragment for one parameter tuple, producing the
-/// full (materialized) result bag. Within a query process evaluation is
-/// sequential; parallelism happens across processes.
+/// Evaluates a compiled fragment for one parameter tuple in the process
+/// `env`, producing the full (materialized) result bag and counting the
+/// parameter tuples it dropped under partial failure mode into `skips`.
+/// Within a query process evaluation is sequential; parallelism happens
+/// across processes.
 pub(crate) async fn eval(
     pipeline: &mut Pipeline,
     ctx: &Arc<ExecContext>,
+    env: &ProcEnv,
     param: &Tuple,
+    skips: &mut Skips,
 ) -> CoreResult<Vec<Tuple>> {
     let leaf = if pipeline.from_param {
         param.clone()
@@ -1112,12 +1204,16 @@ pub(crate) async fn eval(
                 let mut out = Vec::new();
                 for row in rows {
                     let values = resolve_args(args, &row);
-                    let response = match ctx.call_with_retry(owf, &values).await {
+                    let response = match ctx.call_with_retry(env, owf, &values).await {
                         Ok(response) => response,
                         Err(e) if partial && is_skippable(&e) => {
                             // Degrade instead of aborting: this input row
                             // is dropped from the result and counted.
-                            ctx.note_param_skip(&owf.name);
+                            if ctx.tracing() {
+                                let op = owf.name.clone();
+                                ctx.trace(env, TraceEventKind::ParamSkipped { op });
+                            }
+                            skips.note(&owf.name, 1);
                             continue;
                         }
                         Err(e) => return Err(e),
@@ -1176,7 +1272,7 @@ pub(crate) async fn eval(
             }
             Stage::Count => vec![Tuple::new(vec![Value::Int(rows.len() as i64)])],
             Stage::GroupBy { key_count, aggs } => group_rows(*key_count, aggs, rows)?,
-            Stage::Parallel(op) => op.run(ctx, rows).await?,
+            Stage::Parallel(op) => op.run(ctx, env, rows, skips).await?,
         };
     }
     Ok(rows)

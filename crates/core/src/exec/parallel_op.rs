@@ -30,9 +30,10 @@ use crate::cache::{self, CacheKey, CallCache};
 use crate::exec::mailbox::{bounded, Receiver, Sender};
 use crate::exec::pool::{Acquired, ProcessPool};
 use crate::exec::process::{ChildProc, FromChild};
-use crate::exec::{pay, ExecContext, ProcEnv};
+use crate::exec::{ExecContext, ProcEnv};
 use crate::obs::TraceEventKind;
 use crate::plan::{AdaptDecision, AdaptiveConfig, PlanFunction, PruneSet};
+use crate::resilience::Skips;
 use crate::transport::DispatchPolicy;
 use crate::wire;
 use crate::{CoreError, CoreResult};
@@ -121,7 +122,8 @@ impl AdaptState {
     }
 }
 
-/// A pool of child query processes executing one plan function.
+/// A pool of child query processes executing one plan function, hosted by
+/// a query process that every method taking an `env` is called from.
 pub(crate) struct ParallelApply {
     pf_name: String,
     pf_bytes: Bytes,
@@ -130,7 +132,6 @@ pub(crate) struct ParallelApply {
     /// warm-pool key for its processes, and the `pf` identity stamped on
     /// this operator's child-side trace events.
     pf_digest: Arc<str>,
-    env: ProcEnv,
     /// Semi-join prune set: wire-encoded parameter tuples learned to
     /// evaluate empty, dropped before shipping ([`PlanFunction::prune`]).
     /// The plan's own sorted set, shared by refcount; empty when the plan
@@ -204,7 +205,6 @@ impl ParallelApply {
             pf_name: pf.name.clone(),
             pf_bytes,
             pf_digest,
-            env: *env,
             prune,
             slots: Vec::new(),
             idle: VecDeque::new(),
@@ -214,7 +214,7 @@ impl ParallelApply {
             adapt,
         };
         for _ in 0..fanout {
-            this.spawn_child(ctx).await;
+            this.spawn_child(ctx, env).await;
         }
         this
     }
@@ -229,11 +229,11 @@ impl ParallelApply {
 
     /// Adds one child: warm from the process pool when a parked process
     /// with this plan function and level exists, else a cold spawn.
-    async fn spawn_child(&mut self, ctx: &Arc<ExecContext>) {
+    async fn spawn_child(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
         let slot_index = self.slots.len();
         if let Some(pool) = ctx.process_pool() {
             let scope = ctx.pool_scope();
-            while let Some(acquired) = pool.acquire(&self.pf_digest, self.env.level + 1, scope) {
+            while let Some(acquired) = pool.acquire(&self.pf_digest, env.level + 1, scope) {
                 let (mut proc, saved_model_secs) = match acquired {
                     Acquired::Warm {
                         proc,
@@ -246,7 +246,7 @@ impl ParallelApply {
                 };
                 let results = self.results_tx.clone();
                 if proc
-                    .attach(ctx, &self.env, slot_index, &self.pf_name, results)
+                    .attach(ctx, env, slot_index, &self.pf_name, results)
                     .await
                 {
                     scope.note_warm_acquire(saved_model_secs);
@@ -263,7 +263,7 @@ impl ParallelApply {
         }
         let proc = ChildProc::spawn(
             ctx,
-            &self.env,
+            env,
             slot_index,
             &self.pf_name,
             &self.pf_digest,
@@ -289,27 +289,38 @@ impl ParallelApply {
     }
 
     /// Streams `params` through the pool and returns the merged results,
-    /// recording an operator span around the dispatch loop.
+    /// recording an operator span around the dispatch loop. The skips of
+    /// every committed call are added to `skips`.
     pub async fn run(
         &mut self,
         ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
         params: Vec<Tuple>,
+        skips: &mut Skips,
     ) -> CoreResult<Vec<Tuple>> {
-        ctx.trace_here(TraceEventKind::OpRunStart {
-            params: params.len() as u64,
-        });
-        let result = self.run_inner(ctx, params).await;
-        ctx.trace_here(TraceEventKind::OpRunEnd {
-            ok: result.is_ok(),
-            results: result.as_ref().map_or(0, |r| r.len() as u64),
-        });
+        ctx.trace(
+            env,
+            TraceEventKind::OpRunStart {
+                params: params.len() as u64,
+            },
+        );
+        let result = self.run_inner(ctx, env, params, skips).await;
+        ctx.trace(
+            env,
+            TraceEventKind::OpRunEnd {
+                ok: result.is_ok(),
+                results: result.as_ref().map_or(0, |r| r.len() as u64),
+            },
+        );
         result
     }
 
     async fn run_inner(
         &mut self,
         ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
         params: Vec<Tuple>,
+        skips: &mut Skips,
     ) -> CoreResult<Vec<Tuple>> {
         // Adaptive pools always use the paper's first-finished dispatch;
         // the round-robin ablation only applies to fixed fanouts.
@@ -337,24 +348,27 @@ impl ParallelApply {
                 continue;
             }
             let key = cache.and(encoded);
-            if !self.screen_param(ctx, cache, key.as_ref(), &mut out) {
+            if !self.screen_param(ctx, env, cache, key.as_ref(), &mut out) {
                 to_ship.push(ShipParam { row, key });
             }
         }
         if pruned > 0 {
             ctx.note_pruned_params(pruned);
             if ctx.tracing() {
-                ctx.trace_here(TraceEventKind::ParamsPruned {
-                    pf: self.pf_name.clone(),
-                    count: pruned,
-                });
+                ctx.trace(
+                    env,
+                    TraceEventKind::ParamsPruned {
+                        pf: self.pf_name.clone(),
+                        count: pruned,
+                    },
+                );
             }
         }
         let mut pending = PendingParams::new(policy, self.slots.len(), to_ship);
         let mut first_error: Option<CoreError> = None;
         let mut segment_start = Instant::now();
 
-        self.dispatch_pending(ctx, cache, &mut pending, &mut out)
+        self.dispatch_pending(ctx, env, cache, &mut pending, &mut out)
             .await;
 
         while self.busy_count() > 0 || !pending.is_empty() {
@@ -377,7 +391,7 @@ impl ParallelApply {
             // Receiving a message costs the parent dispatch time, which is
             // what makes an over-wide tree hurt on a single-core client.
             let client = &ctx.sim().client;
-            pay(ctx.sim(), client.frame_cost(0)).await;
+            env.pay(ctx.sim(), client.frame_cost(0)).await;
 
             match msg {
                 FromChild::Installed { slot, error: None } => {
@@ -423,8 +437,9 @@ impl ParallelApply {
                     let n = wire::decode_message_onto(tuples, &mut self.slots[slot].call_buf)?;
                     // The rest of the frame's price, now that its tuples are
                     // counted (the per-frame share was paid above on receipt).
-                    pay(ctx.sim(), client.frame_cost(n) - client.frame_cost(0)).await;
-                    if n > 0 && self.env.level == 0 {
+                    env.pay(ctx.sim(), client.frame_cost(n) - client.frame_cost(0))
+                        .await;
+                    if n > 0 && env.level == 0 {
                         ctx.record_first_result();
                     }
                     if let Some(adapt) = &mut self.adapt {
@@ -457,7 +472,7 @@ impl ParallelApply {
                             // rows: the requeued parameters are
                             // re-evaluated (and re-counted) elsewhere.
                             out.append(&mut self.slots[slot].call_buf);
-                            ctx.commit_skips(&skipped);
+                            skips.absorb(skipped);
                         }
                         Some(e) => {
                             // Deterministic evaluation failure: the query
@@ -482,7 +497,7 @@ impl ParallelApply {
                     }
                     // Failure-injection knob (tests): abruptly kill one
                     // busy child to exercise the requeue path.
-                    if self.env.level == 0 && ctx.take_child_failure_trigger() {
+                    if env.level == 0 && ctx.take_child_failure_trigger() {
                         if let Some(victim) = self
                             .slots
                             .iter()
@@ -493,13 +508,13 @@ impl ParallelApply {
                                 self.slots.iter().position(|s| s.status == SlotStatus::Idle)
                             })
                         {
-                            self.fail_slot(ctx, victim, &mut pending);
+                            self.fail_slot(ctx, env, victim, &mut pending);
                         }
                     }
-                    self.monitoring_step(ctx, &mut segment_start).await;
+                    self.monitoring_step(ctx, env, &mut segment_start).await;
                 }
             }
-            self.dispatch_pending(ctx, cache, &mut pending, &mut out)
+            self.dispatch_pending(ctx, env, cache, &mut pending, &mut out)
                 .await;
         }
 
@@ -521,6 +536,7 @@ impl ParallelApply {
     fn screen_param(
         &self,
         ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
         cache: Option<&Arc<CallCache>>,
         key: Option<&Bytes>,
         out: &mut Vec<Tuple>,
@@ -532,19 +548,20 @@ impl ParallelApply {
         let Some(rows) = cache.peek_rows(&key, ctx.cache_scope()) else {
             return false;
         };
-        if !rows.is_empty() && self.env.level == 0 {
+        if !rows.is_empty() && env.level == 0 {
             ctx.record_first_result();
         }
         out.extend(rows.iter().cloned());
         ctx.cache_scope().note_short_circuit();
-        ctx.tree().note_short_circuits(self.env.id, 1);
-        ctx.trace_here(TraceEventKind::ShortCircuit { params: 1 });
+        ctx.tree().note_short_circuits(env.id, 1);
+        ctx.trace(env, TraceEventKind::ShortCircuit { params: 1 });
         true
     }
 
     async fn dispatch_pending(
         &mut self,
         ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
         cache: Option<&Arc<CallCache>>,
         pending: &mut PendingParams,
         out: &mut Vec<Tuple>,
@@ -571,7 +588,7 @@ impl ParallelApply {
             let had_work = !batch.is_empty();
             // Second screening pass: a duplicate of this parameter may have
             // completed (and been memoized) since the run started.
-            batch.retain(|p| !self.screen_param(ctx, cache, p.key.as_ref(), out));
+            batch.retain(|p| !self.screen_param(ctx, env, cache, p.key.as_ref(), out));
             if batch.is_empty() {
                 if had_work {
                     // Everything taken was answered from the memo; the slot
@@ -599,7 +616,7 @@ impl ParallelApply {
             if let Some(tr) = ctx.tracer() {
                 tr.emit(
                     proc.id,
-                    self.env.level + 1,
+                    env.level + 1,
                     &self.pf_digest,
                     TraceEventKind::CallDispatched {
                         params: batch.len() as u64,
@@ -614,7 +631,7 @@ impl ParallelApply {
             } else {
                 wire::encode_rows(batch.iter().map(|p| &p.row))
             };
-            let sent = proc.send_call(ctx, call_id, frame, batch.len()).await;
+            let sent = proc.send_call(ctx, env, call_id, frame, batch.len()).await;
             match sent {
                 Ok(()) => {
                     self.slots[slot].status = SlotStatus::Busy;
@@ -625,7 +642,7 @@ impl ParallelApply {
                     // The child died before taking the call: requeue its
                     // batch and fail the slot over to its siblings.
                     self.slots[slot].in_flight = batch;
-                    self.fail_slot(ctx, slot, pending);
+                    self.fail_slot(ctx, env, slot, pending);
                 }
             }
         }
@@ -650,7 +667,13 @@ impl ParallelApply {
     /// siblings (including any per-slot round-robin backlog), and leaves
     /// the join to [`ParallelApply::shutdown`] (the child may be blocked
     /// sending into the results mailbox this loop is reading).
-    fn fail_slot(&mut self, ctx: &Arc<ExecContext>, slot: usize, pending: &mut PendingParams) {
+    fn fail_slot(
+        &mut self,
+        ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
+        slot: usize,
+        pending: &mut PendingParams,
+    ) {
         let s = &mut self.slots[slot];
         let requeued = std::mem::take(&mut s.in_flight);
         s.call_buf.clear();
@@ -661,10 +684,13 @@ impl ParallelApply {
             dead_id = proc.id;
             proc.kill();
         }
-        ctx.trace_here(TraceEventKind::Requeue {
-            from_child: dead_id,
-            params: requeued.len() as u64,
-        });
+        ctx.trace(
+            env,
+            TraceEventKind::Requeue {
+                from_child: dead_id,
+                params: requeued.len() as u64,
+            },
+        );
         pending.requeue(requeued);
         let survivors: Vec<usize> = self
             .slots
@@ -680,7 +706,12 @@ impl ParallelApply {
     /// as many end-of-call messages arrived as there are children; the
     /// operator then compares the average time per incoming tuple with the
     /// previous cycle and adds or drops children.
-    async fn monitoring_step(&mut self, ctx: &Arc<ExecContext>, segment_start: &mut Instant) {
+    async fn monitoring_step(
+        &mut self,
+        ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
+        segment_start: &mut Instant,
+    ) {
         /// What the cycle boundary asks the pool to do structurally.
         enum Action {
             Add(usize),
@@ -734,20 +765,23 @@ impl ParallelApply {
                 None => "converged".to_owned(),
             };
             if ctx.tracing() {
-                ctx.trace_here(TraceEventKind::Cycle {
-                    cycle: adapt.cycles,
-                    eocs,
-                    tuples,
-                    per_tuple_secs: t,
-                    prev,
-                    threshold: adapt.config.threshold,
-                    alive,
-                    verdict: described.clone(),
-                });
+                ctx.trace(
+                    env,
+                    TraceEventKind::Cycle {
+                        cycle: adapt.cycles,
+                        eocs,
+                        tuples,
+                        per_tuple_secs: t,
+                        prev,
+                        threshold: adapt.config.threshold,
+                        alive,
+                        verdict: described.clone(),
+                    },
+                );
             }
             ctx.tree().record_adapt_event(crate::stats::AdaptEvent {
-                process: self.env.id,
-                level: self.env.level,
+                process: env.id,
+                level: env.level,
                 per_tuple_secs: t,
                 alive,
                 decision: described,
@@ -779,21 +813,21 @@ impl ParallelApply {
         match action {
             Some(Action::Add(n)) => {
                 for _ in 0..n {
-                    self.spawn_child(ctx).await;
+                    self.spawn_child(ctx, env).await;
                 }
             }
-            Some(Action::DropOne) => self.drop_one_child(ctx).await,
+            Some(Action::DropOne) => self.drop_one_child(ctx, env).await,
             Some(Action::Rearm(target)) => {
                 // Reset the tree to the initial width; the next cycles'
                 // add (or drop) stages walk toward the new optimum.
                 let alive = self.alive_count();
                 if alive > target {
                     for _ in 0..(alive - target) {
-                        self.drop_one_child(ctx).await;
+                        self.drop_one_child(ctx, env).await;
                     }
                 } else {
                     for _ in 0..(target - alive) {
-                        self.spawn_child(ctx).await;
+                        self.spawn_child(ctx, env).await;
                     }
                 }
             }
@@ -804,13 +838,13 @@ impl ParallelApply {
     /// Drops one child and its subtree (paper Fig. 20). Prefers an idle
     /// child (parked warm or killed immediately); otherwise marks the
     /// newest busy child to drain away after its current call.
-    async fn drop_one_child(&mut self, ctx: &Arc<ExecContext>) {
+    async fn drop_one_child(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
         if let Some(slot) = self
             .slots
             .iter()
             .rposition(|s| s.status == SlotStatus::Idle)
         {
-            self.retire_slot(ctx, slot).await;
+            self.retire_slot(ctx, env, slot).await;
             return;
         }
         if let Some(slot) = self
@@ -837,6 +871,7 @@ impl ParallelApply {
     async fn park_slot(
         &mut self,
         ctx: &Arc<ExecContext>,
+        env: &ProcEnv,
         pool: &ProcessPool,
         slot: usize,
         dropped_by_adaptation: bool,
@@ -847,7 +882,7 @@ impl ParallelApply {
             return;
         };
         if let Some(parked) = proc.park(dropped_by_adaptation).await {
-            let level = self.env.level + 1;
+            let level = env.level + 1;
             let evicted = pool.release(&self.pf_digest, level, parked, saved, ctx.pool_scope());
             ChildProc::join_all(evicted).await;
         }
@@ -855,9 +890,9 @@ impl ParallelApply {
 
     /// Removes one idle child: parked warm (with its whole subtree) when
     /// the process pool is on, shut down cold otherwise.
-    async fn retire_slot(&mut self, ctx: &Arc<ExecContext>, slot: usize) {
+    async fn retire_slot(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv, slot: usize) {
         match Self::parking_pool(ctx) {
-            Some(pool) => self.park_slot(ctx, &pool, slot, true).await,
+            Some(pool) => self.park_slot(ctx, env, &pool, slot, true).await,
             None => self.kill_slot(slot, true).await,
         }
     }
@@ -865,7 +900,7 @@ impl ParallelApply {
     /// Parks every idle child into the process pool at end of a successful
     /// run, keyed by plan-function digest and level. Called by the run
     /// driver after the final tree snapshot, before teardown.
-    pub async fn park_children(&mut self, ctx: &Arc<ExecContext>) {
+    pub async fn park_children(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
         let Some(pool) = Self::parking_pool(ctx) else {
             return;
         };
@@ -880,7 +915,7 @@ impl ParallelApply {
         }
         for slot in 0..self.slots.len() {
             if self.slots[slot].status == SlotStatus::Idle {
-                self.park_slot(ctx, &pool, slot, false).await;
+                self.park_slot(ctx, env, &pool, slot, false).await;
             }
         }
     }
@@ -905,13 +940,10 @@ impl ParallelApply {
     /// Attach-time re-registration, applied recursively when a warm
     /// subtree joins a new run: the run has a fresh tree registry (and,
     /// under a mediator-global pool, possibly a different execution
-    /// context), so this operator re-homes to its hosting process's new
-    /// identity and every child re-registers under a freshly allocated id,
-    /// with the walk forwarded down the tree.
+    /// context), so every child re-registers under a freshly allocated id
+    /// beneath its hosting process's new identity `env`, with the walk
+    /// forwarded down the tree.
     pub async fn reattach_children(&mut self, ctx: &Arc<ExecContext>, env: &ProcEnv) {
-        // The hosting process got a new id in the acquiring run's tree;
-        // children below must register against it, not the parked one.
-        self.env = *env;
         let saved = self.saved_model_secs(ctx);
         for (index, slot) in self.slots.iter_mut().enumerate() {
             if slot.status == SlotStatus::Dead {
@@ -921,10 +953,7 @@ impl ParallelApply {
                 continue;
             };
             let results = self.results_tx.clone();
-            if proc
-                .attach(ctx, &self.env, index, &self.pf_name, results)
-                .await
-            {
+            if proc.attach(ctx, env, index, &self.pf_name, results).await {
                 // This subtree process rode along with a warm acquire
                 // above it — its skipped spawn cost counts as saved.
                 ctx.pool_scope().note_saved(saved);

@@ -40,11 +40,12 @@ use wsmed_store::Tuple;
 use crate::cache::CacheKey;
 use crate::exec::mailbox::{bounded, Receiver, Sender, TrySendError};
 use crate::exec::runtime::{self, TaskHandle};
-use crate::exec::{compile, eval, pay, ExecContext, Pipeline, ProcEnv};
-use crate::obs::{self, TraceEventKind, TraceLog};
+use crate::exec::{compile, eval, ExecContext, Pipeline, ProcEnv};
+use crate::obs::{TraceEventKind, TraceLog};
+use crate::resilience::Skips;
 use crate::stats::TreeRegistry;
 use crate::transport::BatchPolicy;
-use crate::{resilience, wire};
+use crate::wire;
 use crate::{CoreError, CoreResult};
 
 /// Messages a parent sends to a child query process.
@@ -73,8 +74,10 @@ pub(crate) enum ToChild {
     Attach {
         /// The acquiring run's execution context.
         ctx: Arc<ExecContext>,
-        /// This process's identity in the acquiring run's tree.
-        env: ProcEnv,
+        /// This process's id in the acquiring run's tree.
+        id: u64,
+        /// This process's level in the acquiring run's tree.
+        level: usize,
         /// The process's slot at its new parent.
         slot: usize,
         /// The new parent's result channel.
@@ -117,12 +120,8 @@ pub(crate) enum FromChild {
         /// Evaluation error, if any.
         error: Option<String>,
         /// Parameter tuples dropped under partial failure mode while
-        /// evaluating this call, as `(owf name, count)` entries. Shipped
-        /// with the end-of-call so the parent commits skips exactly when
-        /// it commits the call's rows — a dead child's skips are
-        /// discarded with its rows and re-counted by whichever survivor
-        /// re-evaluates the requeued parameters.
-        skipped: Vec<(String, u64)>,
+        /// evaluating this call, committed with the call's rows.
+        skipped: Skips,
     },
 }
 
@@ -288,7 +287,7 @@ impl ChildProc {
     /// Spawns a child query process with the plan function queued in its
     /// mailbox.
     ///
-    /// The calling (parent) process pays the modeled process-startup and
+    /// The parent process pays the modeled process-startup and
     /// plan-shipping costs before this completes, serializing process
     /// management on the parent as on the paper's single-core client.
     /// This is the single site charging `process_startup`, so the pool's
@@ -310,12 +309,13 @@ impl ChildProc {
 
         // Client-side costs: starting the process and shipping the plan.
         let (sim, client) = (ctx.sim(), &ctx.sim().client);
-        pay(sim, client.process_startup).await;
-        pay(
-            sim,
-            client.plan_ship_per_kib * pf_bytes.len() as f64 / 1024.0,
-        )
-        .await;
+        parent.pay(sim, client.process_startup).await;
+        parent
+            .pay(
+                sim,
+                client.plan_ship_per_kib * pf_bytes.len() as f64 / 1024.0,
+            )
+            .await;
         ctx.record_shipped(pf_bytes.len());
         tree.note_msg_down(id);
 
@@ -332,7 +332,7 @@ impl ChildProc {
         tx.try_send(ToChild::Install(pf_bytes))
             .expect("a new mailbox has room for the plan function");
         let ticket = ctx.spawn_counts().ticket();
-        let env = ProcEnv { id, level };
+        let env = ProcEnv::new(id, level, Arc::clone(pf_digest));
         let task = start(Arc::clone(ctx), env, slot, rx, results, ticket);
         ChildProc {
             id,
@@ -353,11 +353,14 @@ impl ChildProc {
     pub async fn send_call(
         &self,
         ctx: &ExecContext,
+        parent: &ProcEnv,
         call_id: u64,
         params: Bytes,
         n_params: usize,
     ) -> CoreResult<()> {
-        pay(ctx.sim(), ctx.sim().client.frame_cost(n_params)).await;
+        parent
+            .pay(ctx.sim(), ctx.sim().client.frame_cost(n_params))
+            .await;
         ctx.record_shipped(params.len());
         self.tree.note_msg_down(self.id);
         let sent = send_counted(
@@ -428,7 +431,7 @@ impl ChildProc {
         self.deregistered = false;
         self.tree
             .register(self.id, Some(parent.id), parent.level + 1, pf_name);
-        pay(ctx.sim(), ctx.sim().client.frame_cost(0)).await;
+        parent.pay(ctx.sim(), ctx.sim().client.frame_cost(0)).await;
         self.tree.note_msg_down(self.id);
         self.level = parent.level + 1;
         let trace = ctx.trace_handle();
@@ -436,10 +439,8 @@ impl ChildProc {
             &self.tx,
             ToChild::Attach {
                 ctx: Arc::clone(ctx),
-                env: ProcEnv {
-                    id: self.id,
-                    level: self.level,
-                },
+                id: self.id,
+                level: self.level,
                 slot,
                 results,
                 ticket: ctx.spawn_counts().install_ticket(),
@@ -561,20 +562,10 @@ async fn child_main(
     mut results: Sender<FromChild>,
     mut ticket: SpawnTicket,
 ) {
-    // Bind this process to its tree node so events recorded deep inside
-    // `eval` (cache lookups, retries, WS calls) carry the right identity;
-    // the pf digest is filled in once the plan function arrives.
-    obs::set_current_proc(env.id, env.level, Arc::from(""));
     // ---- install phase ----------------------------------------------------
-    let (pf, pf_digest) = match rx.recv().await {
-        Some(ToChild::Install(bytes)) => match wire::decode_plan_function(bytes.clone()) {
-            // Digest the shipped bytes (the same bytes the parent hashed)
-            // so parent-side memo lookups hit what this child inserts.
-            Ok(pf) => {
-                let digest = crate::cache::pf_digest(&pf.name, &bytes);
-                obs::set_current_proc(env.id, env.level, Arc::from(digest.as_str()));
-                (pf, digest)
-            }
+    let pf = match rx.recv().await {
+        Some(ToChild::Install(bytes)) => match wire::decode_plan_function(bytes) {
+            Ok(pf) => pf,
             Err(e) => {
                 let failed = FromChild::Installed {
                     slot,
@@ -595,7 +586,7 @@ async fn child_main(
                     slot,
                     call_id,
                     error,
-                    skipped: Vec::new(),
+                    skipped: Skips::default(),
                 },
             )
             .await;
@@ -629,8 +620,7 @@ async fn child_main(
             ToChild::Call { call_id, params } => {
                 let prune_key = pf.prune.as_ref().map(|s| s.section_key.as_str());
                 running = handle_call(
-                    &ctx, &env, slot, &mut body, &pf_digest, prune_key, call_id, params, &results,
-                    &mut frame,
+                    &ctx, &env, slot, &mut body, prune_key, call_id, params, &results, &mut frame,
                 )
                 .await;
             }
@@ -640,7 +630,8 @@ async fn child_main(
             }
             ToChild::Attach {
                 ctx: new_ctx,
-                env: new_env,
+                id,
+                level,
                 slot: new_slot,
                 results: new_results,
                 ticket,
@@ -649,12 +640,12 @@ async fn child_main(
                 // query's execution context: rebind everything — context,
                 // identity, slot, results channel — then re-register the
                 // warm subtree into the new run's tree with fresh ids. The
-                // run's snapshot waits for the walk: the ticket drops after.
+                // process keeps its pacing debt. The run's snapshot waits
+                // for the walk: the ticket drops after.
                 ctx = new_ctx;
-                env = new_env;
+                (env.id, env.level) = (id, level);
                 slot = new_slot;
                 results = new_results;
-                obs::set_current_proc(env.id, env.level, Arc::from(pf_digest.as_str()));
                 body.reattach(&ctx, &env).await;
                 drop(ticket);
             }
@@ -696,24 +687,22 @@ async fn send_up(
 ) -> bool {
     let tree = ctx.tree();
     tree.note_msg_up(env.id);
-    let (_, level, pf) = obs::current_proc();
-    send_counted(results, msg, tree, env.id, ctx.tracer(), level, &pf).await
+    send_counted(results, msg, tree, env.id, ctx.tracer(), env.level, &env.pf).await
 }
 
 /// Evaluates one parameter batch, streaming result frames through a
 /// bounded flush buffer. Returns `false` if the parent hung up.
 ///
 /// Each parameter's complete result set is also memoized in the call
-/// cache's plan-function row memo (keyed by `pf_digest` and the
-/// parameter's wire encoding) so the parent can short-circuit later
-/// duplicates without shipping them to any child.
+/// cache's plan-function row memo (keyed by the process's plan-function
+/// digest and the parameter's wire encoding) so the parent can
+/// short-circuit later duplicates without shipping them to any child.
 #[allow(clippy::too_many_arguments)]
 async fn handle_call(
     ctx: &Arc<ExecContext>,
     env: &ProcEnv,
     slot: usize,
     body: &mut Pipeline,
-    pf_digest: &str,
     prune_key: Option<&str>,
     call_id: u64,
     params: Bytes,
@@ -721,11 +710,10 @@ async fn handle_call(
     frame: &mut wire::RowFrame,
 ) -> bool {
     let mut flush = FlushBuffer::new(ctx, env, slot, call_id, results, frame);
-    // Fresh per call: skips recorded by `eval` under partial failure mode
-    // accumulate here and ship with this call's end-of-call message.
-    resilience::install_skip_sink();
-    let outcome = eval_call(ctx, body, pf_digest, prune_key, params, &mut flush).await;
-    let skipped = resilience::take_skip_sink();
+    // Fresh per call: skips `eval` records under partial failure mode
+    // ship with this call's end-of-call message.
+    let mut skipped = Skips::default();
+    let outcome = eval_call(ctx, body, prune_key, params, &mut flush, &mut skipped).await;
     let error = match outcome {
         Ok(()) => {
             // Whatever is still buffered goes out before the end-of-call.
@@ -752,18 +740,19 @@ async fn handle_call(
 async fn eval_call(
     ctx: &Arc<ExecContext>,
     body: &mut Pipeline,
-    pf_digest: &str,
     prune_key: Option<&str>,
     params: Bytes,
     flush: &mut FlushBuffer<'_>,
+    skips: &mut Skips,
 ) -> CoreResult<()> {
+    let pf_digest: &str = &flush.env.pf;
     if ctx.call_cache().is_none() {
         // No memo to key: the parameters decode straight onto their rows.
         let mut rows = Vec::new();
         wire::decode_message_onto(params, &mut rows)?;
         for param in &rows {
             let key = || CacheKey::for_rows(pf_digest, &wire::encode_tuple(param));
-            eval_param(ctx, body, param, key, prune_key, flush).await?;
+            eval_param(ctx, body, param, key, prune_key, flush, skips).await?;
         }
         return Ok(());
     }
@@ -772,7 +761,7 @@ async fn eval_call(
             for encoded in parts {
                 let param = wire::decode_tuple(encoded.clone())?;
                 let key = || CacheKey::for_rows(pf_digest, &encoded);
-                eval_param(ctx, body, &param, key, prune_key, flush).await?;
+                eval_param(ctx, body, &param, key, prune_key, flush, skips).await?;
             }
         }
         wire::KeyedParams::Columnar(batch) => {
@@ -782,7 +771,7 @@ async fn eval_call(
                 // column slices and equal the parent's `encode_tuple`
                 // output exactly.
                 let key = || CacheKey::for_batch_row(pf_digest, &batch, i);
-                eval_param(ctx, body, &param, key, prune_key, flush).await?;
+                eval_param(ctx, body, &param, key, prune_key, flush, skips).await?;
             }
         }
     }
@@ -800,10 +789,11 @@ async fn eval_param(
     key: impl FnOnce() -> CacheKey,
     prune_key: Option<&str>,
     flush: &mut FlushBuffer<'_>,
+    skips: &mut Skips,
 ) -> CoreResult<()> {
     let parent_gone = || CoreError::ProcessFailure("parent gone".into());
-    let skips_before = resilience::skip_sink_len();
-    let rows = eval(body, ctx, param).await?;
+    let skips_before = skips.len();
+    let rows = eval(body, ctx, flush.env, param, skips).await?;
     for tuple in &rows {
         if !flush.push(tuple).await {
             return Err(parent_gone());
@@ -813,7 +803,8 @@ async fn eval_param(
     // skipped) is a semi-join pruning candidate: report it under this
     // section's stable key so a later planning pass can drop it
     // parent-side before any dependent call is issued.
-    if rows.is_empty() && resilience::skip_sink_len() == skips_before {
+    let complete = skips.len() == skips_before;
+    if rows.is_empty() && complete {
         if let (Some(section), Some(obs)) = (prune_key, ctx.planner_obs()) {
             obs.observe_empty(section, wire::encode_tuple(param));
         }
@@ -822,7 +813,7 @@ async fn eval_param(
         // A parameter whose evaluation skipped any call produced an
         // incomplete row set; memoizing it would let a later duplicate
         // short-circuit to partial rows without its skip being counted.
-        if resilience::skip_sink_len() == skips_before {
+        if complete {
             cache.insert_rows(&key(), Arc::new(rows), ctx.cache_scope());
         }
     }
@@ -936,7 +927,7 @@ impl<'a> FlushBuffer<'a> {
         self.buffered_since = None;
         // The child pays its own send cost: one frame plus its tuples.
         let sim = self.ctx.sim();
-        pay(sim, sim.client.frame_cost(n)).await;
+        self.env.pay(sim, sim.client.frame_cost(n)).await;
         self.ctx.record_shipped(frame.len());
         let batch = FromChild::ResultBatch {
             slot: self.slot,

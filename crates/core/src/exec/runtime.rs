@@ -9,18 +9,17 @@
 //! coordinator q0 runs on the caller's thread in [`block_on`].
 //!
 //! No wait on the call path holds a thread. One that outlasts a poll —
-//! paced model time ([`pay`]), a mock's delay — is a timer ([`sleep`]) the
-//! task awaits. A worker fires due timers between polls and, with nothing
-//! to run, waits for the earliest one; a thread in [`block_on`] keeps the
-//! timers of the future it drives and parks until the earliest. So a paced
-//! tree runs on the `W` workers and the caller's thread, and a central
-//! plan, paced or not, on the caller's thread alone.
+//! paced model time ([`crate::exec::ProcEnv::pay`]), a mock's delay — is a
+//! timer ([`sleep`]) the task awaits. A worker fires due timers between
+//! polls and, with nothing to run, waits for the earliest one; a thread in
+//! [`block_on`] keeps the timers of the future it drives and parks until
+//! the earliest. So a paced tree runs on the `W` workers and the caller's
+//! thread, and a central plan, paced or not, on the caller's thread alone.
 //!
-//! Three thread-locals belong to the process, not the thread: the tree
-//! node trace events are attributed to ([`crate::obs`]), the skip sink of
-//! partial failure mode ([`crate::resilience`]) and the pacing debt
-//! ([`wsmed_netsim::swap_pacing_debt`]). Each task carries its own and
-//! swaps them in and out around every poll.
+//! The runtime knows nothing about the processes it runs: what a process
+//! owns — its identity in the tree, its pacing debt, the skips of the call
+//! it is evaluating — lives in its future, and a poll touches no state of
+//! the thread that runs it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -32,10 +31,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
-
-use wsmed_netsim::SimConfig;
-
-use crate::{obs, resilience};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
@@ -54,44 +49,21 @@ thread_local! {
     static LOCAL_TIMERS: RefCell<Timers> = const { RefCell::new(Timers(Vec::new())) };
 }
 
-/// A process's share of the thread-locals, held by its task between polls.
-struct ProcLocals {
-    node: (u64, usize, Arc<str>),
-    skips: Option<Vec<(String, u64)>>,
-    debt: f64,
-}
-
-impl ProcLocals {
-    /// Exchanges these with the calling thread's; twice restores both.
-    fn swap(&mut self) {
-        obs::swap_current_proc(&mut self.node);
-        resilience::swap_skip_sink(&mut self.skips);
-        wsmed_netsim::swap_pacing_debt(&mut self.debt);
-    }
-}
-
-struct Body {
-    future: Option<BoxFuture>,
-    locals: ProcLocals,
-}
-
 struct Task {
     state: AtomicU8,
     /// Locked only by the one poller the state machine admits.
-    body: Mutex<Body>,
+    future: Mutex<Option<BoxFuture>>,
     /// Woken when the task is done.
     joiner: Mutex<Option<Waker>>,
 }
 
 impl Task {
-    /// Polls the task once on this worker, with its locals swapped in.
+    /// Polls the task once on this worker.
     fn run(self: Arc<Self>) {
         self.state.store(RUNNING, Ordering::Release);
         let waker = Waker::from(Arc::clone(&self));
         let mut cx = Context::from_waker(&waker);
-        let mut body = self.body.lock().unwrap_or_else(|e| e.into_inner());
-        let Body { future, locals } = &mut *body;
-        locals.swap();
+        let mut future = self.future.lock().unwrap_or_else(|e| e.into_inner());
         // A panicking process ends like a dead thread did: its mailboxes
         // close, its parent sees it hang up, and the worker lives on.
         let done = catch_unwind(AssertUnwindSafe(|| match future.as_mut() {
@@ -103,8 +75,7 @@ impl Task {
             let finished = future.take();
             let _ = catch_unwind(AssertUnwindSafe(move || drop(finished)));
         }
-        locals.swap();
-        drop(body);
+        drop(future);
         if done {
             self.state.store(DONE, Ordering::Release);
             let joiner = self.joiner.lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -324,14 +295,7 @@ impl Runtime {
 pub(crate) fn spawn(fut: impl Future<Output = ()> + Send + 'static) -> TaskHandle {
     let task = Arc::new(Task {
         state: AtomicU8::new(QUEUED),
-        body: Mutex::new(Body {
-            future: Some(Box::pin(fut)),
-            locals: ProcLocals {
-                node: (0, 0, Arc::from("")),
-                skips: None,
-                debt: 0.0,
-            },
-        }),
+        future: Mutex::new(Some(Box::pin(fut))),
         joiner: Mutex::new(None),
     });
     runtime().schedule(Arc::clone(&task));
@@ -382,21 +346,6 @@ impl Future for Sleep {
             }
         }
         Poll::Pending
-    }
-}
-
-/// Pays `model_secs` of simulated time on `sim`'s pacer, charged to the
-/// calling task's pacing debt (DESIGN.md, "Pacing"): once a quantum is
-/// owed, the task waits the whole debt out on a timer, and the overwait is
-/// credit. At `time_scale == 0` it is ready at its first poll, which
-/// compares one number.
-pub(crate) async fn pay(sim: &SimConfig, model_secs: f64) {
-    if sim.time_scale > 0.0 {
-        if let Some(asked) = sim.owe_model(model_secs) {
-            let started = Instant::now();
-            sleep(asked).await;
-            wsmed_netsim::settle_pacing(asked, started.elapsed());
-        }
     }
 }
 
@@ -487,20 +436,6 @@ mod tests {
     use super::*;
     use crate::exec::mailbox::bounded;
 
-    /// Yields once: wakes its own task and lets the others run.
-    async fn yield_now() {
-        let mut yielded = false;
-        std::future::poll_fn(|cx| {
-            if yielded {
-                return Poll::Ready(());
-            }
-            yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        })
-        .await;
-    }
-
     #[test]
     fn timers_overlap_on_the_workers_alone() {
         // Eight tasks meet: each checks in, then waits on 1 ms timers until
@@ -544,58 +479,6 @@ mod tests {
             sleep(Duration::ZERO).await;
         });
         assert!(t0.elapsed() >= Duration::from_millis(20));
-    }
-
-    fn debt() -> f64 {
-        let mut debt = 0.0;
-        wsmed_netsim::swap_pacing_debt(&mut debt);
-        let mine = debt;
-        wsmed_netsim::swap_pacing_debt(&mut debt);
-        mine
-    }
-
-    #[test]
-    fn each_task_keeps_its_own_thread_locals() {
-        // Two tasks set their own tree node, skip sink and pacing debt, then
-        // take turns through a pair of mailboxes and yields, so their polls
-        // interleave on the workers; after every await each must read back
-        // exactly its own.
-        let (to_b, from_a) = bounded::<()>(1);
-        let (to_a, from_b) = bounded::<()>(1);
-        let party = |id: u64,
-                     send: crate::exec::mailbox::Sender<()>,
-                     recv: crate::exec::mailbox::Receiver<()>| {
-            spawn(async move {
-                obs::set_current_proc(id, id as usize, Arc::from(format!("pf{id}").as_str()));
-                resilience::install_skip_sink();
-                let mut mine = id as f64 * 1e-6;
-                wsmed_netsim::swap_pacing_debt(&mut mine);
-                let check = |round: u64| {
-                    let (node, level, pf) = obs::current_proc();
-                    assert_eq!((node, level), (id, id as usize), "round {round}");
-                    assert_eq!(&*pf, format!("pf{id}"));
-                    assert_eq!(resilience::skip_sink_len(), round, "round {round}");
-                    assert_eq!(debt(), id as f64 * 1e-6, "round {round}");
-                };
-                for round in 0..200 {
-                    check(round);
-                    resilience::note_skip_local("op");
-                    send.send(()).await.expect("partner alive");
-                    yield_now().await;
-                    recv.recv().await.expect("partner alive");
-                    check(round + 1);
-                }
-            })
-        };
-        let a = party(1, to_b, from_b);
-        let b = party(2, to_a, from_a);
-        block_on(async {
-            a.await;
-            b.await;
-        });
-        // The coordinator's own thread-locals were never touched.
-        assert_eq!(obs::current_proc().0, 0);
-        assert_eq!(resilience::skip_sink_len(), 0);
     }
 
     #[test]

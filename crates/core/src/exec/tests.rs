@@ -487,7 +487,8 @@ fn single_flight_issues_one_transport_call_for_concurrent_identical_calls() {
                 let barrier = &barrier;
                 s.spawn(move || {
                     barrier.wait();
-                    block_on(ctx.call_with_retry(owf, &[Value::str("p|q")]))
+                    let env = crate::exec::ProcEnv::coordinator();
+                    block_on(ctx.call_with_retry(&env, owf, &[Value::str("p|q")]))
                         .unwrap()
                         .into_value()
                 })
@@ -913,9 +914,10 @@ fn full_results_mailbox_records_blocked_send() {
         prune: None,
     };
     let (results_tx, results) = bounded::<FromChild>(ctx.batch_policy().mailbox_capacity());
+    let parent = ProcEnv::coordinator();
     let child = block_on(ChildProc::spawn(
         &ctx,
-        &ProcEnv { id: 0, level: 0 },
+        &parent,
         0,
         "PF1",
         &Arc::from("pf1"),
@@ -930,7 +932,7 @@ fn full_results_mailbox_records_blocked_send() {
         ));
         let param = wire::encode_tuple(&Tuple::new(vec![Value::str("a|b|c|d|e")]));
         child
-            .send_call(&ctx, 1, wire::encode_rows_message([&param]), 1)
+            .send_call(&ctx, &parent, 1, wire::encode_rows_message([&param]), 1)
             .await
             .unwrap();
         let patience = std::time::Instant::now();

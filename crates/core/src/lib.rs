@@ -60,8 +60,8 @@ pub use exec::ExecContext;
 pub use materialized::run_materialized;
 pub use obs::{KindMask, TraceEvent, TraceEventKind, TraceLog, TracePolicy};
 pub use parallel::{
-    parallel_level_count, parallelize, parallelize_adaptive, parallelize_adaptive_masked,
-    parallelize_unprojected, plan_sections, FanoutVector, SectionStage,
+    parallel_level_count, parallelize, parallelize_adaptive, parallelize_unprojected,
+    plan_sections, FanoutVector, SectionStage,
 };
 pub use plan::{
     AdaptDecision, AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, PruneSet, PruneSpec, QueryPlan,

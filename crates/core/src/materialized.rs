@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use wsmed_store::Tuple;
 
-use crate::exec::{block_on, builtin_functions, ExecContext};
+use crate::exec::{block_on, builtin_functions, ExecContext, ProcEnv};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
 use crate::{CoreError, CoreResult};
 
@@ -80,7 +80,10 @@ fn run_materialized_inner(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResul
                         let owf = owf.clone();
                         let values = resolve_args(args, &row);
                         std::thread::spawn(move || -> CoreResult<Vec<Tuple>> {
-                            let response = block_on(ctx.call_with_retry(&owf, &values))?;
+                            // Each call is a party of its own, paying on
+                            // its own debt, and traced to the coordinator.
+                            let env = ProcEnv::coordinator();
+                            let response = block_on(ctx.call_with_retry(&env, &owf, &values))?;
                             let mut produced = Vec::new();
                             owf.flatten_onto(row.values(), &response, &mut produced);
                             Ok(produced)

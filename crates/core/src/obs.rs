@@ -32,7 +32,6 @@
 //! sequence reconstructed from an exported trace compares bit-for-bit
 //! equal with [`crate::stats::TreeSnapshot::adapt_events`].
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -526,30 +525,6 @@ impl TraceLog {
         out.push_str("]}");
         out
     }
-}
-
-thread_local! {
-    static CURRENT_PROC: RefCell<(u64, usize, Arc<str>)> =
-        RefCell::new((0, 0, Arc::from("")));
-}
-
-/// Binds the calling thread (inside a query process: the process) to a
-/// process-tree node so events recorded deep inside `eval` (cache lookups,
-/// retries, WS calls) are attributed to the right node. Called by
-/// `child_main` and at `run_plan` entry.
-pub(crate) fn set_current_proc(id: u64, level: usize, pf: Arc<str>) {
-    CURRENT_PROC.with(|c| *c.borrow_mut() = (id, level, pf));
-}
-
-/// The `(node, level, pf_digest)` the calling thread is bound to.
-pub(crate) fn current_proc() -> (u64, usize, Arc<str>) {
-    CURRENT_PROC.with(|c| c.borrow().clone())
-}
-
-/// Exchanges the calling thread's binding with `binding`: the runtime
-/// swaps a query process's binding in and out around each of its polls.
-pub(crate) fn swap_current_proc(binding: &mut (u64, usize, Arc<str>)) {
-    CURRENT_PROC.with(|c| std::mem::swap(&mut *c.borrow_mut(), binding));
 }
 
 fn json_escape(s: &str) -> String {

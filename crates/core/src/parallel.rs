@@ -30,10 +30,8 @@ pub type FanoutVector = Vec<usize>;
 enum Mode {
     /// `FF_APPLYP` with explicit fanouts.
     Fixed(FanoutVector),
-    /// `AFF_APPLYP` everywhere with one shared config; the optional mask
-    /// merges sections into their predecessors (the AFF analogue of a
-    /// `0` fanout entry).
-    Adaptive(AdaptiveConfig, Option<Vec<bool>>),
+    /// `AFF_APPLYP` everywhere with one shared config.
+    Adaptive(AdaptiveConfig),
 }
 
 /// Number of parallelizable sections (= required fanout-vector length) in
@@ -66,24 +64,7 @@ pub fn parallelize_unprojected(plan: &QueryPlan, fanouts: &FanoutVector) -> Core
 /// Rewrites a central plan with `AFF_APPLYP` operators (paper §V.A): every
 /// level starts as a binary tree and adapts locally.
 pub fn parallelize_adaptive(plan: &QueryPlan, config: &AdaptiveConfig) -> CoreResult<QueryPlan> {
-    rewrite(plan, Mode::Adaptive(config.clone(), None), true)
-}
-
-/// [`parallelize_adaptive`] with an explicit merge mask: `mask[i] == true`
-/// folds section `i` into its predecessor's plan function, so the merged
-/// pair runs at a single adaptive level — the `AFF_APPLYP` analogue of a
-/// `0` entry in a fixed fanout vector. `mask.len()` must equal the number
-/// of parallelizable sections, and `mask[0]` must be `false`.
-pub fn parallelize_adaptive_masked(
-    plan: &QueryPlan,
-    config: &AdaptiveConfig,
-    mask: &[bool],
-) -> CoreResult<QueryPlan> {
-    rewrite(
-        plan,
-        Mode::Adaptive(config.clone(), Some(mask.to_vec())),
-        true,
-    )
+    rewrite(plan, Mode::Adaptive(config.clone()), true)
 }
 
 /// One γ-operator of a section (or of the coordinator prefix), summarized
@@ -153,45 +134,17 @@ fn rewrite(plan: &QueryPlan, mode: Mode, project_parameters: bool) -> CoreResult
             // Merge sections whose fanout is 0 into their predecessor,
             // right to left so indexes stay valid.
             let mut kept = Vec::with_capacity(fanouts.len());
-            for (i, &fo) in fanouts.iter().enumerate() {
+            for &fo in fanouts {
                 if fo == 0 {
                     let merged = sections.remove(kept.len());
                     sections[kept.len() - 1].extend(merged);
                 } else {
-                    let _ = i;
                     kept.push(fo);
                 }
             }
             kept
         }
-        Mode::Adaptive(_, mask) => {
-            if let Some(mask) = mask {
-                if mask.len() != sections.len() {
-                    return Err(CoreError::InvalidPlan(format!(
-                        "merge mask has {} entries but the plan has {} parallelizable \
-                         sections",
-                        mask.len(),
-                        sections.len()
-                    )));
-                }
-                if mask.first() == Some(&true) {
-                    return Err(CoreError::InvalidPlan(
-                        "the first section cannot merge (there is no previous level)".into(),
-                    ));
-                }
-                // Same right-to-left folding as a 0 fanout entry.
-                let mut kept = 0usize;
-                for &merge in mask {
-                    if merge {
-                        let merged = sections.remove(kept);
-                        sections[kept - 1].extend(merged);
-                    } else {
-                        kept += 1;
-                    }
-                }
-            }
-            vec![0; sections.len()] // unused placeholders
-        }
+        Mode::Adaptive(_) => vec![0; sections.len()], // unused placeholders
     };
 
     // ---- compute the arity entering each section ---------------------------
@@ -465,7 +418,7 @@ fn make_parallel(mode: &Mode, pf: PlanFunction, fanout: Option<usize>, input: Pl
             fanout: fanout.expect("fanout validated"),
             input: Box::new(input),
         },
-        Mode::Adaptive(config, _) => PlanOp::AffApply {
+        Mode::Adaptive(config) => PlanOp::AffApply {
             pf,
             config: config.clone(),
             input: Box::new(input),
@@ -738,33 +691,6 @@ mod tests {
         };
         assert!(matches!(&**input, PlanOp::AffApply { .. }));
         assert_eq!(plan.root.parallel_depth(), 2);
-    }
-
-    #[test]
-    fn masked_adaptive_merges_sections() {
-        let config = AdaptiveConfig::default();
-        let plan =
-            parallelize_adaptive_masked(&query1_like_central(), &config, &[false, true]).unwrap();
-        let PlanOp::Project { input, .. } = &plan.root else {
-            panic!()
-        };
-        let PlanOp::AffApply { pf, .. } = &**input else {
-            panic!()
-        };
-        // Single adaptive level containing both OWFs, like `{fo, 0}`.
-        assert_eq!(plan.root.parallel_depth(), 1);
-        assert_eq!(pf.body.owf_calls(), vec!["GetPlacesWithin", "GetPlaceList"]);
-        // An all-false mask is exactly parallelize_adaptive.
-        let unmasked = parallelize_adaptive(&query1_like_central(), &config).unwrap();
-        let masked =
-            parallelize_adaptive_masked(&query1_like_central(), &config, &[false, false]).unwrap();
-        assert_eq!(unmasked, masked);
-        // Bad masks are rejected.
-        for bad in [vec![true, false], vec![false], vec![false; 3]] {
-            let err =
-                parallelize_adaptive_masked(&query1_like_central(), &config, &bad).unwrap_err();
-            assert!(matches!(err, CoreError::InvalidPlan(_)));
-        }
     }
 
     #[test]

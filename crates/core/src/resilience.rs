@@ -30,7 +30,6 @@
 //! no deadline, no breaker, no hedge, [`FailureMode::Abort`]) leaves the
 //! paper-reproduction call path byte-identical to the non-resilient code.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -278,15 +277,13 @@ impl ResilienceCollector {
         note_provider(&mut stats, group, replica, |p| &mut p.breaker_rejections);
     }
 
-    /// Counts `n` skipped parameter tuples against one OWF (at the
-    /// coordinator, or when a child's end-of-call skips are committed).
-    pub(crate) fn note_skips(&self, owf: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
+    /// Counts the skips of a run whose evaluation succeeded.
+    pub(crate) fn note_skips(&self, skips: Skips) {
         let mut stats = self.0.lock();
-        stats.skipped_params += n;
-        *sorted_entry(&mut stats.skipped_by_owf, owf.to_owned()) += n;
+        for (owf, n) in skips.0 {
+            stats.skipped_params += n;
+            *sorted_entry(&mut stats.skipped_by_owf, owf) += n;
+        }
     }
 
     pub(crate) fn snapshot(&self) -> ResilienceStats {
@@ -686,59 +683,37 @@ impl CallGate {
     }
 }
 
-thread_local! {
-    /// Skip sink installed by a child query process around each call it
-    /// handles: `(owf name, count)` entries accumulated by `eval` under
-    /// [`FailureMode::Partial`], shipped to the parent with the
-    /// end-of-call message so skips commit exactly when the call's result
-    /// rows do (requeue-safe accounting).
-    static SKIP_SINK: RefCell<Option<Vec<(String, u64)>>> = const { RefCell::new(None) };
-}
+/// Parameter tuples one evaluation dropped under [`FailureMode::Partial`],
+/// as `(owf name, count)` entries. `eval` writes into the accumulator its
+/// caller passes down; a child ships its call's with the end-of-call
+/// message, so skips commit exactly when the call's rows do (a dead
+/// child's are discarded with its rows and re-counted by whichever
+/// survivor re-evaluates the requeued parameters).
+#[derive(Debug, Default)]
+pub(crate) struct Skips(Vec<(String, u64)>);
 
-/// Exchanges the calling thread's skip sink with `sink`: the runtime swaps
-/// a query process's sink in and out around each of its polls.
-pub(crate) fn swap_skip_sink(sink: &mut Option<Vec<(String, u64)>>) {
-    SKIP_SINK.with(|s| std::mem::swap(&mut *s.borrow_mut(), sink));
-}
-
-/// Installs a fresh, empty skip sink on the calling thread.
-pub(crate) fn install_skip_sink() {
-    SKIP_SINK.with(|s| *s.borrow_mut() = Some(Vec::new()));
-}
-
-/// Removes the sink and returns its accumulated `(owf, count)` entries.
-pub(crate) fn take_skip_sink() -> Vec<(String, u64)> {
-    SKIP_SINK
-        .with(|s| s.borrow_mut().take())
-        .unwrap_or_default()
-}
-
-/// Number of skips accumulated so far in the active sink (0 without one).
-/// Used to detect skips inside one parameter's evaluation, which must
-/// suppress memoization of that parameter's (incomplete) row set.
-pub(crate) fn skip_sink_len() -> u64 {
-    SKIP_SINK.with(|s| {
-        s.borrow()
-            .as_ref()
-            .map_or(0, |v| v.iter().map(|(_, n)| *n).sum())
-    })
-}
-
-/// Routes one skipped parameter into the active sink. Returns `false`
-/// when no sink is installed (coordinator thread) — the caller then
-/// counts it directly on the run's collector.
-pub(crate) fn note_skip_local(owf: &str) -> bool {
-    SKIP_SINK.with(|s| match s.borrow_mut().as_mut() {
-        Some(v) => {
-            if let Some(entry) = v.iter_mut().find(|(name, _)| name == owf) {
-                entry.1 += 1;
-            } else {
-                v.push((owf.to_owned(), 1));
-            }
-            true
+impl Skips {
+    /// Counts `n` skips of `owf`.
+    pub(crate) fn note(&mut self, owf: &str, n: u64) {
+        match self.0.iter_mut().find(|(name, _)| name == owf) {
+            Some(entry) => entry.1 += n,
+            None => self.0.push((owf.to_owned(), n)),
         }
-        None => false,
-    })
+    }
+
+    /// Skips counted so far. A parameter whose evaluation moved it produced
+    /// an incomplete row set, which must be neither memoized nor learned
+    /// empty.
+    pub(crate) fn len(&self) -> u64 {
+        self.0.iter().map(|(_, n)| n).sum()
+    }
+
+    /// Adds `other`'s skips to these (a child's committed call).
+    pub(crate) fn absorb(&mut self, other: Skips) {
+        for (owf, n) in other.0 {
+            self.note(&owf, n);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -872,15 +847,21 @@ mod tests {
         c.note_deadline_exceeded();
         c.note_breaker_open("a", "a#1");
         c.note_breaker_rejection("a", "a#1");
-        c.note_skips("GetInfoByState", 3);
-        c.note_skips("GetInfoByState", 0); // no-op
-        c.note_skips("GetPlacesInside", 1);
+        let mut skips = Skips::default();
+        skips.note("GetInfoByState", 3);
+        skips.note("GetPlacesInside", 1);
+        let mut child = Skips::default();
+        child.note("GetInfoByState", 2);
+        skips.absorb(child);
+        assert_eq!(skips.len(), 6);
+        c.note_skips(skips);
+        c.note_skips(Skips::default()); // no-op
         let s = c.snapshot();
         assert_eq!(s.retries, 3);
         assert_eq!(s.deadline_exceeded, 1);
         assert_eq!(s.breaker_opens, 1);
         assert_eq!(s.breaker_rejections, 1);
-        assert_eq!(s.skipped_params, 4);
+        assert_eq!(s.skipped_params, 6);
         assert_eq!(
             s.per_provider,
             vec![
@@ -931,7 +912,7 @@ mod tests {
         assert_eq!(
             s.skipped_by_owf,
             vec![
-                ("GetInfoByState".to_owned(), 3),
+                ("GetInfoByState".to_owned(), 5),
                 ("GetPlacesInside".to_owned(), 1)
             ]
         );
@@ -1048,22 +1029,5 @@ mod tests {
         assert!(!breakers.admit("p", &policy, 1.0).allowed);
         breakers.end_run();
         breakers.end_run();
-    }
-
-    #[test]
-    fn skip_sink_routes_and_drains() {
-        // No sink: the local route reports false.
-        assert!(!note_skip_local("X"));
-        install_skip_sink();
-        assert!(note_skip_local("X"));
-        assert!(note_skip_local("Y"));
-        assert!(note_skip_local("X"));
-        assert_eq!(skip_sink_len(), 3);
-        let drained = take_skip_sink();
-        assert_eq!(drained, vec![("X".to_owned(), 2), ("Y".to_owned(), 1)]);
-        // Sink gone again.
-        assert!(!note_skip_local("X"));
-        assert_eq!(skip_sink_len(), 0);
-        assert!(take_skip_sink().is_empty());
     }
 }

@@ -45,7 +45,7 @@ pub use fault::FaultSpec;
 pub use latency::LatencyModel;
 pub use metrics::{CallStats, MetricsSnapshot, ProviderMetrics};
 pub use network::{NetError, NetResult, Network};
-pub use pacing::{pacing_stats, settle_pacing, swap_pacing_debt, PacingStats};
+pub use pacing::{pacing_stats, settle_pacing, PacingDebt, PacingStats};
 pub use provider::{CallOpts, InFlight, Provider, ProviderSpec};
 pub use rng::{fnv1a, DetRng};
 pub use topology::{
@@ -106,13 +106,17 @@ impl SimConfig {
         pacing::pace(self.time_scale, model_seconds);
     }
 
-    /// [`SimConfig::sleep_model`] for a caller that waits by other means (a
-    /// task awaiting a timer): charges `model_seconds` to the calling
-    /// thread's debt and returns the wall wait now due, if any. The caller
-    /// waits it out, then books how long that took with
+    /// [`SimConfig::sleep_model`] for a paying party that keeps its own
+    /// debt and waits by other means (a task awaiting a timer): charges
+    /// `model_seconds` to `debt` and returns the wall wait now due, if any.
+    /// The caller waits it out, then books how long that took with
     /// [`settle_pacing`].
-    pub fn owe_model(&self, model_seconds: f64) -> Option<std::time::Duration> {
-        pacing::owe(self.time_scale, model_seconds)
+    pub fn owe_model(
+        &self,
+        debt: &mut PacingDebt,
+        model_seconds: f64,
+    ) -> Option<std::time::Duration> {
+        pacing::owe(debt, self.time_scale, model_seconds)
     }
 }
 

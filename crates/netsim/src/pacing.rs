@@ -8,13 +8,13 @@
 //! once per [`QUANTUM`] for the whole debt; the measured overwait is carried
 //! forward as credit against the next charges.
 //!
-//! The debt lives in a thread-local. A thread that runs many simulated
-//! parties in turn (a task runtime) keeps each party's debt apart with
-//! [`swap_pacing_debt`]. How the due wait is waited out is the caller's
-//! business: [`SimConfig::sleep_model`](crate::SimConfig::sleep_model)
-//! sleeps the thread, a task runtime sets a timer
-//! ([`SimConfig::owe_model`](crate::SimConfig::owe_model), then
-//! [`settle_pacing`]).
+//! The paying party owns its [`PacingDebt`]. A query process keeps its own
+//! and passes it to [`SimConfig::owe_model`](crate::SimConfig::owe_model),
+//! waits what is due by its own means (a task awaits a timer), and books
+//! the wait with [`settle_pacing`]. A plain calling thread is the paying
+//! party of the thread pacer ([`SimConfig::sleep_model`](crate::SimConfig::sleep_model),
+//! [`InFlight::pay_here`](crate::InFlight::pay_here)), whose debt is the
+//! thread's own and which sleeps the thread.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -36,10 +36,11 @@ fn sleep_duration(wall_secs: f64) -> Duration {
     })
 }
 
-/// What one thread owes the wall clock, in seconds; negative is credit. The
-/// arithmetic is kept apart from the clock so it is tested without one.
-#[derive(Debug)]
-struct PacingDebt(f64);
+/// What one paying party owes the wall clock, in seconds; negative is
+/// credit. It starts at zero ([`Default`]). The arithmetic is kept apart
+/// from the clock so it is tested without one.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PacingDebt(f64);
 
 impl PacingDebt {
     /// Adds `wall_secs` (not negative, not NaN) to the debt and, once a
@@ -57,13 +58,8 @@ impl PacingDebt {
 }
 
 thread_local! {
-    static DEBT: Cell<f64> = const { Cell::new(0.0) };
-}
-
-/// Exchanges the calling thread's pacing debt with `debt` (wall seconds,
-/// negative is credit). Swapping twice restores both.
-pub fn swap_pacing_debt(debt: &mut f64) {
-    DEBT.with(|cell| *debt = cell.replace(*debt));
+    /// The thread pacer's debt: the calling thread is the paying party.
+    static DEBT: Cell<PacingDebt> = const { Cell::new(PacingDebt(0.0)) };
 }
 
 static CHARGES: AtomicU64 = AtomicU64::new(0);
@@ -90,43 +86,39 @@ pub fn pacing_stats() -> PacingStats {
     }
 }
 
-/// Charges `model_secs` at `time_scale` to the calling thread's debt; once
-/// a quantum is owed, returns the whole debt as the wait now due, which the
-/// caller waits out and reports with [`settle_pacing`]. Nothing for a scale
-/// or charge that is NaN, zero or negative.
-pub(crate) fn owe(time_scale: f64, model_secs: f64) -> Option<Duration> {
+/// Charges `model_secs` at `time_scale` to `debt`; once a quantum is owed,
+/// returns the whole debt as the wait now due, which the caller waits out
+/// and reports with [`settle_pacing`]. Nothing for a scale or charge that
+/// is NaN, zero or negative.
+pub(crate) fn owe(debt: &mut PacingDebt, time_scale: f64, model_secs: f64) -> Option<Duration> {
     let paced = time_scale > 0.0 && model_secs > 0.0;
     if !paced {
         return None;
     }
     CHARGES.fetch_add(1, Relaxed);
-    DEBT.with(|cell| {
-        let mut debt = PacingDebt(cell.get());
-        let due = debt.charge(model_secs * time_scale);
-        cell.set(debt.0);
-        due
-    })
+    debt.charge(model_secs * time_scale)
 }
 
 /// Books a due wait of `asked` (from
 /// [`SimConfig::owe_model`](crate::SimConfig::owe_model)) that took
-/// `waited` against the calling thread's debt: the debt is paid and the
-/// overwait, up to one quantum, becomes credit.
-pub fn settle_pacing(asked: Duration, waited: Duration) {
+/// `waited` against `debt`: the debt is paid and the overwait, up to one
+/// quantum, becomes credit.
+pub fn settle_pacing(debt: &mut PacingDebt, asked: Duration, waited: Duration) {
     OS_SLEEPS.fetch_add(1, Relaxed);
-    DEBT.with(|cell| {
-        let mut debt = PacingDebt(cell.get());
-        debt.settle(asked, waited);
-        cell.set(debt.0);
-    });
+    debt.settle(asked, waited);
 }
 
-/// [`owe`], sleeping the thread for the wait due.
+/// [`owe`] on the calling thread's debt, sleeping the thread for the wait
+/// due. At scale 0 it touches nothing.
 pub(crate) fn pace(time_scale: f64, model_secs: f64) {
-    if let Some(asked) = owe(time_scale, model_secs) {
-        let start = Instant::now();
-        std::thread::sleep(asked);
-        settle_pacing(asked, start.elapsed());
+    if time_scale > 0.0 {
+        let mut debt = DEBT.get();
+        if let Some(asked) = owe(&mut debt, time_scale, model_secs) {
+            let start = Instant::now();
+            std::thread::sleep(asked);
+            settle_pacing(&mut debt, asked, start.elapsed());
+        }
+        DEBT.set(debt);
     }
 }
 

@@ -4,7 +4,10 @@
 //! nest, model timestamps are monotone per node, every spawn/acquire has
 //! exactly one terminal park/kill/join — and the per-node dispatched call
 //! counts replayed from the trace must equal the process tree's `calls`
-//! counters exactly.
+//! counters exactly. Every event is attributed to the process that
+//! recorded it: a node of the run's tree, at that node's level; a child's
+//! call-path events carry the plan function it runs, and each child
+//! answers exactly the parameters it was sent.
 
 use proptest::prelude::*;
 
@@ -70,6 +73,50 @@ fn assert_trace_faithful(report: &ExecutionReport, label: &str) -> Result<(), Te
         prop_assert!(
             report.tree.nodes.iter().any(|n| n.id == *id),
             "{label}: trace dispatches to unknown node {id}"
+        );
+    }
+
+    // Attribution: an event of a child names a node of the tree at the
+    // level it was recorded at, and the call-path events a child records
+    // deep inside its evaluation carry the plan function it runs. Each
+    // section of the paper's queries calls one OWF, so every parameter a
+    // child is sent is answered by exactly one web-service call or cache
+    // hit recorded at that very child.
+    let mut answered: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    for e in events.iter().filter(|e| e.node != 0) {
+        if matches!(
+            e.kind,
+            TraceEventKind::WsCall { .. } | TraceEventKind::CacheHit { .. }
+        ) {
+            *answered.entry(e.node).or_insert(0) += 1;
+        }
+        prop_assert!(
+            report
+                .tree
+                .nodes
+                .iter()
+                .any(|n| n.id == e.node && n.level == e.level),
+            "{label}: event attributed to no tree node at its level: {e:?}"
+        );
+        let call_path = matches!(
+            e.kind,
+            TraceEventKind::WsCall { .. }
+                | TraceEventKind::CacheHit { .. }
+                | TraceEventKind::CacheMiss { .. }
+                | TraceEventKind::RetryAttempt { .. }
+        );
+        prop_assert!(
+            !call_path || !e.pf.is_empty(),
+            "{label}: a child's call-path event carries no plan function: {e:?}"
+        );
+    }
+    for node in report.tree.nodes.iter().filter(|n| n.id != 0) {
+        prop_assert_eq!(
+            answered.get(&node.id).copied().unwrap_or(0),
+            node.calls,
+            "{}: node {} answered a different number of parameters than it was sent",
+            label,
+            node.id
         );
     }
     Ok(())
