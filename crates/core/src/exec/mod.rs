@@ -29,7 +29,7 @@ use crate::{CoreError, CoreResult};
 
 use parallel_op::ParallelApply;
 use process::SpawnCounts;
-pub(crate) use runtime::{block_on, block_on_watched, sleep};
+pub(crate) use runtime::{block_on, block_on_watched, sleep, spawn};
 
 /// How long the coordinator waits without any wake-up before declaring the
 /// process tree wedged. Generously above any modeled latency at the time
@@ -176,11 +176,6 @@ impl ExecContext {
             spawn_counts: Arc::default(),
             cfg,
         })
-    }
-
-    /// The OWF catalog.
-    pub(crate) fn owfs(&self) -> &OwfCatalog {
-        &self.owfs
     }
 
     /// The simulation config (client cost model + time scale).
@@ -814,39 +809,41 @@ impl ExecContext {
         }
     }
 
+    /// Runs `run` inside the shared infrastructure's busy period: per-run
+    /// cache entries and breaker states are cleared only on the idle→busy
+    /// edge, so overlapping queries share live state. The period is left
+    /// on success and failure alike; the run's own counters live in its
+    /// scopes.
+    pub(crate) fn in_busy_period<T>(&self, run: impl FnOnce() -> T) -> T {
+        let cache = self.call_cache();
+        if let Some(cache) = cache {
+            cache.begin_run();
+        }
+        self.cfg.breakers.begin_run();
+        let out = run();
+        if let Some(cache) = cache {
+            cache.end_run();
+        }
+        self.cfg.breakers.end_run();
+        out
+    }
+
     /// Executes the run's query plan as the coordinator process `q0` and
     /// collects the results plus an execution report. A context executes
     /// one plan: its tree, trace and counters describe exactly that run.
     pub fn run_plan(self: &Arc<Self>, plan: &QueryPlan) -> CoreResult<ExecutionReport> {
         let tree = &self.tree;
         tree.register(0, None, 0, "coordinator");
-        // Shared infrastructure joins this run's busy period: per-run
-        // cache entries and breaker states are cleared only on the
-        // idle→busy edge, so overlapping queries share live state. Each
-        // `begin_run` is paired with an `end_run` below; the run's own
-        // counters live in its scopes.
-        let cache = self.call_cache();
-        if let Some(cache) = cache {
-            cache.begin_run();
-        }
         let pool = self.process_pool();
-        let breakers = &self.cfg.breakers;
-        breakers.begin_run();
-
         let coordinator = self.coordinate(plan, pool.is_some());
-        let (result, snapshot) = runtime::block_on_watched(coordinator, WEDGE_PATIENCE)
+        let (result, snapshot) = self
+            .in_busy_period(|| runtime::block_on_watched(coordinator, WEDGE_PATIENCE))
             .unwrap_or_else(|| {
                 let wedged = CoreError::ProcessFailure(format!(
                     "the process tree made no progress for {WEDGE_PATIENCE:?}"
                 ));
                 (Err(wedged), tree.snapshot())
             });
-        // Leave the shared infrastructure's busy period (mirror of the
-        // begin_run calls above), on success and failure alike.
-        if let Some(cache) = cache {
-            cache.end_run();
-        }
-        breakers.end_run();
 
         let wall = self.started.elapsed();
         let rows = result?;
@@ -865,7 +862,7 @@ impl ExecContext {
             ws_bytes: self.ws_bytes.load(Ordering::Relaxed),
             shipped_bytes: self.shipped_bytes.load(Ordering::Relaxed),
             messages: snapshot.total_messages(),
-            cache: cache.map_or_else(CacheStats::default, |c| {
+            cache: self.call_cache().map_or_else(CacheStats::default, |c| {
                 self.cache_scope.snapshot(c.ready_entries() as u64)
             }),
             pool: pool.map_or_else(PoolStats::default, |_| self.pool_scope.snapshot()),
@@ -981,11 +978,16 @@ pub(crate) struct Pipeline {
     stages: Vec<Stage>,
 }
 
-enum Stage {
-    ApplyOwf {
-        owf: OwfDef,
-        args: Vec<ArgExpr>,
-    },
+/// One stage of a compiled pipeline.
+pub(crate) enum Stage {
+    ApplyOwf { owf: OwfDef, args: Vec<ArgExpr> },
+    Local(LocalStage),
+    Parallel(ParallelApply),
+}
+
+/// A stage that needs no web service and no child process: it maps the
+/// row bag below it on the process that evaluates it.
+pub(crate) enum LocalStage {
     ApplyFunction {
         function: String,
         args: Vec<ArgExpr>,
@@ -1008,10 +1010,14 @@ enum Stage {
         key_count: usize,
         aggs: Vec<(wsmed_sql::AggFunc, Option<usize>)>,
     },
-    Parallel(ParallelApply),
 }
 
 impl Pipeline {
+    /// The stages in evaluation order, leaf first.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &Stage> {
+        self.stages.iter().rev()
+    }
+
     fn parallel_ops(&mut self) -> impl Iterator<Item = &mut ParallelApply> {
         self.stages.iter_mut().filter_map(|stage| match stage {
             Stage::Parallel(op) => Some(op),
@@ -1104,39 +1110,44 @@ impl Pipeline {
                             sig.outputs.len()
                         )));
                     }
-                    let stage = Stage::ApplyFunction {
+                    let stage = LocalStage::ApplyFunction {
                         function: function.clone(),
                         args: args.clone(),
                     };
-                    (stage, input)
+                    (Stage::Local(stage), input)
                 }
-                PlanOp::Extend { exprs, input } => (
-                    Stage::Extend {
+                PlanOp::Extend { exprs, input } => {
+                    let stage = LocalStage::Extend {
                         exprs: exprs.clone(),
-                    },
-                    input,
-                ),
-                PlanOp::Project { columns, input } => (
-                    Stage::Project {
+                    };
+                    (Stage::Local(stage), input)
+                }
+                PlanOp::Project { columns, input } => {
+                    let stage = LocalStage::Project {
                         columns: columns.clone(),
-                    },
-                    input,
-                ),
-                PlanOp::Sort { keys, input } => (Stage::Sort { keys: keys.clone() }, input),
-                PlanOp::Distinct { input } => (Stage::Distinct, input),
-                PlanOp::Limit { count, input } => (Stage::Limit { count: *count }, input),
-                PlanOp::Count { input } => (Stage::Count, input),
+                    };
+                    (Stage::Local(stage), input)
+                }
+                PlanOp::Sort { keys, input } => {
+                    let stage = LocalStage::Sort { keys: keys.clone() };
+                    (Stage::Local(stage), input)
+                }
+                PlanOp::Distinct { input } => (Stage::Local(LocalStage::Distinct), input),
+                PlanOp::Limit { count, input } => {
+                    (Stage::Local(LocalStage::Limit { count: *count }), input)
+                }
+                PlanOp::Count { input } => (Stage::Local(LocalStage::Count), input),
                 PlanOp::GroupBy {
                     key_count,
                     aggs,
                     input,
-                } => (
-                    Stage::GroupBy {
+                } => {
+                    let stage = LocalStage::GroupBy {
                         key_count: *key_count,
                         aggs: aggs.clone(),
-                    },
-                    input,
-                ),
+                    };
+                    (Stage::Local(stage), input)
+                }
                 PlanOp::FfApply { pf, fanout, input } => {
                     if *fanout == 0 {
                         return Err(CoreError::InvalidPlan(format!(
@@ -1225,7 +1236,20 @@ pub(crate) async fn eval(
                 }
                 out
             }
-            Stage::ApplyFunction { function, args } => {
+            Stage::Local(stage) => stage.apply(ctx, rows)?,
+            Stage::Parallel(op) => op.run(ctx, env, rows, skips).await?,
+        };
+    }
+    Ok(rows)
+}
+
+impl LocalStage {
+    /// Applies the stage to the whole row bag below it. Both walks over a
+    /// compiled pipeline call it: [`eval`] and the WSQ/DSQ baseline
+    /// ([`crate::materialized`]).
+    pub(crate) fn apply(&self, ctx: &ExecContext, mut rows: Vec<Tuple>) -> CoreResult<Vec<Tuple>> {
+        Ok(match self {
+            LocalStage::ApplyFunction { function, args } => {
                 let rows_in = rows.len() as u64;
                 let mut out = Vec::new();
                 for row in rows {
@@ -1239,17 +1263,17 @@ pub(crate) async fn eval(
                 }
                 out
             }
-            Stage::Extend { exprs } => rows
+            LocalStage::Extend { exprs } => rows
                 .into_iter()
                 .map(|row| {
                     let extra = Tuple::new(resolve_args(exprs, &row));
                     row.concat(&extra)
                 })
                 .collect(),
-            Stage::Project { columns } => {
+            LocalStage::Project { columns } => {
                 rows.into_iter().map(|row| row.project(columns)).collect()
             }
-            Stage::Sort { keys } => {
+            LocalStage::Sort { keys } => {
                 rows.sort_by(|a, b| {
                     for &(col, desc) in keys.iter() {
                         let ord = a.get(col).total_cmp(b.get(col));
@@ -1261,27 +1285,25 @@ pub(crate) async fn eval(
                 });
                 rows
             }
-            Stage::Distinct => {
+            LocalStage::Distinct => {
                 rows.sort_by(|a, b| a.total_cmp(b));
                 rows.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
                 rows
             }
-            Stage::Limit { count } => {
+            LocalStage::Limit { count } => {
                 rows.truncate(*count);
                 rows
             }
-            Stage::Count => vec![Tuple::new(vec![Value::Int(rows.len() as i64)])],
-            Stage::GroupBy { key_count, aggs } => group_rows(*key_count, aggs, rows)?,
-            Stage::Parallel(op) => op.run(ctx, env, rows, skips).await?,
-        };
+            LocalStage::Count => vec![Tuple::new(vec![Value::Int(rows.len() as i64)])],
+            LocalStage::GroupBy { key_count, aggs } => group_rows(*key_count, aggs, rows)?,
+        })
     }
-    Ok(rows)
 }
 
 /// Grouped aggregation: sorts by the leading `key_count` columns, then
 /// emits one `keys ⊕ aggregate values` row per group. With no keys this is
 /// a global aggregate: exactly one row, even over empty input.
-pub(crate) fn group_rows(
+fn group_rows(
     key_count: usize,
     aggs: &[(wsmed_sql::AggFunc, Option<usize>)],
     mut rows: Vec<Tuple>,
@@ -1373,7 +1395,7 @@ fn aggregate(func: wsmed_sql::AggFunc, arg: Option<usize>, group: &[Tuple]) -> C
     })
 }
 
-fn resolve_args(args: &[ArgExpr], row: &Tuple) -> Vec<Value> {
+pub(crate) fn resolve_args(args: &[ArgExpr], row: &Tuple) -> Vec<Value> {
     args.iter()
         .map(|a| match a {
             ArgExpr::Col(i) => row.get(*i).clone(),

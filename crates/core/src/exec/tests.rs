@@ -851,21 +851,12 @@ fn warm_pool_survives_mid_stream_child_drop() {
     assert_eq!(runs.pool.idle_total(), 2, "dead child must not be parked");
 }
 
-/// Mailboxes of capacity 2, the floor.
-fn tiny_mailbox() -> RunConfig {
-    RunConfig {
-        batch: crate::transport::BatchPolicy {
-            mailbox_frames: Some(2),
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
 #[test]
 fn tiny_mailbox_capacity_is_correct_under_load() {
-    // Capacity 2 (the floor): every frame contends for mailbox space; the
-    // run must still produce exactly the right multiset.
+    // Capacity 2, the floor and the default policy's: every frame contends
+    // for mailbox space; the run must still produce exactly the right
+    // multiset.
+    assert_eq!(RunConfig::default().batch.mailbox_capacity(), 2);
     let seed = (0..40)
         .map(|i| format!("m{i}"))
         .collect::<Vec<_>>()
@@ -873,7 +864,7 @@ fn tiny_mailbox_capacity_is_correct_under_load() {
     let sequential = mock_ctx(MockTransport::new(echo_responder))
         .run_plan(&echo_plan(&seed, None))
         .unwrap();
-    let report = mock_ctx_with(MockTransport::new(echo_responder), tiny_mailbox())
+    let report = mock_ctx(MockTransport::new(echo_responder))
         .run_plan(&echo_plan(&seed, Some((4, false))))
         .unwrap();
     assert_eq!(
@@ -898,7 +889,7 @@ fn full_results_mailbox_records_blocked_send() {
         MockTransport::new(echo_responder),
         RunConfig {
             trace: TracePolicy::enabled(),
-            ..tiny_mailbox()
+            ..Default::default()
         },
     );
     let pf = PlanFunction {

@@ -37,7 +37,7 @@ mod config;
 pub mod costs;
 pub mod error;
 pub mod exec;
-pub mod materialized;
+mod materialized;
 pub mod obs;
 pub mod parallel;
 pub mod plan;
@@ -57,7 +57,6 @@ pub use costs::{CostModel, CostStage, LevelCost, OpObs, PlanCost, PlannerStats, 
 pub use error::{CoreError, CoreResult};
 pub use exec::pool::{PoolPolicy, PoolStats, ProcessPool};
 pub use exec::ExecContext;
-pub use materialized::run_materialized;
 pub use obs::{KindMask, TraceEvent, TraceEventKind, TraceLog, TracePolicy};
 pub use parallel::{
     parallel_level_count, parallelize, parallelize_adaptive, parallelize_unprojected,

@@ -12,8 +12,12 @@
 //!
 //! * level-at-a-time execution with a barrier between levels (no
 //!   cross-level pipelining);
-//! * unbounded intra-level concurrency (one thread per pending call);
+//! * unbounded intra-level concurrency (one task per pending call);
 //! * full materialization of each level's output.
+//!
+//! It walks the executor's own compiled stages instead of interpreting the
+//! plan itself: every stage but a web-service call is applied exactly as
+//! [`crate::exec`]'s interpreter applies it.
 //!
 //! Against saturating providers the unbounded burst drives the congestion
 //! model far past capacity, which is exactly why the paper's bounded,
@@ -21,157 +25,99 @@
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use wsmed_store::Tuple;
+use wsmed_wsdl::OwfDef;
 
-use crate::exec::{block_on, builtin_functions, ExecContext, ProcEnv};
+use crate::exec::{block_on, compile, resolve_args, spawn, ExecContext, ProcEnv, Stage};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
 use crate::{CoreError, CoreResult};
 
 /// Executes a **central** plan level-at-a-time with unbounded asynchronous
 /// calls per level, WSQ/DSQ style. Returns the same rows as
 /// [`ExecContext::run_plan`] on the central plan.
-pub fn run_materialized(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResult<Vec<Tuple>> {
-    let cache = ctx.call_cache();
-    if let Some(cache) = cache {
-        cache.begin_run();
+pub(crate) fn run_materialized(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResult<Vec<Tuple>> {
+    // Checked before compiling, which would spawn a parallel plan's children.
+    for op in std::iter::successors(Some(&plan.root), |op| op.input()) {
+        let refused = match op {
+            PlanOp::Param { .. } => "a plan function",
+            PlanOp::FfApply { .. } | PlanOp::AffApply { .. } => "a parallel one",
+            _ => continue,
+        };
+        return Err(CoreError::InvalidPlan(format!(
+            "materialized execution takes a central plan, not {refused}"
+        )));
     }
-    let result = run_materialized_inner(ctx, plan);
-    if let Some(cache) = cache {
-        cache.end_run();
-    }
-    result
+    ctx.in_busy_period(|| {
+        block_on(async {
+            let pipeline = compile(ctx, &ProcEnv::coordinator(), &plan.root).await?;
+            // The stream is fully materialized between stages.
+            let mut rows = vec![Tuple::empty()];
+            for stage in pipeline.stages() {
+                rows = match stage {
+                    Stage::ApplyOwf { owf, args } => burst(ctx, owf, args, rows).await?,
+                    Stage::Local(stage) => stage.apply(ctx, rows)?,
+                    Stage::Parallel(_) => unreachable!("refused above"),
+                };
+            }
+            Ok(rows)
+        })
+    })
 }
 
-fn run_materialized_inner(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResult<Vec<Tuple>> {
-    // Decompose the chain bottom-up.
-    let mut stages: Vec<&PlanOp> = Vec::new();
-    let mut op = &plan.root;
-    loop {
-        stages.push(op);
-        match op.input() {
-            Some(input) => op = input,
-            None => break,
+/// What one call of a level produced; empty while it runs, and after it
+/// if its task panicked.
+type Slot = Mutex<Option<CoreResult<Vec<Tuple>>>>;
+
+/// The WSQ/DSQ step: every call of the level at once, one task each. A
+/// task is a party of its own with its own pacing debt, so at a positive
+/// time scale it waits its call's charge out on a timer right after
+/// issuing it, and the level's calls overlap at their providers. The
+/// level's rows keep the order of their input rows, and the first failed
+/// row's error wins.
+async fn burst(
+    ctx: &Arc<ExecContext>,
+    owf: &OwfDef,
+    args: &[ArgExpr],
+    rows: Vec<Tuple>,
+) -> CoreResult<Vec<Tuple>> {
+    let owf = Arc::new(owf.clone());
+    let slots: Arc<[Slot]> = rows.iter().map(|_| Mutex::new(None)).collect();
+    let tasks: Vec<_> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let (ctx, owf, slots) = (Arc::clone(ctx), Arc::clone(&owf), Arc::clone(&slots));
+            let values = resolve_args(args, &row);
+            spawn(async move {
+                let env = ProcEnv::coordinator();
+                let produced = ctx
+                    .call_with_retry(&env, &owf, &values)
+                    .await
+                    .map(|response| {
+                        let mut produced = Vec::new();
+                        owf.flatten_onto(row.values(), &response, &mut produced);
+                        produced
+                    });
+                *slots[i].lock() = Some(produced);
+            })
+        })
+        .collect();
+    for task in tasks {
+        task.await;
+    }
+    let rows_in = slots.len() as u64;
+    let mut out = Vec::new();
+    for slot in slots.iter() {
+        match slot.lock().take() {
+            Some(produced) => out.append(&mut produced?),
+            None => return Err(CoreError::ProcessFailure("a call task panicked".into())),
         }
     }
-    stages.reverse();
-
-    // The stream is fully materialized between stages.
-    let mut rows: Vec<Tuple> = vec![Tuple::empty()];
-    for stage in stages {
-        rows = match stage {
-            PlanOp::Unit => rows,
-            PlanOp::Param { .. } => {
-                return Err(CoreError::InvalidPlan(
-                    "materialized execution takes a central plan, not a plan function".into(),
-                ))
-            }
-            PlanOp::FfApply { .. } | PlanOp::AffApply { .. } => {
-                return Err(CoreError::InvalidPlan(
-                    "materialized execution takes a central plan, not a parallel one".into(),
-                ))
-            }
-            PlanOp::ApplyOwf { owf, args, .. } => {
-                // The WSQ/DSQ step: all calls of this level at once.
-                let owf = ctx.owfs().get(owf)?.clone();
-                let handles: Vec<_> = rows
-                    .into_iter()
-                    .map(|row| {
-                        let ctx = Arc::clone(ctx);
-                        let owf = owf.clone();
-                        let values = resolve_args(args, &row);
-                        std::thread::spawn(move || -> CoreResult<Vec<Tuple>> {
-                            // Each call is a party of its own, paying on
-                            // its own debt, and traced to the coordinator.
-                            let env = ProcEnv::coordinator();
-                            let response = block_on(ctx.call_with_retry(&env, &owf, &values))?;
-                            let mut produced = Vec::new();
-                            owf.flatten_onto(row.values(), &response, &mut produced);
-                            Ok(produced)
-                        })
-                    })
-                    .collect();
-                let mut out = Vec::new();
-                let mut first_error = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(mut produced)) => out.append(&mut produced),
-                        Ok(Err(e)) => {
-                            first_error.get_or_insert(e);
-                        }
-                        Err(_) => {
-                            first_error.get_or_insert(CoreError::ProcessFailure(
-                                "async call thread panicked".into(),
-                            ));
-                        }
-                    }
-                }
-                if let Some(e) = first_error {
-                    return Err(e);
-                }
-                out
-            }
-            PlanOp::ApplyFunction { function, args, .. } => {
-                let mut out = Vec::new();
-                for row in rows {
-                    let values = resolve_args(args, &row);
-                    for produced in builtin_functions().apply(function, &values)? {
-                        out.push(row.concat(&produced));
-                    }
-                }
-                out
-            }
-            PlanOp::Extend { exprs, .. } => rows
-                .into_iter()
-                .map(|row| {
-                    let extra = Tuple::new(resolve_args(exprs, &row));
-                    row.concat(&extra)
-                })
-                .collect(),
-            PlanOp::Project { columns, .. } => {
-                rows.into_iter().map(|row| row.project(columns)).collect()
-            }
-            PlanOp::Sort { keys, .. } => {
-                let mut rows = rows;
-                rows.sort_by(|a, b| {
-                    for &(col, desc) in keys.iter() {
-                        let ord = a.get(col).total_cmp(b.get(col));
-                        if ord != std::cmp::Ordering::Equal {
-                            return if desc { ord.reverse() } else { ord };
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                rows
-            }
-            PlanOp::Distinct { .. } => {
-                let mut rows = rows;
-                rows.sort_by(|a, b| a.total_cmp(b));
-                rows.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                rows
-            }
-            PlanOp::Limit { count, .. } => {
-                let mut rows = rows;
-                rows.truncate(*count);
-                rows
-            }
-            PlanOp::Count { .. } => {
-                vec![Tuple::new(vec![wsmed_store::Value::Int(rows.len() as i64)])]
-            }
-            PlanOp::GroupBy {
-                key_count, aggs, ..
-            } => crate::exec::group_rows(*key_count, aggs, rows)?,
-        };
+    if let Some(obs) = ctx.planner_obs() {
+        obs.observe_op(&owf.name, rows_in, out.len() as u64);
     }
-    Ok(rows)
-}
-
-fn resolve_args(args: &[ArgExpr], row: &Tuple) -> Vec<wsmed_store::Value> {
-    args.iter()
-        .map(|a| match a {
-            ArgExpr::Col(i) => row.get(*i).clone(),
-            ArgExpr::Const(v) => v.clone(),
-        })
-        .collect()
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -298,5 +244,27 @@ mod tests {
             crate::RunConfig::default(),
         );
         assert!(run_materialized(&ctx, &central()).is_err());
+    }
+
+    #[test]
+    fn a_panicking_call_task_fails_the_run() {
+        // The panicking task's slot stays empty, which fails the level
+        // instead of losing that row's output.
+        let transport = MockTransport::new(|_, args| {
+            let arg = args[0].as_str().map_err(CoreError::Store)?;
+            assert_ne!(arg, "b", "injected responder panic");
+            let ys = arg.split('|').map(Value::str).collect();
+            Ok(Value::Record(Record::new().with("y", Value::Sequence(ys))))
+        });
+        let ctx = ExecContext::new(
+            transport as Arc<dyn WsTransport>,
+            echo_catalog(),
+            wsmed_netsim::SimConfig::default(),
+            crate::RunConfig::default(),
+        );
+        assert!(matches!(
+            run_materialized(&ctx, &central()),
+            Err(CoreError::ProcessFailure(_))
+        ));
     }
 }

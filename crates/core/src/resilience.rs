@@ -513,9 +513,6 @@ pub struct QuotaPolicy {
     /// `N+1`-th concurrent `execute` fails with
     /// [`CoreError::Admission`] instead of queueing.
     pub max_concurrent_queries: Option<usize>,
-    /// Web-service calls allowed in flight at once across all tenants —
-    /// the mediator-wide provider-capacity guard.
-    pub max_inflight_calls: Option<usize>,
     /// Web-service calls one tenant may have in flight at once.
     pub per_tenant_inflight_calls: Option<usize>,
 }
@@ -530,7 +527,7 @@ pub struct AdmissionStats {
     pub inflight_calls: usize,
     /// Queries rejected at admission.
     pub shed_queries: u64,
-    /// Calls rejected by the global or per-tenant in-flight budget.
+    /// Calls rejected by their tenant's in-flight budget.
     pub shed_calls: u64,
 }
 
@@ -562,8 +559,9 @@ impl Drop for QueryGuard {
     }
 }
 
-/// Per-query handle for charging web-service calls against the global
-/// and per-tenant in-flight budgets of the quota the query runs under.
+/// Per-query handle for charging web-service calls against the tenant's
+/// in-flight budget of the quota the query runs under, and counting them
+/// in flight mediator-wide.
 #[derive(Debug)]
 pub(crate) struct CallGate {
     control: Arc<AdmissionControl>,
@@ -647,21 +645,10 @@ impl AdmissionControl {
 }
 
 impl CallGate {
-    /// Charges one web-service call against the global and per-tenant
-    /// in-flight budgets, or sheds it with [`CoreError::Admission`].
+    /// Charges one web-service call against the tenant's in-flight budget,
+    /// or sheds it with [`CoreError::Admission`].
     pub(crate) fn begin_call(&self, operation: &str) -> CoreResult<CallToken> {
-        if !try_acquire(&self.control.inflight_calls, self.quota.max_inflight_calls) {
-            self.control.shed_calls.fetch_add(1, Ordering::Relaxed);
-            return Err(CoreError::Admission {
-                tenant: self.tenant.as_ref().to_owned(),
-                reason: format!(
-                    "max_inflight_calls ({}) exhausted calling {operation:?}",
-                    self.quota.max_inflight_calls.unwrap_or(0)
-                ),
-            });
-        }
         if !try_acquire(&self.tenant_inflight, self.quota.per_tenant_inflight_calls) {
-            self.control.inflight_calls.fetch_sub(1, Ordering::AcqRel);
             self.control.shed_calls.fetch_add(1, Ordering::Relaxed);
             return Err(CoreError::Admission {
                 tenant: self.tenant.as_ref().to_owned(),
@@ -671,6 +658,7 @@ impl CallGate {
                 ),
             });
         }
+        self.control.inflight_calls.fetch_add(1, Ordering::AcqRel);
         Ok(CallToken {
             control: Arc::clone(&self.control),
             tenant_inflight: Arc::clone(&self.tenant_inflight),
@@ -954,30 +942,24 @@ mod tests {
     }
 
     #[test]
-    fn call_budgets_shed_per_tenant_and_globally() {
+    fn call_budgets_shed_per_tenant() {
         let ac = Arc::new(AdmissionControl::default());
         let quota = QuotaPolicy {
             per_tenant_inflight_calls: Some(1),
-            max_inflight_calls: Some(2),
             ..Default::default()
         };
         let a = ac.gate("a", quota);
         let b = ac.gate("b", quota);
-        let c = ac.gate("c", quota);
         let ta = a.begin_call("Op").expect("a admitted");
-        // Tenant budget: a's second concurrent call sheds.
+        // Tenant budget: a's second concurrent call sheds and charges
+        // nothing; another tenant's call is admitted.
         assert!(a.begin_call("Op").is_err());
         let tb = b.begin_call("Op").expect("b admitted");
-        // Global budget: a third in-flight call sheds even for a fresh
-        // tenant, and failing the global check charges nothing.
-        assert!(c.begin_call("Op").is_err());
         assert_eq!(ac.stats().inflight_calls, 2);
-        assert_eq!(ac.stats().shed_calls, 2);
-        drop(tb);
-        let tc = c.begin_call("Op").expect("slot released");
+        assert_eq!(ac.stats().shed_calls, 1);
         drop(ta);
         assert_eq!(ac.stats().inflight_calls, 1);
-        drop(tc);
+        drop(tb);
         assert_eq!(ac.stats().inflight_calls, 0);
         // Two gates for one tenant share the in-flight counter.
         let a2 = ac.gate("a", quota);

@@ -56,11 +56,6 @@ pub struct BatchPolicy {
     pub max_result_tuples: usize,
     /// Model seconds a child may hold a non-empty result buffer.
     pub flush_model_secs: f64,
-    /// Capacity, in message frames, of each parent↔child mailbox.
-    /// `None` derives it from `max_params` (see
-    /// [`BatchPolicy::mailbox_capacity`]); `Some(n)` pins it (floored to 2
-    /// so a control frame can never deadlock behind a lone data frame).
-    pub mailbox_frames: Option<usize>,
     /// Ship Call/ResultBatch frames in the columnar wire format
     /// (`wire::encode_columnar_message`): whole-column encodes on the
     /// sender, zero-copy string decode on the receiver. Off by default —
@@ -76,7 +71,6 @@ impl Default for BatchPolicy {
             max_params: 1,
             max_result_tuples: 1,
             flush_model_secs: 0.05,
-            mailbox_frames: None,
             columnar: false,
         }
     }
@@ -102,16 +96,13 @@ impl BatchPolicy {
 
     /// Capacity, in frames, of one parent→child (or child→parent) mailbox.
     ///
-    /// Derived from `max_params` when unpinned: wider parameter frames mean
-    /// fewer frames in flight carry the same tuple volume, so a small frame
-    /// window suffices; the clamp keeps the window sane at both extremes.
-    /// The floor of 2 guarantees a control frame (Install/Attach/Shutdown)
+    /// Derived from `max_params`: wider parameter frames mean fewer frames
+    /// in flight carry the same tuple volume, so a small frame window
+    /// suffices; the clamp keeps the window sane at both extremes. The
+    /// floor of 2 guarantees a control frame (Install/Attach/Shutdown)
     /// plus one data frame always fit, which teardown relies on.
     pub fn mailbox_capacity(&self) -> usize {
-        match self.mailbox_frames {
-            Some(n) => n.max(2),
-            None => self.max_params.clamp(2, 64),
-        }
+        self.max_params.clamp(2, 64)
     }
 }
 
@@ -571,17 +562,9 @@ mod tests {
 
     #[test]
     fn mailbox_capacity_derivation() {
-        // Derived: max_params clamped to [2, 64].
         assert_eq!(BatchPolicy::default().mailbox_capacity(), 2);
         assert_eq!(BatchPolicy::uniform(16).mailbox_capacity(), 16);
         assert_eq!(BatchPolicy::uniform(500).mailbox_capacity(), 64);
-        // Pinned: floored to 2.
-        let pinned = |n| BatchPolicy {
-            mailbox_frames: Some(n),
-            ..Default::default()
-        };
-        assert_eq!(pinned(1).mailbox_capacity(), 2);
-        assert_eq!(pinned(8).mailbox_capacity(), 8);
     }
 
     #[test]

@@ -19,7 +19,9 @@ use crate::obs::{TraceLog, TracePolicy};
 use crate::parallel::{parallel_level_count, parallelize, parallelize_adaptive, FanoutVector};
 use crate::plan::{AdaptiveConfig, QueryPlan};
 use crate::planner::{self, PlanExplanation, PlannerPolicy};
-use crate::resilience::{AdmissionControl, BreakerTotals, QuotaPolicy, ResiliencePolicy};
+use crate::resilience::{
+    AdmissionControl, BreakerTotals, QueryGuard, QuotaPolicy, ResiliencePolicy,
+};
 use crate::router::{Router, RouterPolicy};
 use crate::stats::ExecutionReport;
 use crate::transport::{BatchPolicy, DispatchPolicy, SimTransport, WsTransport};
@@ -415,16 +417,23 @@ impl Wsmed {
         tenant: &str,
         plan: &QueryPlan,
     ) -> (CoreResult<ExecutionReport>, Option<Arc<TraceLog>>) {
-        // The run's one consistent view of the mediator's configuration.
-        let config = self.config.read().clone();
-        let _guard = match config.admission.admit_query(tenant, config.quota) {
-            Ok(guard) => guard,
+        let (_guard, ctx) = match self.admit(tenant) {
+            Ok(admitted) => admitted,
             Err(e) => return (Err(e), None),
         };
-        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let ctx = self.context(config.for_run(tenant, query_id, &self.planner_stats));
         let result = ctx.run_plan(plan);
         (result, ctx.trace_handle())
+    }
+
+    /// Admits one query of `tenant` under the mediator's [`QuotaPolicy`]
+    /// and builds its run's context from the run's one consistent view of
+    /// the mediator's configuration. The guard holds the query's slot.
+    fn admit(&self, tenant: &str) -> CoreResult<(QueryGuard, Arc<ExecContext>)> {
+        let config = self.config.read().clone();
+        let guard = config.admission.admit_query(tenant, config.quota)?;
+        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+        let ctx = self.context(config.for_run(tenant, query_id, &self.planner_stats));
+        Ok((guard, ctx))
     }
 
     /// Executes a plan on behalf of `tenant`, attributing every terminal
@@ -489,15 +498,11 @@ impl Wsmed {
     /// Compile + execute with the WSQ/DSQ-style baseline (§VI): level-at-a-
     /// time materialization with unbounded asynchronous calls per level.
     /// Returns only the rows (the baseline has no process tree to report).
+    /// The run is admitted and configured like any other execution of the
+    /// default tenant.
     pub fn run_materialized(&self, sql: &str) -> CoreResult<Vec<wsmed_store::Tuple>> {
         let plan = self.compile_central(sql)?;
-        let config = self.config.read().clone();
-        // No process tree: nothing to pool, dispatch or batch.
-        let ctx = self.context(RunConfig {
-            resilience: config.resilience,
-            cache: config.cache,
-            ..Default::default()
-        });
+        let (_guard, ctx) = self.admit(DEFAULT_TENANT)?;
         crate::materialized::run_materialized(&ctx, &plan)
     }
 

@@ -256,12 +256,15 @@ impl LoadReport {
             workload.injections.len(),
             "one outcome per injection"
         );
-        counters.pruned_params = outcomes.iter().map(|o| o.pruned_params).sum();
-        counters.cache_hits = outcomes.iter().map(|o| o.cache.hits).sum();
-        counters.cache_misses = outcomes.iter().map(|o| o.cache.misses).sum();
-        counters.cross_query_hits = outcomes.iter().map(|o| o.cache.cross_query_hits).sum();
-        counters.warm_acquires = outcomes.iter().map(|o| o.pool.warm_acquires).sum();
-        counters.cold_spawns = outcomes.iter().map(|o| o.pool.cold_spawns).sum();
+        // Per-run attribution sums across injections; a shed or failed run
+        // has no report and adds nothing.
+        let reports = || outcomes.iter().filter_map(|o| o.report.as_deref());
+        counters.pruned_params = reports().map(|r| r.pruned_params).sum();
+        counters.cache_hits = reports().map(|r| r.cache.hits).sum();
+        counters.cache_misses = reports().map(|r| r.cache.misses).sum();
+        counters.cross_query_hits = reports().map(|r| r.cache.cross_query_hits).sum();
+        counters.warm_acquires = reports().map(|r| r.pool.warm_acquires).sum();
+        counters.cold_spawns = reports().map(|r| r.pool.cold_spawns).sum();
         let all: Vec<&InjectionOutcome> = outcomes.iter().collect();
         let duration = workload.spec.duration_model_secs;
         let overall = PhaseReport::build("all", &all, duration, time_scale);
@@ -428,10 +431,6 @@ mod tests {
             arrival_model_secs: index as f64,
             latency_wall: Duration::from_millis(ms),
             kind,
-            ws_calls: 1,
-            pruned_params: 0,
-            cache: Default::default(),
-            pool: Default::default(),
             report: None,
         }
     }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use wsmed_core::{ArrivalOutcome, CacheStats, CoreResult, PoolStats, QueryPlan, Wsmed};
+use wsmed_core::{ArrivalOutcome, CoreResult, QueryPlan, Wsmed};
 
 use crate::workload::{TemplateKind, Workload};
 
@@ -61,18 +61,9 @@ pub struct InjectionOutcome {
     pub latency_wall: Duration,
     /// How the injection terminated.
     pub kind: OutcomeKind,
-    /// Web-service calls charged to this run (0 for shed/failed).
-    pub ws_calls: u64,
-    /// Parameters pruned by the plan's semi-join prune stages.
-    pub pruned_params: u64,
-    /// Per-run call-cache attribution (zero for shed/failed runs). Unlike
-    /// the mediator-level counters these never reset mid-replay, so they
-    /// sum correctly across injections.
-    pub cache: CacheStats,
-    /// Per-run process-pool attribution (zero for shed/failed runs).
-    pub pool: PoolStats,
     /// The full execution report of a completed run (result rows, tree,
-    /// resilience detail) — `None` for shed/failed injections.
+    /// per-run cache and pool attribution, resilience detail) — `None` for
+    /// shed/failed injections.
     pub report: Option<Box<wsmed_core::ExecutionReport>>,
 }
 
@@ -128,33 +119,18 @@ pub fn replay(
                 }
                 let outcome = med.execute_arrival_for(&inj.tenant, plan, target);
                 let latency_wall = outcome.latency_wall();
-                let (kind, ws_calls, pruned_params, cache, pool, report) = match outcome {
+                let (kind, report) = match outcome {
                     ArrivalOutcome::Completed { report, .. } => (
                         OutcomeKind::Completed {
                             rows: report.rows.len(),
                         },
-                        report.ws_calls,
-                        report.pruned_params,
-                        report.cache,
-                        report.pool,
                         Some(report),
                     ),
-                    ArrivalOutcome::Shed { .. } => (
-                        OutcomeKind::Shed,
-                        0,
-                        0,
-                        CacheStats::default(),
-                        PoolStats::default(),
-                        None,
-                    ),
+                    ArrivalOutcome::Shed { .. } => (OutcomeKind::Shed, None),
                     ArrivalOutcome::Failed { error, .. } => (
                         OutcomeKind::Failed {
                             error: error.to_string(),
                         },
-                        0,
-                        0,
-                        CacheStats::default(),
-                        PoolStats::default(),
                         None,
                     ),
                 };
@@ -169,10 +145,6 @@ pub fn replay(
                         arrival_model_secs: inj.arrival_model_secs,
                         latency_wall,
                         kind,
-                        ws_calls,
-                        pruned_params,
-                        cache,
-                        pool,
                         report,
                     });
             });

@@ -134,6 +134,47 @@ fn materialized_baseline_matches_streamed_results() {
 }
 
 #[test]
+fn materialized_baseline_applies_every_local_operator() {
+    // The baseline drives the executor's own stages, so ORDER BY,
+    // DISTINCT, LIMIT, COUNT(*), GROUP BY with each aggregate and a
+    // helping function give the central plan's rows over a dependent join.
+    // Its burst keeps each level's rows in their input rows' order, so the
+    // rows match in order too.
+    let setup = paper::setup(0.0, DatasetConfig::tiny());
+    let queries = [
+        "select gs.State, gi.GetInfoByStateResult \
+         from GetAllStates gs, GetInfoByState gi where gs.State=gi.USState \
+         order by gs.State desc limit 7",
+        "select distinct gs.Type from GetAllStates gs, GetInfoByState gi \
+         where gs.State=gi.USState",
+        "select count(*) from GetAllStates gs, GetInfoByState gi \
+         where gs.State=gi.USState",
+        "select gs.Type, min(gs.LatDegrees), max(gs.LatDegrees), \
+                avg(gs.LatDegrees), sum(gs.LonDegrees), count(*) \
+         from GetAllStates gs, GetInfoByState gi where gs.State=gi.USState \
+         group by gs.Type",
+        "select gp.ToState, count(*) \
+         From GetAllStates gs, GetInfoByState gi, getzipcode gc, GetPlacesInside gp \
+         Where gs.State=gi.USState and gi.GetInfoByStateResult=gc.zipstr \
+           and gc.zipcode=gp.zip \
+         group by gp.ToState having count(*) >= 2 order by gp.ToState",
+        "Select gl.placename, gl.state \
+         From GetAllStates gs, GetPlacesWithin gp, GetPlaceList gl \
+         Where gs.State=gp.state and gp.distance=15.0 \
+           and gp.placeTypeToFind='City' and gp.place='Atlanta' \
+           and gl.placeName=gp.ToPlace+', '+gp.ToState \
+           and gl.MaxItems=100 and gl.imagePresence='true' \
+         order by gl.state, gl.placename limit 10",
+    ];
+    for sql in queries {
+        let central = setup.wsmed.run_central(sql).unwrap();
+        assert!(!central.rows.is_empty(), "{sql}");
+        let materialized = setup.wsmed.run_materialized(sql).unwrap();
+        assert_eq!(materialized, central.rows, "{sql}");
+    }
+}
+
+#[test]
 fn materialized_baseline_drives_unbounded_concurrency() {
     use wsmed::services::UsZipService;
     // 51 GetInfoByState calls in one burst: peak in-flight far above the
