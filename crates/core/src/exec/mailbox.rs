@@ -3,7 +3,7 @@
 //! A mailbox is a bounded FIFO with many senders and one receiver. A
 //! receiver with nothing to read, and a sender facing a full mailbox,
 //! suspend their task instead of their thread: a send is a run-queue push
-//! for the woken receiver ([`crate::exec::runtime`]), not an OS wake-up.
+//! for the woken receiver ([`wsmed_netsim::runtime`]), not an OS wake-up.
 //! Closing is symmetric: when the receiver is gone (or closed) every send
 //! fails, and when every sender is gone the receiver reads what is queued,
 //! then the end.
@@ -244,7 +244,7 @@ impl<T> std::fmt::Debug for Sender<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::runtime::{block_on, spawn};
+    use wsmed_netsim::runtime::{block_on, spawn};
 
     #[test]
     fn try_send_reports_full_and_disconnected() {

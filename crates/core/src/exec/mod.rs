@@ -5,13 +5,12 @@ mod mailbox;
 mod parallel_op;
 pub mod pool;
 mod process;
-mod runtime;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use wsmed_netsim::{PacingDebt, SimConfig};
+use wsmed_netsim::{pacing, runtime, PacingDebt, SimConfig};
 use wsmed_store::{FunctionRegistry, Tuple, Value};
 use wsmed_wsdl::{OwfDef, Response};
 
@@ -52,7 +51,7 @@ pub(crate) struct ProcEnv {
     pub pf: Arc<str>,
     /// What the process owes the wall clock (DESIGN.md, "Pacing"). Only
     /// its own task touches it.
-    debt: Mutex<PacingDebt>,
+    debt: PacingDebt,
 }
 
 impl ProcEnv {
@@ -61,7 +60,7 @@ impl ProcEnv {
             id,
             level,
             pf,
-            debt: Mutex::default(),
+            debt: PacingDebt::default(),
         }
     }
 
@@ -70,24 +69,13 @@ impl ProcEnv {
         ProcEnv::new(0, 0, Arc::from(""))
     }
 
-    /// Pays `model_secs` of simulated time on `sim`'s pacer, charged to
-    /// this process's debt: once a quantum is owed, the process waits the
-    /// whole debt out on a timer, and the overwait is credit. At
-    /// `time_scale == 0` it is ready at its first poll, which compares one
-    /// number.
+    /// Pays `model_secs` of simulated time at `sim`'s scale on the pacer
+    /// ([`pacing::pay`]), charged to this process's debt: once a quantum is
+    /// owed, the process waits the whole debt out on a timer, and the
+    /// overwait is credit. At `time_scale == 0` it is ready at its first
+    /// poll, which compares one number.
     pub(crate) async fn pay(&self, sim: &SimConfig, model_secs: f64) {
-        if sim.time_scale > 0.0 {
-            let due = sim.owe_model(&mut self.debt(), model_secs);
-            if let Some(asked) = due {
-                let started = Instant::now();
-                sleep(asked).await;
-                wsmed_netsim::settle_pacing(&mut self.debt(), asked, started.elapsed());
-            }
-        }
-    }
-
-    fn debt(&self) -> std::sync::MutexGuard<'_, PacingDebt> {
-        self.debt.lock().unwrap_or_else(|e| e.into_inner())
+        pacing::pay(&self.debt, sim.time_scale, model_secs).await;
     }
 }
 
@@ -122,7 +110,7 @@ pub struct ExecContext {
     /// result tuple (0 = not yet / not applicable).
     first_result_nanos: AtomicU64,
     /// Resilience counters behind [`crate::ResilienceStats`].
-    res_stats: ResilienceCollector,
+    pub(crate) res_stats: ResilienceCollector,
     /// Routing counters behind [`crate::RouterStats`].
     router_stats: RouterCollector,
     /// Per-query attribution of shared-cache traffic.
@@ -499,8 +487,8 @@ impl ExecContext {
         let policy = &self.cfg.resilience;
         // Resolve the routable replica view when the run has a router.
         // Resolution advances the topology scenario, so membership events
-        // (joins, leaves, autoscale activations) surface here — once per
-        // logical call, before any attempt.
+        // (joins and leaves) surface here — once per logical call, before
+        // any attempt.
         let routing: Option<(&Router, GroupView)> = self
             .cfg
             .router
@@ -938,7 +926,7 @@ fn is_transient(e: &CoreError) -> bool {
 /// Errors that drop a parameter tuple under [`FailureMode::Partial`]
 /// instead of aborting the query: a transient failure that exhausted its
 /// retries, a breaker rejection, or an admission shed.
-pub(crate) fn is_skippable(e: &CoreError) -> bool {
+fn is_skippable(e: &CoreError) -> bool {
     is_transient(e)
         || matches!(
             e,
@@ -1211,25 +1199,9 @@ pub(crate) async fn eval(
         rows = match stage {
             Stage::ApplyOwf { owf, args } => {
                 let rows_in = rows.len() as u64;
-                let partial = ctx.failure_mode() == FailureMode::Partial;
                 let mut out = Vec::new();
                 for row in rows {
-                    let values = resolve_args(args, &row);
-                    let response = match ctx.call_with_retry(env, owf, &values).await {
-                        Ok(response) => response,
-                        Err(e) if partial && is_skippable(&e) => {
-                            // Degrade instead of aborting: this input row
-                            // is dropped from the result and counted.
-                            if ctx.tracing() {
-                                let op = owf.name.clone();
-                                ctx.trace(env, TraceEventKind::ParamSkipped { op });
-                            }
-                            skips.note(&owf.name, 1);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    owf.flatten_onto(row.values(), &response, &mut out);
+                    call_row(ctx, env, owf, args, &row, &mut out, skips).await?;
                 }
                 if let Some(obs) = ctx.planner_obs() {
                     obs.observe_op(&owf.name, rows_in, out.len() as u64);
@@ -1241,6 +1213,36 @@ pub(crate) async fn eval(
         };
     }
     Ok(rows)
+}
+
+/// One row's web-service call, as both walks over a compiled pipeline make
+/// it ([`eval`] in sequence, the WSQ/DSQ baseline's burst a task per row):
+/// calls `owf` with `args` resolved on `row` and flattens the response onto
+/// `row` into `out`. Under [`FailureMode::Partial`] a skippable failure
+/// degrades instead of aborting: the row is dropped from the result, traced
+/// and counted in `skips`.
+pub(crate) async fn call_row(
+    ctx: &ExecContext,
+    env: &ProcEnv,
+    owf: &OwfDef,
+    args: &[ArgExpr],
+    row: &Tuple,
+    out: &mut Vec<Tuple>,
+    skips: &mut Skips,
+) -> CoreResult<()> {
+    let values = resolve_args(args, row);
+    match ctx.call_with_retry(env, owf, &values).await {
+        Ok(response) => owf.flatten_onto(row.values(), &response, out),
+        Err(e) if ctx.failure_mode() == FailureMode::Partial && is_skippable(&e) => {
+            if ctx.tracing() {
+                let op = owf.name.clone();
+                ctx.trace(env, TraceEventKind::ParamSkipped { op });
+            }
+            skips.note(&owf.name, 1);
+        }
+        Err(e) => return Err(e),
+    }
+    Ok(())
 }
 
 impl LocalStage {
@@ -1395,7 +1397,7 @@ fn aggregate(func: wsmed_sql::AggFunc, arg: Option<usize>, group: &[Tuple]) -> C
     })
 }
 
-pub(crate) fn resolve_args(args: &[ArgExpr], row: &Tuple) -> Vec<Value> {
+fn resolve_args(args: &[ArgExpr], row: &Tuple) -> Vec<Value> {
     args.iter()
         .map(|a| match a {
             ArgExpr::Col(i) => row.get(*i).clone(),

@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use wsmed_netsim::runtime;
 
 use crate::exec::process::ChildProc;
-use crate::exec::runtime;
 
 /// Configuration of the warm process pool, installed via
 /// [`crate::Wsmed::set_pool_policy`] and mirroring

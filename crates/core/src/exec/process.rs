@@ -11,7 +11,7 @@
 //! honest; the default policy is one tuple per frame, the paper's exact
 //! semantics.
 //!
-//! A process is a task on the [`crate::exec::runtime`]'s worker set, not a
+//! A process is a task on the [`wsmed_netsim::runtime`]'s worker set, not a
 //! thread of its own; a parent waiting for a message, or for room in a
 //! child's mailbox, suspends its task and its worker runs another process.
 //!
@@ -35,11 +35,11 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
+use wsmed_netsim::runtime::{self, TaskHandle};
 use wsmed_store::Tuple;
 
 use crate::cache::CacheKey;
 use crate::exec::mailbox::{bounded, Receiver, Sender, TrySendError};
-use crate::exec::runtime::{self, TaskHandle};
 use crate::exec::{compile, eval, ExecContext, Pipeline, ProcEnv};
 use crate::obs::{TraceEventKind, TraceLog};
 use crate::resilience::Skips;

@@ -29,13 +29,15 @@ use parking_lot::Mutex;
 use wsmed_store::Tuple;
 use wsmed_wsdl::OwfDef;
 
-use crate::exec::{block_on, compile, resolve_args, spawn, ExecContext, ProcEnv, Stage};
+use crate::exec::{block_on, call_row, compile, spawn, ExecContext, ProcEnv, Stage};
 use crate::plan::{ArgExpr, PlanOp, QueryPlan};
+use crate::resilience::Skips;
 use crate::{CoreError, CoreResult};
 
 /// Executes a **central** plan level-at-a-time with unbounded asynchronous
 /// calls per level, WSQ/DSQ style. Returns the same rows as
-/// [`ExecContext::run_plan`] on the central plan.
+/// [`ExecContext::run_plan`] on the central plan, and counts the same skips
+/// under partial failure mode.
 pub(crate) fn run_materialized(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> CoreResult<Vec<Tuple>> {
     // Checked before compiling, which would spawn a parallel plan's children.
     for op in std::iter::successors(Some(&plan.root), |op| op.input()) {
@@ -53,53 +55,55 @@ pub(crate) fn run_materialized(ctx: &Arc<ExecContext>, plan: &QueryPlan) -> Core
             let pipeline = compile(ctx, &ProcEnv::coordinator(), &plan.root).await?;
             // The stream is fully materialized between stages.
             let mut rows = vec![Tuple::empty()];
+            let mut skips = Skips::default();
             for stage in pipeline.stages() {
                 rows = match stage {
-                    Stage::ApplyOwf { owf, args } => burst(ctx, owf, args, rows).await?,
+                    Stage::ApplyOwf { owf, args } => {
+                        burst(ctx, owf, args, rows, &mut skips).await?
+                    }
                     Stage::Local(stage) => stage.apply(ctx, rows)?,
                     Stage::Parallel(_) => unreachable!("refused above"),
                 };
             }
+            ctx.res_stats.note_skips(skips);
             Ok(rows)
         })
     })
 }
 
-/// What one call of a level produced; empty while it runs, and after it
-/// if its task panicked.
-type Slot = Mutex<Option<CoreResult<Vec<Tuple>>>>;
+/// What one call of a level produced and the skips it counted; empty
+/// while it runs, and after it if its task panicked.
+type Slot = Mutex<Option<CoreResult<(Vec<Tuple>, Skips)>>>;
 
-/// The WSQ/DSQ step: every call of the level at once, one task each. A
+/// The WSQ/DSQ step: every call of the level at once, one task each, each
+/// the same per-row call body [`crate::exec::eval`] runs in sequence. A
 /// task is a party of its own with its own pacing debt, so at a positive
 /// time scale it waits its call's charge out on a timer right after
 /// issuing it, and the level's calls overlap at their providers. The
-/// level's rows keep the order of their input rows, and the first failed
-/// row's error wins.
+/// level's rows and its skips, added to `skips`, keep the order of their
+/// input rows, and the first failed row's error wins.
 async fn burst(
     ctx: &Arc<ExecContext>,
     owf: &OwfDef,
     args: &[ArgExpr],
     rows: Vec<Tuple>,
+    skips: &mut Skips,
 ) -> CoreResult<Vec<Tuple>> {
     let owf = Arc::new(owf.clone());
+    let args: Arc<[ArgExpr]> = args.into();
     let slots: Arc<[Slot]> = rows.iter().map(|_| Mutex::new(None)).collect();
     let tasks: Vec<_> = rows
         .into_iter()
         .enumerate()
         .map(|(i, row)| {
-            let (ctx, owf, slots) = (Arc::clone(ctx), Arc::clone(&owf), Arc::clone(&slots));
-            let values = resolve_args(args, &row);
+            let (ctx, owf, args) = (Arc::clone(ctx), Arc::clone(&owf), Arc::clone(&args));
+            let slots = Arc::clone(&slots);
             spawn(async move {
                 let env = ProcEnv::coordinator();
-                let produced = ctx
-                    .call_with_retry(&env, &owf, &values)
-                    .await
-                    .map(|response| {
-                        let mut produced = Vec::new();
-                        owf.flatten_onto(row.values(), &response, &mut produced);
-                        produced
-                    });
-                *slots[i].lock() = Some(produced);
+                let (mut produced, mut skipped) = (Vec::new(), Skips::default());
+                let called = call_row(&ctx, &env, &owf, &args, &row, &mut produced, &mut skipped);
+                let done = called.await.map(|()| (produced, skipped));
+                *slots[i].lock() = Some(done);
             })
         })
         .collect();
@@ -110,7 +114,11 @@ async fn burst(
     let mut out = Vec::new();
     for slot in slots.iter() {
         match slot.lock().take() {
-            Some(produced) => out.append(&mut produced?),
+            Some(done) => {
+                let (mut produced, skipped) = done?;
+                out.append(&mut produced);
+                skips.absorb(skipped);
+            }
             None => return Err(CoreError::ProcessFailure("a call task panicked".into())),
         }
     }
@@ -266,5 +274,40 @@ mod tests {
             run_materialized(&ctx, &central()),
             Err(CoreError::ProcessFailure(_))
         ));
+    }
+
+    #[test]
+    fn partial_mode_skips_the_rows_the_central_run_skips() {
+        // The call for "b" fails with a service fault: under partial mode
+        // both drivers drop that row and count one skip.
+        let partial = || {
+            let transport = MockTransport::new(|_, args| {
+                let arg = args[0].as_str().map_err(CoreError::Store)?;
+                if arg == "b" {
+                    return Err(CoreError::Net(wsmed_netsim::NetError::ServiceFault {
+                        provider: "Mock".into(),
+                        operation: "Echo".into(),
+                        call_seq: 0,
+                    }));
+                }
+                let ys = arg.split('|').map(Value::str).collect();
+                Ok(Value::Record(Record::new().with("y", Value::Sequence(ys))))
+            });
+            let mut cfg = crate::RunConfig::default();
+            cfg.resilience.failure_mode = crate::FailureMode::Partial;
+            ExecContext::new(
+                transport as Arc<dyn WsTransport>,
+                echo_catalog(),
+                wsmed_netsim::SimConfig::default(),
+                cfg,
+            )
+        };
+        let central_run = partial().run_plan(&central()).unwrap();
+        let ctx = partial();
+        let rows = run_materialized(&ctx, &central()).unwrap();
+        assert_eq!(canonicalize(rows), canonicalize(central_run.rows));
+        let skipped = ctx.res_stats.snapshot().skipped_params;
+        assert_eq!(skipped, central_run.resilience.skipped_params);
+        assert_eq!(skipped, 1);
     }
 }

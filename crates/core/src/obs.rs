@@ -63,7 +63,7 @@ impl KindMask {
     /// hedged calls, parameter skips under partial failure mode.
     pub const RESILIENCE: KindMask = KindMask(1 << 7);
     /// Replica routing: per-call routing decisions, group membership
-    /// changes (topology scenarios, autoscaling) and breaker-driven
+    /// changes (topology scenarios) and breaker-driven
     /// replica skips.
     pub const ROUTING: KindMask = KindMask(1 << 8);
     /// Every event group.
@@ -293,8 +293,8 @@ pub enum TraceEventKind {
         /// Other routable replicas that were passed over.
         alternatives: u64,
     },
-    /// A replica joined or left its group (topology scenario event,
-    /// graceful drain, or autoscale activation).
+    /// A replica joined or left its group (topology scenario event or
+    /// graceful drain).
     Membership {
         /// Logical provider (replica group) name.
         group: String,

@@ -93,7 +93,7 @@ pub struct RouterStats {
     /// Hedged backup calls sent to a *different* replica than the primary.
     pub hedge_reroutes: u64,
     /// Replica join/leave events observed while routing (topology
-    /// scenarios and autoscaling).
+    /// scenarios).
     pub membership_events: u64,
     /// Routed call attempts per `(group, replica)`, sorted by key.
     pub per_replica: Vec<((String, String), u64)>,

@@ -6,8 +6,10 @@
 //! [`MockTransport`] with scripted results and optional artificial delays.
 //!
 //! A transport never waits: a call returns at once with the [`Charge`] it
-//! owes the clock, and the caller waits that out — a query process on a
-//! timer, a plain caller with a sleep ([`Charge::pay_here`]).
+//! owes the clock, and the caller waits that out on a timer of the
+//! [`wsmed_netsim::runtime`] — a query process on its own pacing debt, a
+//! plain caller on its thread's, driving the timer itself
+//! ([`Charge::pay_here`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,16 +134,15 @@ impl Charge {
             .map_or(0.0, wsmed_netsim::InFlight::model_secs)
     }
 
-    /// Pays the charge on the calling thread — the model seconds through
-    /// the thread pacer ([`wsmed_netsim::SimConfig::sleep_model`]), the
-    /// wall time as a sleep — then ends the call.
+    /// Pays the charge on the calling thread — the model seconds on the
+    /// thread's own pacing debt, then the wall time, both as timers of one
+    /// [`wsmed_netsim::pacing::pay_here`] — then ends the call.
     pub fn pay_here(self) {
-        if let Some(in_flight) = self.in_flight {
-            in_flight.pay_here();
-        }
-        if !self.wall.is_zero() {
-            std::thread::sleep(self.wall);
-        }
+        let time_scale = self
+            .in_flight
+            .as_ref()
+            .map_or(0.0, wsmed_netsim::InFlight::time_scale);
+        wsmed_netsim::pacing::pay_here(time_scale, self.model_secs(), self.wall);
     }
 }
 
@@ -318,17 +319,9 @@ impl WsTransport for SimTransport {
     fn group_view(&self, owf: &OwfDef) -> Option<crate::router::GroupView> {
         let name = self.provider_name(owf);
         let group = self.registry.network().group(&name)?;
-        // Advance the scripted topology to "now" and let sustained
-        // saturation trigger autoscaling; both produce membership events
-        // the caller traces and counts.
-        let mut changes = group.poll(self.model_now());
-        let saturated = {
-            let active = group.active();
-            !active.is_empty() && active.iter().all(|p| p.in_flight() >= p.capacity())
-        };
-        if let Some(change) = group.note_pressure(saturated) {
-            changes.push(change);
-        }
+        // Advance the scripted topology to "now": its membership events
+        // are what the caller traces and counts.
+        let changes = group.poll(self.model_now());
         let replicas: Vec<crate::router::ReplicaView> = group
             .active()
             .iter()

@@ -21,11 +21,13 @@
 //!
 //! All latencies are expressed in **model seconds**. A global
 //! [`SimConfig::time_scale`] maps model seconds to wall-clock time owed by
-//! the charged party ([`SimConfig::sleep_model`], [`SimConfig::owe_model`]),
-//! so the paper's
-//! ~2400-second experiments replay in seconds (or, with scale 0, in
-//! pure-functional time for unit tests — latencies are still *computed* and
-//! recorded in metrics, just not slept).
+//! the charged party, which one pacer ([`pacing::pay`]) waits out on a
+//! timer of the task [`runtime`], so the paper's ~2400-second experiments
+//! replay in seconds (or, with scale 0, in pure-functional time for unit
+//! tests — latencies are still *computed* and recorded in metrics, just not
+//! waited out). The runtime lives here, below every crate that pays model
+//! time: the mediator's query processes are its tasks, and a sync call
+//! ([`Provider::call`]) pays on its caller's thread without a worker.
 //!
 //! Determinism: jitter is derived from a per-call hash of
 //! `(seed, provider, call sequence number)`, so a given configuration always
@@ -35,9 +37,10 @@ mod fault;
 mod latency;
 mod metrics;
 mod network;
-mod pacing;
+pub mod pacing;
 mod provider;
 mod rng;
+pub mod runtime;
 mod topology;
 mod trace;
 
@@ -45,12 +48,11 @@ pub use fault::FaultSpec;
 pub use latency::LatencyModel;
 pub use metrics::{CallStats, MetricsSnapshot, ProviderMetrics};
 pub use network::{NetError, NetResult, Network};
-pub use pacing::{pacing_stats, settle_pacing, PacingDebt, PacingStats};
+pub use pacing::{pacing_stats, PacingDebt, PacingStats};
 pub use provider::{CallOpts, InFlight, Provider, ProviderSpec};
 pub use rng::{fnv1a, DetRng};
 pub use topology::{
-    AutoscalePolicy, MembershipChange, ReplicaGroup, ReplicaStatus, TopologyAction, TopologyEvent,
-    TopologyScenario,
+    MembershipChange, ReplicaGroup, ReplicaStatus, TopologyAction, TopologyEvent, TopologyScenario,
 };
 pub use trace::{CallTrace, TraceRecord};
 
@@ -59,9 +61,9 @@ use std::sync::Arc;
 /// Global simulation parameters shared by every provider on a [`Network`].
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Wall-clock seconds a thread is paced per model second charged to it
-    /// (see [`SimConfig::sleep_model`]). `0.0` disables pacing entirely
-    /// (latencies are still computed and recorded).
+    /// Wall-clock seconds a party is paced per model second charged to it
+    /// (see [`pacing::pay`]). `0.0` disables pacing entirely (latencies are
+    /// still computed and recorded).
     pub time_scale: f64,
     /// Seed for deterministic per-call jitter.
     pub seed: u64,
@@ -88,42 +90,12 @@ impl SimConfig {
             client: ClientCostModel::default(),
         }
     }
-
-    /// Charges `model_seconds` of simulated time to the calling thread and
-    /// sleeps it for what is due: the thread pacer, for callers outside a
-    /// task runtime.
-    ///
-    /// At `time_scale == 0.0` this returns at once. Otherwise the thread
-    /// owes `model_seconds * time_scale` of wall time, and sleeps, once and
-    /// for everything it owes, when that reaches 100 µs; what the OS slept
-    /// beyond the request (at most 100 µs of it) is credited to the next
-    /// charges. So a 4 µs message dispatch costs 4 µs, not one OS sleep
-    /// floor (~80 µs), and any thread is at most 100 µs of wall time — 0.05
-    /// model seconds at scale 0.002 — away from where the model puts it, in
-    /// either direction. A charge that is NaN, zero or negative is ignored;
-    /// one too long for a `Duration` sleeps the longest sleep there is.
-    pub fn sleep_model(&self, model_seconds: f64) {
-        pacing::pace(self.time_scale, model_seconds);
-    }
-
-    /// [`SimConfig::sleep_model`] for a paying party that keeps its own
-    /// debt and waits by other means (a task awaiting a timer): charges
-    /// `model_seconds` to `debt` and returns the wall wait now due, if any.
-    /// The caller waits it out, then books how long that took with
-    /// [`settle_pacing`].
-    pub fn owe_model(
-        &self,
-        debt: &mut PacingDebt,
-        model_seconds: f64,
-    ) -> Option<std::time::Duration> {
-        pacing::owe(debt, self.time_scale, model_seconds)
-    }
 }
 
 /// Parses a [`SimConfig::time_scale`]: a finite number ≥ 0 (0 runs
 /// unpaced). Every command line that sets the scale goes through here, so
-/// none of them accepts a value that `sleep_model` or a load injector
-/// cannot pace.
+/// none of them accepts a value that the pacer ([`pacing::pay`]) or a load
+/// injector cannot pace.
 pub fn parse_time_scale(text: &str) -> Result<f64, String> {
     text.parse()
         .ok()
@@ -184,24 +156,6 @@ pub fn network(config: SimConfig) -> Arc<Network> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn sleep_model_zero_scale_is_instant() {
-        let cfg = SimConfig::default();
-        let t0 = std::time::Instant::now();
-        cfg.sleep_model(1_000_000.0);
-        assert!(t0.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn sleep_model_scales() {
-        let cfg = SimConfig::new(0.001, 1);
-        let t0 = std::time::Instant::now();
-        cfg.sleep_model(20.0); // 20 model seconds at 1/1000 = 20ms
-        let dt = t0.elapsed();
-        assert!(dt >= Duration::from_millis(18), "slept only {dt:?}");
-    }
 
     #[test]
     fn time_scale_is_finite_and_non_negative() {

@@ -5,20 +5,22 @@
 //! CPU here, whatever was asked), and nine charges in ten of a paced query
 //! ask for less: a 4 µs message dispatch waited out on its own costs twenty
 //! times its modelled price. So a party accumulates what it owes and waits
-//! once per [`QUANTUM`] for the whole debt; the measured overwait is carried
+//! once per quantum (100 µs) for the whole debt; the measured overwait is carried
 //! forward as credit against the next charges.
 //!
-//! The paying party owns its [`PacingDebt`]. A query process keeps its own
-//! and passes it to [`SimConfig::owe_model`](crate::SimConfig::owe_model),
-//! waits what is due by its own means (a task awaits a timer), and books
-//! the wait with [`settle_pacing`]. A plain calling thread is the paying
-//! party of the thread pacer ([`SimConfig::sleep_model`](crate::SimConfig::sleep_model),
-//! [`InFlight::pay_here`](crate::InFlight::pay_here)), whose debt is the
-//! thread's own and which sleeps the thread.
+//! There is one pacer, [`pay`]: it owes, awaits a timer of the
+//! [`crate::runtime`] and settles. The paying party owns its
+//! [`PacingDebt`]. A query process keeps its own and awaits [`pay`] on it; a
+//! plain calling thread is the paying party of [`pay_here`] (which
+//! [`InFlight::pay_here`](crate::InFlight::pay_here) and the other sync
+//! entry points reach), whose debt is the thread's own and which drives
+//! [`pay`] to completion on that thread.
 
-use std::cell::Cell;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
+
+use crate::runtime;
 
 /// Wall seconds a party may owe before it waits, and the most overwait it
 /// may carry forward as credit. Just above the measured sleep floor: a
@@ -26,8 +28,8 @@ use std::time::{Duration, Instant};
 /// let one long deschedule make that much of the model time after it free.
 const QUANTUM: f64 = 100e-6;
 
-/// Wall seconds as a duration `thread::sleep` accepts: nothing for NaN, zero
-/// or a negative value, the longest sleep for what `Duration` cannot hold.
+/// Wall seconds as a wait a timer accepts: nothing for NaN, zero or a
+/// negative value, the longest wait for what `Duration` cannot hold.
 fn sleep_duration(wall_secs: f64) -> Duration {
     Duration::try_from_secs_f64(wall_secs).unwrap_or(if wall_secs > 0.0 {
         Duration::MAX
@@ -37,29 +39,57 @@ fn sleep_duration(wall_secs: f64) -> Duration {
 }
 
 /// What one paying party owes the wall clock, in seconds; negative is
-/// credit. It starts at zero ([`Default`]). The arithmetic is kept apart
-/// from the clock so it is tested without one.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PacingDebt(f64);
+/// credit. It starts at zero ([`Default`]).
+///
+/// The seconds are an `f64` kept as its bits in an atomic, so [`pay`] holds
+/// a plain `&PacingDebt` across its wait: there is no guard that could be
+/// held over the `.await`, no lock to poison, and a thread's debt is a
+/// `const` thread-local. Only the owning task or thread touches it, one
+/// charge at a time, so a relaxed load and store suffice — no
+/// read-modify-write. The arithmetic is kept apart from the clock so it is
+/// tested without one.
+#[derive(Default)]
+pub struct PacingDebt(AtomicU64);
 
 impl PacingDebt {
-    /// Adds `wall_secs` (not negative, not NaN) to the debt and, once a
-    /// quantum is owed, returns the whole debt as the sleep to ask for.
-    fn charge(&mut self, wall_secs: f64) -> Option<Duration> {
-        self.0 += wall_secs;
-        (self.0 >= QUANTUM).then(|| sleep_duration(self.0))
+    /// A debt of zero, for the thread-local's `const` initialiser.
+    const fn new() -> Self {
+        // The bits of 0.0.
+        PacingDebt(AtomicU64::new(0))
     }
 
-    /// Books a sleep of `asked` that took `slept`: the debt is paid and the
-    /// oversleep, up to one quantum, becomes credit.
-    fn settle(&mut self, asked: Duration, slept: Duration) {
-        self.0 = (asked.as_secs_f64() - slept.as_secs_f64()).max(-QUANTUM);
+    fn get(&self) -> f64 {
+        f64::from_bits(self.0.load(Relaxed))
+    }
+
+    fn set(&self, wall_secs: f64) {
+        self.0.store(wall_secs.to_bits(), Relaxed);
+    }
+
+    /// Adds `wall_secs` (not negative, not NaN) to the debt and, once a
+    /// quantum is owed, returns the whole debt as the wait to ask for.
+    fn charge(&self, wall_secs: f64) -> Option<Duration> {
+        let owed = self.get() + wall_secs;
+        self.set(owed);
+        (owed >= QUANTUM).then(|| sleep_duration(owed))
+    }
+
+    /// Books a wait of `asked` that took `waited`: the debt is paid and the
+    /// overwait, up to one quantum, becomes credit.
+    fn settle(&self, asked: Duration, waited: Duration) {
+        self.set((asked.as_secs_f64() - waited.as_secs_f64()).max(-QUANTUM));
+    }
+}
+
+impl fmt::Debug for PacingDebt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PacingDebt").field(&self.get()).finish()
     }
 }
 
 thread_local! {
-    /// The thread pacer's debt: the calling thread is the paying party.
-    static DEBT: Cell<PacingDebt> = const { Cell::new(PacingDebt(0.0)) };
+    /// The debt of a thread that pays on itself ([`pay_here`]).
+    static DEBT: PacingDebt = const { PacingDebt::new() };
 }
 
 static CHARGES: AtomicU64 = AtomicU64::new(0);
@@ -71,8 +101,8 @@ pub struct PacingStats {
     /// Model-time charges that were paced (`time_scale > 0`, positive
     /// amount).
     pub charges: u64,
-    /// Paced waits those charges turned into, whether a thread slept or a
-    /// task awaited a timer.
+    /// Paced waits those charges turned into, whether a task or a calling
+    /// thread paid them.
     pub os_sleeps: u64,
 }
 
@@ -86,39 +116,42 @@ pub fn pacing_stats() -> PacingStats {
     }
 }
 
-/// Charges `model_secs` at `time_scale` to `debt`; once a quantum is owed,
-/// returns the whole debt as the wait now due, which the caller waits out
-/// and reports with [`settle_pacing`]. Nothing for a scale or charge that
-/// is NaN, zero or negative.
-pub(crate) fn owe(debt: &mut PacingDebt, time_scale: f64, model_secs: f64) -> Option<Duration> {
-    let paced = time_scale > 0.0 && model_secs > 0.0;
-    if !paced {
-        return None;
-    }
-    CHARGES.fetch_add(1, Relaxed);
-    debt.charge(model_secs * time_scale)
-}
-
-/// Books a due wait of `asked` (from
-/// [`SimConfig::owe_model`](crate::SimConfig::owe_model)) that took
-/// `waited` against `debt`: the debt is paid and the overwait, up to one
-/// quantum, becomes credit.
-pub fn settle_pacing(debt: &mut PacingDebt, asked: Duration, waited: Duration) {
-    OS_SLEEPS.fetch_add(1, Relaxed);
-    debt.settle(asked, waited);
-}
-
-/// [`owe`] on the calling thread's debt, sleeping the thread for the wait
-/// due. At scale 0 it touches nothing.
-pub(crate) fn pace(time_scale: f64, model_secs: f64) {
-    if time_scale > 0.0 {
-        let mut debt = DEBT.get();
-        if let Some(asked) = owe(&mut debt, time_scale, model_secs) {
-            let start = Instant::now();
-            std::thread::sleep(asked);
-            settle_pacing(&mut debt, asked, start.elapsed());
+/// The pacer: charges `model_secs` of simulated time at `time_scale` to
+/// `debt`, and once the debt reaches 100 µs of wall time waits it out,
+/// whole, on a runtime timer ([`runtime::sleep`]); what the wait took
+/// beyond the debt (at most 100 µs of it) is credited to the next charges.
+/// So a 4 µs message dispatch costs 4 µs, not one OS sleep floor (~80 µs),
+/// and a party is at most 100 µs of wall time — 0.05 model seconds at scale
+/// 0.002 — away from where the model puts it, in either direction.
+///
+/// A scale or charge that is NaN, zero or negative charges nothing, and at
+/// `time_scale == 0` the first poll is ready after comparing one number. A
+/// charge too long for a `Duration` waits the longest wait there is.
+pub async fn pay(debt: &PacingDebt, time_scale: f64, model_secs: f64) {
+    if time_scale > 0.0 && model_secs > 0.0 {
+        CHARGES.fetch_add(1, Relaxed);
+        if let Some(asked) = debt.charge(model_secs * time_scale) {
+            let started = Instant::now();
+            runtime::sleep(asked).await;
+            OS_SLEEPS.fetch_add(1, Relaxed);
+            debt.settle(asked, started.elapsed());
         }
-        DEBT.set(debt);
+    }
+}
+
+/// [`pay`] on the calling thread, for a caller outside the runtime's tasks:
+/// charges `model_secs` at `time_scale` to the thread's own debt, then waits
+/// `wall` at any scale, both on timers of a [`runtime::block_on`] on this
+/// thread, which starts no worker. Unpaced and with no `wall`, it returns
+/// at once. Not on a worker ([`runtime::on_worker`]).
+pub fn pay_here(time_scale: f64, model_secs: f64, wall: Duration) {
+    if (time_scale > 0.0 && model_secs > 0.0) || !wall.is_zero() {
+        DEBT.with(|debt| {
+            runtime::block_on(async {
+                pay(debt, time_scale, model_secs).await;
+                runtime::sleep(wall).await;
+            });
+        });
     }
 }
 
@@ -139,7 +172,7 @@ mod tests {
 
     #[test]
     fn small_charges_add_up_to_one_sleep() {
-        let mut debt = PacingDebt(0.0);
+        let debt = PacingDebt::new();
         for _ in 0..24 {
             assert_eq!(debt.charge(4e-6), None);
         }
@@ -147,16 +180,16 @@ mod tests {
         assert!((asked.as_secs_f64() - QUANTUM).abs() < 1e-9, "{asked:?}");
         debt.settle(asked, asked + Duration::from_micros(30));
         assert!(
-            (debt.0 + 30e-6).abs() < 1e-9,
+            (debt.get() + 30e-6).abs() < 1e-9,
             "oversleep is credit: {debt:?}"
         );
         debt.settle(asked, asked + Duration::from_millis(10));
-        assert_eq!(debt.0, -QUANTUM, "a long deschedule buys one quantum");
+        assert_eq!(debt.get(), -QUANTUM, "a long deschedule buys one quantum");
     }
 
     #[test]
     fn an_infinite_charge_asks_for_the_longest_sleep() {
-        let mut debt = PacingDebt(0.0);
+        let debt = PacingDebt::new();
         assert_eq!(debt.charge(f64::INFINITY), Some(Duration::MAX));
     }
 
@@ -169,7 +202,7 @@ mod tests {
         fn debt_stays_within_one_quantum(
             steps in proptest::collection::vec((0.0f64..5.0 * QUANTUM, 0.0f64..3.0), 1..200),
         ) {
-            let mut debt = PacingDebt(0.0);
+            let debt = PacingDebt::new();
             let (mut charged, mut slept_total, mut sleeps) = (0.0f64, 0.0f64, 0u32);
             for (wall_secs, oversleep) in steps {
                 charged += wall_secs;
@@ -179,7 +212,7 @@ mod tests {
                     slept_total += slept.as_secs_f64();
                     debt.settle(asked, slept);
                 }
-                prop_assert!((-QUANTUM..QUANTUM).contains(&debt.0), "debt {debt:?}");
+                prop_assert!((-QUANTUM..QUANTUM).contains(&debt.get()), "debt {debt:?}");
                 // A nanosecond of slack per sleep for `Duration`'s rounding.
                 let slack = f64::from(sleeps) * 1e-9;
                 prop_assert!(slept_total >= charged - QUANTUM - slack);

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -176,7 +177,7 @@ impl Provider {
     }
 
     /// Performs one call to operation `op` and pays its model latency on
-    /// the calling thread ([`SimConfig::sleep_model`]).
+    /// the calling thread ([`InFlight::pay_here`]).
     ///
     /// `serve` produces the response and its payload size in bytes; it runs
     /// *inside* the simulated service so its wall-clock cost should be
@@ -338,10 +339,17 @@ impl InFlight {
         self.model_secs
     }
 
-    /// Pays the charge on the calling thread ([`SimConfig::sleep_model`] at
-    /// the scale of the call's config), then ends the call.
+    /// The time scale of the call's config: wall seconds owed per model
+    /// second of the charge.
+    pub fn time_scale(&self) -> f64 {
+        self.time_scale
+    }
+
+    /// Pays the charge on the calling thread's own debt
+    /// ([`crate::pacing::pay_here`] at the scale of the call's config), then
+    /// ends the call. Not on a worker of the [`crate::runtime`].
     pub fn pay_here(self) {
-        crate::pacing::pace(self.time_scale, self.model_secs);
+        crate::pacing::pay_here(self.time_scale, self.model_secs, Duration::ZERO);
     }
 }
 

@@ -1,22 +1,24 @@
-//! The query-process runtime: tasks on a fixed set of worker threads, and
-//! the timers they wait on.
+//! The task runtime: tasks on a fixed set of worker threads, and the
+//! timers they wait on.
 //!
-//! A query process is a task — a future polled by whichever worker pops it
-//! from the one run queue — instead of an OS thread of its own, so a
-//! message between two processes is a queue push, not a context switch.
-//! `W` = [`std::thread::available_parallelism`] workers start on the first
-//! [`spawn`]; a plan that spawns nothing (a central plan) starts none. The
-//! coordinator q0 runs on the caller's thread in [`block_on`].
+//! The mediator's query processes (`wsmed-core`) are tasks — futures polled
+//! by whichever worker pops them from the one run queue — instead of OS
+//! threads of their own, so a message between two processes is a queue
+//! push, not a context switch. `W` = [`std::thread::available_parallelism`]
+//! workers start on the first [`spawn`]; a plan that spawns nothing (a
+//! central plan) starts none. The coordinator q0 runs on the caller's
+//! thread in [`block_on`].
 //!
 //! No wait on the call path holds a thread. One that outlasts a poll —
-//! paced model time ([`crate::exec::ProcEnv::pay`]), a mock's delay — is a
-//! timer ([`sleep`]) the task awaits. A worker fires due timers between
-//! polls and, with nothing to run, waits for the earliest one; a thread in
+//! paced model time ([`crate::pacing::pay`]), a mock's delay — is a timer
+//! ([`sleep`]) the task awaits. A worker fires due timers between polls
+//! and, with nothing to run, waits for the earliest one; a thread in
 //! [`block_on`] keeps the timers of the future it drives and parks until
 //! the earliest. So a paced tree runs on the `W` workers and the caller's
-//! thread, and a central plan, paced or not, on the caller's thread alone.
+//! thread, and a central plan, paced or not, on the caller's thread alone,
+//! as does a sync call that pays its charge ([`crate::InFlight::pay_here`]).
 //!
-//! The runtime knows nothing about the processes it runs: what a process
+//! The runtime knows nothing about the tasks it runs: what a query process
 //! owns — its identity in the tree, its pacing debt, the skips of the call
 //! it is evaluating — lives in its future, and a poll touches no state of
 //! the thread that runs it.
@@ -124,7 +126,7 @@ impl Wake for Task {
 }
 
 /// Completes when its task has finished. Dropping it detaches the task.
-pub(crate) struct TaskHandle(Arc<Task>);
+pub struct TaskHandle(Arc<Task>);
 
 impl Future for TaskHandle {
     type Output = ();
@@ -292,7 +294,7 @@ impl Runtime {
 }
 
 /// Runs `fut` as a task on the worker set.
-pub(crate) fn spawn(fut: impl Future<Output = ()> + Send + 'static) -> TaskHandle {
+pub fn spawn(fut: impl Future<Output = ()> + Send + 'static) -> TaskHandle {
     let task = Arc::new(Task {
         state: AtomicU8::new(QUEUED),
         future: Mutex::new(Some(Box::pin(fut))),
@@ -304,12 +306,12 @@ pub(crate) fn spawn(fut: impl Future<Output = ()> + Send + 'static) -> TaskHandl
 
 /// Whether the calling thread is a worker, where [`block_on`] must not be
 /// called: it would hold the worker until its future completes.
-pub(crate) fn on_worker() -> bool {
+pub fn on_worker() -> bool {
     WORKER.with(Cell::get)
 }
 
 /// A timer that completes `wait` from now.
-pub(crate) fn sleep(wait: Duration) -> Sleep {
+pub fn sleep(wait: Duration) -> Sleep {
     let now = Instant::now();
     Sleep {
         // What `Instant` cannot hold is as good as never.
@@ -324,7 +326,7 @@ pub(crate) fn sleep(wait: Duration) -> Sleep {
 /// sets a timer of the runtime's; polled in [`block_on`], one of that
 /// thread's. It wakes the waker it was first left pending with.
 #[derive(Debug)]
-pub(crate) struct Sleep {
+pub struct Sleep {
     deadline: Instant,
     set: bool,
 }
@@ -369,13 +371,13 @@ impl Wake for Unparker {
 
 /// Runs `fut` to completion on the calling thread, parking it while the
 /// future waits. Not on a worker ([`on_worker`]).
-pub(crate) fn block_on<F: Future>(fut: F) -> F::Output {
+pub fn block_on<F: Future>(fut: F) -> F::Output {
     drive(fut, None).expect("waits without a deadline")
 }
 
 /// [`block_on`] that gives up, returning `None`, once `fut` has waited
 /// `patience` without being woken.
-pub(crate) fn block_on_watched<F: Future>(fut: F, patience: Duration) -> Option<F::Output> {
+pub fn block_on_watched<F: Future>(fut: F, patience: Duration) -> Option<F::Output> {
     drive(fut, Some(patience))
 }
 
@@ -434,7 +436,7 @@ fn drive<F: Future>(fut: F, patience: Option<Duration>) -> Option<F::Output> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::mailbox::bounded;
+    use std::sync::mpsc;
 
     #[test]
     fn timers_overlap_on_the_workers_alone() {
@@ -483,15 +485,19 @@ mod tests {
 
     #[test]
     fn a_panicking_task_ends_and_the_workers_live_on() {
-        let (tx, rx) = bounded::<u32>(1);
+        // The sender stands in for a process's mailbox: what the task owned
+        // is dropped when it panics, so its peer sees the channel close.
+        let (tx, rx) = mpsc::channel::<u32>();
         let doomed = spawn(async move {
             let _tx = tx;
             panic!("injected task panic");
         });
-        block_on(async {
-            doomed.await;
-            assert_eq!(rx.recv().await, None, "its mailbox closed");
-        });
+        block_on(doomed);
+        assert_eq!(
+            rx.try_recv(),
+            Err(mpsc::TryRecvError::Disconnected),
+            "its mailbox closed"
+        );
         let survivor = spawn(async {});
         block_on(survivor);
     }

@@ -1,5 +1,5 @@
-//! Replicated provider topology: replica groups, scripted membership
-//! scenarios, and load-triggered autoscaling.
+//! Replicated provider topology: replica groups and scripted membership
+//! scenarios.
 //!
 //! The paper's §V argument — an interior optimum fanout exists because
 //! server capacity is finite — assumes a *static* provider. This module
@@ -7,9 +7,8 @@
 //! to track a **moving** optimum: a [`ReplicaGroup`] fronts N real
 //! [`Provider`]s (each with its own capacity, latency model, and
 //! [`FaultSpec`]), and a [`TopologyScenario`] scripts membership changes
-//! against **model time** — replica leave/rejoin at scheduled instants,
-//! rolling brownouts sweeping across replicas, and standby capacity
-//! activated by sustained in-flight pressure ([`AutoscalePolicy`]).
+//! against **model time** — replica leave/rejoin at scheduled instants and
+//! rolling brownouts sweeping across replicas.
 //!
 //! Design contract:
 //!
@@ -40,9 +39,6 @@ struct Slot {
     /// Routable right now. Inactive replicas drain: in-flight calls
     /// complete, new routed calls go elsewhere.
     active: bool,
-    /// Held in reserve for autoscaling: inactive until sustained pressure
-    /// activates it (never re-activated by a scenario `Rejoin` race).
-    standby: bool,
 }
 
 /// A point-in-time view of one replica, for routers, shells, and tests.
@@ -52,17 +48,14 @@ pub struct ReplicaStatus {
     pub replica: String,
     /// Whether the replica is currently routable.
     pub active: bool,
-    /// Whether the replica is a standby held for autoscaling.
-    pub standby: bool,
     /// The replica's full-speed concurrency capacity.
     pub capacity: usize,
     /// Calls in flight at the replica right now.
     pub in_flight: usize,
 }
 
-/// A membership transition observed by [`ReplicaGroup::poll`],
-/// [`ReplicaGroup::note_pressure`], or a direct leave/rejoin call. Routers
-/// turn these into trace events.
+/// A membership transition observed by [`ReplicaGroup::poll`] or a direct
+/// leave/rejoin call. Routers turn these into trace events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MembershipChange {
     /// The logical group name.
@@ -81,7 +74,7 @@ pub enum TopologyAction {
         /// Replica provider name.
         replica: String,
     },
-    /// Restore a departed (or standby) replica to the routable set.
+    /// Restore a departed replica to the routable set.
     Rejoin {
         /// Replica provider name.
         replica: String,
@@ -189,30 +182,6 @@ struct ScenarioState {
     next: usize,
 }
 
-/// Activates standby replicas under sustained in-flight pressure. The
-/// router reports one pressure observation per routing decision
-/// ([`ReplicaGroup::note_pressure`]); after `sustain` *consecutive*
-/// saturated observations one standby replica is brought online and the
-/// streak resets. An unsaturated observation also resets the streak, so
-/// transient spikes do not scale the group out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoscalePolicy {
-    /// Consecutive saturated routing decisions required per activation.
-    pub sustain: u64,
-}
-
-impl Default for AutoscalePolicy {
-    fn default() -> Self {
-        AutoscalePolicy { sustain: 16 }
-    }
-}
-
-#[derive(Debug)]
-struct AutoscaleState {
-    policy: AutoscalePolicy,
-    streak: u64,
-}
-
 /// A logical provider name fronting N replica [`Provider`]s. Created with
 /// [`crate::Network::replicate`]; consumed by the client-side router.
 #[derive(Debug)]
@@ -220,7 +189,6 @@ pub struct ReplicaGroup {
     name: String,
     slots: RwLock<Vec<Slot>>,
     scenario: Mutex<Option<ScenarioState>>,
-    autoscale: Mutex<Option<AutoscaleState>>,
 }
 
 impl ReplicaGroup {
@@ -233,12 +201,10 @@ impl ReplicaGroup {
                     .map(|provider| Slot {
                         provider,
                         active: true,
-                        standby: false,
                     })
                     .collect(),
             ),
             scenario: Mutex::new(None),
-            autoscale: Mutex::new(None),
         }
     }
 
@@ -291,7 +257,6 @@ impl ReplicaGroup {
             .map(|s| ReplicaStatus {
                 replica: s.provider.name().to_owned(),
                 active: s.active,
-                standby: s.standby,
                 capacity: s.provider.capacity(),
                 in_flight: s.provider.in_flight(),
             })
@@ -309,14 +274,13 @@ impl ReplicaGroup {
             .sum()
     }
 
-    fn transition(&self, replica: &str, active: bool, standby: bool) -> Option<MembershipChange> {
+    fn transition(&self, replica: &str, active: bool) -> Option<MembershipChange> {
         let mut slots = self.slots.write();
         let slot = slots.iter_mut().find(|s| s.provider.name() == replica)?;
         if slot.active == active {
             return None;
         }
         slot.active = active;
-        slot.standby = standby;
         Some(MembershipChange {
             group: self.name.clone(),
             replica: replica.to_owned(),
@@ -328,20 +292,13 @@ impl ReplicaGroup {
     /// calls complete, the provider stays registered). Returns the change,
     /// or `None` when the replica is unknown or already inactive.
     pub fn leave(&self, replica: &str) -> Option<MembershipChange> {
-        self.transition(replica, false, false)
+        self.transition(replica, false)
     }
 
-    /// Restores a departed or standby `replica` to the routable set.
-    /// Returns the change, or `None` when unknown or already active.
+    /// Restores a departed `replica` to the routable set. Returns the
+    /// change, or `None` when unknown or already active.
     pub fn rejoin(&self, replica: &str) -> Option<MembershipChange> {
-        self.transition(replica, true, false)
-    }
-
-    /// Marks `replica` as an autoscaling standby: inactive until
-    /// [`ReplicaGroup::note_pressure`] activates it. Returns the resulting
-    /// leave-change, or `None` when unknown or already inactive.
-    pub fn hold_standby(&self, replica: &str) -> Option<MembershipChange> {
-        self.transition(replica, false, true)
+        self.transition(replica, true)
     }
 
     /// Installs (replacing any previous) membership script. Events are
@@ -403,39 +360,6 @@ impl ReplicaGroup {
             }
         }
         changes
-    }
-
-    /// Installs (or clears) the autoscale policy. Standby replicas are
-    /// marked separately with [`ReplicaGroup::hold_standby`].
-    pub fn set_autoscale(&self, policy: Option<AutoscalePolicy>) {
-        *self.autoscale.lock() = policy.map(|policy| AutoscaleState { policy, streak: 0 });
-    }
-
-    /// One pressure observation from the router: `saturated` means every
-    /// active replica was at or over capacity when the routing decision
-    /// was taken. After `sustain` consecutive saturated observations the
-    /// first standby replica is activated and returned.
-    pub fn note_pressure(&self, saturated: bool) -> Option<MembershipChange> {
-        let mut guard = self.autoscale.lock();
-        let state = guard.as_mut()?;
-        if !saturated {
-            state.streak = 0;
-            return None;
-        }
-        state.streak += 1;
-        if state.streak < state.policy.sustain {
-            return None;
-        }
-        state.streak = 0;
-        let standby = {
-            let slots = self.slots.read();
-            slots
-                .iter()
-                .find(|s| s.standby && !s.active)
-                .map(|s| s.provider.name().to_owned())
-        }?;
-        drop(guard);
-        self.rejoin(&standby)
     }
 }
 
@@ -579,37 +503,14 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_activates_standby_after_sustained_pressure() {
-        let (_net, group) = group_of(3);
-        group.hold_standby("svc#2").unwrap();
-        assert_eq!(group.effective_capacity(), 4);
-        group.set_autoscale(Some(AutoscalePolicy { sustain: 3 }));
-
-        assert!(group.note_pressure(true).is_none());
-        assert!(group.note_pressure(true).is_none());
-        // An unsaturated observation resets the streak.
-        assert!(group.note_pressure(false).is_none());
-        assert!(group.note_pressure(true).is_none());
-        assert!(group.note_pressure(true).is_none());
-        let change = group.note_pressure(true).expect("third in a row scales");
-        assert!(change.joined);
-        assert_eq!(change.replica, "svc#2");
-        assert_eq!(group.effective_capacity(), 6);
-        // No standby left: further pressure is a no-op.
-        for _ in 0..10 {
-            assert!(group.note_pressure(true).is_none());
-        }
-    }
-
-    #[test]
     fn status_reports_every_slot() {
         let (_net, group) = group_of(2);
-        group.hold_standby("svc#1").unwrap();
+        group.leave("svc#1").unwrap();
         let status = group.status();
         assert_eq!(status.len(), 2);
-        assert!(status[0].active && !status[0].standby);
+        assert!(status[0].active);
         assert_eq!(status[0].replica, "svc");
-        assert!(!status[1].active && status[1].standby);
+        assert!(!status[1].active);
         assert_eq!(status[1].capacity, 2);
         assert_eq!(status[1].in_flight, 0);
     }

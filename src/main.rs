@@ -990,13 +990,7 @@ impl Shell {
                         group.effective_capacity()
                     );
                     for s in group.status() {
-                        let state = if s.standby {
-                            "standby"
-                        } else if s.active {
-                            "active"
-                        } else {
-                            "left"
-                        };
+                        let state = if s.active { "active" } else { "left" };
                         println!(
                             "  {:<26} {state:<8} capacity {:>2}, {} in flight",
                             s.replica, s.capacity, s.in_flight

@@ -576,6 +576,42 @@ fn abort_mode_still_fails_fast_under_the_same_faults() {
 }
 
 #[test]
+fn materialized_baseline_honours_the_failure_mode() {
+    // The WSQ/DSQ baseline makes each call with the central plan's per-row
+    // body, so under partial mode it drops the rows the central plan drops
+    // (args-keyed faults fail the same zips in both runs), and under abort
+    // mode both fail.
+    let mut setup = paper::setup(0.0, DatasetConfig::tiny());
+    let zip = setup.network.provider(ZipCodesService::PROVIDER).unwrap();
+    zip.set_fault(FaultSpec {
+        fail_probability: 0.2,
+        keyed_by_args: true,
+        ..FaultSpec::default()
+    });
+    setup.wsmed.set_resilience_policy(ResiliencePolicy {
+        failure_mode: FailureMode::Partial,
+        ..ResiliencePolicy::default()
+    });
+    let central = setup.wsmed.run_central(UNFILTERED_Q2).unwrap();
+    assert!(central.resilience.skipped_params > 0, "nothing was skipped");
+    let materialized = setup
+        .wsmed
+        .run_materialized(UNFILTERED_Q2)
+        .expect("partial mode survives the faults");
+    assert_eq!(
+        wsmed::store::canonicalize(materialized),
+        wsmed::store::canonicalize(central.rows)
+    );
+
+    setup.wsmed.set_resilience_policy(ResiliencePolicy {
+        failure_mode: FailureMode::Abort,
+        ..ResiliencePolicy::default()
+    });
+    assert!(setup.wsmed.run_central(UNFILTERED_Q2).is_err());
+    assert!(setup.wsmed.run_materialized(UNFILTERED_Q2).is_err());
+}
+
+#[test]
 fn breaker_opens_and_recovers_during_central_execution() {
     let mut setup = paper::setup(0.0, DatasetConfig::tiny());
     let uszip = setup.network.provider(UsZipService::PROVIDER).unwrap();

@@ -1,8 +1,9 @@
 //! OS-sleep budget of a paced query.
 //!
-//! At `time_scale > 0` every charge of model time goes through
-//! `SimConfig::sleep_model`, which owes it to the charged thread and sleeps
-//! once per 100 µs owed (DESIGN.md, "Pacing"). Nine charges in ten of a
+//! At `time_scale > 0` every charge of model time goes through the one
+//! pacer, `netsim::pacing::pay`, which owes it to the charged party — a
+//! query process or a calling thread — and waits on a timer once per 100 µs
+//! owed (DESIGN.md, "Pacing"). Nine charges in ten of a
 //! paced Query1 are message dispatches of a few microseconds; slept one by
 //! one (2 851–2 935 sleeps per query before the pacer) each cost an OS sleep
 //! floor of wall and CPU that the model never charged. The counts are made
