@@ -12,12 +12,14 @@
 //!   profiles with observed per-operator cardinalities (rows-out per
 //!   row-in, i.e. join fanout and filter selectivity) and records which
 //!   wire-encoded parameter tuples evaluated to the *empty* stream, the
-//!   raw material for semi-join parameter pruning;
+//!   raw material for semi-join parameter pruning, and keeps an epoch
+//!   that advances when an estimate moves far enough to change a plan;
 //! * [`CostModel`] / [`PlanCost`] — the makespan estimate
 //!   `coordinator + Σ level_times + startup` a candidate plan is scored
 //!   by, monotone in every latency and selectivity input.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -61,20 +63,56 @@ impl OpObs {
 /// is about 50 KB in every plan function sent to a cold child.
 const MAX_EMPTY_PARAMS_PER_SECTION: usize = 4096;
 
+/// How far, relative to its value at the key's last epoch advance, a
+/// rows-per-call or latency estimate may move before it advances the epoch
+/// again.
+const EPOCH_BAND: f64 = 0.10;
+
+/// A running estimate and the value it had when it last advanced the
+/// statistics epoch (`None` before its first observation).
+#[derive(Debug, Default)]
+struct Anchored<T> {
+    value: T,
+    anchor: Option<f64>,
+}
+
+impl<T> Anchored<T> {
+    /// Advances `epoch` and re-anchors if `estimate` left the band around
+    /// the anchor. The caller holds the write lock over this entry, so a
+    /// reader that sees the new estimate also sees the advanced epoch.
+    fn reanchor(&mut self, estimate: f64, epoch: &AtomicU64) {
+        let inside = self
+            .anchor
+            .is_some_and(|anchor| (estimate - anchor).abs() <= EPOCH_BAND * anchor.abs());
+        if !inside {
+            self.anchor = Some(estimate);
+            epoch.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
 /// Mediator-lifetime planner statistics: provider profiles, per-operator
 /// cardinalities, observed call latencies, and per-section empty-parameter
 /// sets. All methods take `&self`; the struct is shared across concurrent
 /// executions via `Arc`.
+///
+/// The [epoch](PlannerStats::epoch) names the statistics a plan was priced
+/// at. It advances whenever a profile is seeded and whenever an operator's
+/// rows-per-call or an OWF's latency estimate leaves a 10 % band around its
+/// value at that key's last advance. Learned empty parameters do not
+/// advance it: they annotate a plan, they do not price it.
 #[derive(Debug, Default)]
 pub struct PlannerStats {
     profiles: RwLock<HashMap<String, ProviderProfile>>,
-    obs: RwLock<HashMap<String, OpObs>>,
-    /// Observed mean model latency per OWF, refined from execution traces
-    /// (overrides the profile's calibrated `latency_secs` once present).
-    latency: RwLock<HashMap<String, (u64, f64)>>,
+    obs: RwLock<HashMap<String, Anchored<OpObs>>>,
+    /// Observed mean model latency per OWF as `(samples, sum)`, refined
+    /// from execution traces (overrides the profile's calibrated
+    /// `latency_secs` once present).
+    latency: RwLock<HashMap<String, Anchored<(u64, f64)>>>,
     /// Per-section empty parameters: one sorted snapshot each, replaced
     /// (never mutated) when a parameter is learned.
     empties: RwLock<HashMap<String, PruneSet>>,
+    epoch: AtomicU64,
 }
 
 impl PlannerStats {
@@ -83,17 +121,26 @@ impl PlannerStats {
         Arc::new(PlannerStats::default())
     }
 
-    /// Installs (or refreshes) the calibrated profile for an OWF. Used to
-    /// warm-start the cost model before anything has executed.
+    /// Installs (or refreshes) the calibrated profile for an OWF, and
+    /// advances the epoch. Used to warm-start the cost model before
+    /// anything has executed.
     pub fn seed_profile(&self, owf: &str, profile: ProviderProfile) {
-        self.profiles.write().insert(owf.to_owned(), profile);
+        let mut profiles = self.profiles.write();
+        profiles.insert(owf.to_owned(), profile);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// The statistics epoch: a plan priced at an older epoch may no longer
+    /// be the one a search would choose.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// The profile for an OWF, with any observed latency refinement
     /// applied on top of the calibrated seed.
     pub fn profile(&self, owf: &str) -> Option<ProviderProfile> {
         let mut profile = self.profiles.read().get(owf).cloned()?;
-        if let Some(&(n, total)) = self.latency.read().get(owf) {
+        if let Some(&(n, total)) = self.latency.read().get(owf).map(|l| &l.value) {
             if n > 0 {
                 profile.latency_secs = total / n as f64;
             }
@@ -102,26 +149,34 @@ impl PlannerStats {
     }
 
     /// Records that applying `op` to `rows_in` input tuples emitted
-    /// `rows_out` result tuples.
+    /// `rows_out` result tuples. Advances the epoch if `op`'s rows-per-call
+    /// left its band.
     pub fn observe_op(&self, op: &str, rows_in: u64, rows_out: u64) {
         if rows_in == 0 {
             return;
         }
         let mut obs = self.obs.write();
         let entry = obs.entry(op.to_owned()).or_default();
-        entry.rows_in += rows_in;
-        entry.rows_out += rows_out;
+        entry.value.rows_in += rows_in;
+        entry.value.rows_out += rows_out;
+        let rows_per_call = entry.value.rows_out as f64 / entry.value.rows_in as f64;
+        entry.reanchor(rows_per_call, &self.epoch);
     }
 
-    /// Records one observed call latency (model seconds) for an OWF.
+    /// Records one observed call latency (model seconds) for an OWF; the
+    /// estimate is the cumulative mean of every sample. Advances the epoch
+    /// if that mean left its band.
     pub fn observe_latency(&self, owf: &str, model_secs: f64) {
         if !model_secs.is_finite() || model_secs < 0.0 {
             return;
         }
         let mut latency = self.latency.write();
-        let entry = latency.entry(owf.to_owned()).or_insert((0, 0.0));
-        entry.0 += 1;
-        entry.1 += model_secs;
+        let entry = latency.entry(owf.to_owned()).or_default();
+        let (n, total) = &mut entry.value;
+        *n += 1;
+        *total += model_secs;
+        let mean = *total / *n as f64;
+        entry.reanchor(mean, &self.epoch);
     }
 
     /// Average rows emitted per input row for `op`, or `default` before
@@ -130,13 +185,13 @@ impl PlannerStats {
         self.obs
             .read()
             .get(op)
-            .and_then(OpObs::rows_per_call)
+            .and_then(|entry| entry.value.rows_per_call())
             .unwrap_or(default)
     }
 
     /// The raw observation for `op`, if any.
     pub fn op_obs(&self, op: &str) -> Option<OpObs> {
-        self.obs.read().get(op).copied()
+        self.obs.read().get(op).map(|entry| entry.value)
     }
 
     /// Records that the wire-encoded parameter `param` evaluated to the
@@ -406,6 +461,38 @@ mod tests {
         stats.observe_latency("GetAirports", f64::NAN);
         stats.observe_latency("GetAirports", -1.0);
         assert!((stats.profile("GetAirports").unwrap().latency_secs - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn epoch_advances_only_when_an_estimate_leaves_its_band() {
+        let stats = PlannerStats::new();
+        let profile = ProviderProfile {
+            provider: "aviation".into(),
+            capacity: 4,
+            latency_secs: 0.5,
+        };
+        stats.seed_profile("GetAirports", profile.clone());
+        assert_eq!(stats.epoch(), 1);
+        // A first observation anchors its key and advances.
+        stats.observe_op("GetAirports", 10, 20);
+        assert_eq!(stats.epoch(), 2);
+        // 2.0 -> 2.1 (+5 %) stays inside the band; 2.1 -> 2.4 is +20 % of
+        // the anchor, 2.0, and leaves it.
+        stats.observe_op("GetAirports", 10, 22);
+        assert_eq!(stats.epoch(), 2);
+        stats.observe_op("GetAirports", 20, 54);
+        assert_eq!(stats.epoch(), 3);
+        stats.observe_latency("GetAirports", 1.0);
+        assert_eq!(stats.epoch(), 4);
+        stats.observe_latency("GetAirports", 1.1);
+        assert_eq!(stats.epoch(), 4);
+        stats.observe_latency("GetAirports", 2.0);
+        assert_eq!(stats.epoch(), 5);
+        // Learned empties annotate plans; they do not price them.
+        stats.observe_empty("s", Bytes::copy_from_slice(b"p"));
+        assert_eq!(stats.epoch(), 5);
+        stats.seed_profile("GetAirports", profile);
+        assert_eq!(stats.epoch(), 6);
     }
 
     fn is_strictly_increasing(set: &PruneSet) -> bool {

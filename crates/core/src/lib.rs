@@ -65,7 +65,7 @@ pub use parallel::{
 pub use plan::{
     AdaptDecision, AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, PruneSet, PruneSpec, QueryPlan,
 };
-pub use planner::{PlanExplanation, PlannerPolicy};
+pub use planner::{PlanExplanation, PlanOrigin, PlannerPolicy};
 pub use resilience::{
     AdmissionControl, AdmissionStats, BreakerPolicy, BreakerTotals, FailureMode, HedgePolicy,
     ProviderResilience, QueryGuard, QuotaPolicy, ResiliencePolicy, ResilienceStats,

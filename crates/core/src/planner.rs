@@ -37,7 +37,7 @@ use crate::plan::{PlanFunction, PlanOp, PruneSpec, QueryPlan};
 use crate::{CoreError, CoreResult};
 
 /// Which planner builds parallel plans for a mediator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlannerPolicy {
     /// The paper's heuristic: calculus order, one level per parallelizable
     /// OWF, binary fanouts. Produces byte-identical plans to the seed.
@@ -213,6 +213,18 @@ pub struct PlanExplanation {
     /// Semi-join pruning annotations: `(section key, dropped params)` per
     /// annotated plan function. Empty until [`annotate_prune`] runs.
     pub prune_sections: Vec<(String, usize)>,
+    /// Whether the plan was searched or taken from the mediator's plan
+    /// cache, and the statistics epoch it was priced at.
+    pub origin: PlanOrigin,
+}
+
+/// Where a planned query came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanOrigin {
+    /// Taken from [`crate::Wsmed`]'s plan cache rather than searched.
+    pub cached: bool,
+    /// The [`PlannerStats::epoch`] read before the search that priced it.
+    pub epoch: u64,
 }
 
 impl fmt::Display for PlanExplanation {
@@ -255,6 +267,16 @@ impl fmt::Display for PlanExplanation {
             "searched {} orderings, {} plan candidates",
             self.orderings_considered, self.candidates_considered
         )?;
+        writeln!(
+            f,
+            "source: {} (priced at statistics epoch {})",
+            if self.origin.cached {
+                "plan cache"
+            } else {
+                "search"
+            },
+            self.origin.epoch
+        )?;
         if self.prune_sections.is_empty() {
             write!(f, "semi-join pruning: none")?;
         } else {
@@ -290,6 +312,8 @@ pub struct PlannedQuery {
 /// for the explanation. `CostBased` searches orderings × merges × fanouts
 /// and returns the estimated-makespan argmin; the heuristic plan is
 /// always in the candidate set, so the chosen estimate is never worse.
+/// The explanation's [`PlanOrigin`] names the epoch `stats` had before the
+/// search read it.
 pub fn plan_with_policy(
     policy: PlannerPolicy,
     calc: &CalculusExpr,
@@ -298,6 +322,10 @@ pub fn plan_with_policy(
     stats: &PlannerStats,
     model: &CostModel,
 ) -> CoreResult<PlannedQuery> {
+    let origin = PlanOrigin {
+        cached: false,
+        epoch: stats.epoch(),
+    };
     let identity_central = create_central_plan(calc, owfs, functions)?;
     let (id_coord, id_sections) = plan_sections(&identity_central);
     if id_sections.is_empty() {
@@ -350,6 +378,7 @@ pub fn plan_with_policy(
                 orderings_considered: 1,
                 candidates_considered: 1,
                 prune_sections: Vec::new(),
+                origin,
             },
         });
     }
@@ -459,6 +488,7 @@ pub fn plan_with_policy(
             orderings_considered: orderings.len(),
             candidates_considered,
             prune_sections: Vec::new(),
+            origin,
         },
     })
 }

@@ -1,5 +1,6 @@
 //! The WSMED mediator facade: import WSDL, pose SQL, execute plans.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,6 +30,16 @@ use crate::CoreResult;
 
 /// The default tenant name for executions posed without a session.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// Plans [`Wsmed`] keeps, over all policies; past this the cache starts
+/// over. `load_mix` poses about a hundred distinct SQL texts.
+const PLAN_CACHE_CAPACITY: usize = 256;
+
+/// The search's winners, per planner policy and exact SQL text: each plan
+/// without prune annotations, and its explanation, whose
+/// [`crate::PlanOrigin::epoch`] is the statistics epoch it was priced at.
+/// One map per policy, so a lookup borrows the SQL text.
+type PlanCache = HashMap<PlannerPolicy, HashMap<String, (QueryPlan, PlanExplanation)>>;
 
 /// The mediator: owns the OWF catalog and the connection to the (simulated)
 /// web-service world.
@@ -68,6 +79,8 @@ pub struct Wsmed {
     planner_stats: Arc<PlannerStats>,
     /// Client-side cost model parameters (startup and default estimates).
     cost_model: CostModel,
+    /// See [`Wsmed::plan_query_explained`].
+    plan_cache: RwLock<PlanCache>,
 }
 
 impl Wsmed {
@@ -83,6 +96,7 @@ impl Wsmed {
             next_query_id: AtomicU64::new(1),
             planner_stats: PlannerStats::new(),
             cost_model: CostModel::default(),
+            plan_cache: RwLock::default(),
         }
     }
 
@@ -256,7 +270,9 @@ impl Wsmed {
                 }
             }
         }
-        // Warm processes hold plans compiled against the old catalog.
+        // Cached plans and warm processes were compiled against the old
+        // catalog.
+        self.plan_cache.get_mut().clear();
         if let Some(pool) = &self.config.get_mut().pool {
             pool.clear();
         }
@@ -344,23 +360,64 @@ impl Wsmed {
     /// orderings, section merges, and fanouts for the estimated-makespan
     /// argmin; with `prune: true` it additionally annotates plan functions
     /// with learned empty-parameter drop lists (semi-join pruning).
+    ///
+    /// A text is searched once per statistics epoch
+    /// ([`PlannerStats::epoch`]): the winner is kept per (policy, SQL text)
+    /// and reused, re-annotated with the current prune sets, while the
+    /// epoch it was priced at is still current. The search itself stays
+    /// reachable as [`planner::plan_with_policy`].
     pub fn plan_query_explained(&self, sql: &str) -> CoreResult<(QueryPlan, PlanExplanation)> {
         let policy = self.planner_policy();
-        let calc = self.calculus(sql)?;
-        let planned = planner::plan_with_policy(
-            policy,
-            &calc,
-            &self.owfs,
-            builtin_functions(),
-            &self.planner_stats,
-            &self.cost_model,
-        )?;
-        let mut plan = planned.parallel;
-        let mut explanation = planned.explanation;
+        let stats = &*self.planner_stats;
+        let hit = self
+            .plan_cache
+            .read()
+            .get(&policy)
+            .and_then(|plans| plans.get(sql))
+            .filter(|(_, explanation)| explanation.origin.epoch == stats.epoch())
+            .cloned();
+        let (mut plan, mut explanation) = match hit {
+            Some((plan, mut explanation)) => {
+                explanation.origin.cached = true;
+                (plan, explanation)
+            }
+            None => {
+                let calc = self.calculus(sql)?;
+                // A search that overlapped an epoch advance may have priced
+                // with two epochs' statistics: search again.
+                let planned = loop {
+                    let planned = planner::plan_with_policy(
+                        policy,
+                        &calc,
+                        &self.owfs,
+                        builtin_functions(),
+                        stats,
+                        &self.cost_model,
+                    )?;
+                    if planned.explanation.origin.epoch == stats.epoch() {
+                        break planned;
+                    }
+                };
+                let mut cache = self.plan_cache.write();
+                if cache.values().map(HashMap::len).sum::<usize>() >= PLAN_CACHE_CAPACITY {
+                    cache.clear();
+                }
+                cache.entry(policy).or_default().insert(
+                    sql.to_owned(),
+                    (planned.parallel.clone(), planned.explanation.clone()),
+                );
+                (planned.parallel, planned.explanation)
+            }
+        };
         if let PlannerPolicy::CostBased { prune: true } = policy {
-            explanation.prune_sections = planner::annotate_prune(&mut plan, &self.planner_stats);
+            explanation.prune_sections = planner::annotate_prune(&mut plan, stats);
         }
         Ok((plan, explanation))
+    }
+
+    /// Plans held by the plan cache, over all policies, fresh or not.
+    pub fn cached_plans(&self) -> usize {
+        self.plan_cache.read().values().map(HashMap::len).sum()
     }
 
     /// Plans a query under the installed [`PlannerPolicy`]; see

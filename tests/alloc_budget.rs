@@ -6,7 +6,8 @@
 //! round trip through the wire functions is what one message of a query
 //! tree costs to encode and decode. Learned semi-join prune sets are read
 //! by planning without a copy, so planning allocates the same whatever
-//! their size. The counts are exact and
+//! their size, and a plan taken from the mediator's plan cache allocates
+//! less than the search that put it there. The counts are exact and
 //! machine-independent; a change that spends more of them has to raise the
 //! budget here, in the open.
 
@@ -271,4 +272,41 @@ fn learned_prune_sets_are_shared_not_copied() {
         reference.extend_from_slice(param);
     }
     assert_eq!(&forward[..], &reference[..]);
+}
+
+/// Allocations of the search that plans Query1 under cost+prune on a fresh
+/// mediator, and of the cache hit that plans it again once `count`
+/// parameters of its first section were learned as empty.
+fn search_and_hit_allocations(count: usize) -> (u64, u64) {
+    let setup = paper::setup(0.0, DatasetConfig::small());
+    let wsmed = &setup.wsmed;
+    wsmed.set_planner_policy(PlannerPolicy::CostBased { prune: true });
+    let plan = || wsmed.plan_query_explained(paper::QUERY1_SQL).unwrap();
+    let ((_, searched), search) = allocations_of(plan);
+    assert!(!searched.origin.cached);
+    let section = &searched.prune_sections[0].0;
+    for param in (0..count).map(state_param) {
+        wsmed.planner_stats().observe_empty(section, param.into());
+    }
+    let ((_, hit), allocations) = allocations_of(plan);
+    assert!(hit.origin.cached);
+    assert_eq!(hit.prune_sections[0], (section.clone(), count));
+    let (_, again) = allocations_of(plan);
+    assert_eq!(
+        allocations, again,
+        "the allocation count must repeat exactly"
+    );
+    (search, allocations)
+}
+
+#[test]
+fn planning_a_cached_text_allocates_less_than_a_search_whatever_was_learned() {
+    let (search, few) = search_and_hit_allocations(16);
+    let (_, full) = search_and_hit_allocations(4096);
+    println!(
+        "Query1 under cost+prune: {search} allocations searched, \
+         {few} cached with 16 learned, {full} with 4096"
+    );
+    assert_eq!(few, full);
+    assert!(few < search, "{few} allocations cached, {search} searched");
 }
