@@ -124,22 +124,6 @@ impl CacheKey {
             args: param.clone(),
         }
     }
-
-    /// [`CacheKey::for_rows`] for row `i` of a columnar batch: the key
-    /// bytes come straight from the column slices
-    /// ([`crate::wire::encode_row_tuple`]) without materializing the row
-    /// as a `Tuple`, and equal the parent-side `encode_tuple` key bytes
-    /// exactly — the memo-parity invariant the dedup screens rely on.
-    pub(crate) fn for_batch_row(
-        pf_digest: &str,
-        batch: &wsmed_store::ValueBatch,
-        i: usize,
-    ) -> Self {
-        CacheKey {
-            owf: pf_digest.to_owned(),
-            args: crate::wire::encode_row_tuple(batch, i),
-        }
-    }
 }
 
 /// Content digest of a shipped plan function, used to scope the rows memo

@@ -209,7 +209,7 @@ pub fn create_central_plan(
 /// reordered expression plans exactly like the original — provided it
 /// still satisfies the binding-pattern constraints, which
 /// [`create_central_plan`] re-checks.
-pub fn create_central_plan_for_order(
+pub(crate) fn create_central_plan_for_order(
     calc: &CalculusExpr,
     order: &[usize],
     owfs: &OwfCatalog,

@@ -340,11 +340,6 @@ impl PlanCost {
     pub fn makespan_est(&self) -> f64 {
         self.coordinator_secs + self.levels.iter().map(|l| l.secs).sum::<f64>() + self.startup_secs
     }
-
-    /// Total worker processes across all levels.
-    pub fn total_workers(&self) -> usize {
-        self.levels.iter().map(|l| l.workers).sum()
-    }
 }
 
 impl CostModel {
@@ -630,7 +625,7 @@ mod tests {
             "{}",
             cost.makespan_est()
         );
-        assert_eq!(cost.total_workers(), 4);
+        assert_eq!(cost.levels.iter().map(|l| l.workers).sum::<usize>(), 4);
     }
 
     #[test]

@@ -566,8 +566,7 @@ impl ParallelApply {
         pending: &mut PendingParams,
         out: &mut Vec<Tuple>,
     ) {
-        let policy = ctx.batch_policy();
-        let max_params = policy.max_params.max(1);
+        let max_params = ctx.batch_policy().max_params.max(1);
         while !pending.is_empty() {
             let Some(slot) = self.idle.pop_front() else {
                 break;
@@ -623,14 +622,7 @@ impl ParallelApply {
                     },
                 );
             }
-            let frame = if policy.columnar {
-                // Whole-column encode straight from the staged rows; falls
-                // back to the row format on non-uniform arity.
-                let rows: Vec<Tuple> = batch.iter().map(|p| p.row.clone()).collect();
-                wire::encode_columnar_message(&rows)
-            } else {
-                wire::encode_rows(batch.iter().map(|p| &p.row))
-            };
+            let frame = wire::encode_rows(batch.iter().map(|p| &p.row));
             let sent = proc.send_call(ctx, env, call_id, frame, batch.len()).await;
             match sent {
                 Ok(()) => {

@@ -58,8 +58,8 @@ pub(crate) enum ToChild {
     Call {
         /// Correlation id, unique per parent.
         call_id: u64,
-        /// Kind-prefixed message frame of parameter tuples — row or
-        /// columnar format ([`wire::decode_message`]).
+        /// Row message frame of parameter tuples
+        /// ([`wire::encode_rows_message`]).
         params: Bytes,
     },
     /// Park-time: clear per-run state (adaptation cycle counters), and
@@ -107,8 +107,8 @@ pub(crate) enum FromChild {
         slot: usize,
         /// Correlation id of the call.
         call_id: u64,
-        /// Kind-prefixed message frame of result tuples
-        /// ([`wire::decode_message`]).
+        /// Row message frame of result tuples
+        /// ([`wire::encode_rows_message`]).
         tuples: Bytes,
     },
     /// The current call finished (successfully or not).
@@ -756,32 +756,17 @@ async fn eval_call(
         }
         return Ok(());
     }
-    match wire::decode_keyed_params(params)? {
-        wire::KeyedParams::Rows(parts) => {
-            for encoded in parts {
-                let param = wire::decode_tuple(encoded.clone())?;
-                let key = || CacheKey::for_rows(pf_digest, &encoded);
-                eval_param(ctx, body, &param, key, prune_key, flush, skips).await?;
-            }
-        }
-        wire::KeyedParams::Columnar(batch) => {
-            for i in 0..batch.len() {
-                let param = batch.row(i);
-                // Memo-key parity: the key bytes come straight from the
-                // column slices and equal the parent's `encode_tuple`
-                // output exactly.
-                let key = || CacheKey::for_batch_row(pf_digest, &batch, i);
-                eval_param(ctx, body, &param, key, prune_key, flush, skips).await?;
-            }
-        }
+    for encoded in wire::decode_keyed_params(params)? {
+        let param = wire::decode_tuple(encoded.clone())?;
+        let key = || CacheKey::for_rows(pf_digest, &encoded);
+        eval_param(ctx, body, &param, key, prune_key, flush, skips).await?;
     }
     Ok(())
 }
 
 /// One parameter's evaluation: streams its rows through the flush buffer
-/// and memoizes its complete result set under its row-format wire encoding
-/// (`key` is computed lazily — columnar frames only re-encode a row when
-/// the memo will actually be written).
+/// and memoizes its complete result set under its wire encoding (`key` is
+/// computed lazily, only when the memo will actually be written).
 async fn eval_param(
     ctx: &Arc<ExecContext>,
     body: &mut Pipeline,
@@ -838,12 +823,9 @@ struct FlushBuffer<'a> {
     results: &'a Sender<FromChild>,
     max_tuples: usize,
     flush_model_secs: f64,
-    /// Row mode: the frame body the tuples are encoded into as they come,
-    /// the process's own, reused from call to call.
+    /// The frame body the tuples are encoded into as they come, the
+    /// process's own, reused from call to call.
     frame: &'a mut wire::RowFrame,
-    /// Columnar mode: buffered rows, whole-column encoded at flush.
-    rows: Vec<Tuple>,
-    columnar: bool,
     buffered_since: Option<Instant>,
     parent_gone: bool,
 }
@@ -869,31 +851,17 @@ impl<'a> FlushBuffer<'a> {
             max_tuples: policy.max_result_tuples.max(1),
             flush_model_secs: policy.flush_model_secs,
             frame,
-            rows: Vec::new(),
-            columnar: policy.columnar,
             buffered_since: None,
             parent_gone: false,
-        }
-    }
-
-    fn buffered(&self) -> usize {
-        if self.columnar {
-            self.rows.len()
-        } else {
-            self.frame.len()
         }
     }
 
     /// Buffers one result tuple, flushing if the buffer filled or went
     /// stale. Returns `false` if the parent hung up.
     async fn push(&mut self, tuple: &Tuple) -> bool {
-        if self.columnar {
-            self.rows.push(tuple.clone());
-        } else {
-            self.frame.push(tuple);
-        }
+        self.frame.push(tuple);
         self.buffered_since.get_or_insert_with(Instant::now);
-        if self.buffered() >= self.max_tuples {
+        if self.frame.len() >= self.max_tuples {
             return self.flush().await;
         }
         self.flush_if_stale().await
@@ -913,17 +881,11 @@ impl<'a> FlushBuffer<'a> {
     }
 
     async fn flush(&mut self) -> bool {
-        let n = self.buffered();
+        let n = self.frame.len();
         if n == 0 {
             return true;
         }
-        let frame = if self.columnar {
-            let frame = wire::encode_columnar_message(&self.rows);
-            self.rows.clear();
-            frame
-        } else {
-            self.frame.take()
-        };
+        let frame = self.frame.take();
         self.buffered_since = None;
         // The child pays its own send cost: one frame plus its tuples.
         let sim = self.ctx.sim();

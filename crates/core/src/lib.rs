@@ -51,17 +51,14 @@ mod wsmed;
 
 pub use cache::{CacheKey, CachePolicy, CacheStats, CallCache, CallLookup, Flight};
 pub use catalog::OwfCatalog;
-pub use central::{create_central_plan, create_central_plan_for_order};
+pub use central::create_central_plan;
 pub use config::RunConfig;
 pub use costs::{CostModel, CostStage, LevelCost, OpObs, PlanCost, PlannerStats, ProviderProfile};
 pub use error::{CoreError, CoreResult};
 pub use exec::pool::{PoolPolicy, PoolStats, ProcessPool};
 pub use exec::ExecContext;
-pub use obs::{KindMask, TraceEvent, TraceEventKind, TraceLog, TracePolicy};
-pub use parallel::{
-    parallel_level_count, parallelize, parallelize_adaptive, parallelize_unprojected,
-    plan_sections, FanoutVector, SectionStage,
-};
+pub use obs::{TraceEvent, TraceEventKind, TraceLog, TracePolicy};
+pub use parallel::{parallel_level_count, parallelize, parallelize_adaptive, FanoutVector};
 pub use plan::{
     AdaptDecision, AdaptiveConfig, ArgExpr, PlanFunction, PlanOp, PruneSet, PruneSpec, QueryPlan,
 };
@@ -73,4 +70,4 @@ pub use resilience::{
 pub use router::{GroupView, ReplicaView, RouterPolicy, RouterStats};
 pub use stats::{AdaptEvent, ExecutionReport, LevelStats, TreeNode, TreeRegistry, TreeSnapshot};
 pub use transport::{BatchPolicy, DispatchPolicy, MockTransport, SimTransport, WsTransport};
-pub use wsmed::{paper, ArrivalOutcome, QuerySession, Wsmed, DEFAULT_TENANT};
+pub use wsmed::{paper, ArrivalOutcome, Wsmed, DEFAULT_TENANT};

@@ -27,7 +27,8 @@
 //!   [`TraceLog::validate`] relaxes pairing checks when events were
 //!   dropped.
 //!
-//! The JSONL exporter round-trips exactly ([`parse_jsonl`]): floats are
+//! The JSONL exporter ([`TraceLog::to_jsonl`]) round-trips exactly through
+//! the parser behind [`validate_jsonl`]: floats are
 //! printed with Rust's shortest round-trip `Display`, so an adaptation
 //! sequence reconstructed from an exported trace compares bit-for-bit
 //! equal with [`crate::stats::TreeSnapshot::adapt_events`].
@@ -40,46 +41,6 @@ use parking_lot::Mutex;
 
 use crate::stats::AdaptEvent;
 
-/// Bit set selecting which event groups a [`TraceLog`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KindMask(pub u32);
-
-impl KindMask {
-    /// Run and operator begin/end spans.
-    pub const SPANS: KindMask = KindMask(1 << 0);
-    /// Per-monitoring-cycle adaptation records.
-    pub const CYCLES: KindMask = KindMask(1 << 1);
-    /// Child process lifecycle (spawn/park/kill/join/requeue).
-    pub const LIFECYCLE: KindMask = KindMask(1 << 2);
-    /// Parameter dispatch and dedup short-circuits.
-    pub const CALLS: KindMask = KindMask(1 << 3);
-    /// Call-cache provenance and retry attempts.
-    pub const CACHE: KindMask = KindMask(1 << 4);
-    /// Web-service invocations at the transport.
-    pub const WS: KindMask = KindMask(1 << 5);
-    /// Mailbox blocked-send stalls.
-    pub const STALLS: KindMask = KindMask(1 << 6);
-    /// Resilience events: circuit-breaker transitions and rejections,
-    /// hedged calls, parameter skips under partial failure mode.
-    pub const RESILIENCE: KindMask = KindMask(1 << 7);
-    /// Replica routing: per-call routing decisions, group membership
-    /// changes (topology scenarios) and breaker-driven
-    /// replica skips.
-    pub const ROUTING: KindMask = KindMask(1 << 8);
-    /// Every event group.
-    pub const ALL: KindMask = KindMask(0x1ff);
-
-    /// True when every bit of `other` is set in `self`.
-    pub fn contains(self, other: KindMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Union of the two masks.
-    pub fn union(self, other: KindMask) -> KindMask {
-        KindMask(self.0 | other.0)
-    }
-}
-
 /// Trace configuration installed on [`crate::Wsmed`] /
 /// [`crate::RunConfig::trace`]. Default: disabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,8 +49,6 @@ pub struct TracePolicy {
     pub enabled: bool,
     /// Maximum events buffered per run; overflow is counted, not stored.
     pub capacity: usize,
-    /// Which event groups to record.
-    pub kinds: KindMask,
 }
 
 impl Default for TracePolicy {
@@ -97,13 +56,12 @@ impl Default for TracePolicy {
         TracePolicy {
             enabled: false,
             capacity: 65_536,
-            kinds: KindMask::ALL,
         }
     }
 }
 
 impl TracePolicy {
-    /// An enabled policy with default capacity recording all event kinds.
+    /// An enabled policy with default capacity.
     pub fn enabled() -> Self {
         TracePolicy {
             enabled: true,
@@ -316,35 +274,6 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// The [`KindMask`] group this event belongs to.
-    pub fn mask(&self) -> KindMask {
-        use TraceEventKind::*;
-        match self {
-            RunStart | RunEnd { .. } | OpRunStart { .. } | OpRunEnd { .. } => KindMask::SPANS,
-            Cycle { .. } => KindMask::CYCLES,
-            ChildSpawn { .. } | ChildPark | ChildKill { .. } | ChildJoin | Requeue { .. } => {
-                KindMask::LIFECYCLE
-            }
-            CallDispatched { .. } | ShortCircuit { .. } => KindMask::CALLS,
-            CacheHit { .. }
-            | CacheMiss { .. }
-            | CacheRetry { .. }
-            | RetryAttempt { .. }
-            | ParamsPruned { .. } => KindMask::CACHE,
-            WsCall { .. } => KindMask::WS,
-            BlockedSend { .. } => KindMask::STALLS,
-            BreakerOpen { .. }
-            | BreakerHalfOpen { .. }
-            | BreakerClose { .. }
-            | BreakerReject { .. }
-            | AdmissionReject { .. }
-            | HedgeLaunch { .. }
-            | HedgeWin { .. }
-            | ParamSkipped { .. } => KindMask::RESILIENCE,
-            RouteDecision { .. } | Membership { .. } | ReplicaSkipped { .. } => KindMask::ROUTING,
-        }
-    }
-
     /// Stable kind name used by the JSONL/Chrome exporters.
     pub fn name(&self) -> &'static str {
         use TraceEventKind::*;
@@ -412,7 +341,6 @@ struct LogInner {
 /// duration of one run, then surfaced on [`crate::ExecutionReport::trace`].
 #[derive(Debug)]
 pub struct TraceLog {
-    kinds: KindMask,
     capacity: usize,
     epoch: Instant,
     time_scale: f64,
@@ -424,7 +352,6 @@ impl TraceLog {
     /// model timestamps are measured against.
     pub fn new(policy: TracePolicy, time_scale: f64) -> Self {
         TraceLog {
-            kinds: policy.kinds,
             capacity: policy.capacity,
             epoch: Instant::now(),
             time_scale,
@@ -446,9 +373,6 @@ impl TraceLog {
     /// timestamp under the log mutex so global sequence order equals
     /// timestamp order (per-node monotonicity follows for free).
     pub fn emit(&self, node: u64, level: usize, pf: &Arc<str>, kind: TraceEventKind) {
-        if !self.kinds.contains(kind.mask()) {
-            return;
-        }
         let mut inner = self.inner.lock();
         if inner.events.len() >= self.capacity {
             inner.dropped += 1;
@@ -554,7 +478,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Serializes one event as a single JSONL line (no trailing newline).
-pub fn event_to_jsonl(e: &TraceEvent) -> String {
+pub(crate) fn event_to_jsonl(e: &TraceEvent) -> String {
     use TraceEventKind::*;
     let mut s = format!(
         "{{\"seq\":{},\"t\":{},\"node\":{},\"level\":{},\"pf\":\"{}\",\"kind\":\"{}\"",
@@ -813,7 +737,7 @@ fn get_bool(map: &HashMap<String, Scalar>, key: &str) -> Result<bool, String> {
 
 /// Parses a JSONL trace export back into events. The inverse of
 /// [`TraceLog::to_jsonl`]; floats round-trip exactly.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
+pub(crate) fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -1194,7 +1118,6 @@ mod tests {
         let policy = TracePolicy {
             enabled: true,
             capacity: 2,
-            kinds: KindMask::ALL,
         };
         let log = TraceLog::new(policy, 0.0);
         for _ in 0..5 {
@@ -1204,22 +1127,6 @@ mod tests {
         assert_eq!(log.dropped(), 3);
         // Overflowed logs still pass the (ordering-only) validator.
         assert!(log.validate().is_empty());
-    }
-
-    #[test]
-    fn kind_mask_filters_events() {
-        let policy = TracePolicy {
-            enabled: true,
-            capacity: 100,
-            kinds: KindMask::SPANS,
-        };
-        let log = TraceLog::new(policy, 0.0);
-        log.emit(0, 0, &pf(), TraceEventKind::RunStart);
-        log.emit(1, 1, &pf(), TraceEventKind::ChildSpawn { warm: true });
-        log.emit(0, 0, &pf(), TraceEventKind::RunEnd { ok: true, rows: 0 });
-        let events = log.events();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.kind.mask() == KindMask::SPANS));
     }
 
     #[test]

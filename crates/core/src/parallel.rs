@@ -57,7 +57,10 @@ pub fn parallelize(plan: &QueryPlan, fanouts: &FanoutVector) -> CoreResult<Query
 /// [`parallelize`] without the parameter-projection optimization: plan
 /// functions receive (and results carry) the full prefix tuple. Exists for
 /// the shipping-cost ablation; results are identical, messages are fatter.
-pub fn parallelize_unprojected(plan: &QueryPlan, fanouts: &FanoutVector) -> CoreResult<QueryPlan> {
+pub(crate) fn parallelize_unprojected(
+    plan: &QueryPlan,
+    fanouts: &FanoutVector,
+) -> CoreResult<QueryPlan> {
     rewrite(plan, Mode::Fixed(fanouts.clone()), false)
 }
 
@@ -70,7 +73,7 @@ pub fn parallelize_adaptive(plan: &QueryPlan, config: &AdaptiveConfig) -> CoreRe
 /// One γ-operator of a section (or of the coordinator prefix), summarized
 /// for the cost model's cardinality walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SectionStage {
+pub(crate) enum SectionStage {
     /// A web service call, by OWF name.
     Owf(String),
     /// A local helping function, by name.
@@ -82,7 +85,7 @@ pub enum SectionStage {
 /// process-tree level `i + 1`. Blocking tail operators (final projection,
 /// `ORDER BY`, …) are coordinator-side and carry no per-tuple call cost,
 /// so they are omitted.
-pub fn plan_sections(plan: &QueryPlan) -> (Vec<SectionStage>, Vec<Vec<SectionStage>>) {
+pub(crate) fn plan_sections(plan: &QueryPlan) -> (Vec<SectionStage>, Vec<Vec<SectionStage>>) {
     let (coordinator, sections, _tail) = split_sections(&plan.root);
     let summarize = |stages: &[Stage]| -> Vec<SectionStage> {
         stages

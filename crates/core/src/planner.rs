@@ -7,7 +7,7 @@
 //! search over the space the heuristic never explores, scored by
 //! [`CostModel::estimate`] against calibrated [`PlannerStats`]:
 //!
-//! 1. **Join ordering** — [`enumerate_orderings`] walks every atom
+//! 1. **Join ordering** — `enumerate_orderings` walks every atom
 //!    permutation that keeps binding patterns satisfied (inputs bound
 //!    before use), attaching cheap local functions greedily and branching
 //!    only on OWF placement so the search stays small.
@@ -77,7 +77,7 @@ const MAX_FANOUT: usize = 16;
 /// and the search branches only on which *OWF* to call next. Every
 /// returned ordering is a permutation of `0..calc.atoms.len()` with all
 /// inputs bound before use; binding-invalid orderings are never produced.
-pub fn enumerate_orderings(calc: &CalculusExpr, cap: usize) -> Vec<Vec<usize>> {
+pub(crate) fn enumerate_orderings(calc: &CalculusExpr, cap: usize) -> Vec<Vec<usize>> {
     let n = calc.atoms.len();
     let mut results: Vec<Vec<usize>> = Vec::new();
     // The calculus generator's own order goes first so ties during the

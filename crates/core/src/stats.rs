@@ -80,7 +80,7 @@ impl TreeRegistry {
 
     /// Registers a new query process. The coordinator is id 0, level 0,
     /// parent `None`.
-    pub fn register(&self, id: u64, parent: Option<u64>, level: usize, pf_name: &str) {
+    pub(crate) fn register(&self, id: u64, parent: Option<u64>, level: usize, pf_name: &str) {
         let mut inner = self.inner.lock();
         inner.nodes.insert(
             id,
@@ -107,7 +107,7 @@ impl TreeRegistry {
     /// load-balance view: first-finished dispatch shifts work toward fast
     /// children, static partitioning spreads it evenly). With batching one
     /// message frame can carry several calls.
-    pub fn note_calls(&self, id: u64, n: u64) {
+    pub(crate) fn note_calls(&self, id: u64, n: u64) {
         if let Some(node) = self.inner.lock().nodes.get_mut(&id) {
             node.calls += n;
         }
@@ -115,7 +115,7 @@ impl TreeRegistry {
 
     /// Counts one message frame sent from a parent down to process `id`
     /// (plan installation or a parameter batch).
-    pub fn note_msg_down(&self, id: u64) {
+    pub(crate) fn note_msg_down(&self, id: u64) {
         if let Some(node) = self.inner.lock().nodes.get_mut(&id) {
             node.msgs_down += 1;
         }
@@ -123,7 +123,7 @@ impl TreeRegistry {
 
     /// Counts one message frame sent from process `id` up to its parent
     /// (installation ack, result batch, or end-of-call).
-    pub fn note_msg_up(&self, id: u64) {
+    pub(crate) fn note_msg_up(&self, id: u64) {
         if let Some(node) = self.inner.lock().nodes.get_mut(&id) {
             node.msgs_up += 1;
         }
@@ -132,7 +132,7 @@ impl TreeRegistry {
     /// Counts `n` parameter tuples process `id` answered from the call
     /// cache's plan-function memo instead of shipping them to a child
     /// (dedup-aware dispatch).
-    pub fn note_short_circuits(&self, id: u64, n: u64) {
+    pub(crate) fn note_short_circuits(&self, id: u64, n: u64) {
         if let Some(node) = self.inner.lock().nodes.get_mut(&id) {
             node.cache_short_circuits += n;
         }
@@ -142,7 +142,7 @@ impl TreeRegistry {
     /// in `send` because the bounded channel was full — backpressure made
     /// visible. Both directions are attributed to the child endpoint,
     /// matching `msgs_down`/`msgs_up`.
-    pub fn note_blocked_send(&self, id: u64, waited: Duration) {
+    pub(crate) fn note_blocked_send(&self, id: u64, waited: Duration) {
         if let Some(node) = self.inner.lock().nodes.get_mut(&id) {
             node.blocked_send += waited;
         }
@@ -150,7 +150,7 @@ impl TreeRegistry {
 
     /// Records an adaptation decision (called by `AFF_APPLYP` at each
     /// monitoring-cycle boundary).
-    pub fn record_adapt_event(&self, event: AdaptEvent) {
+    pub(crate) fn record_adapt_event(&self, event: AdaptEvent) {
         let mut inner = self.inner.lock();
         // Bound the log; queries make thousands of cycles at most.
         if inner.events.len() < 100_000 {
@@ -160,7 +160,7 @@ impl TreeRegistry {
 
     /// Marks a process (and implicitly its subtree, whose nodes deregister
     /// themselves) as terminated.
-    pub fn deregister(&self, id: u64, dropped_by_adaptation: bool) {
+    pub(crate) fn deregister(&self, id: u64, dropped_by_adaptation: bool) {
         let mut inner = self.inner.lock();
         if let Some(node) = inner.nodes.get_mut(&id) {
             node.alive = false;
@@ -323,12 +323,6 @@ impl TreeSnapshot {
     /// Each frame counts once, attributed to the child endpoint.
     pub fn total_messages(&self) -> u64 {
         self.nodes.iter().map(|n| n.msgs_down + n.msgs_up).sum()
-    }
-
-    /// Total parameter tuples answered parent-side by dedup-aware
-    /// dispatch, across all processes.
-    pub fn total_short_circuits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.cache_short_circuits).sum()
     }
 
     /// Total wall time any process spent blocked sending into a full

@@ -58,12 +58,6 @@ pub struct BatchPolicy {
     pub max_result_tuples: usize,
     /// Model seconds a child may hold a non-empty result buffer.
     pub flush_model_secs: f64,
-    /// Ship Call/ResultBatch frames in the columnar wire format
-    /// (`wire::encode_columnar_message`): whole-column encodes on the
-    /// sender, zero-copy string decode on the receiver. Off by default —
-    /// the row format is the paper's per-tuple semantics; either setting
-    /// yields identical results and identical model-time accounting.
-    pub columnar: bool,
 }
 
 impl Default for BatchPolicy {
@@ -73,7 +67,6 @@ impl Default for BatchPolicy {
             max_params: 1,
             max_result_tuples: 1,
             flush_model_secs: 0.05,
-            columnar: false,
         }
     }
 }
@@ -88,12 +81,12 @@ impl BatchPolicy {
         }
     }
 
-    /// [`BatchPolicy::uniform`] with the columnar wire format enabled.
+    /// The same policy as [`BatchPolicy::uniform`]. Query processes
+    /// exchange row frames only (the columnar frame is a library codec,
+    /// [`crate::wire::encode_columnar_message`]), so there is no framing
+    /// to choose; the name stays because benchmark configurations pin it.
     pub fn columnar(n: usize) -> Self {
-        BatchPolicy {
-            columnar: true,
-            ..BatchPolicy::uniform(n)
-        }
+        BatchPolicy::uniform(n)
     }
 
     /// Capacity, in frames, of one parent→child (or child→parent) mailbox.
@@ -551,6 +544,7 @@ mod tests {
         assert_eq!((u.max_params, u.max_result_tuples), (1, 1));
         let u = BatchPolicy::uniform(64);
         assert_eq!((u.max_params, u.max_result_tuples), (64, 64));
+        assert_eq!(BatchPolicy::columnar(64), BatchPolicy::uniform(64));
     }
 
     #[test]

@@ -101,7 +101,9 @@ fn value_encoded_size(value: &Value) -> usize {
 
 // ---------------------------------------------------------- message frames --
 //
-// The Call / ResultBatch message frames carry a one-byte kind prefix.
+// Message frames carry a one-byte kind prefix. The Call / ResultBatch
+// frames between query processes are always row frames; the columnar
+// frame is a codec of its own ([`encode_columnar_message`]).
 //
 // A row frame (kind 0) is a varint tuple count, then per tuple a varint
 // byte length followed by that tuple's [`encode_tuple`] encoding. The
@@ -125,7 +127,7 @@ const KIND_ROWS: u8 = 0;
 /// Message frame kind: a columnar frame follows.
 const KIND_COLUMNAR: u8 = 1;
 
-/// A decoded Call/ResultBatch message frame.
+/// A decoded message frame ([`decode_message`]).
 #[derive(Debug, Clone)]
 pub enum MessageBatch {
     /// The tuples of a row frame.
@@ -270,17 +272,13 @@ pub fn decode_message(mut frame: Bytes) -> CoreResult<MessageBatch> {
     }
 }
 
-/// Decodes a message frame straight onto `out`, as rows, and returns how
-/// many it appended. On error `out` is left as it was.
+/// Decodes a row message frame straight onto `out` and returns how many
+/// rows it appended. Query processes exchange row frames only: a columnar
+/// frame is refused. On error `out` is left as it was.
 pub(crate) fn decode_message_onto(mut frame: Bytes, out: &mut Vec<Tuple>) -> CoreResult<usize> {
+    expect_rows_kind(&mut frame)?;
     let before = out.len();
-    let decoded = match get_u8(&mut frame)? {
-        KIND_ROWS => get_rows_onto(frame, out),
-        KIND_COLUMNAR => get_columnar_frame(frame)
-            .map(|batch| out.extend((0..batch.len()).map(|i| batch.row(i)))),
-        kind => Err(unknown_kind(kind)),
-    };
-    match decoded {
+    match get_rows_onto(frame, out) {
         Ok(()) => Ok(out.len() - before),
         Err(e) => {
             out.truncate(before);
@@ -289,66 +287,27 @@ pub(crate) fn decode_message_onto(mut frame: Bytes, out: &mut Vec<Tuple>) -> Cor
     }
 }
 
-/// A Call frame as a child with a call cache reads it: every parameter
-/// keeps the bytes that key its memo entry.
-pub(crate) enum KeyedParams {
-    /// A row frame: each parameter's own encoding, a slice of the frame.
-    Rows(Vec<Bytes>),
-    /// A columnar frame: a row's key is re-encoded from its columns
-    /// ([`encode_row_tuple`]).
-    Columnar(ValueBatch),
+/// Decodes a Call row frame for a child that memoizes per parameter: every
+/// parameter's own encoding, a slice of the frame that keys its memo entry.
+/// A columnar frame is refused.
+pub(crate) fn decode_keyed_params(mut frame: Bytes) -> CoreResult<Vec<Bytes>> {
+    expect_rows_kind(&mut frame)?;
+    split_row_frame(frame)
 }
 
-/// Decodes a Call frame for a child that memoizes per parameter.
-pub(crate) fn decode_keyed_params(mut frame: Bytes) -> CoreResult<KeyedParams> {
-    match get_u8(&mut frame)? {
-        KIND_ROWS => Ok(KeyedParams::Rows(split_row_frame(frame)?)),
-        KIND_COLUMNAR => Ok(KeyedParams::Columnar(get_columnar_frame(frame)?)),
+/// Reads a frame's kind byte and refuses anything but a row frame.
+fn expect_rows_kind(frame: &mut Bytes) -> CoreResult<()> {
+    match get_u8(frame)? {
+        KIND_ROWS => Ok(()),
+        KIND_COLUMNAR => Err(CoreError::Wire(
+            "columnar frame between query processes".into(),
+        )),
         kind => Err(unknown_kind(kind)),
     }
 }
 
 fn unknown_kind(kind: u8) -> CoreError {
     CoreError::Wire(format!("unknown message kind {kind}"))
-}
-
-/// Re-encodes row `i` of a columnar batch in [`encode_tuple`] layout,
-/// straight from the column vectors (strings come from heap slices, no
-/// `Arc` materialization). Byte-identical to `encode_tuple(&batch.row(i))`
-/// — this is how the child keeps per-parameter memo keys in parity with
-/// the parent's row encodings without materializing rows.
-pub fn encode_row_tuple(batch: &ValueBatch, i: usize) -> Bytes {
-    encode_with(|buf| {
-        buf.put_u32_le(batch.arity() as u32);
-        for col in batch.columns() {
-            if !col.is_valid(i) {
-                buf.put_u8(0);
-                continue;
-            }
-            match col.data() {
-                ColumnData::Null => buf.put_u8(0),
-                ColumnData::Int(v) => {
-                    buf.put_u8(3);
-                    buf.put_i64_le(v[i]);
-                }
-                ColumnData::Real(v) => {
-                    buf.put_u8(2);
-                    buf.put_f64_le(v[i]);
-                }
-                ColumnData::Bool(v) => {
-                    buf.put_u8(4);
-                    buf.put_u8(u8::from(v[i]));
-                }
-                ColumnData::Str(col) => {
-                    buf.put_u8(1);
-                    let raw = col.get_bytes(i);
-                    buf.put_u32_le(raw.len() as u32);
-                    buf.put_slice(raw);
-                }
-                ColumnData::Other(v) => put_value(buf, &v[i]),
-            }
-        }
-    })
 }
 
 fn put_validity(buf: &mut Vec<u8>, validity: Option<&Validity>) {
@@ -1607,34 +1566,41 @@ mod tests {
             decode_message_onto(encode_rows(&tuples), &mut out).unwrap(),
             3
         );
-        let columnar = encode_columnar_message(&columnar_batch());
-        assert_eq!(decode_message_onto(columnar, &mut out).unwrap(), 3);
-        assert_eq!(out.len(), 7);
-        assert_eq!(&out[1..4], &tuples[..]);
-        assert_rows_eq(&out[4..], &columnar_batch());
+        assert_eq!(out.len(), 4);
+        assert_eq!(&out[1..], &tuples[..]);
         // A frame that fails half-way leaves what was there.
         let mut raw = encode_rows(&tuples).to_vec();
         raw.truncate(raw.len() - 1);
         assert!(decode_message_onto(Bytes::from(raw), &mut out).is_err());
-        assert_eq!(out.len(), 7);
+        assert_eq!(out.len(), 4);
     }
 
     #[test]
     fn keyed_params_are_per_tuple_encodings() {
         let tuples = sample_batch();
-        let KeyedParams::Rows(parts) = decode_keyed_params(encode_rows(&tuples)).unwrap() else {
-            panic!("expected row parts");
-        };
+        let parts = decode_keyed_params(encode_rows(&tuples)).unwrap();
         assert_eq!(parts.len(), tuples.len());
         for (part, t) in parts.iter().zip(&tuples) {
             assert_eq!(part, &encode_tuple(t));
         }
-        let KeyedParams::Columnar(batch) =
-            decode_keyed_params(encode_columnar_message(&columnar_batch())).unwrap()
-        else {
-            panic!("expected a columnar batch");
-        };
-        assert_eq!(batch.len(), 3);
+    }
+
+    #[test]
+    fn process_decoders_refuse_columnar_frames() {
+        let columnar = encode_columnar_message(&columnar_batch());
+        assert_eq!(columnar[0], KIND_COLUMNAR);
+        let mut out = sample_batch();
+        let err = decode_message_onto(columnar.clone(), &mut out).unwrap_err();
+        assert!(matches!(err, CoreError::Wire(_)), "{err:?}");
+        assert_eq!(
+            out,
+            sample_batch(),
+            "a refused frame leaves `out` as it was"
+        );
+        let err = decode_keyed_params(columnar.clone()).unwrap_err();
+        assert!(matches!(err, CoreError::Wire(_)), "{err:?}");
+        // The library decoder still reads both kinds.
+        assert_eq!(decode_message(columnar).unwrap().len(), 3);
     }
 
     #[test]
@@ -1745,20 +1711,6 @@ mod tests {
         let frame = encode_columnar_message(&tuples);
         assert_eq!(frame, encode_rows(&tuples));
         assert_eq!(decoded_rows(frame), tuples);
-    }
-
-    #[test]
-    fn encode_row_tuple_matches_row_encoding() {
-        for tuples in [columnar_batch(), vec![Tuple::empty(), Tuple::empty()]] {
-            let batch = wsmed_store::ValueBatch::from_tuples(&tuples).unwrap();
-            for (i, t) in tuples.iter().enumerate() {
-                assert_eq!(
-                    encode_row_tuple(&batch, i),
-                    encode_tuple(t),
-                    "row {i} encoding must be byte-identical"
-                );
-            }
-        }
     }
 
     #[test]
@@ -2043,30 +1995,6 @@ mod tests {
             prop_assert_eq!(back.len(), tuples.len());
             for (b, t) in back.iter().zip(&tuples) {
                 prop_assert_eq!(b.total_cmp(t), std::cmp::Ordering::Equal);
-            }
-        }
-
-        #[test]
-        fn prop_encode_row_tuple_parity(
-            rows in proptest::collection::vec(
-                proptest::collection::vec(value_strategy(), 4..5),
-                1..10,
-            )
-        ) {
-            // Memo-key invariant: the child's column-sourced re-encoding of
-            // any row must equal the parent's `encode_tuple` byte-for-byte,
-            // even after a wire round trip.
-            let tuples: Vec<Tuple> = rows.into_iter().map(Tuple::new).collect();
-            let direct = wsmed_store::ValueBatch::from_tuples(&tuples).unwrap();
-            let MessageBatch::Columnar(wired) =
-                decode_message(encode_columnar_batch(&direct)).unwrap()
-            else {
-                panic!("expected columnar")
-            };
-            for (i, t) in tuples.iter().enumerate() {
-                let expected = grown::encode_tuple(t);
-                prop_assert_eq!(&encode_row_tuple(&direct, i), &expected);
-                prop_assert_eq!(&encode_row_tuple(&wired, i), &expected);
             }
         }
     }

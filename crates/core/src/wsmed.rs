@@ -28,7 +28,8 @@ use crate::stats::ExecutionReport;
 use crate::transport::{BatchPolicy, DispatchPolicy, SimTransport, WsTransport};
 use crate::CoreResult;
 
-/// The default tenant name for executions posed without a session.
+/// The tenant of executions posed without one ([`Wsmed::execute`]; name a
+/// tenant with [`Wsmed::execute_for`]).
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Plans [`Wsmed`] keeps, over all policies; past this the cache starts
@@ -141,7 +142,7 @@ impl Wsmed {
     /// Installs the planning policy used by [`Wsmed::plan_query`] and
     /// [`Wsmed::run_planned`]. The default ([`PlannerPolicy::Heuristic`])
     /// reproduces the paper's plans exactly; takes `&self` so the shell and
-    /// concurrent sessions can toggle it on a shared mediator.
+    /// concurrent queries can toggle it on a shared mediator.
     pub fn set_planner_policy(&self, policy: PlannerPolicy) {
         self.config.write().planner = policy;
     }
@@ -469,7 +470,7 @@ impl Wsmed {
     /// alongside the result (see [`Wsmed::execute_traced`]). Unlike the
     /// removed mediator-global `last_trace` stash, the returned log belongs
     /// to *this* run — nothing races it under concurrent executions.
-    pub fn execute_traced_for(
+    fn execute_traced_for(
         &self,
         tenant: &str,
         plan: &QueryPlan,
@@ -575,15 +576,6 @@ impl Wsmed {
         self.execute(&plan)
     }
 
-    /// Opens a tenant-scoped handle for concurrent execution: every run
-    /// posed through the session is admitted and metered under `tenant`.
-    pub fn session(self: &Arc<Self>, tenant: &str) -> QuerySession {
-        QuerySession {
-            med: Arc::clone(self),
-            tenant: tenant.to_owned(),
-        }
-    }
-
     /// Human-readable compilation trace: calculus, central plan and (when a
     /// fanout vector is given) the parallel plan.
     pub fn explain(&self, sql: &str, fanouts: Option<&FanoutVector>) -> CoreResult<String> {
@@ -657,61 +649,6 @@ impl std::fmt::Debug for Wsmed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wsmed")
             .field("owfs", &self.owfs.names())
-            .finish()
-    }
-}
-
-/// A tenant-scoped execution handle over a shared mediator, cheap to
-/// clone and send to worker threads. All sessions over one [`Wsmed`]
-/// share its call cache, process pool, breaker table, and admission
-/// controller; each execution still gets its own [`ExecutionReport`]
-/// with per-query attribution.
-#[derive(Clone)]
-pub struct QuerySession {
-    med: Arc<Wsmed>,
-    tenant: String,
-}
-
-impl QuerySession {
-    /// The tenant this session executes as.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    /// The shared mediator behind this session.
-    pub fn mediator(&self) -> &Arc<Wsmed> {
-        &self.med
-    }
-
-    /// Executes a compiled plan as this session's tenant
-    /// (see [`Wsmed::execute_for`]).
-    pub fn execute(&self, plan: &QueryPlan) -> CoreResult<ExecutionReport> {
-        self.med.execute_for(&self.tenant, plan)
-    }
-
-    /// Compile + execute the central plan as this session's tenant.
-    pub fn run_central(&self, sql: &str) -> CoreResult<ExecutionReport> {
-        let plan = self.med.compile_central(sql)?;
-        self.execute(&plan)
-    }
-
-    /// Compile + execute with explicit fanouts as this session's tenant.
-    pub fn run_parallel(&self, sql: &str, fanouts: &FanoutVector) -> CoreResult<ExecutionReport> {
-        let plan = self.med.compile_parallel(sql, fanouts)?;
-        self.execute(&plan)
-    }
-
-    /// Compile + execute adaptively as this session's tenant.
-    pub fn run_adaptive(&self, sql: &str, config: &AdaptiveConfig) -> CoreResult<ExecutionReport> {
-        let plan = self.med.compile_adaptive(sql, config)?;
-        self.execute(&plan)
-    }
-}
-
-impl std::fmt::Debug for QuerySession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuerySession")
-            .field("tenant", &self.tenant)
             .finish()
     }
 }

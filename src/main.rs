@@ -421,29 +421,13 @@ impl Shell {
     }
 
     fn cmd_batch(&mut self, line: &str) {
-        let args = line["batch".len()..].trim();
-        let (n_str, columnar) = match args.strip_suffix("columnar") {
-            Some(rest) => (rest.trim(), true),
-            None => (args, false),
-        };
-        match n_str.parse::<usize>() {
+        match line["batch".len()..].trim().parse::<usize>() {
             Ok(n) if n >= 1 => {
-                let policy = if columnar {
-                    wsmed::core::BatchPolicy::columnar(n)
-                } else {
-                    wsmed::core::BatchPolicy::uniform(n)
-                };
+                let policy = wsmed::core::BatchPolicy::uniform(n);
                 self.setup.wsmed.set_batch_policy(policy);
-                println!(
-                    "tuple shipping: up to {n} tuples per frame, {} wire layout",
-                    if columnar {
-                        "columnar (zero-copy decode)"
-                    } else {
-                        "per-row"
-                    }
-                );
+                println!("tuple shipping: up to {n} tuples per frame");
             }
-            _ => println!("usage: batch <n> [columnar]   (n ≥ 1; 1 = paper's per-tuple streaming)"),
+            _ => println!("usage: batch <n>   (n ≥ 1; 1 = paper's per-tuple streaming)"),
         }
     }
 
@@ -1220,8 +1204,7 @@ commands:
                                    (`cross` keeps entries across queries)
   pool on|off|status               warm process pool (reuses query
                                    processes + installed plans across runs)
-  batch <n> [columnar]             tuples per shipped frame; `columnar`
-                                   switches to whole-column zero-copy frames
+  batch <n>                        tuples per shipped frame
   retry <n>                        attempts per call on transient faults
   resilience …                     deadline <s|off> | breaker on|off |
                                    hedge <s|off> | mode abort|partial | show

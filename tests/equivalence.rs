@@ -3,10 +3,12 @@
 //! For arbitrary fanout vectors, adaptive configurations and dataset
 //! seeds, the parallel plans must return exactly the central plan's bag of
 //! tuples — the paper's operators change performance, never results.
+//! Batched row frames, composed with the call cache and the warm process
+//! pool, must not change them either.
 
 use proptest::prelude::*;
 
-use wsmed::core::{paper, AdaptiveConfig, BatchPolicy};
+use wsmed::core::{paper, AdaptiveConfig, BatchPolicy, CachePolicy, ExecutionReport, PoolPolicy};
 use wsmed::services::DatasetConfig;
 use wsmed::store::canonicalize;
 
@@ -21,6 +23,28 @@ fn dataset(seed: u64) -> DatasetConfig {
     }
 }
 
+/// Builds a setup with the cache/pool toggles applied and the given batch
+/// policy installed.
+fn configured_setup(seed: u64, cache: bool, pool: bool, policy: BatchPolicy) -> paper::PaperSetup {
+    let mut setup = paper::setup(0.0, dataset(seed));
+    setup
+        .wsmed
+        .set_cache_policy(cache.then(CachePolicy::default));
+    setup.wsmed.set_pool_policy(pool.then(PoolPolicy::default));
+    setup.wsmed.set_batch_policy(policy);
+    setup
+}
+
+/// The frame counter's schedule-independent invariant: the report's total
+/// is the sum of what the process tree saw per node, in both directions.
+///
+/// The totals of two runs are *not* comparable: how many frames a run
+/// takes depends on how many children are idle when the parent wakes and
+/// on which duplicates the memo has answered by then.
+fn frames_add_up(report: &ExecutionReport) -> bool {
+    report.messages == report.tree.total_messages()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -29,6 +53,7 @@ proptest! {
         seed in 0u64..1000,
         fo1 in 1usize..6,
         fo2 in 0usize..6,
+        batch in 1usize..40,
     ) {
         let setup = paper::setup(0.0, dataset(seed));
         let central = setup.wsmed.run_central(paper::QUERY1_SQL).unwrap();
@@ -36,10 +61,21 @@ proptest! {
             .wsmed
             .run_parallel(paper::QUERY1_SQL, &vec![fo1, fo2])
             .unwrap();
+        // Batched frames composed with the call cache and the warm pool.
+        let configured = configured_setup(seed, true, true, BatchPolicy::uniform(batch))
+            .wsmed
+            .run_parallel(paper::QUERY1_SQL, &vec![fo1, 2])
+            .unwrap();
+        let central = canonicalize(central.rows);
         prop_assert_eq!(
             canonicalize(parallel.rows),
-            canonicalize(central.rows),
+            central.clone(),
             "fanouts {{{},{}}} seed {}", fo1, fo2, seed
+        );
+        prop_assert_eq!(
+            canonicalize(configured.rows),
+            central,
+            "fanout {} batch {} cache pool seed {}", fo1, batch, seed
         );
     }
 
@@ -93,24 +129,27 @@ proptest! {
         fo1 in 1usize..6,
         fo2 in 0usize..6,
         batch in 2usize..80,
+        cache in any::<bool>(),
+        pool in any::<bool>(),
     ) {
         // Vectorized tuple shipping is a transport optimization: any
-        // BatchPolicy must yield the unbatched (paper) result multiset.
-        let setup = paper::setup(0.0, dataset(seed));
-        let baseline = setup
+        // BatchPolicy must yield the unbatched (paper) result multiset and
+        // call count, with or without the call cache and the warm pool.
+        let baseline = configured_setup(seed, cache, pool, BatchPolicy::default())
             .wsmed
             .run_parallel(paper::QUERY1_SQL, &vec![fo1, fo2])
             .unwrap();
-        let mut setup = paper::setup(0.0, dataset(seed));
-        setup.wsmed.set_batch_policy(BatchPolicy::uniform(batch));
-        let batched = setup
+        let batched = configured_setup(seed, cache, pool, BatchPolicy::uniform(batch))
             .wsmed
             .run_parallel(paper::QUERY1_SQL, &vec![fo1, fo2])
             .unwrap();
+        prop_assert_eq!(batched.ws_calls, baseline.ws_calls);
+        prop_assert!(frames_add_up(&batched) && frames_add_up(&baseline));
         prop_assert_eq!(
             canonicalize(batched.rows),
             canonicalize(baseline.rows),
-            "fanouts {{{},{}}} batch {} seed {}", fo1, fo2, batch, seed
+            "fanouts {{{},{}}} batch {} cache {} pool {} seed {}",
+            fo1, fo2, batch, cache, pool, seed
         );
     }
 
@@ -119,17 +158,25 @@ proptest! {
         seed in 0u64..1000,
         add_step in 1usize..5,
         batch in 2usize..80,
+        cache in any::<bool>(),
+        pool in any::<bool>(),
     ) {
         let config = AdaptiveConfig { add_step, ..Default::default() };
-        let setup = paper::setup(0.0, dataset(seed));
-        let baseline = setup.wsmed.run_adaptive(paper::QUERY2_SQL, &config).unwrap();
-        let mut setup = paper::setup(0.0, dataset(seed));
-        setup.wsmed.set_batch_policy(BatchPolicy::uniform(batch));
-        let batched = setup.wsmed.run_adaptive(paper::QUERY2_SQL, &config).unwrap();
+        let baseline = configured_setup(seed, cache, pool, BatchPolicy::default())
+            .wsmed
+            .run_adaptive(paper::QUERY2_SQL, &config)
+            .unwrap();
+        let batched = configured_setup(seed, cache, pool, BatchPolicy::uniform(batch))
+            .wsmed
+            .run_adaptive(paper::QUERY2_SQL, &config)
+            .unwrap();
+        prop_assert_eq!(batched.ws_calls, baseline.ws_calls);
+        prop_assert!(frames_add_up(&batched) && frames_add_up(&baseline));
         prop_assert_eq!(
             canonicalize(batched.rows),
             canonicalize(baseline.rows),
-            "p={} batch {} seed {}", add_step, batch, seed
+            "p={} batch {} cache {} pool {} seed {}",
+            add_step, batch, cache, pool, seed
         );
     }
 }

@@ -245,18 +245,18 @@ fn sessions_trace_per_query_without_racing() {
     let handles: Vec<_> = ["alpha", "beta"]
         .into_iter()
         .map(|tenant| {
-            let session = med.session(tenant);
+            let med = Arc::clone(&med);
             std::thread::spawn(move || {
-                assert_eq!(session.tenant(), tenant);
-                session
-                    .run_parallel(paper::QUERY2_SQL, &vec![2, 2])
-                    .unwrap()
+                let plan = med
+                    .compile_parallel(paper::QUERY2_SQL, &vec![2, 2])
+                    .unwrap();
+                med.execute_for(tenant, &plan).unwrap()
             })
         })
         .collect();
     let reports: Vec<_> = handles
         .into_iter()
-        .map(|h| h.join().expect("session thread panicked"))
+        .map(|h| h.join().expect("query thread panicked"))
         .collect();
     let traces: Vec<_> = reports
         .iter()

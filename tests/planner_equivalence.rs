@@ -4,7 +4,7 @@
 //! Reordering binding-valid join orders, merging process-tree levels,
 //! re-choosing fanouts, and dropping learned empty parameters parent-side
 //! are all pure execution-shape decisions: for arbitrary dataset seeds and
-//! any combination of call cache, warm process pool, and columnar wire
+//! any combination of call cache, warm process pool, and batched row
 //! frames, a cost-planned (and pruned) run must return exactly the
 //! heuristic default's bag of tuples. The second planned run replans with
 //! the first run's learned statistics — observed cardinalities may change
@@ -42,7 +42,7 @@ proptest! {
         query in 0usize..3,
         cache in any::<bool>(),
         pool in any::<bool>(),
-        columnar in any::<bool>(),
+        batched in any::<bool>(),
     ) {
         let sql = QUERIES[query];
         let baseline_setup = paper::setup(0.0, dataset(seed));
@@ -56,8 +56,8 @@ proptest! {
         let mut setup = paper::setup(0.0, dataset(seed));
         setup.wsmed.set_cache_policy(cache.then(CachePolicy::default));
         setup.wsmed.enable_process_pool(pool);
-        if columnar {
-            setup.wsmed.set_batch_policy(BatchPolicy::columnar(16));
+        if batched {
+            setup.wsmed.set_batch_policy(BatchPolicy::uniform(16));
         }
         setup
             .wsmed
@@ -68,14 +68,14 @@ proptest! {
         prop_assert_eq!(
             canonicalize(first.rows),
             canonicalize(baseline.rows.clone()),
-            "cold cost-planned run diverged: query{} seed {} cache {} pool {} columnar {}",
-            query + 1, seed, cache, pool, columnar
+            "cold cost-planned run diverged: query{} seed {} cache {} pool {} batched {}",
+            query + 1, seed, cache, pool, batched
         );
         prop_assert_eq!(
             canonicalize(second.rows),
             canonicalize(baseline.rows),
-            "replanned+pruned run diverged: query{} seed {} cache {} pool {} columnar {}",
-            query + 1, seed, cache, pool, columnar
+            "replanned+pruned run diverged: query{} seed {} cache {} pool {} batched {}",
+            query + 1, seed, cache, pool, batched
         );
     }
 
@@ -88,7 +88,7 @@ proptest! {
         seed in 0u64..1000,
         add_step in 1usize..4,
         cache in any::<bool>(),
-        columnar in any::<bool>(),
+        batched in any::<bool>(),
     ) {
         let config = AdaptiveConfig { add_step, ..Default::default() };
         let baseline_setup = paper::setup(0.0, dataset(seed));
@@ -99,8 +99,8 @@ proptest! {
 
         let mut setup = paper::setup(0.0, dataset(seed));
         setup.wsmed.set_cache_policy(cache.then(CachePolicy::default));
-        if columnar {
-            setup.wsmed.set_batch_policy(BatchPolicy::columnar(8));
+        if batched {
+            setup.wsmed.set_batch_policy(BatchPolicy::uniform(8));
         }
         // CostBased installs the statistics harvester on executions; the
         // plan itself is the paper's adaptive one.
@@ -122,14 +122,14 @@ proptest! {
         prop_assert_eq!(
             canonicalize(first.rows),
             canonicalize(baseline.rows.clone()),
-            "observing adaptive run diverged: p={} seed {} cache {} columnar {}",
-            add_step, seed, cache, columnar
+            "observing adaptive run diverged: p={} seed {} cache {} batched {}",
+            add_step, seed, cache, batched
         );
         prop_assert_eq!(
             canonicalize(second.rows),
             canonicalize(baseline.rows),
-            "pruned adaptive run diverged: p={} seed {} cache {} columnar {}",
-            add_step, seed, cache, columnar
+            "pruned adaptive run diverged: p={} seed {} cache {} batched {}",
+            add_step, seed, cache, batched
         );
         // Stripping the annotations restores the original plan bytes.
         let mut stripped = pruned.clone();

@@ -179,28 +179,3 @@ fn disabled_policy_records_nothing() {
         .expect("untraced run");
     assert!(report.trace.is_none());
 }
-
-#[test]
-fn kind_mask_restricts_recorded_groups() {
-    let mut setup = paper::setup(0.0, DatasetConfig::tiny());
-    setup.wsmed.set_trace_policy(TracePolicy {
-        enabled: true,
-        kinds: obs::KindMask::CYCLES.union(obs::KindMask::SPANS),
-        ..TracePolicy::default()
-    });
-    let report = setup
-        .wsmed
-        .run_adaptive(paper::QUERY2_SQL, &AdaptiveConfig::default())
-        .expect("adaptive run");
-    let events = report.trace.as_ref().expect("trace present").events();
-    assert!(!events.is_empty());
-    for e in &events {
-        let m = e.kind.mask();
-        assert!(
-            m == obs::KindMask::CYCLES || m == obs::KindMask::SPANS,
-            "event outside requested kinds: {e:?}"
-        );
-    }
-    // Spans still validate on their own (lifecycle checks are vacuous).
-    assert!(obs::validate(&events).is_empty());
-}
