@@ -1,17 +1,20 @@
-//! Property tests: the columnar wire path is *semantically invisible*.
+//! Property tests: the columnar frame codec carries query results unchanged.
 //!
-//! `BatchPolicy::columnar(n)` changes how parameter and result tuples are
-//! laid out on the wire — whole typed columns instead of per-row encodings —
-//! but must never change what a query returns. These tests force the
-//! columnar path on and compare against the row path byte-for-byte
-//! (canonicalized result bags plus the invariant `ExecutionReport`
-//! counters) across cache × pool × batch-size configurations.
+//! Query processes exchange row frames only; the columnar frame
+//! (`wire::encode_columnar_message` / `wire::decode_message`) is a library
+//! codec, and `BatchPolicy::columnar(n)` is the same policy as
+//! `BatchPolicy::uniform(n)`. These tests run the paper's queries under the
+//! `columnar` policy name across cache × pool × batch-size configurations,
+//! compare them with the row path (and the central plan), and push every
+//! result bag through the columnar codec: it must decode as a columnar
+//! batch holding exactly the rows, in order.
 
 use proptest::prelude::*;
 
+use wsmed::core::wire::{decode_message, encode_columnar_message, MessageBatch};
 use wsmed::core::{paper, AdaptiveConfig, BatchPolicy, CachePolicy, ExecutionReport, PoolPolicy};
 use wsmed::services::DatasetConfig;
-use wsmed::store::canonicalize;
+use wsmed::store::{canonicalize, Tuple};
 
 fn dataset(seed: u64) -> DatasetConfig {
     DatasetConfig {
@@ -39,13 +42,21 @@ fn configured_setup(seed: u64, cache: bool, pool: bool, policy: BatchPolicy) -> 
 /// The frame counter's schedule-independent invariant: the report's total
 /// is the sum of what the process tree saw per node, in both directions.
 ///
-/// The totals of two runs are *not* comparable, row path or columnar: how
-/// many frames a run takes depends on how many children are idle when the
-/// parent wakes and on which duplicates the memo has answered by then. Over
-/// 3000 generated cases the two paths' counts differed by 1 to 4 frames in
-/// 16, with rows and `ws_calls` equal to the central plan's in all 3000.
+/// The totals of two runs are *not* comparable: how many frames a run
+/// takes depends on how many children are idle when the parent wakes and
+/// on which duplicates the memo has answered by then.
 fn frames_add_up(report: &ExecutionReport) -> bool {
     report.messages == report.tree.total_messages()
+}
+
+/// Encodes `rows` as a columnar frame and decodes it again. `None` when the
+/// frame does not come back as a columnar batch (every query result has a
+/// uniform arity, so it always should).
+fn columnar_round_trip(rows: &[Tuple]) -> Option<Vec<Tuple>> {
+    match decode_message(encode_columnar_message(rows)).ok()? {
+        MessageBatch::Columnar(batch) => Some(batch.to_tuples()),
+        MessageBatch::Rows(_) => None,
+    }
 }
 
 proptest! {
@@ -71,6 +82,7 @@ proptest! {
         prop_assert_eq!(col.rows.len(), row.rows.len());
         prop_assert_eq!(col.ws_calls, row.ws_calls);
         prop_assert!(frames_add_up(&col) && frames_add_up(&row));
+        prop_assert_eq!(columnar_round_trip(&col.rows), Some(col.rows.clone()));
         prop_assert_eq!(
             canonicalize(col.rows),
             canonicalize(row.rows),
@@ -99,6 +111,7 @@ proptest! {
         prop_assert_eq!(col.rows.len(), row.rows.len());
         prop_assert_eq!(col.ws_calls, row.ws_calls);
         prop_assert!(frames_add_up(&col) && frames_add_up(&row));
+        prop_assert_eq!(columnar_round_trip(&col.rows), Some(col.rows.clone()));
         prop_assert_eq!(
             canonicalize(col.rows),
             canonicalize(row.rows),
@@ -113,15 +126,17 @@ proptest! {
         fo1 in 1usize..6,
         batch in 1usize..40,
     ) {
-        // End-to-end against the unparallelized baseline: the columnar path
-        // composed with every other optimization still reproduces the
-        // central plan's bag exactly.
+        // End-to-end against the unparallelized baseline: the columnar
+        // policy composed with every other optimization reproduces the
+        // central plan's bag, and so does that bag after a columnar frame.
         let setup = paper::setup(0.0, dataset(seed));
         let central = setup.wsmed.run_central(paper::QUERY1_SQL).unwrap();
         let col = configured_setup(seed, true, true, BatchPolicy::columnar(batch))
             .wsmed
             .run_parallel(paper::QUERY1_SQL, &vec![fo1, 2])
             .unwrap();
+        let shipped = columnar_round_trip(&central.rows);
+        prop_assert_eq!(shipped, Some(central.rows.clone()));
         prop_assert_eq!(
             canonicalize(col.rows),
             canonicalize(central.rows),
